@@ -36,6 +36,19 @@ fn bench_upsilon_normal_numeric(c: &mut Criterion) {
     });
 }
 
+fn bench_uniform_capacity_normal_profile(c: &mut Criterion) {
+    // The profile the simulations plan on: Normal(2 s, 0.2 s) lengths in all
+    // 24 slots, one SNIP-AT bisection step's worth of work.
+    let profile = SlotProfile::roadside_with_lengths(LengthDistribution::paper_normal(
+        SimDuration::from_secs(2),
+    ));
+    let model = SnipModel::default();
+    let d = DutyCycle::new(0.005).unwrap();
+    c.bench_function("model/uniform_capacity_normal_profile", |b| {
+        b.iter(|| black_box(profile.probed_capacity_uniform(&model, black_box(d))))
+    });
+}
+
 fn bench_fig5_analysis_sweep(c: &mut Criterion) {
     c.bench_function("model/fig5_full_analysis_sweep", |b| {
         b.iter(|| {
@@ -54,6 +67,7 @@ criterion_group!(
     bench_upsilon,
     bench_upsilon_exponential,
     bench_upsilon_normal_numeric,
+    bench_uniform_capacity_normal_profile,
     bench_fig5_analysis_sweep
 );
 criterion_main!(benches);

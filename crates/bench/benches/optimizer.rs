@@ -5,22 +5,35 @@
 //! identical piecewise-linearized problem.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use snip_model::{SlotProfile, SnipModel};
+use snip_model::{LengthDistribution, SlotProfile, SnipModel};
 use snip_opt::{CapacityCurve, GreedyAllocator, LinearProgram, TwoStepOptimizer};
+use snip_units::SimDuration;
 
 fn curves() -> Vec<CapacityCurve> {
-    let model = SnipModel::default();
-    SlotProfile::roadside()
-        .slots()
-        .iter()
-        .map(|s| CapacityCurve::for_slot(&model, s))
-        .collect()
+    CapacityCurve::for_profile(&SnipModel::default(), &SlotProfile::roadside())
 }
 
 fn bench_two_step(c: &mut Criterion) {
     c.bench_function("opt/two_step_solve", |b| {
         let optimizer = TwoStepOptimizer::new(SnipModel::default(), SlotProfile::roadside());
         b.iter(|| black_box(optimizer.solve(black_box(864.0), black_box(40.0))))
+    });
+}
+
+fn bench_two_step_build_normal_profile(c: &mut Criterion) {
+    // Curve construction on the profile the simulations plan on, where every
+    // breakpoint is a numeric integral (the fixed-length roadside profile
+    // above has closed forms only).
+    let profile = SlotProfile::roadside_with_lengths(LengthDistribution::paper_normal(
+        SimDuration::from_secs(2),
+    ));
+    c.bench_function("opt/two_step_build_normal_profile", |b| {
+        b.iter(|| {
+            black_box(TwoStepOptimizer::new(
+                SnipModel::default(),
+                black_box(profile.clone()),
+            ))
+        })
     });
 }
 
@@ -52,6 +65,7 @@ fn bench_simplex_on_same_problem(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_two_step,
+    bench_two_step_build_normal_profile,
     bench_greedy_allocation,
     bench_simplex_on_same_problem
 );

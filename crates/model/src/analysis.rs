@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 use snip_units::DutyCycle;
 
-use crate::slot::SlotProfile;
+use crate::slot::{ProbedTimeMemo, SlotProfile};
 use crate::snip::SnipModel;
 
 /// The (ζ, Φ) outcome of one mechanism at one scenario point, in seconds.
@@ -227,6 +227,7 @@ impl ScenarioAnalysis {
         assert!(zeta_target > 0.0, "ζtarget must be positive");
         let mut zeta = 0.0f64;
         let mut phi = 0.0f64;
+        let mut memo = ProbedTimeMemo::new(self.model);
         for (slot, &is_rush) in self.profile.slots().iter().zip(&self.rush_marks) {
             if !is_rush {
                 continue;
@@ -237,7 +238,7 @@ impl ScenarioAnalysis {
             }
             let d_rh = self.model.knee_duty_cycle(mean_len);
             // Rates per second of slot time while SNIP is active.
-            let zeta_rate = slot.probed_capacity(&self.model, d_rh) / slot.length.as_secs_f64();
+            let zeta_rate = memo.probed_capacity(slot, d_rh) / slot.length.as_secs_f64();
             let phi_rate = d_rh.as_fraction();
             if zeta_rate <= 0.0 {
                 continue;

@@ -170,45 +170,47 @@ impl LengthDistribution {
     /// The fixed distribution has no density; callers treat it specially.
     #[must_use]
     pub fn pdf(&self, l: f64) -> f64 {
-        if l < 0.0 {
-            return 0.0;
-        }
+        self.density().at(l)
+    }
+
+    /// The density with this distribution's constants computed once, so an
+    /// integral does not recompute them at every point.
+    fn density(&self) -> Density {
+        let sqrt_two_pi = (2.0 * std::f64::consts::PI).sqrt();
         match *self {
-            LengthDistribution::Fixed { .. } => 0.0,
+            LengthDistribution::Fixed { .. } => Density::Zero,
             LengthDistribution::Normal { mean, std_dev } => {
                 let mu = mean.as_secs_f64();
                 let sigma = std_dev.as_secs_f64();
                 if sigma == 0.0 {
-                    return 0.0;
+                    return Density::Zero;
                 }
-                // Zero-truncated: renormalize by P(X > 0).
-                let z = (l - mu) / sigma;
-                let base = (-0.5 * z * z).exp() / (sigma * (2.0 * std::f64::consts::PI).sqrt());
-                let trunc = 0.5 * (1.0 + erf(mu / (sigma * std::f64::consts::SQRT_2)));
-                base / trunc
+                Density::Normal {
+                    mu,
+                    sigma,
+                    norm: sigma * sqrt_two_pi,
+                    // Zero-truncated: renormalize by P(X > 0).
+                    trunc: 0.5 * (1.0 + erf(mu / (sigma * std::f64::consts::SQRT_2))),
+                }
             }
             LengthDistribution::Exponential { mean } => {
                 let m = mean.as_secs_f64();
-                (1.0 / m) * (-l / m).exp()
+                Density::Exponential { rate: 1.0 / m, m }
             }
-            LengthDistribution::Uniform { low, high } => {
-                let (a, b) = (low.as_secs_f64(), high.as_secs_f64());
-                if l >= a && l <= b && b > a {
-                    1.0 / (b - a)
-                } else {
-                    0.0
-                }
-            }
+            LengthDistribution::Uniform { low, high } => Density::Uniform {
+                a: low.as_secs_f64(),
+                b: high.as_secs_f64(),
+            },
             LengthDistribution::LogNormal { mean, std_dev } => {
-                if l <= 0.0 {
-                    return 0.0;
-                }
                 let (mu, sigma) = log_normal_params(mean, std_dev);
                 if sigma == 0.0 {
-                    return 0.0;
+                    return Density::Zero;
                 }
-                let z = (l.ln() - mu) / sigma;
-                (-0.5 * z * z).exp() / (l * sigma * (2.0 * std::f64::consts::PI).sqrt())
+                Density::LogNormal {
+                    mu,
+                    sigma,
+                    sqrt_two_pi,
+                }
             }
         }
     }
@@ -229,7 +231,8 @@ impl LengthDistribution {
             }
             _ => {
                 let (a, b) = self.effective_support();
-                integrate(|l| f(l) * self.pdf(l), a, b, 1e-9)
+                let density = self.density();
+                integrate(|l| f(l) * density.at(l), a, b, 1e-9)
             }
         }
     }
@@ -252,6 +255,75 @@ impl LengthDistribution {
             LengthDistribution::LogNormal { mean, std_dev } => {
                 let (mu, sigma) = log_normal_params(mean, std_dev);
                 (0.0, (mu + 10.0 * sigma).exp())
+            }
+        }
+    }
+}
+
+/// A length density with its per-distribution constants precomputed.
+///
+/// [`Density::at`] evaluates the same expressions, in the same order, as a
+/// density computed from scratch at every point, so the values are
+/// bit-identical; only the constants move out of the integrand.
+#[derive(Debug, Clone, Copy)]
+enum Density {
+    /// No density (fixed lengths, zero spread).
+    Zero,
+    /// Zero-truncated normal; `norm = σ·√(2π)`, `trunc = P(X > 0)`.
+    Normal {
+        mu: f64,
+        sigma: f64,
+        norm: f64,
+        trunc: f64,
+    },
+    /// Exponential with mean `m` and `rate = 1/m`.
+    Exponential { rate: f64, m: f64 },
+    /// Uniform on `[a, b]`.
+    Uniform { a: f64, b: f64 },
+    /// Log-normal over the underlying normal's `(µ, σ)`.
+    LogNormal {
+        mu: f64,
+        sigma: f64,
+        sqrt_two_pi: f64,
+    },
+}
+
+impl Density {
+    /// The density at `l` seconds (0 outside the support).
+    fn at(&self, l: f64) -> f64 {
+        if l < 0.0 {
+            return 0.0;
+        }
+        match *self {
+            Density::Zero => 0.0,
+            Density::Normal {
+                mu,
+                sigma,
+                norm,
+                trunc,
+            } => {
+                let z = (l - mu) / sigma;
+                let base = (-0.5 * z * z).exp() / norm;
+                base / trunc
+            }
+            Density::Exponential { rate, m } => rate * (-l / m).exp(),
+            Density::Uniform { a, b } => {
+                if l >= a && l <= b && b > a {
+                    1.0 / (b - a)
+                } else {
+                    0.0
+                }
+            }
+            Density::LogNormal {
+                mu,
+                sigma,
+                sqrt_two_pi,
+            } => {
+                if l <= 0.0 {
+                    return 0.0;
+                }
+                let z = (l.ln() - mu) / sigma;
+                (-0.5 * z * z).exp() / (l * sigma * sqrt_two_pi)
             }
         }
     }
@@ -360,6 +432,29 @@ mod tests {
         // E[l²] = 2m² = 8.
         let m2 = d.expect(|l| l * l);
         assert!((m2 - 8.0).abs() < 1e-3, "{m2}");
+    }
+
+    #[test]
+    fn precomputed_densities_match_the_formulas_bit_for_bit() {
+        let sqrt_two_pi = (2.0 * std::f64::consts::PI).sqrt();
+        let (mu, sigma) = (2.0, 0.2);
+        let normal = LengthDistribution::paper_normal(secs(mu));
+        let exp = LengthDistribution::exponential(secs(3.0));
+        let log = LengthDistribution::log_normal(secs(2.0), secs(0.5));
+        let (lmu, lsigma) = log_normal_params(secs(2.0), secs(0.5));
+        for i in 0..400 {
+            let l = f64::from(i) * 0.01;
+            let z = (l - mu) / sigma;
+            let trunc = 0.5 * (1.0 + erf(mu / (sigma * std::f64::consts::SQRT_2)));
+            let want = (-0.5 * z * z).exp() / (sigma * sqrt_two_pi) / trunc;
+            assert_eq!(normal.pdf(l), want, "normal at {l}");
+            assert_eq!(exp.pdf(l), (1.0 / 3.0) * (-l / 3.0).exp(), "exp at {l}");
+            if l > 0.0 {
+                let z = (l.ln() - lmu) / lsigma;
+                let want = (-0.5 * z * z).exp() / (l * lsigma * sqrt_two_pi);
+                assert_eq!(log.pdf(l), want, "log-normal at {l}");
+            }
+        }
     }
 
     #[test]

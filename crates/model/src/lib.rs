@@ -55,5 +55,5 @@ pub use length::LengthDistribution;
 pub use mip::MipModel;
 pub use probed::ProbedTimeDistribution;
 pub use rush_hour::RushHourBenefit;
-pub use slot::{SlotProfile, SlotSpec};
+pub use slot::{ProbedTimeMemo, SlotProfile, SlotSpec};
 pub use snip::SnipModel;

@@ -85,6 +85,9 @@ impl SlotSpec {
     }
 
     /// Probed capacity `ζi(di)` in seconds when SNIP runs at `d` all slot.
+    ///
+    /// To evaluate many slots, go through one [`ProbedTimeMemo`]: slots that
+    /// share a contact-length distribution then share its expectation.
     #[must_use]
     pub fn probed_capacity(&self, model: &SnipModel, d: DutyCycle) -> f64 {
         self.expected_contacts()
@@ -123,6 +126,88 @@ impl SlotSpec {
     #[must_use]
     pub fn knee_duty_cycle(&self, model: &SnipModel) -> DutyCycle {
         model.knee_duty_cycle(self.contact_length.mean())
+    }
+}
+
+/// Expected probed times `E[Tprobed](d, L)`, each computed once per distinct
+/// `(duty-cycle, contact-length distribution)` pair.
+///
+/// A profile's slots usually share one contact-length distribution, and for
+/// a numeric distribution each expectation is an adaptive Simpson integral.
+/// Evaluating a whole profile through one memo integrates each distinct pair
+/// once instead of once per slot. Entries are exactly the values of
+/// [`SnipModel::expected_probed_dist`], so every result is bit-identical to
+/// evaluating the slots one by one.
+///
+/// # Examples
+///
+/// ```
+/// use snip_model::{LengthDistribution, ProbedTimeMemo, SlotProfile, SnipModel};
+/// use snip_units::{DutyCycle, SimDuration};
+///
+/// let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
+/// let profile = SlotProfile::roadside_with_lengths(lengths);
+/// let model = SnipModel::default();
+/// let d = DutyCycle::new(0.005).unwrap();
+///
+/// let mut memo = ProbedTimeMemo::new(model);
+/// let zeta: f64 = profile.slots().iter().map(|s| memo.probed_capacity(s, d)).sum();
+/// assert_eq!(memo.len(), 1); // 24 slots, one integral
+/// assert_eq!(zeta, profile.probed_capacity_uniform(&model, d));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProbedTimeMemo {
+    model: SnipModel,
+    entries: Vec<(DutyCycle, LengthDistribution, f64)>,
+}
+
+impl ProbedTimeMemo {
+    /// An empty memo for one SNIP model.
+    #[must_use]
+    pub fn new(model: SnipModel) -> Self {
+        ProbedTimeMemo {
+            model,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The SNIP model the expectations are taken under.
+    #[must_use]
+    pub fn model(&self) -> &SnipModel {
+        &self.model
+    }
+
+    /// [`SlotSpec::probed_capacity`], with the expectation computed on the
+    /// first request for this `(d, slot.contact_length)` pair and looked up
+    /// afterwards.
+    pub fn probed_capacity(&mut self, slot: &SlotSpec, d: DutyCycle) -> f64 {
+        let dist = &slot.contact_length;
+        let seen = self
+            .entries
+            .iter()
+            .find(|(seen_d, seen_dist, _)| *seen_d == d && seen_dist == dist);
+        let secs = match seen {
+            Some(&(_, _, secs)) => secs,
+            None => {
+                let secs = self.model.expected_probed_dist(d, dist).as_secs_f64();
+                self.entries.push((d, *dist, secs));
+                secs
+            }
+        };
+        slot.expected_contacts() * secs
+    }
+
+    /// Number of distinct pairs computed so far: the expectations actually
+    /// evaluated.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` before the first expectation is computed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -218,9 +303,13 @@ impl SlotProfile {
     }
 
     /// Probed capacity when one duty-cycle runs in every slot (SNIP-AT).
+    ///
+    /// Takes one expectation per distinct contact-length distribution, not
+    /// one per slot ([`ProbedTimeMemo`]).
     #[must_use]
     pub fn probed_capacity_uniform(&self, model: &SnipModel, d: DutyCycle) -> f64 {
-        self.slots.iter().map(|s| s.probed_capacity(model, d)).sum()
+        let mut memo = ProbedTimeMemo::new(*model);
+        self.slots.iter().map(|s| memo.probed_capacity(s, d)).sum()
     }
 
     /// Probed capacity under a per-slot duty-cycle plan.
@@ -231,10 +320,11 @@ impl SlotProfile {
     #[must_use]
     pub fn probed_capacity_plan(&self, model: &SnipModel, plan: &[DutyCycle]) -> f64 {
         assert_eq!(plan.len(), self.len(), "plan length must match slot count");
+        let mut memo = ProbedTimeMemo::new(*model);
         self.slots
             .iter()
             .zip(plan)
-            .map(|(s, &d)| s.probed_capacity(model, d))
+            .map(|(s, &d)| memo.probed_capacity(s, d))
             .sum()
     }
 
@@ -413,6 +503,70 @@ mod tests {
         let a = fixed.probed_capacity_uniform(&m, d(0.005));
         let b = normal.probed_capacity_uniform(&m, d(0.005));
         assert!((a - b).abs() / a < 0.02, "{a} vs {b}");
+    }
+
+    /// Slots of every length family, some sharing a distribution, plus an
+    /// empty slot.
+    fn mixed_profile() -> SlotProfile {
+        let hour = SimDuration::from_hours(1);
+        let secs = SimDuration::from_secs_f64;
+        let lengths = [
+            LengthDistribution::paper_normal(secs(2.0)),
+            LengthDistribution::exponential(secs(3.0)),
+            LengthDistribution::log_normal(secs(2.0), secs(0.5)),
+            LengthDistribution::uniform(secs(1.0), secs(3.0)),
+            LengthDistribution::fixed(secs(2.0)),
+            LengthDistribution::paper_normal(secs(2.5)),
+        ];
+        let mut slots: Vec<SlotSpec> = (0..24u64)
+            .map(|h| SlotSpec::new(hour, secs(300.0 + 60.0 * h as f64), lengths[h as usize % 6]))
+            .collect();
+        slots[5] = SlotSpec::empty(hour);
+        SlotProfile::new(slots)
+    }
+
+    #[test]
+    fn profile_evaluation_is_bit_identical_to_slot_by_slot() {
+        let p = mixed_profile();
+        let m = model();
+        for frac in [0.0, 1e-4, 0.003, 0.01, 0.04, 0.3, 1.0] {
+            let uniform: f64 = p
+                .slots()
+                .iter()
+                .map(|s| s.probed_capacity(&m, d(frac)))
+                .sum();
+            assert_eq!(p.probed_capacity_uniform(&m, d(frac)), uniform, "d={frac}");
+        }
+        let plan: Vec<DutyCycle> = (0..24).map(|i| d([0.002, 0.01, 0.5][i % 3])).collect();
+        let by_slot: f64 = p
+            .slots()
+            .iter()
+            .zip(&plan)
+            .map(|(s, &dc)| s.probed_capacity(&m, dc))
+            .sum();
+        assert_eq!(p.probed_capacity_plan(&m, &plan), by_slot);
+    }
+
+    #[test]
+    fn memo_computes_each_distribution_once_per_duty_cycle() {
+        let p = mixed_profile();
+        let mut memo = ProbedTimeMemo::new(model());
+        assert!(memo.is_empty());
+        for frac in [0.003, 0.01] {
+            for s in p.slots() {
+                let _ = memo.probed_capacity(s, d(frac));
+            }
+        }
+        // Six distinct distributions (the empty slot's placeholder is the
+        // fixed 1 s one, a seventh), two duty-cycles.
+        assert_eq!(memo.len(), 7 * 2);
+        let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
+        let roadside = SlotProfile::roadside_with_lengths(lengths);
+        let mut memo = ProbedTimeMemo::new(model());
+        for s in roadside.slots() {
+            let _ = memo.probed_capacity(s, d(0.005));
+        }
+        assert_eq!(memo.len(), 1, "24 slots, one distribution, one integral");
     }
 
     proptest! {

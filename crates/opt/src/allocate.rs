@@ -44,11 +44,7 @@ impl Allocation {
 ///
 /// let model = SnipModel::default();
 /// let profile = SlotProfile::roadside();
-/// let curves: Vec<CapacityCurve> = profile
-///     .slots()
-///     .iter()
-///     .map(|s| CapacityCurve::for_slot(&model, s))
-///     .collect();
+/// let curves = CapacityCurve::for_profile(&model, &profile);
 /// let alloc = GreedyAllocator::new(curves).maximize_capacity(86.4);
 /// // All 86.4 s of budget go to rush-hour slots at efficiency 1/3.
 /// assert!((alloc.zeta - 28.8).abs() < 1e-6);
@@ -197,13 +193,10 @@ mod tests {
     use snip_model::{SlotProfile, SnipModel};
 
     fn roadside_allocator() -> GreedyAllocator {
-        let model = SnipModel::default();
-        let curves = SlotProfile::roadside()
-            .slots()
-            .iter()
-            .map(|s| CapacityCurve::for_slot(&model, s))
-            .collect();
-        GreedyAllocator::new(curves)
+        GreedyAllocator::new(CapacityCurve::for_profile(
+            &SnipModel::default(),
+            &SlotProfile::roadside(),
+        ))
     }
 
     #[test]

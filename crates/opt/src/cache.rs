@@ -3,7 +3,7 @@
 //! A sweep re-solves the two-step optimization for every `(Φmax, ζtarget)`
 //! point, and a fleet run re-solves it for every node sharing a profile —
 //! yet the plan is a pure function of `(model, profile, Φmax, ζtarget)`,
-//! and one solve costs about a millisecond (curve construction plus two
+//! and one solve costs tens of microseconds (curve construction plus two
 //! greedy allocations). This cache returns a stored clone for repeated
 //! keys, so repeated sweep points and same-profile fleet nodes skip the
 //! re-solve entirely.
@@ -260,11 +260,12 @@ mod tests {
         assert_eq!(got, plan, "a seeded entry answers the solve verbatim");
         let after = plan_cache_stats();
         assert!(after.seeded > before.seeded, "the seed is counted");
+        // A seeded hit returns before any solve; the global miss counter is
+        // not compared because concurrent tests in this binary bump it.
         assert!(
             after.seeded_hits > before.seeded_hits,
             "the hit is attributed to the seed"
         );
-        assert_eq!(after.misses, before.misses, "no local solve happened");
     }
 
     #[test]

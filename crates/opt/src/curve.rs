@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 use snip_units::DutyCycle;
 
-use snip_model::{SlotSpec, SnipModel};
+use snip_model::{ProbedTimeMemo, SlotProfile, SlotSpec, SnipModel};
 
 /// One linear segment of a capacity curve: spend up to `energy` more seconds
 /// of radio-on time at `efficiency` seconds of capacity per second of energy.
@@ -52,6 +52,26 @@ impl CapacityCurve {
     /// of it up to `d = 1`. Slots without contacts produce an empty curve.
     #[must_use]
     pub fn for_slot(model: &SnipModel, slot: &SlotSpec) -> Self {
+        Self::build(&mut ProbedTimeMemo::new(*model), slot)
+    }
+
+    /// One curve per slot of `profile`, in slot order: equal to
+    /// [`CapacityCurve::for_slot`] on each slot.
+    ///
+    /// The breakpoints depend only on the contact-length distribution, so
+    /// slots sharing a distribution share their expectations: each distinct
+    /// distribution is integrated once per breakpoint, not once per slot.
+    #[must_use]
+    pub fn for_profile(model: &SnipModel, profile: &SlotProfile) -> Vec<Self> {
+        let mut memo = ProbedTimeMemo::new(*model);
+        profile
+            .slots()
+            .iter()
+            .map(|slot| Self::build(&mut memo, slot))
+            .collect()
+    }
+
+    fn build(memo: &mut ProbedTimeMemo, slot: &SlotSpec) -> Self {
         let slot_seconds = slot.length.as_secs_f64();
         if slot.frequency() == 0.0 || slot.contact_length.mean().is_zero() {
             return CapacityCurve {
@@ -59,7 +79,7 @@ impl CapacityCurve {
                 slot_seconds,
             };
         }
-        let knee = slot.knee_duty_cycle(model).as_fraction();
+        let knee = slot.knee_duty_cycle(memo.model()).as_fraction();
         let mut duty_points = vec![knee.min(1.0)];
         for m in Self::KNEE_MULTIPLES {
             let d = knee * m;
@@ -77,7 +97,7 @@ impl CapacityCurve {
         let mut prev_d = 0.0f64;
         let mut prev_zeta = 0.0f64;
         for d in duty_points {
-            let zeta = slot.probed_capacity(model, DutyCycle::clamped(d));
+            let zeta = memo.probed_capacity(slot, DutyCycle::clamped(d));
             let d_energy = (d - prev_d) * slot_seconds;
             if d_energy > 0.0 {
                 let efficiency = ((zeta - prev_zeta) / d_energy).max(0.0);
@@ -224,6 +244,35 @@ mod tests {
             let err = (exact - approx).abs() / exact.max(1e-9);
             assert!(err < 0.06, "d={d}: exact {exact} vs approx {approx}");
         }
+    }
+
+    #[test]
+    fn profile_curves_equal_slot_curves_bit_for_bit() {
+        let model = SnipModel::default();
+        let secs = SimDuration::from_secs_f64;
+        let lengths = [
+            LengthDistribution::paper_normal(secs(2.0)),
+            LengthDistribution::exponential(secs(3.0)),
+            LengthDistribution::fixed(secs(0.01)),
+            LengthDistribution::log_normal(secs(2.0), secs(0.5)),
+        ];
+        let mut slots: Vec<SlotSpec> = (0..24u64)
+            .map(|h| {
+                SlotSpec::new(
+                    SimDuration::from_hours(1),
+                    secs(200.0 + 75.0 * h as f64),
+                    lengths[h as usize % 4],
+                )
+            })
+            .collect();
+        slots[3] = SlotSpec::empty(SimDuration::from_hours(1));
+        let profile = SlotProfile::new(slots);
+        let by_slot: Vec<CapacityCurve> = profile
+            .slots()
+            .iter()
+            .map(|s| CapacityCurve::for_slot(&model, s))
+            .collect();
+        assert_eq!(CapacityCurve::for_profile(&model, &profile), by_slot);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   duty-cycle plan.
 //! * [`cache`] — process-wide memoization of solved plans keyed on the
 //!   exact `(model, profile, Φmax, ζtarget)` inputs, so repeated sweep
-//!   points skip the ~1 ms re-solve.
+//!   points skip the re-solve.
 //!
 //! # Example
 //!

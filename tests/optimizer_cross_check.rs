@@ -27,14 +27,7 @@ fn heterogeneous_profile() -> SlotProfile {
 }
 
 fn allocator(profile: &SlotProfile) -> GreedyAllocator {
-    let model = SnipModel::default();
-    GreedyAllocator::new(
-        profile
-            .slots()
-            .iter()
-            .map(|s| CapacityCurve::for_slot(&model, s))
-            .collect(),
-    )
+    GreedyAllocator::new(CapacityCurve::for_profile(&SnipModel::default(), profile))
 }
 
 /// Greedy step-1 optima equal the simplex optima on the same piecewise-
