@@ -151,8 +151,8 @@ impl SlotSpec {
 /// let d = DutyCycle::new(0.005).unwrap();
 ///
 /// let mut memo = ProbedTimeMemo::new(model);
+/// // 24 slots sharing one distribution: one integral.
 /// let zeta: f64 = profile.slots().iter().map(|s| memo.probed_capacity(s, d)).sum();
-/// assert_eq!(memo.len(), 1); // 24 slots, one integral
 /// assert_eq!(zeta, profile.probed_capacity_uniform(&model, d));
 /// ```
 #[derive(Debug, Clone)]
@@ -169,12 +169,6 @@ impl ProbedTimeMemo {
             model,
             entries: Vec::new(),
         }
-    }
-
-    /// The SNIP model the expectations are taken under.
-    #[must_use]
-    pub fn model(&self) -> &SnipModel {
-        &self.model
     }
 
     /// [`SlotSpec::probed_capacity`], with the expectation computed on the
@@ -199,15 +193,9 @@ impl ProbedTimeMemo {
 
     /// Number of distinct pairs computed so far: the expectations actually
     /// evaluated.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn integrals(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` before the first expectation is computed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -551,7 +539,7 @@ mod tests {
     fn memo_computes_each_distribution_once_per_duty_cycle() {
         let p = mixed_profile();
         let mut memo = ProbedTimeMemo::new(model());
-        assert!(memo.is_empty());
+        assert_eq!(memo.integrals(), 0);
         for frac in [0.003, 0.01] {
             for s in p.slots() {
                 let _ = memo.probed_capacity(s, d(frac));
@@ -559,14 +547,18 @@ mod tests {
         }
         // Six distinct distributions (the empty slot's placeholder is the
         // fixed 1 s one, a seventh), two duty-cycles.
-        assert_eq!(memo.len(), 7 * 2);
+        assert_eq!(memo.integrals(), 7 * 2);
         let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
         let roadside = SlotProfile::roadside_with_lengths(lengths);
         let mut memo = ProbedTimeMemo::new(model());
         for s in roadside.slots() {
             let _ = memo.probed_capacity(s, d(0.005));
         }
-        assert_eq!(memo.len(), 1, "24 slots, one distribution, one integral");
+        assert_eq!(
+            memo.integrals(),
+            1,
+            "24 slots, one distribution, one integral"
+        );
     }
 
     proptest! {

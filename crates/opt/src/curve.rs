@@ -52,7 +52,7 @@ impl CapacityCurve {
     /// of it up to `d = 1`. Slots without contacts produce an empty curve.
     #[must_use]
     pub fn for_slot(model: &SnipModel, slot: &SlotSpec) -> Self {
-        Self::build(&mut ProbedTimeMemo::new(*model), slot)
+        Self::build(model, &mut ProbedTimeMemo::new(*model), slot)
     }
 
     /// One curve per slot of `profile`, in slot order: equal to
@@ -67,11 +67,11 @@ impl CapacityCurve {
         profile
             .slots()
             .iter()
-            .map(|slot| Self::build(&mut memo, slot))
+            .map(|slot| Self::build(model, &mut memo, slot))
             .collect()
     }
 
-    fn build(memo: &mut ProbedTimeMemo, slot: &SlotSpec) -> Self {
+    fn build(model: &SnipModel, memo: &mut ProbedTimeMemo, slot: &SlotSpec) -> Self {
         let slot_seconds = slot.length.as_secs_f64();
         if slot.frequency() == 0.0 || slot.contact_length.mean().is_zero() {
             return CapacityCurve {
@@ -79,7 +79,7 @@ impl CapacityCurve {
                 slot_seconds,
             };
         }
-        let knee = slot.knee_duty_cycle(memo.model()).as_fraction();
+        let knee = slot.knee_duty_cycle(model).as_fraction();
         let mut duty_points = vec![knee.min(1.0)];
         for m in Self::KNEE_MULTIPLES {
             let d = knee * m;
