@@ -7,7 +7,7 @@
 //!              [--beacon-loss P]
 //! snip replay  <journal> [--mechanism at|rh|opt] [--summary]
 //! snip diff    <a> <b>
-//! snip convert <in> <out> [--to-v3]
+//! snip convert <in> <out>
 //! snip fleet   --spec <file> [--workers K] [--shard-size N] [--verify] [--out PATH]
 //! snip fleet-serve --spec <file> --listen ADDR --token-file F [--verify] [--out PATH]
 //! snip fleet-worker [--connect ADDR --token-file F]
@@ -37,7 +37,7 @@ use snip_model::SnipModel;
 use snip_obs::{error, warn};
 use snip_replay::diff::diff_journals;
 use snip_replay::event::{JournalHeader, SchedulerSpec};
-use snip_replay::journal::{convert, upgrade_to_v3, JournalReader, JournalWriter};
+use snip_replay::journal::{convert, JournalReader, JournalWriter};
 use snip_replay::record::record_run;
 use snip_replay::replay::{replay_run, ReplayError};
 use snip_sim::{RunMetrics, SimConfig};
@@ -50,9 +50,7 @@ USAGE:
     snip record  --out <journal> [options]     record a simulation run
     snip replay  <journal> [--mechanism M]     re-execute and verify a journal
     snip diff    <a> <b>                       compare two journals
-    snip convert <in> <out> [--to-v3]          translate jsonl <-> cbor
-                                               (--to-v3: require/stamp the v3
-                                               format; v2 is no longer read)
+    snip convert <in> <out>                    translate jsonl <-> cbor
     snip fleet   --spec <file> [options]       run a fleet spec across worker
                                                subprocesses
     snip fleet-serve --spec <file> [options]   multi-host coordinator: listen
@@ -698,36 +696,23 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<ExitCode, CliError> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut to_v3 = false;
-    for arg in args {
-        match arg.as_str() {
-            "--to-v3" => to_v3 = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown flag `{flag}`")))
-            }
-            _ => paths.push(arg),
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
     }
-    let [input, output] = paths[..] else {
+    let [input, output] = args else {
         return Err(CliError::Usage(
             "convert needs an input and an output path".into(),
         ));
     };
     let mut reader = JournalReader::open(Path::new(input)).map_err(fatal)?;
     let mut writer = JournalWriter::create(Path::new(output)).map_err(fatal)?;
-    let n = if to_v3 {
-        upgrade_to_v3(&mut reader, &mut writer).map_err(fatal)?
-    } else {
-        convert(&mut reader, &mut writer).map_err(fatal)?
-    };
+    let n = convert(&mut reader, &mut writer).map_err(fatal)?;
     println!(
-        "converted {} ({}) -> {} ({}{}): {} events",
+        "converted {} ({}) -> {} ({}): {} events",
         input,
         reader.format(),
         output,
         writer.format(),
-        if to_v3 { ", migrated to v3" } else { "" },
         n
     );
     Ok(ExitCode::SUCCESS)
@@ -1867,15 +1852,17 @@ fn check_clean_end(
     }
 }
 
-/// Dials the coordinator with three differently-wrong *unauthenticated*
-/// handshakes and asserts the refusals are byte-identical (zero bytes,
-/// then sever) — a rejected dialer learns nothing about *which* check
-/// failed. An **authenticated** dialer with the wrong protocol version is
-/// the one deliberate exception: it proved it holds the token, so it gets
-/// a typed legacy-JSON rejection naming the coordinator's version (and
-/// that reply is asserted here too). A real worker then finishes the run,
-/// proving the probes poisoned nothing.
+/// Dials the coordinator with differently-wrong handshakes and asserts
+/// the refusals are byte-identical (zero bytes, then sever) — a rejected
+/// dialer learns nothing about *which* check failed. A protocol-3 dialer
+/// (a JSON-framed `Join`) is refused at the frame check even with the
+/// right token. An **authenticated** binary dialer with the wrong
+/// protocol version is the one deliberate exception: it proved it holds
+/// the token, so it gets a typed rejection naming the coordinator's
+/// version (and that reply is asserted here too). A real worker then
+/// finishes the run, proving the probes poisoned nothing.
 fn check_auth_uniformity(spec: &FleetSpec) -> Result<(), CliError> {
+    use serde::Serialize as _;
     use snip_fleetd::{
         CoordinatorMsg, JobRunner, TcpConfig, WorkerMsg, PROTOCOL_VERSION, TOKEN_ENV_VAR,
     };
@@ -1905,6 +1892,11 @@ fn check_auth_uniformity(spec: &FleetSpec) -> Result<(), CliError> {
             .expect("in-memory frame");
         bytes
     };
+    // The protocol-3 wire: decimal length, newline, JSON, newline.
+    let json_join = |msg: &WorkerMsg| -> Vec<u8> {
+        let body = serde::json::to_string(&msg.to_value());
+        format!("{}\n{body}\n", body.len()).into_bytes()
+    };
     let probes: Vec<(&str, Vec<u8>)> = vec![
         (
             "wrong-token",
@@ -1927,6 +1919,15 @@ fn check_auth_uniformity(spec: &FleetSpec) -> Result<(), CliError> {
             }),
         ),
         ("unframeable-garbage", b"GET / HTTP/1.1\r\n\r\n".to_vec()),
+        (
+            "json-framed-right-token",
+            json_join(&WorkerMsg::Join {
+                protocol: PROTOCOL_VERSION,
+                token: token.into(),
+                pid: u64::from(std::process::id()),
+                resume: None,
+            }),
+        ),
     ];
     let mut responses: Vec<(&str, Vec<u8>)> = Vec::new();
     for (name, payload) in probes {

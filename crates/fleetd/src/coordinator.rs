@@ -51,7 +51,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
 use snip_obs::metrics::{Counter, Gauge, Histogram};
 use snip_opt::OptPlan;
 use snip_replay::checkpoint::{
@@ -1276,9 +1275,8 @@ impl FleetDriver {
             }
             // An *authenticated* peer on the wrong protocol version gets
             // told so before the sever: a spec-bearing Init naming this
-            // coordinator's version, framed as legacy JSON so a
-            // protocol-3 worker (which predates binary frames) decodes
-            // it cleanly and reports the skew instead of a frame error.
+            // coordinator's version, so the worker reports the skew
+            // instead of a bare disconnect.
             // Unauthenticated skew stays indistinguishable from a bad
             // token — the version is not a secret, but uniformity is
             // what keeps the rejection path oracle-free.
@@ -1294,7 +1292,7 @@ impl FleetDriver {
                     session: 0,
                     plans: vec![],
                 };
-                let _ = transport.send_legacy_json(&rejection.to_value());
+                let _ = send_msg(transport, &rejection);
                 snip_obs::event!(
                     snip_obs::log::Level::Warn,
                     "peer {worker_idx} ({}) joined with protocol {protocol}, this \

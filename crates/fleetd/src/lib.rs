@@ -11,7 +11,7 @@
 //! `snip fleet-worker --connect` processes dial in on
 //! ([`transport::TcpTransport`]), after an authenticated token +
 //! spec-hash + protocol-version handshake. Frames are length-prefixed
-//! JSON (the journal codec on a stream, [`snip_replay::frame`]).
+//! CBOR (the journal codec on a stream, [`snip_replay::frame`]).
 //!
 //! * **Work stealing** — workers pull: each `ShardDone` immediately earns
 //!   the next shard off the shared queue, so slow shards and fast workers

@@ -54,10 +54,12 @@
 //! token or the protocol was wrong. One deliberate exception: a peer
 //! that presents the **correct token** but a skewed protocol version is
 //! told so before the sever — the coordinator answers with a spec-bearing
-//! `Init` naming its own version, framed as *legacy JSON* so a protocol-3
-//! worker (which predates binary frames) can still decode it and report
-//! "coordinator speaks protocol 4, worker speaks 3" instead of a frame
-//! error. Both handshake messages then pin the *job identity*: `Init`
+//! `Init` naming its own version, so the worker can report "coordinator
+//! speaks protocol 4, worker speaks 5" instead of a bare disconnect. A
+//! protocol-3 peer, which predates binary frames, cannot authenticate at
+//! all: its JSON-framed `Join` is refused at the frame's first byte,
+//! exactly like a wrong token. Both handshake messages then pin the *job
+//! identity*: `Init`
 //! carries the coordinator's [`FleetSpec::spec_hash`] next to the spec
 //! (so a spec corrupted in flight is detected by the worker), and `Ready`
 //! echoes the hash the worker computed from the spec it actually received
@@ -100,8 +102,9 @@ use crate::spec::FleetSpec;
 ///   `ShardDone` delivery.
 /// * 4 — binary wire: length-prefixed CBOR frames, `Init` pre-encoded
 ///   once per run (`session: 0` placeholder + `Session` frame), batched
-///   `Shard { jobs }` / `ShardDone { results }`, and a legacy-JSON typed
-///   rejection for authenticated version-skewed peers.
+///   `Shard { jobs }` / `ShardDone { results }`, and a typed rejection
+///   for authenticated version-skewed peers. Binary frames are the only
+///   encoding: protocol-3 JSON frames are refused at the first byte.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// One solved SNIP-OPT plan under its exact cache key, as shipped between
@@ -153,9 +156,9 @@ pub enum CoordinatorMsg {
         /// a mismatch.
         spec_hash: u64,
         /// Always `0` since protocol 4 (the frame is shared across peers;
-        /// the `Session` frame that follows carries the real id). Kept in
-        /// the shape so a protocol-3 worker can decode the version-skew
-        /// rejection.
+        /// the `Session` frame that follows carries the real id). Kept so
+        /// the message shape, and with it [`PROTOCOL_VERSION`], stays
+        /// unchanged.
         session: u64,
         /// Warm SNIP-OPT plans to seed the worker's cache with.
         plans: Vec<PlanEntry>,
@@ -266,21 +269,6 @@ mod tests {
             CoordinatorMsg::Resumed { session: 11 },
             CoordinatorMsg::Shutdown,
         ];
-        // Binary frames are the protocol-4 wire...
-        let mut buf = Vec::new();
-        {
-            let mut w = FrameWriter::new_binary(&mut buf);
-            for m in &msgs_out {
-                w.send(m).unwrap();
-            }
-        }
-        let mut r = FrameReader::new(std::io::Cursor::new(buf));
-        for m in &msgs_out {
-            assert_eq!(r.recv::<CoordinatorMsg>().unwrap().as_ref(), Some(m));
-        }
-        assert!(r.recv::<CoordinatorMsg>().unwrap().is_none());
-        // ...and the same messages still cross legacy JSON frames (the
-        // version-skew rejection path).
         let mut buf = Vec::new();
         {
             let mut w = FrameWriter::new(&mut buf);
@@ -292,6 +280,7 @@ mod tests {
         for m in &msgs_out {
             assert_eq!(r.recv::<CoordinatorMsg>().unwrap().as_ref(), Some(m));
         }
+        assert!(r.recv::<CoordinatorMsg>().unwrap().is_none());
 
         let reply = WorkerMsg::ShardDone {
             results: vec![

@@ -6,10 +6,9 @@
 //! spawned subprocess ([`PipeTransport`]), a TCP socket a remote worker
 //! dialed in on ([`TcpTransport`]), or an in-memory stream in a test
 //! ([`StreamTransport`]). Every transport carries the same
-//! length-prefixed binary CBOR frames ([`snip_replay::frame`]) — readers
-//! auto-detect legacy JSON frames per frame, which keeps the version-skew
-//! rejection decodable by older peers — so a message that crosses one
-//! transport crosses them all bit-for-bit, which is what lets
+//! length-prefixed binary CBOR frames ([`snip_replay::frame`]), so a
+//! message that crosses one transport crosses them all bit-for-bit,
+//! which is what lets
 //! `fleet_determinism.rs` demand `assert_eq!`-identical merged output
 //! regardless of transport.
 //!
@@ -44,7 +43,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize, Value};
 use snip_replay::frame::{
-    encode_binary_frame, FrameError, FrameReader, FrameWriter, MAX_FRAME_BYTES,
+    encode_binary_frame, FrameError, FrameReader, FrameWriter, BINARY_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 
 /// A message encoded into its final binary wire frame once, shared
@@ -144,21 +143,6 @@ pub trait Transport: Send {
     /// Returns [`FrameError`] when the stream is broken or severed.
     fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
         self.send_value(&frame.value)
-    }
-
-    /// Sends `v` as a *legacy JSON* frame regardless of the transport's
-    /// native encoding. This is the version-skew rejection path: the
-    /// refusal must decode on a protocol-3 peer, which predates binary
-    /// frames. The default sends on the native writer (sufficient for
-    /// in-process tests); [`TcpTransport`] — the only transport a
-    /// version-skewed peer can arrive on — overrides it with a genuine
-    /// JSON frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError`] when the stream is broken or severed.
-    fn send_legacy_json(&mut self, v: &Value) -> Result<(), FrameError> {
-        self.send_value(v)
     }
 
     /// Raises the per-frame size budget to the full [`MAX_FRAME_BYTES`]
@@ -313,7 +297,7 @@ impl PipeTransport {
         let label = format!("pipe:{}", child.id());
         Ok(PipeTransport {
             child,
-            writer: Some(FrameWriter::new_binary(stdin).with_metrics("pipe")),
+            writer: Some(FrameWriter::new(stdin).with_metrics("pipe")),
             pump: Some(FramePump::start(
                 stdout,
                 Arc::new(AtomicU64::new(MAX_FRAME_BYTES)),
@@ -424,7 +408,7 @@ impl TcpTransport {
         let limit = Arc::new(AtomicU64::new(frame_limit));
         Ok(TcpTransport {
             ctl: stream,
-            writer: FrameWriter::new_binary(BufWriter::new(write_half)).with_metrics("tcp"),
+            writer: FrameWriter::new(BufWriter::new(write_half)).with_metrics("tcp"),
             pump: Some(FramePump::start(read_half, Arc::clone(&limit), "tcp")),
             limit,
             label,
@@ -452,23 +436,15 @@ impl Transport for TcpTransport {
         self.writer.send_raw(&frame.bytes)
     }
 
-    fn send_legacy_json(&mut self, v: &Value) -> Result<(), FrameError> {
-        // Written straight to the control handle as a one-off JSON frame
-        // — the binary writer flushes per frame, so the stream is at a
-        // frame boundary here, and the receiving reader dispatches on the
-        // first byte.
-        FrameWriter::new(&mut self.ctl).send_value(v)
-    }
-
     fn send_truncated(&mut self, v: &Value) -> Result<(), FrameError> {
-        // A genuine torn frame: the length header promises the whole
+        // A genuine torn frame: the header promises the whole CBOR
         // payload, the socket carries only half of it. Written straight to
         // the control handle — the frame writer flushes per frame, so the
         // stream is at a frame boundary here.
-        let body = serde::json::to_string(v);
-        let half = &body.as_bytes()[..body.len() / 2];
-        self.ctl.write_all(format!("{}\n", body.len()).as_bytes())?;
-        self.ctl.write_all(half)?;
+        let frame = encode_binary_frame(v);
+        let payload = frame.len() - BINARY_HEADER_BYTES;
+        self.ctl
+            .write_all(&frame[..BINARY_HEADER_BYTES + payload / 2])?;
         self.ctl.flush()?;
         Ok(())
     }
@@ -503,7 +479,7 @@ impl<W: Write + Send> StreamTransport<W> {
     pub fn new<R: Read + Send + 'static>(input: R, output: W, label: impl Into<String>) -> Self {
         let label = label.into();
         StreamTransport {
-            writer: FrameWriter::new_binary(output).with_metrics(&label),
+            writer: FrameWriter::new(output).with_metrics(&label),
             pump: Some(FramePump::start(
                 input,
                 Arc::new(AtomicU64::new(MAX_FRAME_BYTES)),
@@ -653,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn preencoded_and_legacy_json_frames_cross_tcp_in_order() {
+    fn preencoded_and_value_frames_cross_tcp_in_order() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
@@ -663,18 +639,36 @@ mod tests {
 
         let pre = PreEncoded::new(&Value::Str("shared-init".into()));
         b.send_preencoded(&pre).unwrap();
-        b.send_legacy_json(&Value::Str("legacy-rejection".into()))
-            .unwrap();
+        b.send_value(&Value::Str("per-peer".into())).unwrap();
         b.send_value(&Value::U64(9)).unwrap();
         for expect in [
             Value::Str("shared-init".into()),
-            Value::Str("legacy-rejection".into()),
+            Value::Str("per-peer".into()),
             Value::U64(9),
         ] {
             assert_eq!(
                 a.recv_value(Some(Duration::from_secs(5))).unwrap(),
                 Some(expect)
             );
+        }
+    }
+
+    #[test]
+    fn a_torn_tcp_frame_is_truncated_on_the_receiving_end() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = TcpStream::connect(addr).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let mut coordinator_side = TcpTransport::accept(server).unwrap();
+        let mut worker_side = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
+
+        worker_side
+            .send_truncated(&Value::Str("a shard result".into()))
+            .unwrap();
+        worker_side.sever();
+        match coordinator_side.recv_value(Some(Duration::from_secs(5))) {
+            Err(RecvError::Frame(FrameError::Truncated)) => {}
+            other => panic!("expected a truncated frame, got {other:?}"),
         }
     }
 

@@ -609,10 +609,10 @@ mod tests {
         }
     }
 
-    /// Scripts the coordinator side on the v4 binary wire.
+    /// Scripts the coordinator side of the wire.
     fn coordinator_script(msgs: &[CoordinatorMsg]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let mut w = FrameWriter::new_binary(&mut buf);
+        let mut w = FrameWriter::new(&mut buf);
         for m in msgs {
             w.send(m).unwrap();
         }

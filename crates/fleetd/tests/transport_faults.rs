@@ -166,9 +166,9 @@ fn missing_token_handshake_stall_is_dropped_at_the_timeout() {
 fn protocol_version_skew_gets_a_typed_rejection_naming_both_versions() {
     // An authenticated worker speaking the wrong protocol version must
     // get a *decodable* answer, not a decode error or a silent sever:
-    // the coordinator replies with a legacy-JSON-framed Init carrying
-    // its own protocol number (and no plans), which any protocol-3-era
-    // decoder can read and turn into its own typed version error.
+    // the coordinator replies with an Init carrying its own protocol
+    // number (and no plans), which the worker turns into its own typed
+    // version error.
     let spec = small_spec();
     let run = run_with_hostile_peer(&spec, |addr| {
         let stream = TcpStream::connect(addr).expect("dial");
@@ -206,9 +206,11 @@ fn protocol_version_skew_gets_a_typed_rejection_naming_both_versions() {
 #[test]
 fn a_v4_worker_dialing_an_old_coordinator_gets_a_typed_version_error() {
     // The other direction of the skew matrix: this build's worker dials
-    // a coordinator that answers with protocol 3. The worker must fail
+    // a coordinator whose Init names protocol 3. The worker must fail
     // with its typed protocol error naming both versions — never a
-    // decode error, never a hang.
+    // decode error, never a hang. (A real protocol-3 coordinator frames
+    // JSON, which the frame reader refuses at the first byte; the Init
+    // here is binary so that the worker's version check is what runs.)
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("bound");
     let fake = std::thread::spawn(move || {
@@ -218,7 +220,6 @@ fn a_v4_worker_dialing_an_old_coordinator_gets_a_typed_version_error() {
             Ok(Some(WorkerMsg::Join { .. })) => {}
             other => panic!("expected Join, got {other:?}"),
         }
-        // A protocol-3 coordinator frames JSON.
         let mut w = FrameWriter::new(&stream);
         w.send(&CoordinatorMsg::Init {
             protocol: 3,
@@ -293,7 +294,8 @@ fn truncated_frame_mid_message_is_a_clean_rejection() {
     let run = run_with_hostile_peer(&spec, |addr| {
         let mut stream = TcpStream::connect(addr).expect("dial");
         // A frame announcing 512 payload bytes, delivering 10, then gone.
-        stream.write_all(b"512\n0123456789").expect("partial frame");
+        stream.write_all(&[0xC5, 0, 0, 2, 0]).expect("frame header");
+        stream.write_all(b"0123456789").expect("partial payload");
         stream.flush().expect("flush");
         drop(stream);
     });

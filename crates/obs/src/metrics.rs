@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Histogram bucket upper bounds, in microseconds. The last implicit
@@ -173,9 +173,28 @@ enum Metric {
     Histogram(&'static Histogram),
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
+/// Locks the registry. A panic elsewhere while the guard was held cannot
+/// tear it — the map only ever gains leaked atomics — so a poisoned lock
+/// is recovered rather than taking every later metric call down with it.
+fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Looks `name` up, registering `make()` on first use, and returns the
+/// handle `pick` finds in the entry. The kind-mismatch panic is raised
+/// only after the registry guard is dropped.
+fn register<T>(
+    name: &str,
+    kind: &str,
+    make: fn() -> Metric,
+    pick: fn(&Metric) -> Option<&'static T>,
+) -> &'static T {
+    let found = pick(registry().entry(name.to_string()).or_insert_with(make));
+    found.unwrap_or_else(|| panic!("metric `{name}` is registered as a non-{kind}"))
 }
 
 /// Returns the registered counter `name`, creating it on first use.
@@ -184,14 +203,15 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))));
-    match metric {
-        Metric::Counter(c) => c,
-        _ => panic!("metric `{name}` is registered as a non-counter"),
-    }
+    register(
+        name,
+        "counter",
+        || Metric::Counter(Box::leak(Box::new(Counter::new()))),
+        |m| match m {
+            Metric::Counter(c) => Some(*c),
+            _ => None,
+        },
+    )
 }
 
 /// Returns the registered gauge `name`, creating it on first use.
@@ -200,14 +220,15 @@ pub fn counter(name: &str) -> &'static Counter {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))));
-    match metric {
-        Metric::Gauge(g) => g,
-        _ => panic!("metric `{name}` is registered as a non-gauge"),
-    }
+    register(
+        name,
+        "gauge",
+        || Metric::Gauge(Box::leak(Box::new(Gauge::new()))),
+        |m| match m {
+            Metric::Gauge(g) => Some(*g),
+            _ => None,
+        },
+    )
 }
 
 /// Returns the registered histogram `name`, creating it on first use.
@@ -216,14 +237,15 @@ pub fn gauge(name: &str) -> &'static Gauge {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let mut map = registry().lock().expect("metrics registry poisoned");
-    let metric = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))));
-    match metric {
-        Metric::Histogram(h) => h,
-        _ => panic!("metric `{name}` is registered as a non-histogram"),
-    }
+    register(
+        name,
+        "histogram",
+        || Metric::Histogram(Box::leak(Box::new(Histogram::new()))),
+        |m| match m {
+            Metric::Histogram(h) => Some(*h),
+            _ => None,
+        },
+    )
 }
 
 /// Splits `name{label="x"}` into `("name", "label=\"x\"")`; the label part
@@ -238,7 +260,7 @@ fn split_name(name: &str) -> (&str, &str) {
 /// The exact value of counter `name` (0 when unregistered).
 #[must_use]
 pub fn counter_value(name: &str) -> u64 {
-    let map = registry().lock().expect("metrics registry poisoned");
+    let map = registry();
     match map.get(name) {
         Some(Metric::Counter(c)) => c.get(),
         _ => 0,
@@ -248,7 +270,7 @@ pub fn counter_value(name: &str) -> u64 {
 /// The exact value of gauge `name` (0 when unregistered).
 #[must_use]
 pub fn gauge_value(name: &str) -> u64 {
-    let map = registry().lock().expect("metrics registry poisoned");
+    let map = registry();
     match map.get(name) {
         Some(Metric::Gauge(g)) => g.get(),
         _ => 0,
@@ -259,7 +281,7 @@ pub fn gauge_value(name: &str) -> u64 {
 /// e.g. `sum_counters("snip_frame_tx_bytes_total")` totals all transports.
 #[must_use]
 pub fn sum_counters(base: &str) -> u64 {
-    let map = registry().lock().expect("metrics registry poisoned");
+    let map = registry();
     map.iter()
         .filter(|(name, _)| split_name(name).0 == base)
         .map(|(_, m)| match m {
@@ -273,7 +295,7 @@ pub fn sum_counters(base: &str) -> u64 {
 /// stripped) equals `base`.
 #[must_use]
 pub fn sum_histograms(base: &str) -> (u64, u64) {
-    let map = registry().lock().expect("metrics registry poisoned");
+    let map = registry();
     let mut totals = (0u64, 0u64);
     for (name, metric) in map.iter() {
         if split_name(name).0 == base {
@@ -299,7 +321,7 @@ fn type_line(out: &mut String, last_base: &mut String, base: &str, kind: &str) {
 /// emit cumulative `_bucket{le=...}` lines plus `_sum` and `_count`.
 #[must_use]
 pub fn render_prometheus() -> String {
-    let map = registry().lock().expect("metrics registry poisoned");
+    let map = registry();
     let mut out = String::new();
     let mut last_base = String::new();
     for (name, metric) in map.iter() {
@@ -395,6 +417,16 @@ mod tests {
     fn type_mismatch_panics() {
         let _ = gauge("test_registry_mismatch");
         let _ = counter("test_registry_mismatch");
+    }
+
+    #[test]
+    fn registry_still_serves_after_a_kind_collision() {
+        let _ = gauge("test_registry_collision");
+        let collided = std::panic::catch_unwind(|| counter("test_registry_collision"));
+        assert!(collided.is_err(), "a kind collision must still panic");
+        counter("test_registry_after_collision_total").add(3);
+        assert_eq!(counter_value("test_registry_after_collision_total"), 3);
+        assert!(render_prometheus().contains("test_registry_after_collision_total 3"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 struct Sink {
@@ -36,6 +36,12 @@ const STATE_ON: u8 = 2;
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNPROBED);
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
+/// Locks the sink. A panic inside a span write leaves at worst a torn
+/// JSON line in the trace file, so a poisoned lock is recovered.
+fn lock_sink() -> MutexGuard<'static, Option<Sink>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn open_sink(path: &Path) -> Option<Sink> {
     let mut out = BufWriter::new(File::create(path).ok()?);
     out.write_all(b"[\n").ok()?;
@@ -50,7 +56,7 @@ fn open_sink(path: &Path) -> Option<Sink> {
 /// `init_file`; a lazy env probe that found tracing disabled does not
 /// count). Returns `true` when this call opened the sink.
 pub fn init_file(path: &Path) -> bool {
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = lock_sink();
     if sink.is_some() {
         return false;
     }
@@ -67,7 +73,7 @@ pub fn init_file(path: &Path) -> bool {
 /// The slow path of [`enabled`]: probe `SNIP_TRACE` once, under the sink
 /// lock so a racing `init_file` cannot be clobbered.
 fn probe_env() -> bool {
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = lock_sink();
     match STATE.load(Ordering::Acquire) {
         STATE_ON => return true,
         STATE_OFF => return false,
@@ -127,7 +133,7 @@ fn with_sink(f: impl FnOnce(&mut Sink)) {
     if !enabled() {
         return;
     }
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = lock_sink();
     if let Some(s) = sink.as_mut() {
         f(s);
     }

@@ -217,26 +217,41 @@ impl<R: Read> Read for CountingReader<R> {
     }
 }
 
-/// Reads a checkpoint journal back, tolerating a torn final record.
+/// Reads a checkpoint journal file back, tolerating a torn final record.
+/// The format is chosen by extension as for event journals; see
+/// [`load_checkpoint_from`] for what is accepted.
 ///
 /// # Errors
 ///
-/// Returns [`JournalError`] when the file cannot be opened, is empty,
-/// does not start with a [`CheckpointEvent::Header`], carries an
-/// unsupported [`CheckpointHeader::version`], or holds a `ShardDone` for
-/// an ordinal outside the header's `total_shards`. A decode failure
-/// *after* a valid header is treated as the torn tail of an interrupted
-/// append, not an error.
+/// Returns [`JournalError`] when the file cannot be opened, plus every
+/// error of [`load_checkpoint_from`].
 pub fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, JournalError> {
-    let format = JournalFormat::from_path(path);
+    load_checkpoint_from(File::open(path)?, JournalFormat::from_path(path))
+}
+
+/// Reads a checkpoint journal from any byte stream, tolerating a torn
+/// final record.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] when the stream fails or is empty, does not
+/// start with a [`CheckpointEvent::Header`], carries an unsupported
+/// [`CheckpointHeader::version`], or holds a `ShardDone` for an ordinal
+/// outside the header's `total_shards`. A decode failure *after* a valid
+/// header is treated as the torn tail of an interrupted append, not an
+/// error.
+pub fn load_checkpoint_from<R: Read>(
+    reader: R,
+    format: JournalFormat,
+) -> Result<CheckpointLoad, JournalError> {
     let mut input = BufReader::new(CountingReader {
-        inner: File::open(path)?,
+        inner: reader,
         read: 0,
     });
 
-    fn next_value(
+    fn next_value<R: Read>(
         format: JournalFormat,
-        input: &mut BufReader<CountingReader<File>>,
+        input: &mut BufReader<CountingReader<R>>,
         line_buf: &mut String,
     ) -> Result<Option<serde::Value>, JournalError> {
         match format {
@@ -256,9 +271,9 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, JournalError> {
         }
     }
 
-    // The file offset the loader has fully consumed: bytes pulled from
-    // the file minus what still sits unparsed in the BufReader.
-    fn consumed(input: &BufReader<CountingReader<File>>) -> u64 {
+    // The stream offset the loader has fully consumed: bytes pulled from
+    // the stream minus what still sits unparsed in the BufReader.
+    fn consumed<R>(input: &BufReader<CountingReader<R>>) -> u64 {
         input.get_ref().read - input.buffer().len() as u64
     }
 

@@ -6,11 +6,8 @@
 //! recorded after pinpoints the exact decision where behaviour drifted,
 //! without re-running anything.
 //!
-//! Events compare on their *decoded* form: metric records from a version-2
-//! journal (float seconds) normalize to the same integer-µs ledgers a
-//! version-3 journal carries natively, so a v2 and a v3 recording of the
-//! same run differ only in their headers (the `version` field) — the first
-//! difference a cross-version diff reports, by design.
+//! Events compare on their *decoded* form, so a JSONL and a CBOR recording
+//! of the same run are equal.
 
 use std::fmt;
 use std::io::BufRead;

@@ -34,15 +34,12 @@ use snip_units::DutyCycle;
 ///   payloads carry integer microseconds (`zeta_us`, `slot_phi_us`, …)
 ///   instead of float seconds, and SNIP-RH's budget gate checks the room
 ///   for a whole `Ton` before each cycle (`Φ ≤ Φmax` exactly). Version 2
-///   read support went through a deprecation cycle (a once-per-process
-///   warning plus the byte-exact `snip convert --to-v3` migration) and
-///   has since been **removed**: the float-seconds decoder is gone, and a
-///   v2 journal is refused at the header with a migration hint.
+///   read support has been **removed** after a deprecation cycle: the
+///   float-seconds decoder is gone, and a v2 journal is refused at the
+///   header.
 pub const JOURNAL_VERSION: u32 = 3;
 
 /// The oldest journal version this crate can still read and replay.
-/// Version 2 ended its sunset in the transport-refactor release: migrate
-/// any stragglers with `snip convert --to-v3` from an older release.
 pub const MIN_SUPPORTED_JOURNAL_VERSION: u32 = 3;
 
 /// A rebuildable description of the recorded scheduler.

@@ -271,68 +271,6 @@ pub fn convert<R: BufRead, W: Write>(
     Ok(count)
 }
 
-/// [`convert`], with the version-3 stamp check of the retired
-/// `snip convert --to-v3` v2-migration path.
-///
-/// While journal v2 was on its sunset, this migrated v2 journals to v3
-/// byte-exactly (decode normalized the legacy float-second metric records
-/// to the integer ledgers; the header re-stamp was the only other
-/// difference). The v2 decoder has since been removed, so v2 inputs are
-/// now refused at the header with a pointer at an older release;
-/// version-3 inputs still pass through unchanged (idempotent), keeping
-/// `--to-v3` a safe no-op in scripts.
-///
-/// Returns the number of events converted.
-///
-/// # Errors
-///
-/// Returns [`JournalError`] on read/write failure, on a journal that does
-/// not start with a header, or on any header version other than 3.
-pub fn upgrade_to_v3<R: BufRead, W: Write>(
-    reader: &mut JournalReader<R>,
-    writer: &mut JournalWriter<W>,
-) -> Result<u64, JournalError> {
-    use crate::event::JOURNAL_VERSION;
-
-    let mut count = 0u64;
-    match reader.next_event()? {
-        Some(JournalEvent::Header(header)) => {
-            match header.version {
-                v if v == JOURNAL_VERSION => {}
-                2 => {
-                    return Err(JournalError::Codec(
-                        "journal v2 can no longer be migrated by this build (the v2 \
-                         decoder was removed at the end of its sunset); run \
-                         `snip convert --to-v3` from an older release"
-                            .into(),
-                    ))
-                }
-                other => {
-                    return Err(JournalError::Codec(format!(
-                        "cannot migrate journal version {other} to v3 (only v3 inputs \
-                         pass through)"
-                    )))
-                }
-            }
-            writer.write(&JournalEvent::Header(header))?;
-            count += 1;
-        }
-        Some(other) => {
-            return Err(JournalError::Codec(format!(
-                "journal does not start with a Header (got {})",
-                other.kind()
-            )))
-        }
-        None => return Err(JournalError::Codec("journal is empty".into())),
-    }
-    while let Some(event) = reader.next_event()? {
-        writer.write(&event)?;
-        count += 1;
-    }
-    writer.flush()?;
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

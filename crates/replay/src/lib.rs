@@ -7,8 +7,7 @@
 //! decision, probe outcome and upload, the per-epoch ζ/Φ/ρ metrics, and
 //! enough header metadata to re-execute the whole thing. Metric records are
 //! exact integer-µs ledgers (journal v3), so replay asserts *equality* on
-//! ζ/Φ — no tolerance; v2 journals (float-second metrics) are still read,
-//! normalized to microseconds at decode time:
+//! ζ/Φ — no tolerance; journals of any other version are refused:
 //!
 //! * [`record::record_run`] — run a simulation, streaming every event to a
 //!   journal (JSONL or CBOR, autodetected by extension, O(1) memory).
@@ -21,8 +20,9 @@
 //!
 //! The `snip` binary (hosted by the `snip-fleetd` crate, the top of the
 //! workspace) exposes all four as `snip record`, `snip replay`, `snip diff`
-//! and `snip convert`. The [`frame`] module carries the same JSON encoding
-//! over length-prefixed pipe frames — the fleet driver's wire protocol.
+//! and `snip convert`. The [`frame`] module carries the journal's CBOR
+//! encoding over length-prefixed frames — the fleet driver's wire
+//! protocol.
 //!
 //! # Example
 //!
@@ -69,16 +69,14 @@ pub mod record;
 pub mod replay;
 
 pub use checkpoint::{
-    load_checkpoint, CheckpointEvent, CheckpointHeader, CheckpointLoad, CheckpointWriter,
-    CHECKPOINT_VERSION,
+    load_checkpoint, load_checkpoint_from, CheckpointEvent, CheckpointHeader, CheckpointLoad,
+    CheckpointWriter, CHECKPOINT_VERSION,
 };
 pub use diff::{diff_journals, DiffReport, FirstDifference};
 pub use event::{
     JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION, MIN_SUPPORTED_JOURNAL_VERSION,
 };
 pub use frame::{FrameError, FrameReader, FrameWriter};
-pub use journal::{
-    convert, upgrade_to_v3, JournalError, JournalFormat, JournalReader, JournalWriter,
-};
+pub use journal::{convert, JournalError, JournalFormat, JournalReader, JournalWriter};
 pub use record::{record_run, RecordError, Recorder};
 pub use replay::{replay_run, Divergence, ReplayError, ReplayReport};

@@ -191,10 +191,9 @@ fn read_preamble<R: BufRead>(
         }
         None => return Err(ReplayError::MissingHeader),
     };
-    // Version 2 journals carry float-second metric records; the decoder
-    // already normalized them to integer µs (see `EpochMetrics`'s legacy
-    // deserialization), so both supported versions verify with the same
-    // exact comparisons.
+    // Refused before any later event is decoded: a v2 journal's
+    // float-second metric records would fail to decode anyway, but the
+    // header names the real problem.
     if !(MIN_SUPPORTED_JOURNAL_VERSION..=JOURNAL_VERSION).contains(&header.version) {
         return Err(ReplayError::UnsupportedVersion {
             found: header.version,
@@ -439,20 +438,22 @@ mod tests {
 
     #[test]
     fn wrong_version_is_refused() {
-        let trace = ContactTrace::new();
-        let mut header = JournalHeader::new(at_spec(), SimConfig::paper_defaults(), 1);
-        header.version = 999;
-        let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Cbor);
-        writer.write(&JournalEvent::Header(header)).unwrap();
-        let _ = trace;
-        let mut reader = JournalReader::new(
-            std::io::Cursor::new(writer.into_inner()),
-            JournalFormat::Cbor,
-        );
-        assert!(matches!(
-            replay_run(&mut reader, None),
-            Err(ReplayError::UnsupportedVersion { found: 999 })
-        ));
+        // Below MIN_SUPPORTED_JOURNAL_VERSION (v1, the v2 float-seconds
+        // format) and above JOURNAL_VERSION alike, on both codecs.
+        for format in [JournalFormat::Cbor, JournalFormat::Jsonl] {
+            for version in [1, 2, 4, 999] {
+                let mut header = JournalHeader::new(at_spec(), SimConfig::paper_defaults(), 1);
+                header.version = version;
+                let mut writer = JournalWriter::new(Vec::new(), format);
+                writer.write(&JournalEvent::Header(header)).unwrap();
+                let mut reader =
+                    JournalReader::new(std::io::Cursor::new(writer.into_inner()), format);
+                match replay_run(&mut reader, None) {
+                    Err(ReplayError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                    other => panic!("version {version} must be refused, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

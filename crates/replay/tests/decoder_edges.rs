@@ -2,10 +2,10 @@
 //! journal decoder, and the checkpoint loader.
 //!
 //! These are the boundary inputs `snip fuzz` mutates toward: zero-length
-//! frames, length prefixes past the cap, prefixes that overflow `u64`, and
-//! streams that end mid-record. Every one must come back as a graceful
-//! error (or a tolerated torn tail, for checkpoints) — never a panic or an
-//! allocation sized by attacker-claimed lengths.
+//! frames, length headers past the cap, and streams that end mid-record.
+//! Every one must come back as a graceful error (or a tolerated torn tail,
+//! for checkpoints) — never a panic or an allocation sized by
+//! attacker-claimed lengths.
 
 use std::io::Write;
 use std::sync::atomic::AtomicU64;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use snip_replay::checkpoint::{
     load_checkpoint, CheckpointHeader, CheckpointWriter, CHECKPOINT_VERSION,
 };
-use snip_replay::frame::MAX_FRAME_BYTES;
+use snip_replay::frame::{encode_binary_frame, BINARY_FRAME_MAGIC, MAX_FRAME_BYTES};
 use snip_replay::journal::{JournalFormat, JournalReader};
 use snip_replay::{FrameError, FrameReader};
 
@@ -22,13 +22,20 @@ fn read_one(bytes: &[u8]) -> Result<Option<serde::Value>, FrameError> {
     FrameReader::new(bytes).recv_value()
 }
 
+/// A frame header announcing `len` payload bytes.
+fn header(len: u32) -> Vec<u8> {
+    let mut bytes = vec![BINARY_FRAME_MAGIC];
+    bytes.extend_from_slice(&len.to_be_bytes());
+    bytes
+}
+
 // ---------------------------------------------------------------- frames
 
 #[test]
 fn zero_length_frame_is_a_codec_error_not_a_panic() {
-    // `0\n\n` is structurally valid framing around an empty payload, but an
-    // empty payload is not a JSON document.
-    match read_one(b"0\n\n") {
+    // A bare header is structurally valid framing around an empty
+    // payload, but an empty payload is not a CBOR item.
+    match read_one(&header(0)) {
         Err(FrameError::Codec(_)) => {}
         other => panic!("zero-length frame: expected Codec error, got {other:?}"),
     }
@@ -36,8 +43,8 @@ fn zero_length_frame_is_a_codec_error_not_a_panic() {
 
 #[test]
 fn length_prefix_over_the_default_cap_is_rejected() {
-    let input = format!("{}\n", MAX_FRAME_BYTES + 1);
-    match read_one(input.as_bytes()) {
+    let over = u32::try_from(MAX_FRAME_BYTES + 1).expect("the cap fits the u32 header");
+    match read_one(&header(over)) {
         Err(FrameError::Codec(msg)) => {
             assert!(msg.contains("exceeds"), "unexpected message: {msg}");
         }
@@ -48,7 +55,9 @@ fn length_prefix_over_the_default_cap_is_rejected() {
 #[test]
 fn length_prefix_over_a_negotiated_limit_is_rejected() {
     let limit = Arc::new(AtomicU64::new(16));
-    let mut r = FrameReader::with_frame_limit(&b"17\n_________________\n"[..], limit);
+    let mut input = header(17);
+    input.extend_from_slice(&[0x60; 17]);
+    let mut r = FrameReader::with_frame_limit(&input[..], limit);
     match r.recv_value() {
         Err(FrameError::Codec(msg)) => {
             assert!(msg.contains("16-byte limit"), "unexpected message: {msg}");
@@ -58,40 +67,19 @@ fn length_prefix_over_a_negotiated_limit_is_rejected() {
 }
 
 #[test]
-fn overflowing_length_prefix_is_a_codec_error() {
-    // 26 nines does not fit in a u64; the parse failure must surface as a
-    // codec error, not wrap around into a bogus small allocation.
-    match read_one(b"99999999999999999999999999\n{}\n") {
-        Err(FrameError::Codec(msg)) => {
-            assert!(
-                msg.contains("bad frame length prefix"),
-                "unexpected message: {msg}"
-            );
-        }
-        other => panic!("overflowing prefix: expected Codec error, got {other:?}"),
-    }
-}
-
-#[test]
 fn eof_mid_payload_is_truncated() {
-    match read_one(b"10\nabc") {
+    let mut input = header(10);
+    input.extend_from_slice(b"abc");
+    match read_one(&input) {
         Err(FrameError::Truncated) => {}
         other => panic!("mid-payload EOF: expected Truncated, got {other:?}"),
     }
 }
 
 #[test]
-fn eof_before_the_terminator_is_truncated() {
-    // Full payload present, stream dies before the trailing newline.
-    match read_one(b"2\n{}") {
-        Err(FrameError::Truncated) => {}
-        other => panic!("pre-terminator EOF: expected Truncated, got {other:?}"),
-    }
-}
-
-#[test]
 fn eof_at_a_frame_boundary_is_a_clean_end() {
-    let mut r = FrameReader::new(&b"2\n{}\n"[..]);
+    let frame = encode_binary_frame(&serde::Value::Map(vec![]));
+    let mut r = FrameReader::new(&frame[..]);
     assert!(r.recv_value().expect("first frame decodes").is_some());
     assert!(r.recv_value().expect("clean EOF").is_none());
 }

@@ -183,14 +183,12 @@ impl Serialize for EpochMetrics {
 
 /// The error for the one shape this decoder deliberately refuses: the
 /// float-seconds metric records journal v2 carried. The v2 decoder was
-/// removed after a deprecation cycle (`snip convert --to-v3` migrated
-/// journals byte-exactly while it existed); naming the old shape here
-/// keeps the failure actionable instead of a bare missing-field error.
+/// removed after a deprecation cycle; naming the old shape here keeps the
+/// failure actionable instead of a bare missing-field error.
 fn refuse_legacy_shape(ty: &str) -> serde::Error {
     serde::Error::custom(format!(
         "{ty}: legacy float-seconds metrics (journal v2) are no longer readable by this \
-         build; migrate the journal with `snip convert --to-v3` from a release that still \
-         carries the v2 decoder"
+         build; re-record the run to get a v3 journal"
     ))
 }
 
@@ -569,7 +567,8 @@ mod tests {
     fn legacy_float_seconds_shape_is_refused_with_a_migration_hint() {
         // The v2 journal shape: seconds as floats, old field names. The
         // decoder was removed at the end of the v2 sunset; decoding must
-        // fail loudly and point at the migration path, never mis-read.
+        // fail loudly, name the shape and say how to get a readable
+        // journal, never mis-read.
         let legacy = Value::Map(vec![
             ("zeta".into(), Value::F64(8.8)),
             ("phi".into(), Value::F64(86.4)),
@@ -580,7 +579,8 @@ mod tests {
             ("beacons".into(), Value::U64(1000)),
         ]);
         let err = EpochMetrics::from_value(&legacy).unwrap_err();
-        assert!(err.to_string().contains("convert --to-v3"), "{err}");
+        assert!(err.to_string().contains("journal v2"), "{err}");
+        assert!(err.to_string().contains("re-record"), "{err}");
 
         let legacy_run = Value::Map(vec![
             ("epochs".into(), Value::Seq(vec![])),

@@ -1,20 +1,19 @@
 //! `snip fuzz`: a seeded structured fuzzer for the decoders that face
 //! untrusted bytes.
 //!
-//! The workspace has exactly four places where bytes of unknown
-//! provenance are decoded: the frame reader's legacy JSON path (the v3
-//! fleet wire — pre-auth bytes from the network), its protocol-v4
-//! binary path (magic byte, big-endian length, CBOR payload — fuzzed as
-//! its own target over proto-shaped seeds), the journal decoder
-//! (`snip replay FILE` on a file somebody handed you), and the
-//! checkpoint loader (`--resume-from` on a journal that may be torn,
-//! truncated, or hostile). Each must *reject* bad input with an error —
-//! never panic, never hang, never abort.
+//! The workspace has exactly three places where bytes of unknown
+//! provenance are decoded: the fleet frame reader (magic byte,
+//! big-endian length, CBOR payload — pre-auth bytes from the network,
+//! fuzzed over generic and proto-shaped seeds), the journal decoder
+//! (`snip replay FILE` on a file somebody handed you, JSONL or CBOR),
+//! and the checkpoint loader (`--resume-from` on a journal that may be
+//! torn, truncated, or hostile). Each must *reject* bad input with an
+//! error — never panic, never hang, never abort.
 //!
 //! This fuzzer is deliberately not coverage-guided (that needs compiler
 //! instrumentation the no-new-deps rule rules out). It is *structured*
 //! instead: mutations start from valid corpora produced by the real
-//! encoders and know the shapes that matter — the decimal length prefix,
+//! encoders and know the shapes that matter — frame length headers,
 //! JSON/CBOR nesting, CBOR type-major bytes — so the interesting
 //! failure surface (limit checks, truncation handling, recursion) is
 //! reached in thousands of iterations rather than billions.
@@ -38,11 +37,12 @@
 //!
 //! Development-time finding (fixed, pinned in `ci/corpus/`): the
 //! vendored JSON parser recursed once per `[`/`{` with no depth ceiling,
-//! so a ~100 kB `[[[[…` frame payload overflowed the stack — a process
-//! *abort*, unreachable by `catch_unwind`, in all three decoders. The
+//! so a ~100 kB `[[[[…` payload overflowed the stack — a process
+//! *abort*, unreachable by `catch_unwind`, in every JSON decoder. The
 //! parser now refuses nesting past depth 128 (matching the CBOR
-//! decoder), and `ci/corpus/frame--abort--nesting-bomb.bin` replays the
-//! attack against the fixed code.
+//! decoder). `ci/corpus/checkpoint--abort--nesting-bomb.bin` replays the
+//! attack against the fixed code; `frame--abort--nesting-bomb.bin`, its
+//! JSON-framed original, is now refused at the frame's first byte.
 
 use std::fmt;
 use std::fs;
@@ -56,16 +56,14 @@ use std::time::Duration;
 
 use snip_replay::frame::FrameReader;
 use snip_replay::journal::{JournalFormat, JournalReader};
-use snip_replay::{load_checkpoint, CheckpointHeader, CheckpointWriter, FrameWriter};
+use snip_replay::{load_checkpoint_from, CheckpointEvent, CheckpointHeader, FrameWriter};
 
 /// Which decoder an input is fed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Target {
-    /// The length-prefixed frame reader (`snip-replay::frame`).
+    /// The fleet frame reader (`snip-replay::frame`: `0xC5` magic +
+    /// big-endian length + CBOR).
     Frame,
-    /// The protocol-v4 binary frame path (`0xC5` magic + big-endian
-    /// length + CBOR), seeded with proto-shaped messages.
-    ProtoBin,
     /// The JSONL journal decoder.
     JournalJsonl,
     /// The CBOR journal decoder.
@@ -76,9 +74,8 @@ pub enum Target {
 
 impl Target {
     /// Every target, in the order they are fuzzed.
-    pub const ALL: [Target; 5] = [
+    pub const ALL: [Target; 4] = [
         Target::Frame,
-        Target::ProtoBin,
         Target::JournalJsonl,
         Target::JournalCbor,
         Target::Checkpoint,
@@ -89,7 +86,6 @@ impl Target {
     pub fn name(self) -> &'static str {
         match self {
             Target::Frame => "frame",
-            Target::ProtoBin => "proto-bin",
             Target::JournalJsonl => "journal-jsonl",
             Target::JournalCbor => "journal-cbor",
             Target::Checkpoint => "checkpoint",
@@ -311,39 +307,8 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
     use serde::Value;
     match target {
         Target::Frame => {
-            let values = [
-                Value::Map(vec![
-                    ("type".to_string(), Value::Str("join".to_string())),
-                    ("session".to_string(), Value::U64(7)),
-                ]),
-                Value::Seq(vec![Value::U64(1), Value::Null, Value::Bool(true)]),
-                Value::Str("ready".to_string()),
-            ];
-            let mut one_each: Vec<Vec<u8>> = values
-                .iter()
-                .map(|v| {
-                    let mut buf = Vec::new();
-                    FrameWriter::new(&mut buf)
-                        .send_value(v)
-                        .expect("in-memory frame write");
-                    buf
-                })
-                .collect();
-            // One multi-frame stream, so truncation mutations land
-            // mid-stream as well as mid-frame.
-            let mut all = Vec::new();
-            {
-                let mut w = FrameWriter::new(&mut all);
-                for v in &values {
-                    w.send_value(v).expect("in-memory frame write");
-                }
-            }
-            one_each.push(all);
-            one_each
-        }
-        Target::ProtoBin => {
-            // Proto-shaped payloads over the v4 binary framing, mirroring
-            // the fleet messages (`snip-fleetd` is out of reach from this
+            // Generic values plus proto-shaped payloads mirroring the
+            // fleet messages (`snip-fleetd` is out of reach from this
             // crate, so the shapes are spelled at the Value level): a
             // Join, a batched Shard assignment, and a batched ShardDone.
             let job = |id: u64, start: u64, end: u64| {
@@ -354,6 +319,8 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
                 ])
             };
             let values = [
+                Value::Seq(vec![Value::U64(1), Value::Null, Value::Bool(true)]),
+                Value::Str("ready".to_string()),
                 Value::Map(vec![
                     ("type".to_string(), Value::Str("join".to_string())),
                     ("protocol".to_string(), Value::U64(4)),
@@ -384,26 +351,15 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
                 .iter()
                 .map(|v| {
                     let mut buf = Vec::new();
-                    FrameWriter::new_binary(&mut buf)
+                    FrameWriter::new(&mut buf)
                         .send_value(v)
-                        .expect("in-memory binary frame write");
+                        .expect("in-memory frame write");
                     buf
                 })
                 .collect();
-            // A mixed stream — binary, legacy JSON, binary — because the
-            // reader detects the codec per frame, and the seam between
-            // the two framings is exactly where mutations should land.
-            let mut mixed = Vec::new();
-            FrameWriter::new_binary(&mut mixed)
-                .send_value(&values[0])
-                .expect("in-memory binary frame write");
-            FrameWriter::new(&mut mixed)
-                .send_value(&values[1])
-                .expect("in-memory frame write");
-            FrameWriter::new_binary(&mut mixed)
-                .send_value(&values[2])
-                .expect("in-memory binary frame write");
-            one_each.push(mixed);
+            // One multi-frame stream, so truncation mutations land
+            // mid-stream as well as mid-frame.
+            one_each.push(one_each.concat());
             one_each
         }
         Target::JournalJsonl | Target::JournalCbor => {
@@ -414,11 +370,7 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
             };
             vec![journal_seed(format)]
         }
-        Target::Checkpoint => {
-            // The checkpoint loader is path-based; the seed is the file's
-            // bytes, round-tripped through a temp file at execution time.
-            vec![checkpoint_seed()]
-        }
+        Target::Checkpoint => vec![checkpoint_seed()],
     }
 }
 
@@ -446,26 +398,27 @@ fn journal_seed(format: JournalFormat) -> Vec<u8> {
     writer.into_inner()
 }
 
+/// A JSONL checkpoint journal: the header plus one shard record.
 fn checkpoint_seed() -> Vec<u8> {
-    let path = scratch_path("seed");
-    let header = CheckpointHeader {
-        version: snip_replay::CHECKPOINT_VERSION,
-        spec_hash: 0xfeed_beef,
-        total_shards: 4,
-        name: "fuzz-seed".to_string(),
-    };
-    let mut writer = CheckpointWriter::create(&path, &header).expect("scratch checkpoint");
-    writer.append_shard(0, &[]).expect("scratch checkpoint");
-    drop(writer);
-    let bytes = fs::read(&path).expect("scratch checkpoint read");
-    let _ = fs::remove_file(&path);
+    use serde::Serialize as _;
+    let events = [
+        CheckpointEvent::Header(CheckpointHeader {
+            version: snip_replay::CHECKPOINT_VERSION,
+            spec_hash: 0xfeed_beef,
+            total_shards: 4,
+            name: "fuzz-seed".to_string(),
+        }),
+        CheckpointEvent::ShardDone {
+            shard: 0,
+            metrics: vec![],
+        },
+    ];
+    let mut bytes = Vec::new();
+    for event in &events {
+        bytes.extend_from_slice(serde::json::to_string(&event.to_value()).as_bytes());
+        bytes.push(b'\n');
+    }
     bytes
-}
-
-/// A scratch file path unique to this process + purpose (the checkpoint
-/// loader only speaks paths). `.jsonl` so format detection picks JSONL.
-fn scratch_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("snip-fuzz-{}-{}.jsonl", std::process::id(), tag))
 }
 
 // ---------------------------------------------------------------------------
@@ -510,8 +463,8 @@ fn mutate(rng: &mut XorShift64, input: &[u8], scratch: &[Vec<u8>]) -> Vec<u8> {
                 out.extend_from_slice(&other[from..]);
             }
         }
-        // Mangle the leading decimal integer (the frame length prefix,
-        // JSONL numbers): huge, negative, overflowing, or non-numeric.
+        // Mangle the leading decimal integer (JSONL numbers): huge,
+        // negative, overflowing, or non-numeric.
         5 => {
             let repl: &[u8] = match rng.below(4) {
                 0 => b"999999999999",
@@ -567,8 +520,8 @@ fn mutate(rng: &mut XorShift64, input: &[u8], scratch: &[Vec<u8>]) -> Vec<u8> {
             let noise: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 0xff) as u8).collect();
             out.splice(at..at, noise);
         }
-        // Newline games: JSONL and the frame protocol are both
-        // line-delimited; drop or double a delimiter.
+        // Newline games: JSONL is line-delimited; drop or double a
+        // delimiter.
         _ => {
             if let Some(pos) = out.iter().position(|&b| b == b'\n') {
                 if rng.below(2) == 0 {
@@ -593,12 +546,12 @@ fn mutate(rng: &mut XorShift64, input: &[u8], scratch: &[Vec<u8>]) -> Vec<u8> {
 
 /// The decode loop for one target. Runs on the worker thread, inside
 /// `catch_unwind`.
-fn decode(target: Target, input: &[u8], scratch: &Path) -> Outcome {
+fn decode(target: Target, input: &[u8]) -> Outcome {
     // Cap the number of records drained: a decoder that "succeeds"
     // forever on a small input would otherwise look like a hang.
     const MAX_RECORDS: u32 = 4096;
     match target {
-        Target::Frame | Target::ProtoBin => {
+        Target::Frame => {
             let mut reader = FrameReader::new(Cursor::new(input));
             let mut n = 0u32;
             loop {
@@ -635,16 +588,10 @@ fn decode(target: Target, input: &[u8], scratch: &Path) -> Outcome {
                 }
             }
         }
-        Target::Checkpoint => {
-            if fs::write(scratch, input).is_err() {
-                return Outcome::Rejected;
-            }
-            let res = load_checkpoint(scratch);
-            match res {
-                Ok(load) => Outcome::Ok(load.shards.len() as u32),
-                Err(_) => Outcome::Rejected,
-            }
-        }
+        Target::Checkpoint => match load_checkpoint_from(input, JournalFormat::Jsonl) {
+            Ok(load) => Outcome::Ok(load.shards.len() as u32),
+            Err(_) => Outcome::Rejected,
+        },
     }
 }
 
@@ -695,25 +642,20 @@ impl Executor {
         self.generation += 1;
         let (job_tx, job_rx) = mpsc::channel::<(Target, Vec<u8>)>();
         let (out_tx, out_rx) = mpsc::channel::<Outcome>();
-        // Per-generation scratch file: an abandoned (hung) worker must
-        // not race its replacement on the checkpoint path.
-        let scratch = scratch_path(&format!("gen{}", self.generation));
         thread::Builder::new()
             .name(format!("snip-fuzz-worker-{}", self.generation))
             .spawn(move || {
                 SILENT_PANICS.with(|s| s.set(true));
                 while let Ok((target, input)) = job_rx.recv() {
-                    let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-                        decode(target, &input, &scratch)
-                    })) {
-                        Ok(outcome) => outcome,
-                        Err(payload) => Outcome::Panic(panic_message(&payload)),
-                    };
+                    let outcome =
+                        match panic::catch_unwind(AssertUnwindSafe(|| decode(target, &input))) {
+                            Ok(outcome) => outcome,
+                            Err(payload) => Outcome::Panic(panic_message(&payload)),
+                        };
                     if out_tx.send(outcome).is_err() {
                         break;
                     }
                 }
-                let _ = fs::remove_file(&scratch);
             })
             .expect("spawn fuzz worker");
         self.tx = job_tx;
@@ -1013,9 +955,9 @@ mod tests {
     #[test]
     fn minimization_shrinks_while_preserving_class() {
         // Minimize against a synthetic "class": Rejected. A frame whose
-        // length prefix lies is rejected however much padding follows.
+        // length header lies is rejected however much padding follows.
         let mut ex = Executor::new(Duration::from_secs(5));
-        let mut input = b"999999999999\nhello\n".to_vec();
+        let mut input = vec![0xC5, 0xFF, 0xFF, 0xFF, 0xFF];
         input.extend_from_slice(&[b'x'; 300]);
         let min = minimize(&mut ex, Target::Frame, &input, "rejected");
         assert!(ex.run(Target::Frame, &min).class() == "rejected");
@@ -1029,27 +971,26 @@ mod tests {
 
     #[test]
     fn a_binary_frame_claiming_four_gigabytes_is_rejected_before_allocation() {
-        // The binary-path twin of the journal-cbor huge-text-prealloc
-        // finding: a 5-byte header whose big-endian length field claims
-        // a ~4 GiB payload. The pre-auth cap must reject it before any
-        // buffer is sized from the attacker's number (the committed
-        // `ci/corpus/proto-bin--abort--huge-len-prealloc.bin` pins the
-        // same bytes).
+        // The frame twin of the journal-cbor huge-text-prealloc finding:
+        // a 5-byte header whose big-endian length field claims a ~4 GiB
+        // payload. The frame-size cap must reject it before any buffer is
+        // sized from the attacker's number (the committed
+        // `ci/corpus/frame--abort--huge-len-prealloc.bin` pins the same
+        // bytes).
         let mut ex = Executor::new(Duration::from_secs(5));
-        let outcome = ex.run(Target::ProtoBin, &[0xC5, 0xFF, 0xFF, 0xFF, 0xFF]);
+        let outcome = ex.run(Target::Frame, &[0xC5, 0xFF, 0xFF, 0xFF, 0xFF]);
         assert_eq!(outcome, Outcome::Rejected, "cap must precede allocation");
     }
 
     #[test]
     fn the_nesting_bomb_is_rejected_not_fatal() {
-        // The development-time finding, reconstructed: a single frame
-        // whose payload is deeply nested JSON. Before the depth ceiling
+        // The development-time finding, reconstructed: a single JSONL
+        // record that is deeply nested JSON. Before the depth ceiling
         // this overflowed the stack (process abort); now it must be a
         // graceful rejection.
-        let payload = "[".repeat(50_000);
-        let framed = format!("{}\n{}\n", payload.len(), payload);
+        let line = format!("{}\n", "[".repeat(50_000));
         let mut ex = Executor::new(Duration::from_secs(10));
-        let outcome = ex.run(Target::Frame, framed.as_bytes());
+        let outcome = ex.run(Target::JournalJsonl, line.as_bytes());
         assert_eq!(outcome, Outcome::Rejected, "depth ceiling must hold");
     }
 }

@@ -37,15 +37,15 @@ fn committed_corpus_replays_clean() {
 fn historical_findings_are_pinned() {
     // The development-time findings (plus the checkpoint-path variant of
     // the first) must stay in the corpus by name. Renaming is fine only if
-    // the `<target>--` prefix still parses. The proto-bin artifact is the
-    // v4 binary-framing twin of the huge-text-prealloc attack: a header
-    // whose length field claims ~4 GiB.
+    // the `<target>--` prefix still parses. The huge-len-prealloc frame
+    // artifact is the frame twin of the huge-text-prealloc attack: a
+    // header whose length field claims ~4 GiB.
     let dir = corpus_dir();
     for name in [
         "frame--abort--nesting-bomb.bin",
         "journal-cbor--abort--huge-text-prealloc.bin",
         "checkpoint--abort--nesting-bomb.bin",
-        "proto-bin--abort--huge-len-prealloc.bin",
+        "frame--abort--huge-len-prealloc.bin",
     ] {
         assert!(
             dir.join(name).is_file(),
