@@ -12,10 +12,8 @@
 //! snip fleet-serve --spec <file> --listen ADDR --token-file F [--verify] [--out PATH]
 //! snip fleet-worker [--connect ADDR --token-file F]
 //!                                  (no flags: spawned by `snip fleet` over stdio)
-//! snip bench   [--out BENCH_sweep.json] [--epochs N] [--threads N] [--seed S]
-//!              [--phi-max SECS] [--targets a,b,c] [--fleet K] [--fleet-tcp K]
 //! snip lint    [--root DIR]              determinism lint over the workspace
-//! snip check-proto [--abstract-only]     exhaustive protocol-v3 state check
+//! snip check-proto [--abstract-only]     exhaustive protocol-v4 state check
 //! snip fuzz    [--seed S] [--iters N] [--corpus DIR] [--replay]
 //! ```
 //!
@@ -58,7 +56,6 @@ USAGE:
     snip fleet-worker [--connect ADDR]         serve shards: over stdin/stdout
                                                (spawned by fleet) or by dialing
                                                a fleet-serve coordinator
-    snip bench   [options]                     time the canonical paper sweep
     snip lint    [--root DIR]                  enforce the determinism contract
                                                over the workspace's own sources
     snip check-proto [--abstract-only]         explore every bounded fault
@@ -127,27 +124,6 @@ fleet-worker options:
     --retry-secs <s>       total (re)dial budget: jittered exponential
                            backoff until the coordinator answers    [10]
 
-bench options (defaults in brackets):
-    --out <path>           where to write the JSON report  [BENCH_sweep.json]
-    --history <path>       JSONL file each run appends to; the bench
-                           trajectory across commits (`none` disables)
-                                                           [BENCH_history.jsonl]
-    --epochs <n>           days per simulated point        [14]
-    --seed <n>             base seed                       [2011]
-    --phi-max <secs>       per-epoch probing budget        [86.4]
-    --threads <n>          parallel worker count           [SNIP_THREADS or #cores]
-    --repeat <n>           timing repetitions (best-of)    [3]
-    --targets <a,b,..>     ζtarget list, seconds           [paper: 16..56]
-    --fleet <k>            also run the sweep through the multi-process
-                           fleet driver with k workers and record
-                           fleet points/sec                [off]
-    --fleet-tcp <k>        also run the sweep through the TCP fleet
-                           driver (localhost, k dialing workers, full
-                           token + spec-hash handshake) and record
-                           fleet_tcp points/sec            [off]
-    --shard-batch <n>      shards dealt per wire frame in the fleet
-                           runs                            [4]
-
 lint options:
     --root <dir>           workspace root to scan            [.]
                            (rules + the `// snip-lint: allow(<rule>): \"why\"`
@@ -194,7 +170,6 @@ fn main() -> ExitCode {
         "fleet" => cmd_fleet(rest),
         "fleet-serve" => cmd_fleet_serve(rest),
         "fleet-worker" => cmd_fleet_worker(rest),
-        "bench" => cmd_bench(rest),
         "lint" => cmd_lint(rest),
         "check-proto" => cmd_check_proto(rest),
         "fuzz" => cmd_fuzz(rest),
@@ -829,18 +804,21 @@ fn parse_fleet_options(args: &[String], serve: bool) -> Result<Option<FleetOptio
     Ok(Some(opts))
 }
 
-/// Reads and trims a shared-secret token file.
+/// Trims a shared-secret token and rejects an empty one; `source` names
+/// where it came from in the usage error.
+fn checked_token(raw: &str, source: &str) -> Result<String, CliError> {
+    let token = raw.trim();
+    if token.is_empty() {
+        return Err(CliError::Usage(format!("{source} is empty")));
+    }
+    Ok(token.to_string())
+}
+
+/// Reads a shared-secret token file.
 fn read_token(path: &Path) -> Result<String, CliError> {
     let raw = std::fs::read_to_string(path)
         .map_err(|e| fatal(format!("token file {}: {e}", path.display())))?;
-    let token = raw.trim().to_string();
-    if token.is_empty() {
-        return Err(CliError::Usage(format!(
-            "token file {} is empty",
-            path.display()
-        )));
-    }
-    Ok(token)
+    checked_token(&raw, &format!("token file {}", path.display()))
 }
 
 /// Renders the merged output as JSON (the journal codec, so the file is
@@ -852,8 +830,6 @@ fn fleet_output_json(output: &FleetOutput) -> String {
     text
 }
 
-/// Shared tail of `fleet` and `fleet-serve`: run the driver, report,
-/// write `--out`, check `--verify`.
 /// Renders the explicit partial-run manifest written by `--partial-ok`:
 /// what finished, what is missing, and how many workers were lost —
 /// everything an operator needs to decide between `--resume` and a rerun.
@@ -891,6 +867,8 @@ fn partial_manifest_json(
     text
 }
 
+/// Shared tail of `fleet` and `fleet-serve`: run the driver, report,
+/// write `--out`, check `--verify`.
 fn run_fleet_driver(
     driver: &FleetDriver,
     spec: &FleetSpec,
@@ -1123,12 +1101,15 @@ fn cmd_fleet_worker(args: &[String]) -> Result<ExitCode, CliError> {
                 .map_err(|_| CliError::Usage(format!("invalid --connect address `{addr}`")))?;
             let token = match token_file {
                 Some(path) => read_token(&path)?,
-                None => std::env::var(snip_fleetd::TOKEN_ENV_VAR).map_err(|_| {
-                    CliError::Usage(format!(
-                        "--connect needs --token-file <path> (or {})",
-                        snip_fleetd::TOKEN_ENV_VAR
-                    ))
-                })?,
+                None => {
+                    let raw = std::env::var(snip_fleetd::TOKEN_ENV_VAR).map_err(|_| {
+                        CliError::Usage(format!(
+                            "--connect needs --token-file <path> (or {})",
+                            snip_fleetd::TOKEN_ENV_VAR
+                        ))
+                    })?;
+                    checked_token(&raw, snip_fleetd::TOKEN_ENV_VAR)?
+                }
             };
             snip_fleetd::run_worker_tcp(
                 &snip_fleetd::ConnectOptions {
@@ -1147,492 +1128,6 @@ fn cmd_fleet_worker(args: &[String]) -> Result<ExitCode, CliError> {
         Ok(_) => Ok(ExitCode::SUCCESS),
         Err(e) => Err(fatal(e)),
     }
-}
-
-// -------------------------------------------------------------------- bench
-
-struct BenchOptions {
-    out: PathBuf,
-    history: Option<PathBuf>,
-    epochs: u64,
-    seed: u64,
-    phi_max: f64,
-    threads: usize,
-    repeat: u32,
-    targets: Vec<f64>,
-    fleet_workers: Option<usize>,
-    fleet_tcp_workers: Option<usize>,
-    shard_batch: u64,
-}
-
-fn parse_bench_options(args: &[String]) -> Result<BenchOptions, CliError> {
-    let mut opts = BenchOptions {
-        out: PathBuf::from("BENCH_sweep.json"),
-        history: Some(PathBuf::from("BENCH_history.jsonl")),
-        epochs: 14,
-        seed: 2011,
-        phi_max: 86.4,
-        threads: snip_sim::default_threads(),
-        repeat: 3,
-        targets: vec![16.0, 24.0, 32.0, 40.0, 48.0, 56.0],
-        fleet_workers: None,
-        fleet_tcp_workers: None,
-        shard_batch: 4,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => opts.out = parse_value::<PathBuf>(flag, it.next())?,
-            "--history" => {
-                let raw: String = parse_value(flag, it.next())?;
-                opts.history = (raw != "none").then(|| PathBuf::from(raw));
-            }
-            "--epochs" => opts.epochs = parse_value(flag, it.next())?,
-            "--seed" => opts.seed = parse_value(flag, it.next())?,
-            "--phi-max" => opts.phi_max = parse_value(flag, it.next())?,
-            "--threads" => opts.threads = parse_value(flag, it.next())?,
-            "--repeat" => opts.repeat = parse_value(flag, it.next())?,
-            "--fleet" => opts.fleet_workers = Some(parse_value(flag, it.next())?),
-            "--fleet-tcp" => opts.fleet_tcp_workers = Some(parse_value(flag, it.next())?),
-            "--shard-batch" => opts.shard_batch = parse_value(flag, it.next())?,
-            "--targets" => {
-                let raw: String = parse_value(flag, it.next())?;
-                opts.targets = raw
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| CliError::Usage(format!("invalid --targets list `{raw}`")))?;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-        }
-    }
-    if opts.epochs == 0 {
-        return Err(CliError::Usage("--epochs must be at least 1".into()));
-    }
-    if opts.threads == 0 {
-        return Err(CliError::Usage("--threads must be at least 1".into()));
-    }
-    if opts.repeat == 0 {
-        return Err(CliError::Usage("--repeat must be at least 1".into()));
-    }
-    if opts.targets.is_empty() {
-        return Err(CliError::Usage("--targets must name at least one".into()));
-    }
-    if !(opts.phi_max.is_finite() && opts.phi_max > 0.0) {
-        return Err(CliError::Usage("--phi-max must be positive".into()));
-    }
-    if opts.targets.iter().any(|t| !(t.is_finite() && *t > 0.0)) {
-        return Err(CliError::Usage("--targets must all be positive".into()));
-    }
-    if opts.fleet_workers == Some(0) {
-        return Err(CliError::Usage("--fleet must be at least 1".into()));
-    }
-    if opts.fleet_tcp_workers == Some(0) {
-        return Err(CliError::Usage("--fleet-tcp must be at least 1".into()));
-    }
-    if opts.shard_batch == 0 {
-        return Err(CliError::Usage("--shard-batch must be at least 1".into()));
-    }
-    Ok(opts)
-}
-
-/// A locally unique shared secret for self-spawned bench fleets. Not a
-/// cryptographic token — the workers are children of this very process on
-/// the loopback interface; the token exists to exercise the same
-/// authenticated handshake multi-host fleets use.
-fn bench_fleet_token() -> String {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    // snip-lint: allow(wall-clock): "entropy for a locally unique bench fleet token, not simulation state"
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_nanos());
-    format!("bench-{nanos:032x}-{}", std::process::id())
-}
-
-/// Times the canonical Fig 7 sweep three ways — pre-optimization baseline,
-/// optimized sequential, optimized parallel — verifies that all three agree
-/// bit-for-bit (metrics are exact integer-µs ledgers, so the optimized
-/// engines must reproduce even the baseline's Φ exactly), and writes the
-/// measurements as JSON.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, CliError> {
-    use std::time::Instant;
-
-    let opts = parse_bench_options(args)?;
-    let runner = snip_sim::ScenarioRunner::new(
-        EpochProfile::roadside(),
-        SimConfig::paper_defaults().with_epochs(opts.epochs),
-        opts.phi_max,
-    )
-    .with_seed(opts.seed);
-    let points = opts.targets.len() * snip_sim::Mechanism::ALL.len();
-    warn!(
-        "benching {points} points ({} targets x 3 mechanisms, {} epochs each), {} threads",
-        opts.targets.len(),
-        opts.epochs,
-        opts.threads
-    );
-
-    // Best-of-N wall clock: robust to scheduling noise on busy hosts.
-    let timed = |f: &dyn Fn() -> Vec<snip_sim::SweepPoint>| {
-        let mut best = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..opts.repeat {
-            // snip-lint: allow(wall-clock): "bench harness wall-time measurement — timing is its output"
-            let t = Instant::now();
-            out = f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (out, best)
-    };
-    let (baseline, baseline_secs) = timed(&|| runner.sweep_baseline(&opts.targets));
-    warn!("  baseline (naive stepper, sequential): {baseline_secs:.3} s");
-    let (sequential, sequential_secs) = timed(&|| runner.sweep_parallel(&opts.targets, 1));
-    warn!("  optimized sequential:                 {sequential_secs:.3} s");
-    let (parallel, parallel_secs) = timed(&|| runner.sweep_parallel(&opts.targets, opts.threads));
-    warn!(
-        "  optimized parallel ({} threads):       {parallel_secs:.3} s",
-        opts.threads
-    );
-
-    // Optional: the same sweep through the multi-process fleet driver —
-    // the deployment-scale points/sec figure (spawn + transport overhead
-    // included), plus its own bit-exactness gate against the sequential
-    // sweep. `--fleet` uses pipe dispatch, `--fleet-tcp` the full TCP
-    // path (localhost dial-in, token + spec-hash handshake).
-    #[derive(Clone, Copy)]
-    struct FleetBench {
-        workers: usize,
-        secs: f64,
-        matches: bool,
-        stats: snip_fleetd::DriverStats,
-    }
-    let bench_spec = || FleetSpec {
-        name: "bench-sweep".into(),
-        seed: opts.seed,
-        epochs: opts.epochs,
-        phi_max_secs: opts.phi_max,
-        job: snip_fleetd::JobSpec::Sweep {
-            profile: EpochProfile::roadside(),
-            zeta_targets: opts.targets.clone(),
-        },
-    };
-    let measure_fleet = |driver: &FleetDriver, workers: usize| -> Result<FleetBench, CliError> {
-        let mut best = f64::INFINITY;
-        let mut output = None;
-        let mut stats = None;
-        for _ in 0..opts.repeat {
-            // snip-lint: allow(wall-clock): "bench harness wall-time measurement — timing is its output"
-            let t = Instant::now();
-            let run = driver.run().map_err(fatal)?;
-            best = best.min(t.elapsed().as_secs_f64());
-            output = Some(run.output);
-            stats = Some(run.stats);
-        }
-        let matches = match output {
-            Some(FleetOutput::Sweep(ref fleet_points)) => fleet_points == &sequential,
-            _ => false,
-        };
-        Ok(FleetBench {
-            workers,
-            secs: best,
-            matches,
-            stats: stats.expect("repeat >= 1"),
-        })
-    };
-    let fleet_bench = match opts.fleet_workers {
-        None => None,
-        Some(workers) => {
-            let driver = FleetDriver::new(bench_spec(), workers)
-                .map_err(CliError::Usage)?
-                .with_shard_batch(opts.shard_batch);
-            let bench = measure_fleet(&driver, workers)?;
-            warn!(
-                "  fleet driver ({workers} workers):           {:.3} s",
-                bench.secs
-            );
-            Some(bench)
-        }
-    };
-    let fleet_tcp_bench = match opts.fleet_tcp_workers {
-        None => None,
-        Some(workers) => {
-            let driver = FleetDriver::new(bench_spec(), workers)
-                .map_err(CliError::Usage)?
-                .with_shard_batch(opts.shard_batch)
-                .with_tcp(snip_fleetd::TcpConfig {
-                    listen: "127.0.0.1:0".into(),
-                    token: bench_fleet_token(),
-                    spawn_workers: true,
-                })
-                .map_err(|e| fatal(format!("could not bind bench listener: {e}")))?;
-            let bench = measure_fleet(&driver, workers)?;
-            warn!(
-                "  fleet driver, TCP ({workers} workers):      {:.3} s \
-                 ({} plans shipped, {} cross-worker hits)",
-                bench.secs, bench.stats.plans_shipped, bench.stats.plan_seed_hits
-            );
-            Some(bench)
-        }
-    };
-
-    // Determinism: parallel must equal sequential bit-for-bit.
-    let parallel_equals_sequential = sequential.len() == parallel.len()
-        && sequential.iter().zip(&parallel).all(|(a, b)| {
-            a.zeta_target == b.zeta_target
-                && a.mechanism == b.mechanism
-                && a.zeta == b.zeta
-                && a.phi == b.phi
-                && a.rho == b.rho
-        });
-    // Fidelity: the optimized engine must reproduce the baseline results
-    // bit-for-bit — metrics are integer-µs ledgers, so Φ is exact too.
-    let baseline_matches = baseline.len() == sequential.len()
-        && baseline
-            .iter()
-            .zip(&sequential)
-            .all(|(b, s)| b.zeta == s.zeta && b.phi == s.phi);
-
-    let speedup_vs_baseline = baseline_secs / parallel_secs;
-    let speedup_vs_sequential = sequential_secs / parallel_secs;
-    // SNIP-OPT plan-cache effectiveness across everything this process
-    // solved (the sweep re-solves each (profile, Φmax, ζtarget) point
-    // once; every repetition after the first should hit).
-    let cache = snip_opt::plan_cache_stats();
-    // Where the run's time actually went, straight from the snip-obs
-    // registry: everything this process (and its in-process fleet
-    // coordinators) observed. All integer µs / bytes — exact sums, not
-    // sampled estimates.
-    let timing_breakdown = {
-        use snip_obs::metrics::{sum_counters, sum_histograms};
-        let (solve_count, solve_us) = sum_histograms("snip_opt_solve_us");
-        let (sweep_count, sweep_us) = sum_histograms("snip_sweep_point_us");
-        let (_, encode_us) = sum_histograms("snip_frame_encode_us");
-        let (_, decode_us) = sum_histograms("snip_frame_decode_us");
-        let (_, queue_us) = sum_histograms("snip_shard_queue_us");
-        let (_, compute_us) = sum_histograms("snip_shard_compute_us");
-        let (_, merge_us) = sum_histograms("snip_fleet_merge_us");
-        format!(
-            "  \"timing_breakdown\": {{\"sweep_point_count\": {sweep_count}, \
-             \"sweep_point_us_total\": {sweep_us}, \
-             \"opt_solve_count\": {solve_count}, \"opt_solve_us_total\": {solve_us}, \
-             \"frame_tx_bytes_total\": {tx}, \"frame_rx_bytes_total\": {rx}, \
-             \"frame_encode_us_total\": {encode_us}, \"frame_decode_us_total\": {decode_us}, \
-             \"shard_queue_us_total\": {queue_us}, \"shard_compute_us_total\": {compute_us}, \
-             \"fleet_merge_us_total\": {merge_us}}},\n",
-            tx = sum_counters("snip_frame_tx_bytes_total"),
-            rx = sum_counters("snip_frame_rx_bytes_total"),
-        )
-    };
-    let fleet_report_fields = |prefix: &str, bench: Option<&FleetBench>| -> String {
-        match bench {
-            None => String::new(),
-            Some(b) => format!(
-                "  \"{prefix}_workers\": {workers},\n  \"{prefix}_secs\": {secs:.6},\n  \
-                 \"points_per_sec_{prefix}\": {pps:.3},\n  \
-                 \"{prefix}_matches_sequential\": {matches},\n  \
-                 \"{prefix}_plan_cache\": {{\"shipped\": {shipped}, \
-                 \"cross_worker_hits\": {hits}}},\n",
-                workers = b.workers,
-                secs = b.secs,
-                pps = points as f64 / b.secs,
-                matches = b.matches,
-                shipped = b.stats.plans_shipped,
-                hits = b.stats.plan_seed_hits,
-            ),
-        }
-    };
-    let fleet_fields = format!(
-        "{}{}",
-        fleet_report_fields("fleet", fleet_bench.as_ref()),
-        fleet_report_fields("fleet_tcp", fleet_tcp_bench.as_ref()),
-    );
-    // Wire efficiency: total frame bytes (both directions, every fleet
-    // run above) per sweep point, and how far TCP trails the pipe path.
-    // Both are CI-tracked — the binary protocol is held to a byte budget
-    // and the ROADMAP target of TCP within 2x of pipe.
-    let wire_fields = {
-        let frame_bytes = snip_obs::metrics::sum_counters("snip_frame_tx_bytes_total")
-            + snip_obs::metrics::sum_counters("snip_frame_rx_bytes_total");
-        let mut fields = String::new();
-        if fleet_bench.is_some() || fleet_tcp_bench.is_some() {
-            fields.push_str(&format!(
-                "  \"frame_bytes_per_point\": {:.1},\n",
-                frame_bytes as f64 / points as f64
-            ));
-        }
-        if let (Some(pipe), Some(tcp)) = (fleet_bench.as_ref(), fleet_tcp_bench.as_ref()) {
-            fields.push_str(&format!(
-                "  \"tcp_vs_pipe_ratio\": {:.3},\n",
-                tcp.secs / pipe.secs
-            ));
-        }
-        fields
-    };
-    let report = format!(
-        "{{\n  \"bench\": \"sweep\",\n  \"schema_version\": 1,\n  \
-         \"host_cores\": {cores},\n  \"threads\": {threads},\n  \"repeat\": {repeat},\n  \
-         \"config\": {{\"epochs\": {epochs}, \"seed\": {seed}, \"phi_max_secs\": {phi_max}, \
-         \"zeta_targets\": [{targets}]}},\n  \
-         \"points\": {points},\n  \
-         \"baseline_sequential_secs\": {baseline_secs:.6},\n  \
-         \"sequential_secs\": {sequential_secs:.6},\n  \
-         \"parallel_secs\": {parallel_secs:.6},\n  \
-         \"points_per_sec_parallel\": {pps:.3},\n  \
-         \"speedup_parallel_vs_baseline\": {speedup_vs_baseline:.3},\n  \
-         \"speedup_parallel_vs_sequential\": {speedup_vs_sequential:.3},\n\
-         {fleet_fields}\
-         {wire_fields}\
-         {timing_breakdown}  \
-         \"opt_plan_cache\": {{\"hits\": {cache_hits}, \"misses\": {cache_misses}}},\n  \
-         \"determinism\": {{\"parallel_equals_sequential\": {parallel_equals_sequential}, \
-         \"optimized_matches_baseline\": {baseline_matches}}}\n}}\n",
-        cores = std::thread::available_parallelism().map_or(1, usize::from),
-        threads = opts.threads,
-        repeat = opts.repeat,
-        epochs = opts.epochs,
-        seed = opts.seed,
-        phi_max = opts.phi_max,
-        targets = opts
-            .targets
-            .iter()
-            .map(|t| format!("{t}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        pps = points as f64 / parallel_secs,
-        cache_hits = cache.hits,
-        cache_misses = cache.misses,
-    );
-    std::fs::write(&opts.out, &report).map_err(fatal)?;
-    println!(
-        "wrote {}: {points} points, baseline {baseline_secs:.2} s -> parallel {parallel_secs:.2} s \
-         ({speedup_vs_baseline:.1}x vs baseline, {speedup_vs_sequential:.1}x vs sequential)",
-        opts.out.display()
-    );
-    let fleet_ok =
-        fleet_bench.is_none_or(|b| b.matches) && fleet_tcp_bench.is_none_or(|b| b.matches);
-    if let Some(history) = &opts.history {
-        let history_fleet = fleet_bench.map(|b| (b.workers, b.secs));
-        let history_fleet_tcp = fleet_tcp_bench.map(|b| (b.workers, b.secs));
-        append_bench_history(
-            history,
-            &opts,
-            points,
-            baseline_secs,
-            sequential_secs,
-            parallel_secs,
-            history_fleet,
-            history_fleet_tcp,
-            parallel_equals_sequential && baseline_matches && fleet_ok,
-        )?;
-    }
-    if !(parallel_equals_sequential && baseline_matches && fleet_ok) {
-        error!(
-            "error: determinism check failed (see {})",
-            opts.out.display()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Appends one compact JSONL entry for this run to the tracked bench
-/// history and diffs it against the previous entry, so a perf regression
-/// shows up as a line-by-line trajectory in the repo rather than a lost
-/// one-off report.
-#[allow(clippy::too_many_arguments)]
-fn append_bench_history(
-    path: &Path,
-    opts: &BenchOptions,
-    points: usize,
-    baseline_secs: f64,
-    sequential_secs: f64,
-    parallel_secs: f64,
-    fleet_bench: Option<(usize, f64)>,
-    fleet_tcp_bench: Option<(usize, f64)>,
-    deterministic: bool,
-) -> Result<(), CliError> {
-    use std::io::Write as _;
-    use std::time::{SystemTime, UNIX_EPOCH};
-
-    // The previous entry (if any) is this run's comparison baseline.
-    let previous = std::fs::read_to_string(path).ok().and_then(|text| {
-        text.lines()
-            .rev()
-            .find(|l| !l.trim().is_empty())
-            .map(String::from)
-    });
-
-    // snip-lint: allow(wall-clock): "bench history row timestamp; report metadata only"
-    let unix_secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let history_fields = |prefix: &str, bench: Option<(usize, f64)>| -> String {
-        match bench {
-            None => String::new(),
-            Some((workers, secs)) => format!(
-                ", \"{prefix}_workers\": {workers}, \"{prefix}_secs\": {secs:.6}, \
-                 \"points_per_sec_{prefix}\": {pps:.3}",
-                pps = points as f64 / secs,
-            ),
-        }
-    };
-    let fleet_fields = format!(
-        "{}{}",
-        history_fields("fleet", fleet_bench),
-        history_fields("fleet_tcp", fleet_tcp_bench),
-    );
-    let entry = format!(
-        "{{\"schema_version\": 1, \"unix_secs\": {unix_secs}, \"points\": {points}, \
-         \"epochs\": {epochs}, \"seed\": {seed}, \"threads\": {threads}, \"repeat\": {repeat}, \
-         \"baseline_sequential_secs\": {baseline_secs:.6}, \
-         \"sequential_secs\": {sequential_secs:.6}, \"parallel_secs\": {parallel_secs:.6}, \
-         \"points_per_sec_parallel\": {pps:.3}{fleet_fields}, \
-         \"deterministic\": {deterministic}}}",
-        epochs = opts.epochs,
-        seed = opts.seed,
-        threads = opts.threads,
-        repeat = opts.repeat,
-        pps = points as f64 / parallel_secs,
-    );
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(fatal)?;
-    writeln!(file, "{entry}").map_err(fatal)?;
-
-    match previous {
-        None => println!("started {} with its first entry", path.display()),
-        Some(prev) => {
-            println!("appended to {} — previous entry:", path.display());
-            println!("  - {prev}");
-            println!("  + {entry}");
-            // A crude but dependency-free regression probe: compare the
-            // parallel wall-clock against the previous entry when the
-            // workload shape matches.
-            let field = |line: &str, key: &str| -> Option<f64> {
-                let tag = format!("\"{key}\": ");
-                let rest = &line[line.find(&tag)? + tag.len()..];
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse().ok()
-            };
-            let same_shape = field(&prev, "points") == Some(points as f64)
-                && field(&prev, "epochs") == Some(opts.epochs as f64)
-                && field(&prev, "threads") == Some(opts.threads as f64);
-            if let (true, Some(prev_secs)) = (same_shape, field(&prev, "parallel_secs")) {
-                let ratio = parallel_secs / prev_secs.max(1e-9);
-                if ratio > 1.25 {
-                    warn!(
-                        "warning: parallel sweep is {ratio:.2}x slower than the previous \
-                         entry ({parallel_secs:.3} s vs {prev_secs:.3} s)"
-                    );
-                } else {
-                    println!("parallel sweep vs previous entry: {ratio:.2}x");
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------------ display

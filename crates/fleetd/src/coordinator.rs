@@ -19,7 +19,7 @@
 //!   joiners are admitted mid-run; a dead socket is exactly a killed
 //!   worker (shard re-queued). With
 //!   [`TcpConfig::spawn_workers`] the coordinator also spawns local
-//!   dialing workers itself (bench and smoke-test mode).
+//!   dialing workers itself (test and smoke-test mode).
 //!
 //! **Determinism:** job `i` is a pure function of `(spec, i)` (per-node
 //! traces and RNG seeds derive from the spec exactly as in-process runs
@@ -313,7 +313,7 @@ pub struct FleetDriver {
     checkpoint_path: Option<PathBuf>,
     resume: bool,
     /// SNIP-OPT plans accumulated from workers, persisted across `run`
-    /// calls on the same driver (repeated bench runs re-ship warm plans).
+    /// calls on the same driver (repeated runs re-ship warm plans).
     plans: Mutex<PlanStore>,
 }
 

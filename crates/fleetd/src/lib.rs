@@ -33,8 +33,8 @@
 //! The `snip` CLI (hosted here, at the top of the workspace) surfaces the
 //! driver as `snip fleet --spec <file> --workers <k>`,
 //! `snip fleet-serve --listen <addr> --token-file <f>` (multi-host
-//! coordinator), `snip fleet-worker --connect <addr> --token-file <f>`
-//! (remote worker), and `snip bench --fleet <k>`/`--fleet-tcp <k>`.
+//! coordinator) and `snip fleet-worker --connect <addr> --token-file <f>`
+//! (remote worker).
 //!
 //! [`Transport`]: transport::Transport
 //! [`RunMetrics`]: snip_sim::RunMetrics

@@ -73,7 +73,7 @@
 //! worker has not been sent yet), and `ShardDone` returns plans the
 //! worker solved itself plus how many solves its seeded entries answered
 //! — so a same-profile fleet solves each plan once globally, and the
-//! cross-worker reuse is observable in `snip bench --fleet`.
+//! cross-worker reuse is observable in `DriverStats::plan_seed_hits`.
 //!
 //! Results carry full exact-ledger [`RunMetrics`] (the journal codec's
 //! integer-µs shape), never floats-of-floats, so the coordinator's merge

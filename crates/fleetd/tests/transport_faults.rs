@@ -427,3 +427,30 @@ fn a_run_nobody_serves_fails_incomplete_instead_of_hanging() {
         "giving up must be prompt, not a hang"
     );
 }
+
+#[test]
+fn a_blank_environment_token_is_a_usage_error_not_a_dial() {
+    // The environment fallback gets the token file's treatment: trimmed,
+    // and refused when nothing is left. Port 1 on loopback refuses
+    // connections, so a worker that dialed anyway would fail on its
+    // retries instead of with this message.
+    let out = Command::new(SNIP_BIN)
+        .args([
+            "fleet-worker",
+            "--connect",
+            "127.0.0.1:1",
+            "--retry-secs",
+            "1",
+        ])
+        .env(TOKEN_ENV_VAR, " ")
+        .env_remove("SNIP_LOG")
+        .stdin(Stdio::null())
+        .output()
+        .expect("worker binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("{TOKEN_ENV_VAR} is empty")),
+        "expected the empty-token usage error, got: {stderr}"
+    );
+}

@@ -24,10 +24,9 @@
 //! local one; [`plan_cache_stats`] counts them separately
 //! (`seeded`/`seeded_hits`) so cross-worker reuse is observable.
 //!
-//! Hit/miss counters are process-wide ([`plan_cache_stats`]) and surface in
-//! `snip bench`'s report. Storage is bounded ([`MAX_CACHED_PLANS`]): past
-//! the cap, solves still happen and return correctly, they just stop
-//! being remembered.
+//! Hit/miss counters are process-wide ([`plan_cache_stats`]). Storage is
+//! bounded ([`MAX_CACHED_PLANS`]): past the cap, solves still happen and
+//! return correctly, they just stop being remembered.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -40,7 +40,7 @@
 //! produces *bit-identical* metrics: all ledgers are exact integer µs, so
 //! a batched `count × Ton` charge is the same integer as `count` single
 //! charges. [`Simulation::with_naive_stepping`] keeps the reference stepper
-//! available for cross-checks and baseline benchmarks.
+//! available for cross-checks.
 
 use rand::Rng;
 use snip_core::{ProbeContext, ProbeScheduler, ProbedContactInfo};
@@ -77,7 +77,7 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
 
     /// Disables the fast path: every decision interval is stepped and every
     /// beacon is simulated individually, ignoring the scheduler's hints.
-    /// The reference stepper for cross-checks and baseline benchmarks.
+    /// The reference stepper for cross-checks.
     #[must_use]
     pub fn with_naive_stepping(mut self) -> Self {
         self.naive = true;

@@ -248,7 +248,7 @@ impl ScenarioRunner {
 
     /// [`ScenarioRunner::run_one`] through the reference stepper (no fast
     /// path, `Box<dyn>` dispatch, trace regenerated): the pre-optimization
-    /// baseline, kept for cross-checks and benchmark baselines.
+    /// baseline, kept as the reference the fast path is checked against.
     #[must_use]
     pub fn run_one_baseline(&self, mechanism: Mechanism, zeta_target: f64) -> RunMetrics {
         let trace = TraceGenerator::new(self.profile.clone())
@@ -369,27 +369,6 @@ impl ScenarioRunner {
             let metrics = self.run_one(mechanism, target);
             Self::point_from_metrics(target, mechanism, &metrics)
         })
-    }
-
-    /// The pre-optimization sweep: sequential, naive stepping, boxed
-    /// dispatch, trace regenerated per point. The benchmark baseline that
-    /// [`ScenarioRunner::sweep_parallel`] is measured against.
-    #[must_use]
-    pub fn sweep_baseline(&self, zeta_targets: &[f64]) -> Vec<SweepPoint> {
-        let mut points = Vec::with_capacity(zeta_targets.len() * Mechanism::ALL.len());
-        for &target in zeta_targets {
-            for mechanism in Mechanism::ALL {
-                let metrics = self.run_one_baseline(mechanism, target);
-                points.push(SweepPoint {
-                    zeta_target: target,
-                    mechanism,
-                    zeta: metrics.mean_zeta_per_epoch(),
-                    phi: metrics.mean_phi_per_epoch(),
-                    rho: metrics.overall_rho(),
-                });
-            }
-        }
-        points
     }
 }
 

@@ -9,7 +9,7 @@
 //!   ledgers", "no `unsafe`") is enforced as machine-checked rules with a
 //!   narrow, justification-carrying `// snip-lint: allow(<rule>)` escape
 //!   hatch.
-//! * [`proto`] — a bounded exhaustive explorer for the fleet protocol v3
+//! * [`proto`] — a bounded exhaustive explorer for the fleet protocol v4
 //!   state machine: every interleaving of coordinator, workers, and
 //!   scripted faults (lost/duplicated frames, severed links, coordinator
 //!   restart from the checkpoint journal, worker redial-with-resume)
