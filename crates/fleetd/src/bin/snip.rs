@@ -130,7 +130,7 @@ lint options:
                            escape hatch are documented in crates/verify)
 
 check-proto options:
-    --abstract-only        run only the model exploration; skip the concrete
+    --abstract-only        run only the state-space exploration; skip the concrete
                            fault-schedule sweep and the auth-uniformity wire
                            probe (which spawn worker subprocesses)
 
@@ -1211,15 +1211,16 @@ fn cmd_check_proto(args: &[String]) -> Result<ExitCode, CliError> {
         }
     }
 
-    // Leg 1: every reachable state of the protocol model within the
-    // fault budget, with the invariants asserted in each one.
-    let cfg = snip_verify::proto::ExploreConfig::default();
-    let report = snip_verify::proto::explore(&cfg)
+    // Leg 1: every reachable state of the protocol within the fault
+    // budget — the shipped coordinator core in the loop — with the
+    // invariants asserted in each one.
+    use snip_fleetd::proto::explore::{explore, ExploreConfig, MIN_EXPLORED_STATES};
+    let report = explore(&ExploreConfig::default())
         .map_err(|v| fatal(format!("protocol invariant violated: {v}")))?;
     println!("check-proto [model]: {report}");
-    if report.states < 10_000 {
+    if report.states < MIN_EXPLORED_STATES {
         return Err(fatal(format!(
-            "exploration bound regressed below the 10^4-state bar: {report}"
+            "exploration bound regressed below the {MIN_EXPLORED_STATES}-state floor: {report}"
         )));
     }
     if abstract_only {

@@ -7,8 +7,15 @@
 //! stealing by idle-worker pull). A peer that crashes, hangs past the
 //! shard timeout, stalls inside the handshake, or speaks out of protocol
 //! is severed and counted lost — its in-flight shard goes back on the
-//! queue for a healthy worker. Two dispatch modes share every line of
-//! the drive loop:
+//! queue for a healthy worker.
+//!
+//! **One state machine.** Every decision of the run is made by the
+//! sans-IO [`RunCore`](crate::run_core::RunCore), the same type
+//! `snip check-proto` explores exhaustively. This module is its IO: one
+//! thread per peer drives a transport and feeds events into one
+//! `Mutex<RunCore>`, waiting on one condvar when there is nothing to deal.
+//!
+//! Two dispatch modes share every line of the drive loop:
 //!
 //! * **Pipe** (default): the coordinator spawns `workers` subprocesses
 //!   (`snip fleet-worker`, re-execs of the current binary) and frames the
@@ -41,14 +48,13 @@
 //! [`DriverError::Incomplete`] carries the completed shards next to the
 //! missing manifest so `--partial-ok` can salvage a wrecked run.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use snip_obs::metrics::{Counter, Gauge, Histogram};
@@ -60,35 +66,11 @@ use snip_sim::RunMetrics;
 
 use crate::fault::{ChaosPlan, FaultTransport};
 use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
+use crate::run_core::{Deal, Reply, RunCore, SessionEntry, Shard};
 use crate::spec::{FleetOutput, FleetSpec, JobRunner};
 use crate::transport::{
     recv_msg, send_msg, PipeTransport, PreEncoded, RecvError, TcpTransport, Transport,
 };
-
-/// One contiguous slice of the job list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shard {
-    id: u64,
-    start: u64,
-    end: u64,
-}
-
-/// Deliberate failure injection, for exercising the steal path in tests
-/// and drills: the coordinator severs one of its own peers' transports
-/// after it has returned `after_shards` results — a killed subprocess on
-/// pipes, a dead socket on TCP, indistinguishable from a crash either
-/// way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultInjection {
-    /// Sever peer `worker` once it has completed `after_shards` shards.
-    KillWorker {
-        /// Zero-based peer index (spawn order on pipes, admission order
-        /// on TCP) to sever.
-        worker: usize,
-        /// Results the peer is allowed to deliver first.
-        after_shards: u64,
-    },
-}
 
 /// Why a fleet run failed.
 #[derive(Debug)]
@@ -143,7 +125,7 @@ impl fmt::Display for DriverError {
 impl std::error::Error for DriverError {}
 
 /// Counters describing how a fleet run went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DriverStats {
     /// Jobs simulated.
     pub jobs: u64,
@@ -215,8 +197,6 @@ struct FleetMetrics {
     plan_seed_hits: &'static Counter,
     reconnects: &'static Counter,
     resumed_shards: &'static Counter,
-    /// Time a shard sat queued before a worker pulled it.
-    queue_us: &'static Histogram,
     /// Checkpoint journal append (encode + write + fsync), per shard.
     checkpoint_write_us: &'static Histogram,
     /// Assignment-to-`ShardDone` round trip (compute plus transport).
@@ -242,7 +222,6 @@ fn fleet_metrics() -> &'static FleetMetrics {
         plan_seed_hits: counter("snip_fleet_plan_seed_hits_total"),
         reconnects: counter("snip_fleet_reconnects_total"),
         resumed_shards: counter("snip_fleet_resumed_shards_total"),
-        queue_us: histogram("snip_shard_queue_us"),
         checkpoint_write_us: histogram("snip_checkpoint_write_us"),
         compute_us: histogram("snip_shard_compute_us"),
         merge_us: histogram("snip_fleet_merge_us"),
@@ -287,7 +266,7 @@ const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 /// Most connections allowed to sit in the pre-auth (pre-`Join`) phase at
 /// once; accepts beyond it are closed immediately. Honest fleets
 /// authenticate within milliseconds, so this only throttles floods.
-const MAX_PREAUTH_PEERS: usize = 64;
+pub(crate) const MAX_PREAUTH_PEERS: usize = 64;
 
 struct TcpState {
     listener: TcpListener,
@@ -304,7 +283,6 @@ pub struct FleetDriver {
     shard_batch: u64,
     worker_command: Option<(PathBuf, Vec<String>)>,
     shard_timeout: Duration,
-    fault: Option<FaultInjection>,
     tcp: Option<TcpState>,
     /// Scripted per-peer transport faults (chaos drills).
     chaos: Option<ChaosPlan>,
@@ -326,14 +304,6 @@ struct PlanStore {
     generation: u64,
 }
 
-/// What the coordinator remembers about a dropped worker so a redial can
-/// resume the session: the plan-shipping bookkeeping, which would
-/// otherwise re-ship every plan the worker already holds.
-struct SessionEntry {
-    shipped: BTreeSet<String>,
-    seen_generation: u64,
-}
-
 /// The run's `Init`, encoded into its wire frame exactly once and shipped
 /// to every fresh peer verbatim ([`Transport::send_preencoded`]). The
 /// plan snapshot it carries is recorded so each admitted peer's shipping
@@ -346,254 +316,118 @@ struct InitFrame {
     generation: u64,
 }
 
-/// Everything one run's peers share: the shard queue, the result slots,
-/// and the lifecycle counters.
-struct RunState {
-    /// Pending shards, each stamped with when it (re)entered the queue so
-    /// pulls can record queue latency.
-    queue: Mutex<VecDeque<(Shard, Instant)>>,
-    wakeup: Condvar,
-    results: Vec<Mutex<Option<Vec<RunMetrics>>>>,
-    /// The full shard table by ordinal — resumed `ShardDone`s are
-    /// validated against it before merging.
-    shards: Vec<Shard>,
-    total: u64,
-    completed: AtomicU64,
-    /// Set when the run gives up (no peers, nothing happening): peers
-    /// drain out through `next_shard` returning `None`.
-    aborted: AtomicBool,
-    admitted: AtomicUsize,
-    lost: AtomicUsize,
-    rejected: AtomicUsize,
-    reassigned: AtomicU64,
-    plans_shipped: AtomicU64,
-    seed_hits: AtomicU64,
-    active_peers: AtomicUsize,
-    /// Peers accepted but not yet past `Join` (capped at
-    /// [`MAX_PREAUTH_PEERS`]).
-    preauth_peers: AtomicUsize,
-    last_activity: Mutex<Instant>,
-    /// Dropped workers' resumable sessions, by session id. An entry is
-    /// taken when its worker redials; live peers have no entry.
-    sessions: Mutex<BTreeMap<u64, SessionEntry>>,
-    next_session: AtomicU64,
-    reconnects: AtomicU64,
-    resumed_shards: AtomicU64,
-    /// The run checkpoint journal, when armed. Appended under the result
-    /// slot's lock *before* the shard counts as complete.
-    checkpoint: Option<Mutex<CheckpointWriter>>,
-    /// Shards preloaded from a resumed checkpoint journal.
-    preloaded: u64,
+/// One run's state behind its one lock: the core, and the checkpoint
+/// journal (when armed) each merged result is fsynced to *before* the
+/// core counts it.
+struct Run {
+    core: RunCore<RunMetrics>,
+    checkpoint: Option<CheckpointWriter>,
 }
 
-impl RunState {
-    fn new(
-        shards: &[Shard],
-        preloaded: BTreeMap<u64, Vec<RunMetrics>>,
-        checkpoint: Option<CheckpointWriter>,
-    ) -> Self {
-        // snip-lint: allow(wall-clock): "queue-wait latency metric; never feeds merged results"
-        let enqueued = Instant::now();
-        RunState {
-            // Checkpointed shards never re-enter the queue: their work is
-            // already durable, recomputing it is the thing resume exists
-            // to avoid.
-            queue: Mutex::new(
-                shards
-                    .iter()
-                    .filter(|s| !preloaded.contains_key(&s.id))
-                    .map(|&s| (s, enqueued))
-                    .collect(),
-            ),
-            wakeup: Condvar::new(),
-            results: shards
-                .iter()
-                .map(|s| Mutex::new(preloaded.get(&s.id).cloned()))
-                .collect(),
-            shards: shards.to_vec(),
-            total: shards.len() as u64,
-            completed: AtomicU64::new(preloaded.len() as u64),
-            aborted: AtomicBool::new(false),
-            admitted: AtomicUsize::new(0),
-            lost: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            reassigned: AtomicU64::new(0),
-            plans_shipped: AtomicU64::new(0),
-            seed_hits: AtomicU64::new(0),
-            active_peers: AtomicUsize::new(0),
-            preauth_peers: AtomicUsize::new(0),
-            // snip-lint: allow(wall-clock): "idle-timeout liveness clock; deadline bookkeeping only"
-            last_activity: Mutex::new(Instant::now()),
-            sessions: Mutex::new(BTreeMap::new()),
-            next_session: AtomicU64::new(1),
-            reconnects: AtomicU64::new(0),
-            resumed_shards: AtomicU64::new(0),
-            checkpoint: checkpoint.map(Mutex::new),
-            preloaded: preloaded.len() as u64,
-        }
+/// What a run's peer threads share: the [`Run`], a condvar to wait on it,
+/// and the instant the core's time values count from.
+struct Shared {
+    run: Mutex<Run>,
+    wakeup: Condvar,
+    started: Instant,
+}
+
+/// Locks a coordinator mutex. Poison means a peer thread panicked while
+/// holding it; the others panic too rather than run on a half-updated
+/// core, and the thread scope re-raises the panic from the run.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("coordinator lock poisoned")
+}
+
+impl Shared {
+    /// Time since the run started: the core's clock.
+    fn now(&self) -> Duration {
+        self.started.elapsed()
     }
 
-    fn finished(&self) -> bool {
-        self.completed.load(Ordering::SeqCst) >= self.total
+    fn lock(&self) -> MutexGuard<'_, Run> {
+        lock(&self.run)
     }
 
-    fn over(&self) -> bool {
-        self.finished() || self.aborted.load(Ordering::SeqCst)
-    }
-
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        self.wakeup.notify_all();
-    }
-
-    fn touch(&self) {
-        // snip-lint: allow(wall-clock): "idle-timeout liveness clock; deadline bookkeeping only"
-        *self.last_activity.lock().expect("activity clock poisoned") = Instant::now();
-    }
-
-    fn idle_for(&self) -> Duration {
-        self.last_activity
-            .lock()
-            .expect("activity clock poisoned")
-            .elapsed()
-    }
-
-    /// A lost peer's in-flight shard goes back on the queue for the next
-    /// idle worker — the steal.
-    fn requeue(&self, shard: Shard) {
-        self.queue
-            .lock()
-            .expect("shard queue poisoned")
-            // snip-lint: allow(wall-clock): "in-flight shard age for the reassignment timeout"
-            .push_back((shard, Instant::now()));
-        self.reassigned.fetch_add(1, Ordering::Relaxed);
-        snip_obs::event!(
-            snip_obs::log::Level::Debug,
-            "shard {} re-queued from a lost worker",
-            shard.id
-        );
-        self.wakeup.notify_all();
-    }
-
-    /// Blocks until a shard is available or the run is over; `None` means
-    /// the run completed (or aborted) and the peer should shut down.
-    fn next_shard(&self) -> Option<Shard> {
-        let mut q = self.queue.lock().expect("shard queue poisoned");
-        loop {
-            if let Some((shard, queued_at)) = q.pop_front() {
-                // A re-queued shard can have been merged behind the
-                // queue's back: its original owner reconnected and
-                // delivered the in-flight result. Recomputing it would be
-                // harmless (the merge is idempotent) but wasted.
-                if self.merged(shard.id) {
-                    continue;
-                }
-                fleet_metrics().queue_us.observe(queued_at.elapsed());
-                return Some(shard);
-            }
-            if self.over() {
-                return None;
-            }
-            // Re-check periodically as a hang backstop: every shard is
-            // either queued, completed, or held by a live handler that
-            // re-queues it on its way out.
-            let (guard, _timeout) = self
-                .wakeup
-                .wait_timeout(q, Duration::from_millis(200))
-                .expect("shard queue poisoned");
-            q = guard;
-        }
-    }
-
-    /// Blocks for one shard, then greedily (without blocking) tops the
-    /// batch up to `max` shards from whatever else is already queued.
-    /// Pull-based stealing is preserved: a batch never waits for the
-    /// queue to refill, so an idle peer takes exactly what is there.
-    fn next_batch(&self, max: u64) -> Option<Vec<Shard>> {
-        let first = self.next_shard()?;
-        let mut batch = vec![first];
-        if max > 1 {
-            let mut q = self.queue.lock().expect("shard queue poisoned");
-            while (batch.len() as u64) < max {
-                let Some((shard, queued_at)) = q.pop_front() else {
-                    break;
-                };
-                if self.merged(shard.id) {
-                    continue; // same stale-requeue skip as next_shard
-                }
-                fleet_metrics().queue_us.observe(queued_at.elapsed());
-                batch.push(shard);
-            }
-        }
-        Some(batch)
-    }
-
-    /// Parks the accept loop until run progress (a merged shard, a
-    /// requeue, an abort) or `timeout`, whichever is first. Progress
-    /// notifications via `wakeup` bound end-of-run latency to one wake;
-    /// the short timeout bounds accept latency for fresh dialers.
-    fn park(&self, timeout: Duration) {
-        let guard = self.queue.lock().expect("shard queue poisoned");
-        let _ = self
-            .wakeup
+    /// Parks until run progress (a merge, a requeue, an abort) or
+    /// `timeout`, whichever is first.
+    fn park<'a>(&self, guard: MutexGuard<'a, Run>, timeout: Duration) -> MutexGuard<'a, Run> {
+        self.wakeup
             .wait_timeout(guard, timeout)
-            .expect("shard queue poisoned");
+            .expect("coordinator lock poisoned")
+            .0
     }
 
-    /// Whether this shard's result is already in its slot.
-    fn merged(&self, id: u64) -> bool {
-        self.results
-            .get(id as usize)
-            .is_some_and(|slot| slot.lock().expect("result slot poisoned").is_some())
-    }
-
-    /// Merges one shard result, exactly once: a duplicate delivery for an
-    /// already-merged ordinal (a re-sent in-flight `ShardDone`, a chaos
-    /// duplicate, a stale recompute) is logged and dropped. Returns
-    /// whether this call did the merge. When a checkpoint journal is
-    /// armed, the record is durable *before* the shard counts as
-    /// complete — a coordinator killed right here recovers the shard on
-    /// resume or recomputes it, never double-counts it.
-    fn finish_shard(&self, shard: Shard, metrics: Vec<RunMetrics>) -> bool {
-        let mut slot = self.results[shard.id as usize]
-            .lock()
-            .expect("result slot poisoned");
-        if slot.is_some() {
-            snip_obs::event!(
-                snip_obs::log::Level::Debug,
-                "duplicate ShardDone for shard {} dropped (already merged)",
-                shard.id
-            );
-            return false;
-        }
-        if let Some(checkpoint) = &self.checkpoint {
-            // snip-lint: allow(wall-clock): "checkpoint-append latency metric; observability only"
-            let write_start = Instant::now();
-            if let Err(e) = checkpoint
-                .lock()
-                .expect("checkpoint writer poisoned")
-                .append_shard(shard.id, &metrics)
-            {
-                // Keep the run going: a full disk costs the checkpoint,
-                // not the computation.
-                snip_obs::event!(
-                    snip_obs::log::Level::Warn,
-                    "checkpoint append for shard {} failed: {e}",
-                    shard.id
-                );
+    /// Blocks until the core deals `peer` a batch; `None` means the run
+    /// completed (or gave up) and the peer should shut down.
+    fn next_batch(&self, peer: usize, max: u64) -> Option<Vec<Shard>> {
+        let mut run = self.lock();
+        loop {
+            match run.core.deal(peer, max) {
+                Deal::Batch(batch) => return Some(batch),
+                Deal::Over => return None,
+                // The 200 ms re-check is a hang backstop: every shard is
+                // queued, merged, or held by a live peer thread that
+                // requeues it on its way out.
+                Deal::Wait => run = self.park(run, Duration::from_millis(200)),
             }
-            fleet_metrics()
-                .checkpoint_write_us
-                .observe(write_start.elapsed());
         }
-        *slot = Some(metrics);
-        drop(slot);
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        fleet_metrics().shards_done.inc();
-        self.touch();
-        self.wakeup.notify_all();
-        true
     }
+
+    /// Hands a `ShardDone` to the core: from the live peer `peer`
+    /// (validated against its batch) or, with `peer: None`, re-sent on a
+    /// resumed session (validated against the shard table). Fresh results
+    /// hit the checkpoint journal before they count as merged.
+    fn receive_done(
+        &self,
+        peer: Option<usize>,
+        results: Vec<ShardResult>,
+        seeded_hits: u64,
+    ) -> Reply {
+        let outs = results.into_iter().map(|r| (r.id, r.metrics)).collect();
+        let now = self.now();
+        let mut guard = self.lock();
+        let Run { core, checkpoint } = &mut *guard;
+        let reply = core.shard_done(peer, outs, now, &mut |id, metrics| {
+            journal_shard(checkpoint, id, metrics);
+        });
+        if let Reply::Merged { .. } = reply {
+            core.stats.plan_seed_hits += seeded_hits;
+            drop(guard);
+            self.wakeup.notify_all();
+        }
+        reply
+    }
+
+    /// A peer was lost: its unmerged batch goes back on the queue and its
+    /// session stays resumable.
+    fn lose(&self, peer: usize, session_id: u64, session: SessionEntry) {
+        let mut run = self.lock();
+        run.core.sever(peer);
+        run.core.save_session(session_id, session);
+        drop(run);
+        self.wakeup.notify_all();
+    }
+}
+
+/// Appends one merged shard to the checkpoint journal, when armed, and
+/// counts it done. A failed append keeps the run going: a full disk costs
+/// the checkpoint, not the computation.
+fn journal_shard(checkpoint: &mut Option<CheckpointWriter>, id: u64, metrics: &[RunMetrics]) {
+    if let Some(checkpoint) = checkpoint {
+        // snip-lint: allow(wall-clock): "checkpoint-append latency metric; observability only"
+        let write_start = Instant::now();
+        if let Err(e) = checkpoint.append_shard(id, metrics) {
+            snip_obs::event!(
+                snip_obs::log::Level::Warn,
+                "checkpoint append for shard {id} failed: {e}"
+            );
+        }
+        fleet_metrics()
+            .checkpoint_write_us
+            .observe(write_start.elapsed());
+    }
+    fleet_metrics().shards_done.inc();
 }
 
 /// How a peer's service ended.
@@ -604,22 +438,6 @@ enum PeerOutcome {
     HandshakeFailed,
     /// Admitted, then crashed/hung/spoke out of protocol.
     Lost,
-}
-
-/// Whether a `ShardDone` answers exactly the assigned batch: one result
-/// per assigned shard (no extras, no repeats, any order), each carrying
-/// exactly one metrics entry per job of its range.
-fn batch_reply_matches(results: &[ShardResult], batch: &[Shard]) -> bool {
-    if results.len() != batch.len() {
-        return false;
-    }
-    let by_id: BTreeMap<u64, &ShardResult> = results.iter().map(|r| (r.id, r)).collect();
-    by_id.len() == results.len()
-        && batch.iter().all(|s| {
-            by_id
-                .get(&s.id)
-                .is_some_and(|r| r.metrics.len() as u64 == s.end - s.start)
-        })
 }
 
 /// Constant-time token comparison (length aside): a byte-wise early exit
@@ -653,7 +471,6 @@ impl FleetDriver {
             shard_batch: 1,
             worker_command: None,
             shard_timeout: Duration::from_secs(600),
-            fault: None,
             tcp: None,
             chaos: None,
             checkpoint_path: None,
@@ -708,13 +525,6 @@ impl FleetDriver {
     #[must_use]
     pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
         self.shard_timeout = timeout;
-        self
-    }
-
-    /// Arms a deliberate peer sever (tests and failure drills).
-    #[must_use]
-    pub fn with_fault(mut self, fault: FaultInjection) -> Self {
-        self.fault = Some(fault);
         self
     }
 
@@ -782,16 +592,7 @@ impl FleetDriver {
 
     /// The shard list for this driver's spec and granularity.
     fn shards(&self) -> Vec<Shard> {
-        let jobs = self.spec.job_count();
-        (0..jobs)
-            .step_by(self.shard_size as usize)
-            .enumerate()
-            .map(|(id, start)| Shard {
-                id: id as u64,
-                start,
-                end: (start + self.shard_size).min(jobs),
-            })
-            .collect()
+        Shard::cut(self.spec.job_count(), self.shard_size)
     }
 
     /// Resolves the worker command line.
@@ -813,107 +614,88 @@ impl FleetDriver {
         let runner = JobRunner::new(&self.spec);
         let shards = self.shards();
         let (preloaded, checkpoint) = self.prepare_checkpoint(&shards)?;
-        let state = RunState::new(&shards, preloaded, checkpoint);
+        // snip-lint: allow(wall-clock): "origin of the run's liveness clock; deadline bookkeeping only"
+        let started = Instant::now();
+        let core = RunCore::new(shards, preloaded, Duration::ZERO);
+        let total = core.total();
 
         let obs = fleet_metrics();
         obs.runs.inc();
         obs.workers.set(0);
-        obs.shards_done.set(state.preloaded);
-        obs.shards_total.set(state.total);
+        obs.shards_done.set(core.stats.checkpoint_shards);
+        obs.shards_total.set(total);
         let _run_span = snip_obs::span!(
             "fleet-run {} ({} jobs, {} shards)",
             self.spec.name,
             self.spec.job_count(),
-            state.total
+            total
         );
 
+        let shared = Shared {
+            run: Mutex::new(Run { core, checkpoint }),
+            wakeup: Condvar::new(),
+            started,
+        };
         let init = self.encode_init();
         let dispatch = match &self.tcp {
             None => {
-                self.run_pipe(&state, &init)?;
+                self.run_pipe(&shared, &init)?;
                 "pipe"
             }
             Some(tcp) => {
-                self.run_tcp(tcp, &state, &init)?;
+                self.run_tcp(tcp, &shared, &init)?;
                 "tcp"
             }
         };
+        // Every peer thread has been joined, so nobody can hold the lock.
+        let run = shared
+            .run
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (results, stats) = run.core.into_results();
 
         // Mirror the run's lifecycle counters into the process registry
         // (cumulative there, per-run in DriverStats) before the
         // completeness check, so a failed run's severs still surface on
         // the stats endpoint.
-        let workers_lost = state.lost.load(Ordering::Relaxed);
-        obs.workers_lost.add(workers_lost as u64);
-        obs.peers_rejected
-            .add(state.rejected.load(Ordering::Relaxed) as u64);
-        obs.shards_reassigned
-            .add(state.reassigned.load(Ordering::Relaxed));
-        obs.plans_shipped
-            .add(state.plans_shipped.load(Ordering::Relaxed));
-        obs.plan_seed_hits
-            .add(state.seed_hits.load(Ordering::Relaxed));
-        obs.reconnects.add(state.reconnects.load(Ordering::Relaxed));
-        obs.resumed_shards
-            .add(state.resumed_shards.load(Ordering::Relaxed));
+        obs.workers_lost.add(stats.workers_lost as u64);
+        obs.peers_rejected.add(stats.peers_rejected as u64);
+        obs.shards_reassigned.add(stats.shards_reassigned);
+        obs.plans_shipped.add(stats.plans_shipped);
+        obs.plan_seed_hits.add(stats.plan_seed_hits);
+        obs.reconnects.add(stats.reconnects);
+        obs.resumed_shards.add(stats.resumed_shards);
 
         // snip-lint: allow(wall-clock): "merge latency metric; observability only"
         let merge_start = Instant::now();
-        let taken: Vec<(u64, Option<Vec<RunMetrics>>)> = state
-            .results
-            .iter()
-            .enumerate()
-            .map(|(id, slot)| (id as u64, slot.lock().expect("result slot poisoned").take()))
-            .collect();
-        let missing: Vec<u64> = taken
-            .iter()
-            .filter(|(_, m)| m.is_none())
-            .map(|(id, _)| *id)
+        let missing: Vec<u64> = (0..total)
+            .filter(|&id| results[id as usize].is_none())
             .collect();
         if !missing.is_empty() {
             // Hand the finished shards back next to the missing manifest:
             // `--partial-ok` salvages them, and a later `--resume` against
             // the checkpoint journal finishes the job.
-            let completed = taken
-                .into_iter()
+            let completed = (0..total)
+                .zip(results)
                 .filter_map(|(id, m)| m.map(|m| (id, m)))
                 .collect();
             return Err(DriverError::Incomplete {
                 missing,
-                workers_lost,
+                workers_lost: stats.workers_lost,
                 completed,
             });
         }
-        let mut metrics: Vec<RunMetrics> = Vec::with_capacity(self.spec.job_count() as usize);
-        for (_, m) in taken {
-            metrics.extend(m.expect("missing shards already handled"));
-        }
+        let metrics: Vec<RunMetrics> = results.into_iter().flatten().flatten().collect();
 
         let output = runner.merge(&metrics);
         obs.merge_us.observe(merge_start.elapsed());
         snip_obs::event!(
             snip_obs::log::Level::Info,
-            "fleet run `{}` over {dispatch} merged {} shard(s)",
-            self.spec.name,
-            state.total
+            "fleet run `{}` over {dispatch} merged {total} shard(s)",
+            self.spec.name
         );
 
-        Ok(FleetRun {
-            output,
-            stats: DriverStats {
-                jobs: self.spec.job_count(),
-                shards: state.total,
-                workers: state.admitted.load(Ordering::Relaxed),
-                workers_lost,
-                peers_rejected: state.rejected.load(Ordering::Relaxed),
-                shards_reassigned: state.reassigned.load(Ordering::Relaxed),
-                plans_shipped: state.plans_shipped.load(Ordering::Relaxed),
-                plan_seed_hits: state.seed_hits.load(Ordering::Relaxed),
-                reconnects: state.reconnects.load(Ordering::Relaxed),
-                resumed_shards: state.resumed_shards.load(Ordering::Relaxed),
-                checkpoint_shards: state.preloaded,
-            },
-        })
+        Ok(FleetRun { output, stats })
     }
 
     /// Pre-encodes the run's `Init` frame: protocol, spec, spec hash, the
@@ -922,7 +704,7 @@ impl FleetDriver {
     /// run, not per peer — on a wide fleet the spec-bearing `Init` was
     /// the single largest per-peer encode cost.
     fn encode_init(&self) -> InitFrame {
-        let store = self.plans.lock().expect("plan set poisoned");
+        let store = lock(&self.plans);
         let generation = store.generation;
         let plans: Vec<PlanEntry> = store
             .map
@@ -1025,7 +807,7 @@ impl FleetDriver {
     }
 
     /// Pipe dispatch: spawn the workers, drive each over its stdio.
-    fn run_pipe(&self, state: &RunState, init: &InitFrame) -> Result<(), DriverError> {
+    fn run_pipe(&self, shared: &Shared, init: &InitFrame) -> Result<(), DriverError> {
         let (program, args) = self
             .command()
             .map_err(|error| DriverError::Spawn { worker: 0, error })?;
@@ -1033,7 +815,7 @@ impl FleetDriver {
 
         // More workers than shards would only spawn processes that
         // handshake and immediately shut down.
-        let workers_to_spawn = self.workers.min(state.results.len().max(1));
+        let workers_to_spawn = self.workers.min(shared.lock().core.total().max(1) as usize);
         std::thread::scope(|scope| {
             for worker_idx in 0..workers_to_spawn {
                 let program = &program;
@@ -1043,21 +825,18 @@ impl FleetDriver {
                     let transport = match PipeTransport::spawn(program, args) {
                         Ok(t) => t,
                         Err(error) => {
-                            let mut slot = spawn_failure.lock().expect("spawn slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some((worker_idx, error));
-                            }
-                            state.lost.fetch_add(1, Ordering::Relaxed);
+                            lock(spawn_failure).get_or_insert((worker_idx, error));
+                            shared.lock().core.stats.workers_lost += 1;
                             return;
                         }
                     };
                     let mut transport = self.maybe_chaos(worker_idx, Box::new(transport));
-                    match self.drive_peer(worker_idx, transport.as_mut(), state, init, None) {
+                    match self.drive_peer(worker_idx, transport.as_mut(), shared, init, None) {
                         PeerOutcome::Finished => {}
                         // A spawned pipe worker that fails its handshake
                         // was still one of our own workers: count it lost.
                         PeerOutcome::HandshakeFailed | PeerOutcome::Lost => {
-                            state.lost.fetch_add(1, Ordering::Relaxed);
+                            shared.lock().core.stats.workers_lost += 1;
                             transport.sever();
                         }
                     }
@@ -1065,11 +844,9 @@ impl FleetDriver {
             }
         });
 
-        if let Some((worker, error)) = spawn_failure
-            .lock()
-            .expect("spawn slot poisoned")
+        if let Some((worker, error)) = lock(&spawn_failure)
             .take()
-            .filter(|_| !state.finished())
+            .filter(|_| !shared.lock().core.finished())
         {
             return Err(DriverError::Spawn { worker, error });
         }
@@ -1081,7 +858,7 @@ impl FleetDriver {
     fn run_tcp(
         &self,
         tcp: &TcpState,
-        state: &RunState,
+        shared: &Shared,
         init: &InitFrame,
     ) -> Result<(), DriverError> {
         let mut children: Vec<Child> = Vec::new();
@@ -1095,7 +872,7 @@ impl FleetDriver {
                 .map_err(|error| DriverError::Spawn { worker: 0, error })?;
             args.push("--connect".into());
             args.push(addr.to_string());
-            let to_spawn = self.workers.min(state.results.len().max(1));
+            let to_spawn = self.workers.min(shared.lock().core.total().max(1) as usize);
             for worker in 0..to_spawn {
                 let mut cmd = Command::new(&program);
                 cmd.args(&args)
@@ -1117,37 +894,36 @@ impl FleetDriver {
             }
         }
 
-        state.touch();
         std::thread::scope(|scope| {
             let mut next_idx = 0usize;
             loop {
-                if state.over() {
-                    break;
-                }
-                // The give-up clause: no live peers and nothing has
-                // happened for a full shard timeout — nobody is coming.
-                if state.active_peers.load(Ordering::SeqCst) == 0
-                    && state.idle_for() > self.shard_timeout
                 {
-                    state.abort();
-                    break;
+                    // The give-up clause: no live peers and nothing has
+                    // happened for a full shard timeout — nobody is coming.
+                    let mut run = shared.lock();
+                    if run.core.over() {
+                        break;
+                    }
+                    if run.core.give_up_if_idle(shared.now(), self.shard_timeout) {
+                        drop(run);
+                        shared.wakeup.notify_all();
+                        break;
+                    }
                 }
                 match tcp.listener.accept() {
-                    // A connection flood must not hold a thread and a
-                    // socket per stranger: past the pre-auth cap, close
-                    // on arrival.
-                    Ok((stream, _addr))
-                        if state.preauth_peers.load(Ordering::SeqCst) >= MAX_PREAUTH_PEERS =>
-                    {
-                        drop(stream);
-                        state.rejected.fetch_add(1, Ordering::Relaxed);
-                    }
                     Ok((stream, _addr)) => {
-                        state.touch();
+                        // A connection flood must not hold a thread and a
+                        // socket per stranger: past the pre-auth cap, the
+                        // core refuses it and it is closed on arrival.
+                        if !shared
+                            .lock()
+                            .core
+                            .peer_accepted(shared.now(), MAX_PREAUTH_PEERS)
+                        {
+                            continue;
+                        }
                         let idx = next_idx;
                         next_idx += 1;
-                        state.active_peers.fetch_add(1, Ordering::SeqCst);
-                        state.preauth_peers.fetch_add(1, Ordering::SeqCst);
                         scope.spawn(move || {
                             match TcpTransport::accept(stream) {
                                 Ok(transport) => {
@@ -1155,31 +931,27 @@ impl FleetDriver {
                                     self.drive_tcp_peer(
                                         idx,
                                         transport.as_mut(),
-                                        state,
+                                        shared,
                                         init,
                                         &tcp.token,
                                     );
                                 }
                                 Err(_) => {
-                                    state.preauth_peers.fetch_sub(1, Ordering::SeqCst);
-                                    state.rejected.fetch_add(1, Ordering::Relaxed);
+                                    let mut run = shared.lock();
+                                    run.core.peer_authenticated();
+                                    run.core.stats.peers_rejected += 1;
                                 }
                             }
-                            state.active_peers.fetch_sub(1, Ordering::SeqCst);
-                            state.touch();
+                            shared.lock().core.peer_left(shared.now());
                         });
                     }
                     // Nonblocking listener: no pending connection. Park
-                    // on the run's wakeup condvar instead of a fixed
-                    // sleep — a merged shard or an abort ends the wait
-                    // immediately, so finishing the run costs one wake
-                    // instead of a full poll interval (the old 20 ms
-                    // sleep here was most of the TCP-vs-pipe gap on
-                    // short runs).
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        state.park(Duration::from_millis(2));
+                    // on the run's condvar, not a fixed sleep: a merged
+                    // shard or an abort ends the wait at once, so
+                    // finishing the run costs one wake.
+                    Err(_) => {
+                        drop(shared.park(shared.lock(), Duration::from_millis(2)));
                     }
-                    Err(_) => state.park(Duration::from_millis(2)),
                 }
             }
         });
@@ -1252,13 +1024,13 @@ impl FleetDriver {
         &self,
         worker_idx: usize,
         transport: &mut dyn Transport,
-        state: &RunState,
+        shared: &Shared,
         init: &InitFrame,
         token: &str,
     ) {
         let join_window = self.shard_timeout.min(JOIN_TIMEOUT);
-        let join = self.recv_peer_within(transport, state, join_window);
-        state.preauth_peers.fetch_sub(1, Ordering::SeqCst);
+        let join = self.recv_peer_within(transport, shared, join_window);
+        shared.lock().core.peer_authenticated();
         let resume = match join {
             Some(WorkerMsg::Join {
                 protocol,
@@ -1300,32 +1072,30 @@ impl FleetDriver {
                     transport.peer()
                 );
                 transport.sever();
-                state.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.lock().core.stats.peers_rejected += 1;
                 return;
             }
             // Bad token, garbage, a stall, or EOF: sever without
             // revealing which check failed.
             _ => {
                 transport.sever();
-                state.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.lock().core.stats.peers_rejected += 1;
                 return;
             }
         };
-        match self.drive_peer(worker_idx, transport, state, init, resume) {
+        let outcome = self.drive_peer(worker_idx, transport, shared, init, resume);
+        let mut run = shared.lock();
+        match outcome {
             PeerOutcome::Finished => {}
-            PeerOutcome::HandshakeFailed => {
-                state.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            PeerOutcome::Lost => {
-                state.lost.fetch_add(1, Ordering::Relaxed);
-            }
+            PeerOutcome::HandshakeFailed => run.core.stats.peers_rejected += 1,
+            PeerOutcome::Lost => run.core.stats.workers_lost += 1,
         }
     }
 
     /// Receives the peer's next message, bounded by the shard timeout and
     /// sliced so the wait also ends promptly when the run finishes.
-    fn recv_peer(&self, transport: &mut dyn Transport, state: &RunState) -> Option<WorkerMsg> {
-        self.recv_peer_within(transport, state, self.shard_timeout)
+    fn recv_peer(&self, transport: &mut dyn Transport, shared: &Shared) -> Option<WorkerMsg> {
+        self.recv_peer_within(transport, shared, self.shard_timeout)
     }
 
     /// [`Self::recv_peer`] with an explicit bound (the pre-auth `Join`
@@ -1333,7 +1103,7 @@ impl FleetDriver {
     fn recv_peer_within(
         &self,
         transport: &mut dyn Transport,
-        state: &RunState,
+        shared: &Shared,
         timeout: Duration,
     ) -> Option<WorkerMsg> {
         // snip-lint: allow(wall-clock): "peer receive deadline; timeouts only affect fault handling"
@@ -1349,7 +1119,7 @@ impl FleetDriver {
                 Ok(Some(msg)) => return Some(msg),
                 Ok(None) => return None, // EOF
                 Err(RecvError::TimedOut) => {
-                    if state.over() {
+                    if shared.lock().core.over() {
                         return None;
                     }
                 }
@@ -1362,13 +1132,12 @@ impl FleetDriver {
     /// store's generation counter makes the warm steady state — nothing
     /// new since this peer's last assignment — an O(1) check instead of
     /// a full rescan under the lock.
-    fn plans_for(
-        &self,
-        shipped: &mut BTreeSet<String>,
-        seen_generation: &mut u64,
-        state: &RunState,
-    ) -> Vec<PlanEntry> {
-        let store = self.plans.lock().expect("plan set poisoned");
+    fn plans_for(&self, session: &mut SessionEntry, shared: &Shared) -> Vec<PlanEntry> {
+        let SessionEntry {
+            shipped,
+            seen_generation,
+        } = session;
+        let store = lock(&self.plans);
         if store.generation == *seen_generation {
             return Vec::new();
         }
@@ -1386,16 +1155,14 @@ impl FleetDriver {
         for entry in &delta {
             shipped.insert(entry.key.clone());
         }
-        state
-            .plans_shipped
-            .fetch_add(delta.len() as u64, Ordering::Relaxed);
+        shared.lock().core.stats.plans_shipped += delta.len() as u64;
         delta
     }
 
     /// Folds a worker's newly solved plans into the global store (and
     /// marks them shipped to that worker — it obviously has them).
     fn absorb_plans(&self, plans: Vec<PlanEntry>, shipped: &mut BTreeSet<String>) {
-        let mut store = self.plans.lock().expect("plan set poisoned");
+        let mut store = lock(&self.plans);
         for entry in plans {
             shipped.insert(entry.key.clone());
             if let std::collections::btree_map::Entry::Vacant(slot) = store.map.entry(entry.key) {
@@ -1416,7 +1183,7 @@ impl FleetDriver {
         &self,
         worker_idx: usize,
         transport: &mut dyn Transport,
-        state: &RunState,
+        shared: &Shared,
         init: &InitFrame,
         resume: Option<u64>,
     ) -> PeerOutcome {
@@ -1424,131 +1191,80 @@ impl FleetDriver {
         let handshake_start = Instant::now();
         let spec_hash = self.spec.spec_hash();
         let obs = fleet_metrics();
-        let resumed = resume.and_then(|sid| {
-            state
-                .sessions
-                .lock()
-                .expect("session table poisoned")
-                .remove(&sid)
-                .map(|entry| (sid, entry))
-        });
-        let save_session = |sid: u64, shipped: BTreeSet<String>, seen_generation: u64| {
-            state
-                .sessions
-                .lock()
-                .expect("session table poisoned")
-                .insert(
-                    sid,
-                    SessionEntry {
-                        shipped,
-                        seen_generation,
-                    },
-                );
+        let ready = |msg: Option<WorkerMsg>| {
+            matches!(msg, Some(WorkerMsg::Ready { protocol, spec_hash: echoed, .. })
+                if protocol == PROTOCOL_VERSION && echoed == spec_hash)
         };
-        let (session_id, mut shipped, mut seen_generation) = match resumed {
-            Some((
-                sid,
-                SessionEntry {
-                    mut shipped,
-                    seen_generation,
-                },
-            )) => {
+        let resumed = resume.and_then(|sid| Some((sid, shared.lock().core.resume_session(sid)?)));
+        let (session_id, mut session) = match resumed {
+            Some((sid, mut session)) => {
                 // The worker was admitted on its first connection —
                 // resuming re-counts nothing, only the reconnect itself.
-                state.reconnects.fetch_add(1, Ordering::Relaxed);
-                obs.reconnects.inc();
                 snip_obs::event!(
                     snip_obs::log::Level::Info,
                     "peer {worker_idx} ({}) resumed session {sid}",
                     transport.peer()
                 );
-                if send_msg(transport, &CoordinatorMsg::Resumed { session: sid }).is_err() {
-                    save_session(sid, shipped, seen_generation);
+                // The worker now either re-sends the ShardDone batch that
+                // was in flight when the socket dropped, or reports Ready
+                // (nothing pending). The core checks the re-sent batch
+                // against the shard table and merges each result exactly
+                // once.
+                let accepted = send_msg(transport, &CoordinatorMsg::Resumed { session: sid })
+                    .is_ok()
+                    && match self.recv_peer(transport, shared) {
+                        Some(WorkerMsg::ShardDone {
+                            results,
+                            plans,
+                            seeded_hits,
+                        }) => {
+                            let reply = shared.receive_done(None, results, seeded_hits);
+                            let merged = matches!(reply, Reply::Merged { .. });
+                            if merged {
+                                self.absorb_plans(plans, &mut session.shipped);
+                            }
+                            merged
+                        }
+                        msg => ready(msg),
+                    };
+                if !accepted {
+                    shared.lose(worker_idx, sid, session);
                     transport.sever();
                     return PeerOutcome::Lost;
                 }
-                // The worker now either re-sends the ShardDone batch that
-                // was in flight when the socket dropped, or reports Ready
-                // (nothing pending). Each result in the re-sent batch is
-                // accepted exactly once: the merge is idempotent by shard
-                // ordinal, and every result is validated against the
-                // shard table before any of them merge.
-                match self.recv_peer(transport, state) {
-                    Some(WorkerMsg::ShardDone {
-                        results,
-                        plans,
-                        seeded_hits,
-                    }) if !results.is_empty()
-                        && results.iter().all(|r| {
-                            state
-                                .shards
-                                .get(r.id as usize)
-                                .is_some_and(|s| r.metrics.len() as u64 == s.end - s.start)
-                        }) =>
-                    {
-                        self.absorb_plans(plans, &mut shipped);
-                        state.seed_hits.fetch_add(seeded_hits, Ordering::Relaxed);
-                        for ShardResult { id, metrics } in results {
-                            let shard = state.shards[id as usize];
-                            if state.finish_shard(shard, metrics) {
-                                state.resumed_shards.fetch_add(1, Ordering::Relaxed);
-                                obs.resumed_shards.inc();
-                                snip_obs::event!(
-                                    snip_obs::log::Level::Info,
-                                    "shard {id} recovered from resumed session {sid} \
-                                     (in-flight result survived the drop)"
-                                );
-                            }
-                        }
-                    }
-                    Some(WorkerMsg::Ready {
-                        protocol,
-                        pid: _,
-                        spec_hash: echoed,
-                    }) if protocol == PROTOCOL_VERSION && echoed == spec_hash => {}
-                    _ => {
-                        save_session(sid, shipped, seen_generation);
-                        transport.sever();
-                        return PeerOutcome::Lost;
-                    }
-                }
-                (sid, shipped, seen_generation)
+                (sid, session)
             }
             None => {
-                let sid = state.next_session.fetch_add(1, Ordering::Relaxed);
+                let sid = {
+                    let mut run = shared.lock();
+                    run.core.stats.plans_shipped += init.plan_keys.len() as u64;
+                    run.core.open_session()
+                };
                 // The peer's plan bookkeeping starts from the pre-encode
                 // snapshot: the frame already carries those plans, so
                 // they count as shipped and the generation is the one
                 // the snapshot was taken at.
-                let shipped: BTreeSet<String> = init.plan_keys.iter().cloned().collect();
-                let seen_generation = init.generation;
-                state
-                    .plans_shipped
-                    .fetch_add(init.plan_keys.len() as u64, Ordering::Relaxed);
+                let session = SessionEntry {
+                    shipped: init.plan_keys.iter().cloned().collect(),
+                    seen_generation: init.generation,
+                };
                 if transport.send_preencoded(&init.frame).is_err()
                     || send_msg(transport, &CoordinatorMsg::Session { session: sid }).is_err()
                 {
                     transport.sever();
                     return PeerOutcome::HandshakeFailed;
                 }
-                match self.recv_peer(transport, state) {
-                    Some(WorkerMsg::Ready {
-                        protocol,
-                        pid: _,
-                        spec_hash: echoed,
-                    }) if protocol == PROTOCOL_VERSION && echoed == spec_hash => {}
-                    _ => {
-                        transport.sever();
-                        // A joiner that was still shaking hands when the run
-                        // finished is neither lost nor rejected.
-                        return if state.over() {
-                            PeerOutcome::Finished
-                        } else {
-                            PeerOutcome::HandshakeFailed
-                        };
-                    }
+                if !ready(self.recv_peer(transport, shared)) {
+                    transport.sever();
+                    // A joiner that was still shaking hands when the run
+                    // finished is neither lost nor rejected.
+                    return if shared.lock().core.over() {
+                        PeerOutcome::Finished
+                    } else {
+                        PeerOutcome::HandshakeFailed
+                    };
                 }
-                state.admitted.fetch_add(1, Ordering::Relaxed);
+                shared.lock().core.stats.workers += 1;
                 obs.workers.inc();
                 obs.handshake_us.observe(handshake_start.elapsed());
                 snip_obs::event!(
@@ -1556,7 +1272,7 @@ impl FleetDriver {
                     "peer {worker_idx} ({}) admitted as session {sid}",
                     transport.peer()
                 );
-                (sid, shipped, seen_generation)
+                (sid, session)
             }
         };
 
@@ -1566,9 +1282,8 @@ impl FleetDriver {
         let serve_start = Instant::now();
         let mut busy_us = 0u64;
         let mut done_here = 0u64;
-        let mut drilled = false;
         let outcome = loop {
-            let Some(batch) = state.next_batch(self.shard_batch) else {
+            let Some(batch) = shared.next_batch(worker_idx, self.shard_batch) else {
                 let _ = send_msg(transport, &CoordinatorMsg::Shutdown);
                 break PeerOutcome::Finished;
             };
@@ -1589,87 +1304,46 @@ impl FleetDriver {
                         end: s.end,
                     })
                     .collect(),
-                plans: self.plans_for(&mut shipped, &mut seen_generation, state),
-            };
-            let requeue_batch = |state: &RunState| {
-                for &shard in &batch {
-                    if !state.merged(shard.id) {
-                        state.requeue(shard);
-                    }
-                }
+                plans: self.plans_for(&mut session, shared),
             };
             if send_msg(transport, &assignment).is_err() {
-                requeue_batch(state);
-                transport.sever();
                 break PeerOutcome::Lost;
             }
-            let reply = loop {
-                break match self.recv_peer(transport, state) {
+            let plans = loop {
+                match self.recv_peer(transport, shared) {
                     Some(WorkerMsg::ShardDone {
                         results,
                         plans,
                         seeded_hits,
-                    }) if batch_reply_matches(&results, &batch) => {
-                        Some((results, plans, seeded_hits))
-                    }
-                    // A re-delivery of an already-merged batch — a
-                    // chaos-injected repeat, or a re-send racing its own
-                    // acknowledgement — is logged and dropped; the peer is
-                    // still healthy and still owes the current batch.
-                    Some(WorkerMsg::ShardDone { results, .. })
-                        if !results.is_empty()
-                            && results.iter().all(|r| state.merged(r.id))
-                            && results.iter().any(|r| batch.iter().all(|s| s.id != r.id)) =>
-                    {
-                        snip_obs::event!(
-                            snip_obs::log::Level::Debug,
-                            "peer {worker_idx} re-delivered merged shard batch {:?}; dropped",
-                            results.iter().map(|r| r.id).collect::<Vec<_>>()
-                        );
-                        continue;
-                    }
-                    _ => None,
-                };
+                    }) => match shared.receive_done(Some(worker_idx), results, seeded_hits) {
+                        Reply::Merged { .. } => break Some(plans),
+                        // A re-delivery of an already-merged batch — a
+                        // chaos-injected repeat, or a re-send racing its
+                        // own acknowledgement — is dropped; the peer is
+                        // still healthy and still owes the current batch.
+                        Reply::Stale => continue,
+                        Reply::Invalid => break None,
+                    },
+                    _ => break None,
+                }
             };
-            match reply {
-                Some((results, plans, seeded_hits)) => {
-                    let round_trip = compute_start.elapsed();
-                    obs.compute_us.observe(round_trip);
-                    busy_us += snip_obs::metrics::duration_us(round_trip);
-                    self.absorb_plans(plans, &mut shipped);
-                    state.seed_hits.fetch_add(seeded_hits, Ordering::Relaxed);
-                    for ShardResult { id, metrics } in results {
-                        state.finish_shard(state.shards[id as usize], metrics);
-                        done_here += 1;
-                    }
-                    if let Some(FaultInjection::KillWorker {
-                        worker,
-                        after_shards,
-                    }) = self.fault
-                    {
-                        if worker == worker_idx && done_here >= after_shards && !drilled {
-                            // The drill: this peer "crashes" now; its next
-                            // assignment will fail and be stolen.
-                            drilled = true;
-                            transport.sever();
-                        }
-                    }
-                }
-                None => {
-                    // Wrong reply, broken frame, EOF, or timeout: the peer
-                    // is lost and its unmerged batch goes back on the
-                    // queue (a severed batch may have merged through a
-                    // resumed session in the meantime — those stay put).
-                    requeue_batch(state);
-                    transport.sever();
-                    break PeerOutcome::Lost;
-                }
-            }
+            // Wrong reply, broken frame, EOF, or timeout: the peer is lost.
+            let Some(plans) = plans else {
+                break PeerOutcome::Lost;
+            };
+            let round_trip = compute_start.elapsed();
+            obs.compute_us.observe(round_trip);
+            busy_us += snip_obs::metrics::duration_us(round_trip);
+            self.absorb_plans(plans, &mut session.shipped);
+            done_here += batch.len() as u64;
         };
-        // A lost peer's session stays resumable: if the worker redials
-        // with this id, it picks up where the socket dropped.
+        // A lost peer's unmerged batch goes back on the queue (members that
+        // merged through a resumed session meanwhile stay put), and its
+        // session stays resumable: if the worker redials with this id, it
+        // picks up where the socket dropped.
         if matches!(outcome, PeerOutcome::Lost) {
-            save_session(session_id, shipped, seen_generation);
+            shared.lose(worker_idx, session_id, session);
+            transport.sever();
         }
         let serve_us = snip_obs::metrics::duration_us(serve_start.elapsed());
         snip_obs::metrics::counter(&format!("snip_peer_busy_us_total{{peer=\"{worker_idx}\"}}"))
@@ -1700,24 +1374,12 @@ mod tests {
         let driver = FleetDriver::new(example_spec(), 2)
             .unwrap()
             .with_shard_size(3);
-        let shards = driver.shards();
-        assert_eq!(shards.len(), 2, "4 jobs at 3 per shard");
-        assert_eq!(
-            shards[0],
-            Shard {
-                id: 0,
-                start: 0,
-                end: 3
-            }
-        );
-        assert_eq!(
-            shards[1],
-            Shard {
-                id: 1,
-                start: 3,
-                end: 4
-            }
-        );
+        let shards: Vec<_> = driver
+            .shards()
+            .iter()
+            .map(|s| (s.id, s.start, s.end))
+            .collect();
+        assert_eq!(shards, [(0, 0, 3), (1, 3, 4)], "4 jobs at 3 per shard");
     }
 
     #[test]

@@ -47,13 +47,12 @@
 pub mod coordinator;
 pub mod fault;
 pub mod proto;
+mod run_core;
 pub mod spec;
 pub mod transport;
 pub mod worker;
 
-pub use coordinator::{
-    DriverError, DriverStats, FaultInjection, FleetDriver, FleetRun, TcpConfig, TOKEN_ENV_VAR,
-};
+pub use coordinator::{DriverError, DriverStats, FleetDriver, FleetRun, TcpConfig, TOKEN_ENV_VAR};
 pub use fault::{
     ChaosPlan, FaultAction, FaultDirection, FaultKind, FaultPlan, FaultTransport, PeerFaults,
 };

@@ -89,6 +89,8 @@ use snip_sim::RunMetrics;
 
 use crate::spec::FleetSpec;
 
+pub mod explore;
+
 /// The frame-protocol version. Bump on any message-shape change; both
 /// sides refuse mismatches rather than mis-parsing.
 ///
@@ -342,5 +344,101 @@ mod tests {
             msg,
             "plans survive the codec bit-for-bit"
         );
+    }
+
+    // The state-space explorer (`explore`), next to the wire tests.
+
+    use super::explore::{check_state, explore, ExploreConfig, St, MIN_EXPLORED_STATES};
+    use std::time::Duration;
+
+    #[test]
+    fn faultless_single_worker_run_is_tiny_and_clean() {
+        let cfg = ExploreConfig {
+            shards: 2,
+            workers: 1,
+            severs_per_worker: 0,
+            restarts: 0,
+            dups: 0,
+            redials: 1,
+            batch: 1,
+            max_states: 100_000,
+        };
+        let report = explore(&cfg).expect("clean protocol");
+        assert!(report.states > 5 && report.states < 1000, "{report}");
+        assert!(report.complete_terminals >= 1);
+        assert_eq!(report.incomplete_terminals, 0, "no faults, no failures");
+        assert_eq!(report.batched_deals, 0, "batch 1 never packs frames");
+    }
+
+    #[test]
+    fn default_bounds_clear_ten_thousand_states_with_invariants_holding() {
+        let report = explore(&ExploreConfig::default()).expect("invariants hold");
+        assert!(
+            report.states >= MIN_EXPLORED_STATES,
+            "the default bounds must explore at least {MIN_EXPLORED_STATES} states: {report}"
+        );
+        assert!(report.complete_terminals >= 1, "{report}");
+        assert!(
+            report.incomplete_terminals >= 1,
+            "sever budgets must be able to exhaust a run: {report}"
+        );
+        assert!(report.dedup_absorptions > 0, "{report}");
+        assert!(report.resume_redeliveries > 0, "{report}");
+        assert!(report.batched_deals > 0, "default batch is 2: {report}");
+        assert!(
+            report.partial_batch_merges > 0,
+            "a severed batch racing a reassignment must reach the \
+             partially-stale merge: {report}"
+        );
+    }
+
+    /// `batch: 1` is the one-job-per-frame wire on the same fault
+    /// budgets — everything still holds, nothing ever batches.
+    #[test]
+    fn batch_of_one_reproduces_the_v3_wire() {
+        let cfg = ExploreConfig {
+            batch: 1,
+            ..ExploreConfig::default()
+        };
+        let report = explore(&cfg).expect("invariants hold at batch 1");
+        assert!(report.complete_terminals >= 1, "{report}");
+        assert_eq!(report.batched_deals, 0, "{report}");
+        assert_eq!(report.partial_batch_merges, 0, "{report}");
+        assert!(report.dedup_absorptions > 0, "{report}");
+    }
+
+    /// A batch wider than `--shard-batch` would mean the coordinator
+    /// ignored its own bound; the per-state invariant pins it.
+    #[test]
+    fn oversized_batch_assignment_is_caught() {
+        let cfg = ExploreConfig::default();
+        let mut st = St::initial(&cfg);
+        st.core.force(&[], &[(0, &[0, 1, 2])]); // three jobs, bound is two
+        let err = check_state(&st, &cfg).expect_err("must be rejected");
+        assert!(err.invariant.contains("batch bound"), "{err}");
+    }
+
+    /// Requeueing a lost peer's batch without consulting the merged set
+    /// would queue a shard whose result already merged (delivered, then
+    /// the link died before the next deal). The invariant catches it.
+    #[test]
+    fn requeue_of_a_merged_shard_is_caught_by_the_invariant() {
+        let cfg = ExploreConfig::default();
+        let mut st = St::initial(&cfg);
+        st.core.deal(0, 1);
+        st.core
+            .shard_done(Some(0), vec![(0, vec![()])], Duration::ZERO, &mut |_, _| {});
+        st.core.force(&[1, 2, 0], &[]); // shard 0 merged *and* queued: the bad state
+        let err = check_state(&st, &cfg).expect_err("must be rejected");
+        assert!(err.invariant.contains("merged shard"), "{err}");
+    }
+
+    #[test]
+    fn double_assignment_is_caught() {
+        let cfg = ExploreConfig::default();
+        let mut st = St::initial(&cfg);
+        st.core.force(&[2], &[(0, &[0]), (1, &[0])]);
+        let err = check_state(&st, &cfg).expect_err("must be rejected");
+        assert!(err.invariant.contains("two workers"), "{err}");
     }
 }

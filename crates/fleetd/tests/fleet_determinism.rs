@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use snip_fleetd::{
-    FaultInjection, FleetDriver, FleetOutput, FleetSpec, JobRunner, JobSpec, NodeSpec, TcpConfig,
+    ChaosPlan, FleetDriver, FleetOutput, FleetSpec, JobRunner, JobSpec, NodeSpec, TcpConfig,
 };
 use snip_mobility::{EpochProfile, LengthDistribution};
 use snip_sim::Mechanism;
@@ -57,6 +57,11 @@ fn driver(spec: &FleetSpec, workers: usize, dispatch: Dispatch, batch: u64) -> F
             .expect("ephemeral localhost bind"),
     }
 }
+
+/// Severs peer 0 on its 4th sent frame (`Init`, `Session`, `Shard`, then
+/// the `Shard` after its first `ShardDone`): a crash after one batch.
+const SEVER_AFTER_FIRST_SHARD_DONE: &str = r#"{"peers": [{"peer": 0, "plan": {"actions": [
+    {"dir": "Tx", "at_frame": 4, "kind": "Sever"}]}}]}"#;
 
 /// A six-node fleet over two distinct contact processes.
 fn fleet_spec(mechanism: Mechanism) -> FleetSpec {
@@ -190,10 +195,7 @@ fn killed_worker_mid_run_is_stolen_from_and_output_is_unchanged() {
             let mut bitten = false;
             for attempt in 0..5 {
                 let run = driver(&spec, 2, dispatch, batch)
-                    .with_fault(FaultInjection::KillWorker {
-                        worker: 0,
-                        after_shards: 1,
-                    })
+                    .with_chaos(ChaosPlan::from_json(SEVER_AFTER_FIRST_SHARD_DONE).unwrap())
                     .run()
                     .expect("the surviving worker finishes the fleet");
                 assert_eq!(

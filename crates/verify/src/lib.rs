@@ -1,6 +1,8 @@
-//! `snip-verify`: the machinery behind `snip lint`, `snip check-proto`,
-//! and `snip fuzz` — the three legs that guard the workspace's one
-//! load-bearing claim, bit-identical determinism.
+//! `snip-verify`: the machinery behind `snip lint` and `snip fuzz`, two of
+//! the legs that guard the workspace's one load-bearing claim,
+//! bit-identical determinism. The third, `snip check-proto`, lives in
+//! `snip-fleetd` (`snip_fleetd::proto::explore`), next to the
+//! coordinator state machine it explores.
 //!
 //! * [`lint`] — a hand-rolled, token-level static-analysis pass over the
 //!   workspace's own sources. The determinism contract every PR relies on
@@ -9,13 +11,6 @@
 //!   ledgers", "no `unsafe`") is enforced as machine-checked rules with a
 //!   narrow, justification-carrying `// snip-lint: allow(<rule>)` escape
 //!   hatch.
-//! * [`proto`] — a bounded exhaustive explorer for the fleet protocol v4
-//!   state machine: every interleaving of coordinator, workers, and
-//!   scripted faults (lost/duplicated frames, severed links, coordinator
-//!   restart from the checkpoint journal, worker redial-with-resume)
-//!   within the bound, with the PR 7 invariants asserted in every
-//!   reachable state — exactly-once merge, no hangs, no recompute of a
-//!   journaled shard.
 //! * [`fuzz`] — a seeded structured fuzzer for the three decoders that
 //!   face untrusted bytes (frame reader, journal decoder, checkpoint
 //!   loader): xorshift-driven structural mutations of valid corpora,
@@ -30,4 +25,3 @@
 
 pub mod fuzz;
 pub mod lint;
-pub mod proto;
