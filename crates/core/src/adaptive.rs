@@ -17,7 +17,9 @@
 use serde::{Deserialize, Serialize};
 use snip_units::{DutyCycle, SimTime};
 
-use crate::scheduler::{slots, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+use crate::scheduler::{
+    slots, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
+};
 use crate::snip_rh::{SnipRh, SnipRhConfig};
 
 /// Which phase the adaptive scheduler is in.
@@ -307,24 +309,23 @@ impl ProbeScheduler for AdaptiveSnipRh {
         "Adaptive-SNIP-RH"
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         let cfg = &self.config.rh;
         let budget_gated = ctx.phi_spent_epoch + cfg.ton > cfg.phi_max;
+        let to_next_epoch = IdleSpan::timed(slots::next_epoch_start(ctx.now, cfg.epoch));
         match self.phase {
             // Learning probes everywhere: the only off state is budget
             // exhaustion, and the spend resets at the next epoch boundary —
             // which is also exactly where the phase may switch, so the
             // bound never skips over a behavioural change.
-            AdaptivePhase::Learning => {
-                budget_gated.then(|| slots::next_epoch_start(ctx.now, cfg.epoch))
-            }
+            AdaptivePhase::Learning => budget_gated.then_some(to_next_epoch),
             AdaptivePhase::RushHour => {
                 if budget_gated {
                     // The knee and the tracking trickle share the exact
                     // budget gate; both stay off until the next epoch
                     // (where the marks may also relearn — the bound stops
                     // exactly there).
-                    return Some(slots::next_epoch_start(ctx.now, cfg.epoch));
+                    return Some(to_next_epoch);
                 }
                 if self.config.tracking_duty_cycle > 0.0 {
                     // Budget OK ⇒ the trickle keeps the radio on somewhere:
@@ -332,7 +333,9 @@ impl ProbeScheduler for AdaptiveSnipRh {
                     return None;
                 }
                 // Tracking disabled: the marks never relearn after the
-                // switch, so the inner SNIP-RH's bounds are exact.
+                // switch, so the inner SNIP-RH's bounds are exact — its
+                // data bound included, since nothing but the inner
+                // decision can turn the radio on.
                 self.inner.idle_until(ctx)
             }
         }
@@ -605,7 +608,10 @@ mod tests {
         assert_eq!(a.idle_until(&active), None);
         // Budget spent: idle exactly to the epoch boundary.
         let gated = ctx(3 * 3_600, 0, 90_000);
-        assert_eq!(a.idle_until(&gated), Some(SimTime::from_secs(86_400)));
+        assert_eq!(
+            a.idle_until(&gated).map(|s| s.until),
+            Some(SimTime::from_secs(86_400))
+        );
     }
 
     #[test]
@@ -620,7 +626,10 @@ mod tests {
         // Budget spent: idle to the next epoch (marks may relearn there).
         let gated = ctx(3 * 86_400 + 12 * 3_600, 10, 90_000);
         assert!(a.decide(&gated).is_none());
-        assert_eq!(a.idle_until(&gated), Some(SimTime::from_secs(4 * 86_400)));
+        assert_eq!(
+            a.idle_until(&gated).map(|s| s.until),
+            Some(SimTime::from_secs(4 * 86_400))
+        );
     }
 
     #[test]
@@ -631,10 +640,23 @@ mod tests {
         assert!(a.decide(&noon).is_none());
         assert_eq!(
             a.idle_until(&noon),
-            Some(SimTime::from_secs(3 * 86_400 + 17 * 3_600)),
+            Some(IdleSpan::timed(SimTime::from_secs(3 * 86_400 + 17 * 3_600))),
             "slot 17 is the next learned rush hour"
         );
         assert_eq!(a.steady_span(&noon), None);
+        // Starved in a rush slot: the inner data bound is forwarded.
+        for k in 0..20 {
+            a.record_probed_contact(&probed_at(3 * 86_400 + 7 * 3_600 + 60 * (k + 1), 2.0));
+        }
+        let starved = ctx(3 * 86_400 + 8 * 3_600, 0, 0);
+        assert!(a.decide(&starved).is_none());
+        assert_eq!(
+            a.idle_until(&starved),
+            Some(IdleSpan {
+                until: starved.now,
+                data_below: Some(DataSize::from_airtime(a.inner().upload_threshold())),
+            })
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! [`ProbeScheduler`] trait remains the extension point for everything else
 //! (adaptive, hybrid, ablation schedulers).
 
-use snip_units::{DutyCycle, SimTime};
+use snip_units::DutyCycle;
 
-use crate::scheduler::{ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
 use crate::snip_at::SnipAt;
 use crate::snip_opt::SnipOptScheduler;
 use crate::snip_rh::SnipRh;
@@ -63,7 +63,7 @@ impl ProbeScheduler for MechanismScheduler {
         }
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         match self {
             MechanismScheduler::At(s) => s.idle_until(ctx),
             MechanismScheduler::Opt(s) => s.idle_until(ctx),
@@ -102,7 +102,7 @@ impl From<SnipRh> for MechanismScheduler {
 mod tests {
     use super::*;
     use crate::SnipRhConfig;
-    use snip_units::{DataSize, SimDuration};
+    use snip_units::{DataSize, SimDuration, SimTime};
 
     fn ctx(now_s: u64) -> ProbeContext {
         ProbeContext {
@@ -130,7 +130,7 @@ mod tests {
         assert!(m.decide(&noon).is_none());
         assert_eq!(
             m.idle_until(&noon),
-            Some(SimTime::from_secs(86_400 + 8 * 3_600))
+            Some(IdleSpan::timed(SimTime::from_secs(86_400 + 8 * 3_600)))
         );
         m.record_probed_contact(&ProbedContactInfo {
             probe_time: SimTime::from_secs(8 * 3_600),
@@ -138,6 +138,22 @@ mod tests {
             uploaded: DataSize::from_airtime_secs(1),
             contact_length: Some(SimDuration::from_secs(2)),
         });
+        // The feedback taught a threshold: a starved rush slot is off until
+        // the buffer holds it.
+        let starved = ProbeContext {
+            buffered_data: DataSize::ZERO,
+            ..rush
+        };
+        assert!(m.decide(&starved).is_none());
+        let threshold = m.as_rh().unwrap().upload_threshold();
+        assert!(!threshold.is_zero());
+        assert_eq!(
+            m.idle_until(&starved),
+            Some(IdleSpan {
+                until: rush.now,
+                data_below: Some(DataSize::from_airtime(threshold)),
+            })
+        );
     }
 
     #[test]

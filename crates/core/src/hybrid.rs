@@ -15,9 +15,11 @@
 //! (engineer-provided); it trades a small constant energy floor for
 //! robustness to thin rush hours.
 
-use snip_units::{DutyCycle, SimDuration, SimTime};
+use snip_units::{DutyCycle, SimDuration};
 
-use crate::scheduler::{slots, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+use crate::scheduler::{
+    slots, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
+};
 use crate::snip_rh::{SnipRh, SnipRhConfig};
 
 /// The SNIP-RH+AT hybrid scheduler (§IX future work).
@@ -123,17 +125,19 @@ impl ProbeScheduler for SnipRhPlusAt {
         "SNIP-RH+AT"
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         let cfg = self.inner.config();
         // Rush knee and background SNIP-AT share the exact budget gate: once
         // less than one Ton of Φmax remains, the node is silent everywhere
         // until the spend resets at the next epoch.
-        if ctx.phi_spent_epoch + cfg.ton > cfg.phi_max {
-            return Some(slots::next_epoch_start(ctx.now, cfg.epoch));
-        }
-        // With budget in hand, the only off state is the data gate (shared
-        // by both branches), and data arrival cannot be bounded.
-        None
+        let until = if ctx.phi_spent_epoch + cfg.ton > cfg.phi_max {
+            slots::next_epoch_start(ctx.now, cfg.epoch)
+        } else {
+            ctx.now
+        };
+        // Both branches also share the data gate.
+        let data_below = self.inner.data_below(ctx);
+        (until > ctx.now || data_below.is_some()).then_some(IdleSpan { until, data_below })
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
@@ -246,11 +250,42 @@ mod tests {
         let gated = ctx(2 * 86_400 + 12 * 3_600, 10, 87);
         assert_eq!(
             h.idle_until(&gated),
-            Some(SimTime::from_secs(3 * 86_400)),
+            Some(IdleSpan::timed(SimTime::from_secs(3 * 86_400))),
             "budget gate holds for the rest of the epoch"
         );
         // Budget in hand: the background can probe — no idle bound.
         assert_eq!(h.idle_until(&ctx(12 * 3_600, 10, 0)), None);
+    }
+
+    #[test]
+    fn idle_until_bounds_the_shared_data_gate() {
+        let mut h = hybrid();
+        for _ in 0..20 {
+            h.record_probed_contact(&ProbedContactInfo {
+                probe_time: SimTime::from_secs(8 * 3_600),
+                probed_duration: SimDuration::from_secs(1),
+                uploaded: DataSize::from_airtime_secs(1),
+                contact_length: Some(SimDuration::from_secs(2)),
+            });
+        }
+        let threshold = DataSize::from_airtime(h.inner().upload_threshold());
+        // Starved, in a rush slot or off-peak: off until the buffer holds
+        // the threshold, with no time bound of its own.
+        for now_s in [8 * 3_600, 12 * 3_600] {
+            let starved = ctx(now_s, 0, 0);
+            assert!(h.decide(&starved).is_none());
+            assert_eq!(
+                h.idle_until(&starved),
+                Some(IdleSpan {
+                    until: starved.now,
+                    data_below: Some(threshold),
+                })
+            );
+        }
+        // Starved and out of budget: both bounds hold.
+        let span = h.idle_until(&ctx(12 * 3_600, 0, 87)).unwrap();
+        assert_eq!(span.until, SimTime::from_secs(86_400));
+        assert_eq!(span.data_below, Some(threshold));
     }
 
     #[test]

@@ -61,7 +61,9 @@ pub use budget::EnergyLedger;
 pub use dispatch::MechanismScheduler;
 pub use estimator::Ewma;
 pub use hybrid::SnipRhPlusAt;
-pub use scheduler::{DecisionRecord, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+pub use scheduler::{
+    DecisionRecord, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
+};
 pub use snip_at::SnipAt;
 pub use snip_opt::SnipOptScheduler;
 pub use snip_rh::{LengthEstimation, SnipRh, SnipRhConfig};

@@ -37,7 +37,8 @@ pub struct ProbedContactInfo {
 }
 
 /// A scheduler decision in recordable form: what a record/replay journal
-/// stores for every CPU wake-up.
+/// stores for every wake-up the driver consults the scheduler at (a
+/// fast-path driver skips wake-ups the hints prove to be off).
 ///
 /// Serializes compactly (`now` as microseconds, the duty-cycle as a bare
 /// fraction or `null`), and compares exactly — replay divergence detection
@@ -64,6 +65,30 @@ pub struct SteadySpan {
     /// batch beacons while the *resulting* spend stays `<=` this bound.
     /// `None` when the decision does not depend on the spend at all.
     pub phi_budget: Option<SimDuration>,
+}
+
+/// A guarantee for an *off* decision, used by fast-path drivers to skip
+/// wake-ups without consulting the scheduler (see
+/// [`ProbeScheduler::idle_until`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IdleSpan {
+    /// The decision stays off at every wake-up strictly before this
+    /// instant…
+    pub until: SimTime,
+    /// …and at every wake-up where the buffer holds less than this.
+    /// `None` when there is no data bound.
+    pub data_below: Option<DataSize>,
+}
+
+impl IdleSpan {
+    /// A pure time bound: off at every wake-up before `until`.
+    #[must_use]
+    pub(crate) const fn timed(until: SimTime) -> Self {
+        IdleSpan {
+            until,
+            data_below: None,
+        }
+    }
 }
 
 /// A SNIP scheduling mechanism.
@@ -98,20 +123,24 @@ pub trait ProbeScheduler {
     /// A short human-readable mechanism name ("SNIP-AT", "SNIP-RH", …).
     fn name(&self) -> &str;
 
-    /// Fast-path hint while the radio is **off**: an instant up to which the
+    /// Fast-path hint while the radio is **off**: the wake-ups at which the
     /// scheduler *guarantees* [`decide`](ProbeScheduler::decide) would keep
-    /// returning off/`None`, letting the driver skip the wake-ups in between
-    /// instead of stepping through them one decision interval at a time.
+    /// returning off/`None`, letting the driver skip them instead of
+    /// stepping through them one decision interval at a time.
     ///
-    /// The guarantee must hold for every context with `now` in
-    /// `[ctx.now, returned)` whose `buffered_data` and `phi_spent_epoch` are
-    /// at least `ctx`'s (both are non-decreasing while the radio is off) and
-    /// with no intervening
+    /// The decision must stay off at every wake-up before `span.until`: for
+    /// every context with `now` in `[ctx.now, span.until)` whose
+    /// `buffered_data` and `phi_spent_epoch` are at least `ctx`'s (both are
+    /// non-decreasing while the radio is off). It must also stay off at
+    /// every later wake-up whose `buffered_data` is below `span.data_below`
+    /// (when set), whatever its `now` and `phi_spent_epoch`. Both
+    /// guarantees assume no intervening
     /// [`record_probed_contact`](ProbeScheduler::record_probed_contact).
-    /// Return `None` when no such bound is known (e.g. the gate depends on
-    /// data arrival) — the driver then falls back to periodic wake-ups. The
-    /// default is `None`, which is always correct.
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    /// The driver owns the buffer, so it finds the first wake-up at which
+    /// the data bound can be met. Return `None` when no bound is known —
+    /// the driver then falls back to periodic wake-ups. The default is
+    /// `None`, which is always correct.
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         let _ = ctx;
         None
     }
@@ -211,7 +240,7 @@ impl<S: ProbeScheduler + ?Sized> ProbeScheduler for Box<S> {
         (**self).name()
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         (**self).idle_until(ctx)
     }
 

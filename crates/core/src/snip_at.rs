@@ -12,7 +12,7 @@ use snip_model::{ScenarioAnalysis, SlotProfile, SnipModel};
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
 use crate::budget::EnergyLedger;
-use crate::scheduler::{ProbeContext, ProbeScheduler, SteadySpan};
+use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
 /// The SNIP-AT scheduler: a fixed duty-cycle, all the time.
 ///
@@ -130,21 +130,21 @@ impl ProbeScheduler for SnipAt {
         "SNIP-AT"
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         if self.duty_cycle.is_off() {
-            return Some(SimTime::MAX);
+            return Some(IdleSpan::timed(SimTime::MAX));
         }
         let ledger = self.ledger.as_ref()?;
         if ledger.budget().is_zero() {
-            return Some(SimTime::MAX);
+            return Some(IdleSpan::timed(SimTime::MAX));
         }
         // The driver's ledger is authoritative (ours is only charged zeros);
         // its spend resets at the next epoch boundary.
         if ctx.phi_spent_epoch + self.ton > ledger.budget() {
-            return Some(crate::scheduler::slots::next_epoch_start(
+            return Some(IdleSpan::timed(crate::scheduler::slots::next_epoch_start(
                 ctx.now,
                 ledger.epoch(),
-            ));
+            )));
         }
         None
     }

@@ -11,7 +11,7 @@ use snip_model::{SlotProfile, SnipModel};
 use snip_opt::OptPlan;
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
-use crate::scheduler::{ProbeContext, ProbeScheduler, SteadySpan};
+use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
 /// The SNIP-OPT playback scheduler.
 ///
@@ -115,20 +115,20 @@ impl ProbeScheduler for SnipOptScheduler {
         "SNIP-OPT"
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         // The plan is a pure function of the slot-of-epoch: an unfunded slot
         // stays unfunded until the next funded one begins.
         if !self.duty_cycle_at(ctx.now).is_off() {
             return None;
         }
         let duties = self.plan.duty_cycles();
-        Some(crate::scheduler::slots::next_marked_start(
+        Some(IdleSpan::timed(crate::scheduler::slots::next_marked_start(
             ctx.now,
             self.epoch,
             self.slot_length,
             duties.len(),
             |s| !duties[s].is_off(),
-        ))
+        )))
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {

@@ -15,10 +15,10 @@
 //! at the minimum unit cost.
 
 use serde::{Deserialize, Serialize};
-use snip_units::{DutyCycle, SimDuration, SimTime};
+use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
 
 use crate::estimator::Ewma;
-use crate::scheduler::{ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
 
 /// How SNIP-RH estimates the contact length from probed contacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,6 +224,16 @@ impl SnipRh {
         SimDuration::from_secs_f64(self.upload_per_contact.value_or(0.0).max(0.0))
     }
 
+    /// Condition 2 as an [`IdleSpan::data_below`] bound: the upload
+    /// threshold when `ctx` holds less data than it, `None` when the
+    /// condition is met. Exact at any later time and spend, because the
+    /// threshold only moves on probed-contact feedback.
+    #[must_use]
+    pub(crate) fn data_below(&self, ctx: &ProbeContext) -> Option<DataSize> {
+        let threshold = self.upload_threshold();
+        (ctx.buffered_data.as_airtime() < threshold).then(|| DataSize::from_airtime(threshold))
+    }
+
     /// The slot length `Tepoch / N` this scheduler's gates and hints
     /// divide the epoch by — the single source for wrappers whose own
     /// hints must agree with [`SnipRh::in_rush_hour`] bit-exactly.
@@ -300,32 +310,28 @@ impl ProbeScheduler for SnipRh {
         "SNIP-RH"
     }
 
-    fn idle_until(&self, ctx: &ProbeContext) -> Option<SimTime> {
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         let n = self.config.rush_marks.len();
         // Condition 1 failing is a pure function of time: off until the next
         // marked slot begins, no matter what the buffer or ledger do.
-        if !self.in_rush_hour(ctx.now) {
-            return Some(crate::scheduler::slots::next_marked_start(
+        // Condition 3: the epoch's spend only resets at the next epoch.
+        let until = if !self.in_rush_hour(ctx.now) {
+            crate::scheduler::slots::next_marked_start(
                 ctx.now,
                 self.config.epoch,
                 self.slot_length,
                 n,
                 |s| self.config.rush_marks[s],
-            ));
-        }
-        // Condition 2 failing depends on data arrival, which the scheduler
-        // cannot predict — no bound.
-        if ctx.buffered_data.as_airtime() < self.upload_threshold() {
-            return None;
-        }
-        // Condition 3: the epoch's spend only resets at the next epoch.
-        if ctx.phi_spent_epoch + self.config.ton > self.config.phi_max {
-            return Some(crate::scheduler::slots::next_epoch_start(
-                ctx.now,
-                self.config.epoch,
-            ));
-        }
-        None
+            )
+        } else if ctx.phi_spent_epoch + self.config.ton > self.config.phi_max {
+            crate::scheduler::slots::next_epoch_start(ctx.now, self.config.epoch)
+        } else {
+            ctx.now
+        };
+        // Condition 2: the driver, which owns the buffer, finds the wake-up
+        // at which it is met.
+        let data_below = self.data_below(ctx);
+        (until > ctx.now || data_below.is_some()).then_some(IdleSpan { until, data_below })
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
@@ -351,7 +357,6 @@ impl ProbeScheduler for SnipRh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_units::DataSize;
 
     fn roadside_marks() -> Vec<bool> {
         let mut marks = vec![false; 24];
@@ -409,6 +414,43 @@ mod tests {
         assert!(rh.decide(&ctx(8 * 3_600, 0, 0)).is_none());
         // …but a full one passes.
         assert!(rh.decide(&ctx(8 * 3_600, 2, 0)).is_some());
+    }
+
+    #[test]
+    fn idle_until_bounds_the_data_gate_by_the_threshold() {
+        let mut rh = rh();
+        // No threshold yet: a rush slot with budget in hand has no bound.
+        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 0, 0)), None);
+        for _ in 0..20 {
+            rh.record_probed_contact(&probed(1.0, 1.0, Some(2.0)));
+        }
+        let threshold = DataSize::from_airtime(rh.upload_threshold());
+        // Starved in a rush slot: off until the buffer holds the threshold.
+        let starved = ctx(8 * 3_600, 0, 0);
+        assert!(rh.decide(&starved).is_none());
+        assert_eq!(
+            rh.idle_until(&starved),
+            Some(IdleSpan {
+                until: starved.now,
+                data_below: Some(threshold),
+            })
+        );
+        // Fed: the decision is on, so there is nothing to bound.
+        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 2, 0)), None);
+        // Off-peak and starved: the next marked slot and the data bound.
+        let span = rh.idle_until(&ctx(12 * 3_600, 0, 0)).unwrap();
+        assert_eq!(span.until, SimTime::from_secs(17 * 3_600));
+        assert_eq!(span.data_below, Some(threshold));
+        // Off-peak and fed: the time bound alone.
+        assert_eq!(
+            rh.idle_until(&ctx(12 * 3_600, 2, 0)),
+            Some(IdleSpan::timed(SimTime::from_secs(17 * 3_600)))
+        );
+        // Starved and out of budget in a rush slot: the next epoch, and the
+        // data bound after it.
+        let span = rh.idle_until(&ctx(8 * 3_600, 0, 87)).unwrap();
+        assert_eq!(span.until, SimTime::from_secs(86_400));
+        assert_eq!(span.data_below, Some(threshold));
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   the paper's Fig 3 (Midpoint Bridge data, which is not redistributable).
 //! * [`trace`] — concrete contact traces: generation, replay, statistics,
 //!   and a CSV-ish serialization for interchange.
-//! * [`index`] — an epoch-bucketed index over a trace: O(1)-ish point
-//!   queries and a precomputed per-epoch census for the simulator hot path.
 //! * [`external`] — CRAWDAD-style sighting-file import.
 //! * [`synthetic`] — proper-Poisson synthesis of CRAWDAD-style sighting
 //!   sets, for exercising the import pipeline end-to-end.
@@ -42,7 +40,6 @@
 pub mod arrival;
 pub mod diurnal;
 pub mod external;
-pub mod index;
 pub mod profile;
 pub mod sampler;
 pub mod synthetic;
@@ -52,7 +49,6 @@ pub mod transform;
 pub use arrival::ArrivalProcess;
 pub use diurnal::DiurnalDemand;
 pub use external::{ExternalTrace, Sighting};
-pub use index::ContactIndex;
 pub use profile::{EpochProfile, SlotKind};
 pub use sampler::sample_duration;
 pub use synthetic::{sample_poisson, SyntheticSightings};

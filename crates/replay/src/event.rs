@@ -21,9 +21,11 @@ use snip_units::DutyCycle;
 
 /// The journal format version this crate writes and replays.
 ///
-/// Bump on any change to the event grammar, to event payload shapes, or to
-/// the simulator's event *cadence*; replay refuses journals from other
-/// versions rather than mis-verifying.
+/// Bump on any change to the event grammar or to event payload shapes;
+/// replay refuses journals from other versions rather than mis-decoding
+/// them. A change of the simulator's event *cadence* alone keeps the
+/// format readable: a journal recorded before it replays to a divergence
+/// report at its first differing event (see the `replay` module).
 ///
 /// Version history:
 /// * 1 — initial grammar; one `Decision` per wake-up, one `Probe` per
@@ -36,7 +38,8 @@ use snip_units::DutyCycle;
 ///   for a whole `Ton` before each cycle (`Φ ≤ Φmax` exactly). Version 2
 ///   read support has been **removed** after a deprecation cycle: the
 ///   float-seconds decoder is gone, and a v2 journal is refused at the
-///   header.
+///   header. Later, with the format unchanged, data-gated wake-ups are
+///   elided too, so SNIP-RH journals carry fewer `Decision` events.
 pub const JOURNAL_VERSION: u32 = 3;
 
 /// The oldest journal version this crate can still read and replay.

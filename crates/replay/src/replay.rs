@@ -16,6 +16,16 @@
 //! A clean replay additionally checks the final [`RunMetrics`] against the
 //! recorded trailer bit-for-bit, so per-epoch ζ/Φ/ρ are verified even if a
 //! (hypothetical) event-stream-preserving metrics bug slipped in.
+//!
+//! The event stream records the wake-ups the simulator *consults* the
+//! scheduler at, not every decision-interval tick: the fast path skips
+//! wake-ups its hints prove off. Since SNIP-RH's data gate (condition 2)
+//! got an exact bound, data-gated wake-ups are skipped as well, so SNIP-RH
+//! runs journal fewer `Decision` events while their metrics are unchanged.
+//! The frame format did not change and [`JOURNAL_VERSION`] stays where it
+//! was, so a journal recorded before that change still decodes, and its
+//! replay reports a divergence at the first wake-up the live run skips —
+//! re-record it to replay it cleanly.
 
 use std::fmt;
 use std::io::BufRead;

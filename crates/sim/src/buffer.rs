@@ -81,6 +81,76 @@ impl DataBuffer {
         DataSize::from_airtime(SimDuration::from_secs_f64(pending))
     }
 
+    /// The first wake-up `from + k·step`, `k ≥ 1`, at which at least `need`
+    /// is buffered — or, if none comes earlier, the first wake-up at or
+    /// after `limit`. No upload is assumed in between.
+    ///
+    /// Exact: [`DataBuffer::available`] is monotone in `t` (every float
+    /// step in it is correctly rounded), so a float estimate of the
+    /// crossing only seeds the search, and every answer is confirmed by
+    /// evaluating `available` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is zero or `from` precedes the last upload.
+    #[must_use]
+    pub fn first_wake_holding(
+        &self,
+        from: SimTime,
+        step: SimDuration,
+        need: DataSize,
+        limit: SimTime,
+    ) -> SimTime {
+        assert!(!step.is_zero(), "wake-up step must be positive");
+        let step_us = step.as_micros();
+        let last = limit
+            .as_micros()
+            .saturating_sub(from.as_micros())
+            .div_ceil(step_us)
+            .max(1);
+        let holds = |k: u64| self.available(from + step * k) >= need;
+        // Where `rate · t − uploaded` reaches `need`; saturating `as` maps
+        // NaN and negatives to 0 and infinity to `u64::MAX`.
+        let crossing_us = (need.as_airtime_secs_f64() + self.uploaded) / self.rate * 1e6;
+        let guess = ((crossing_us - from.as_micros() as f64) / step_us as f64).ceil() as u64;
+        let guess = guess.clamp(1, last);
+        // Bracket the answer around the guess by galloping, keeping
+        // `lo < answer <= hi` (with `lo = 0` standing for "before the first
+        // wake-up" and `hi = last` for "not before the limit"), then bisect.
+        let (mut lo, mut hi);
+        let mut stride = 1;
+        if holds(guess) {
+            hi = guess;
+            loop {
+                lo = hi.saturating_sub(stride);
+                if lo == 0 || !holds(lo) {
+                    break;
+                }
+                hi = lo;
+                stride *= 2;
+            }
+        } else {
+            lo = guess;
+            loop {
+                hi = (lo + stride).min(last);
+                if hi == last || holds(hi) {
+                    break;
+                }
+                lo = hi;
+                stride *= 2;
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if holds(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        from + step * hi
+    }
+
     /// Uploads up to `window` worth of data at time `t`, returning the
     /// amount actually uploaded (limited by what is buffered).
     ///
@@ -169,6 +239,94 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_rate_rejected() {
         let _ = DataBuffer::new(-1.0);
+    }
+
+    /// The reference for [`DataBuffer::first_wake_holding`]: every
+    /// wake-up in turn.
+    fn first_wake_by_scan(
+        buf: &DataBuffer,
+        from: SimTime,
+        step: SimDuration,
+        need: DataSize,
+        limit: SimTime,
+    ) -> SimTime {
+        let mut t = from + step;
+        while t < limit && buf.available(t) < need {
+            t += step;
+        }
+        t
+    }
+
+    #[test]
+    fn first_wake_holding_lands_on_the_grid() {
+        // 1 s of airtime per 100 s; 3 s needed from t = 0 on a 60 s grid:
+        // 300 s is a grid point, so that is the answer.
+        let buf = DataBuffer::new(0.01);
+        let step = SimDuration::from_secs(60);
+        let need = DataSize::from_airtime_secs(3);
+        let limit = SimTime::from_secs(86_400);
+        assert_eq!(
+            buf.first_wake_holding(SimTime::ZERO, step, need, limit),
+            SimTime::from_secs(300)
+        );
+        // From 10 s the grid is 70 s, 130 s, …: 310 s is the first to hold.
+        assert_eq!(
+            buf.first_wake_holding(SimTime::from_secs(10), step, need, limit),
+            SimTime::from_secs(310)
+        );
+        // Already held: the next wake-up.
+        assert_eq!(
+            buf.first_wake_holding(SimTime::from_secs(400), step, need, limit),
+            SimTime::from_secs(460)
+        );
+        // Never held before the limit: the first wake-up at or after it.
+        let empty = DataBuffer::new(0.0);
+        assert_eq!(
+            empty.first_wake_holding(SimTime::ZERO, step, need, SimTime::from_secs(100)),
+            SimTime::from_secs(120)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_first_wake_holding_matches_a_linear_scan(
+            zero_rate in 0u8..8,
+            log_rate in -9.0f64..0.0,
+            uploads in proptest::collection::vec((1u64..50_000_000, 1u64..20_000_000), 0..4),
+            need_us in 0u64..20_000_000,
+            pin in (0u64..200, 0u64..3),
+            gap_us in 0u64..10_000_000,
+            step in (1u64..10, 0u32..9),
+            span_us in 0u64..20_000_000_000,
+        ) {
+            let rate = if zero_rate == 0 { 0.0 } else { 10f64.powf(log_rate) };
+            let mut buf = DataBuffer::new(rate);
+            let mut t = 0u64;
+            for (dt, window) in uploads {
+                t += dt;
+                let _ = buf.upload(SimTime::from_micros(t), SimDuration::from_micros(window));
+            }
+            let from = SimTime::from_micros(t + gap_us);
+            // Steps from 1 µs to 90 s, spread over the decades.
+            let step = SimDuration::from_micros(step.0 * 10u64.pow(step.1));
+            // Cap the scan at 2·10⁴ wake-ups so every case stays cheap.
+            let limit = from + SimDuration::from_micros(span_us.min(step.as_micros() * 20_000));
+            // Half the cases need exactly what some wake-up holds, ±1 µs:
+            // the crossings where a float estimate is most likely wrong.
+            let (k, nudge) = pin;
+            let need = if k >= 100 {
+                DataSize::from_airtime(SimDuration::from_micros(need_us))
+            } else {
+                let held = buf.available(from + step * (k + 1)).as_airtime().as_micros();
+                DataSize::from_airtime(SimDuration::from_micros((held + nudge).saturating_sub(1)))
+            };
+            prop_assert_eq!(
+                buf.first_wake_holding(from, step, need, limit),
+                first_wake_by_scan(&buf, from, step, need, limit)
+            );
+        }
     }
 
     proptest! {

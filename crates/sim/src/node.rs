@@ -26,6 +26,13 @@
 //!   Note the jump target comes from the *scheduler*, not from the next
 //!   contact: a rush-hour mechanism burns Φ probing empty air, and that
 //!   spend must be accounted even when no contact is near.
+//! * **Data-gate fast-forward** — when the decision is off because too
+//!   little data is buffered (SNIP-RH's condition 2), the scheduler's hint
+//!   names the amount it waits for, and the simulator, which owns the
+//!   buffer, jumps to the first wake-up on the same grid that holds it
+//!   ([`DataBuffer::first_wake_holding`], which evaluates the buffer
+//!   exactly rather than trusting a float crossing time). Combined with a
+//!   time bound, the later of the two wins.
 //! * **Beacon batching** — while the decision is guaranteed steady, the
 //!   contact list (not the clock) drives the loop: the simulator computes
 //!   the first beacon that can land inside a contact and accounts all the
@@ -44,7 +51,7 @@
 
 use rand::Rng;
 use snip_core::{ProbeContext, ProbeScheduler, ProbedContactInfo};
-use snip_mobility::{ContactIndex, ContactTrace};
+use snip_mobility::ContactTrace;
 use snip_units::{SimDuration, SimTime};
 
 use crate::buffer::DataBuffer;
@@ -117,13 +124,16 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
         let mut buffer = DataBuffer::new(self.config.data_rate);
         let mut current_epoch = 0u64;
 
-        // Contacts per epoch from the trace (denominator of the probe
-        // ratio), in one bucketed pass.
-        let index = ContactIndex::new(self.trace, epoch);
-        for (e, &n) in index.counts_per_epoch().iter().enumerate() {
-            if (e as u64) < self.config.epochs {
-                metrics.epoch_mut(e).contacts_total += n;
-            }
+        // Contacts per epoch by start time (denominator of the probe
+        // ratio). The trace is ordered, so each epoch's count is the
+        // distance between two partition points.
+        let contacts = self.trace.contacts();
+        let mut first = 0usize;
+        for e in 0..self.config.epochs {
+            let end = SimTime::ZERO + epoch * (e + 1);
+            let past = first + contacts[first..].partition_point(|c| c.start < end);
+            metrics.epoch_mut(e as usize).contacts_total = (past - first) as u64;
+            first = past;
         }
 
         macro_rules! emit {
@@ -136,7 +146,6 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
 
         // Simulated time only moves forward, so a monotone cursor into the
         // contact list replaces a binary search per beacon.
-        let contacts = self.trace.contacts();
         let mut cursor = 0usize;
 
         let mut now = SimTime::ZERO;
@@ -173,16 +182,20 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                 // Idle: wake again one decision interval later — or, when
                 // the scheduler bounds its own silence, at the first
                 // wake-up on that same grid at which the decision could
-                // change. Skipped wake-ups are provably off, so nothing
-                // observable is lost.
-                let mut next = now + self.config.decision_interval;
+                // change: at or after its time bound, and holding the data
+                // its bound asks for. Skipped wake-ups are provably off, so
+                // nothing observable is lost.
+                let di = self.config.decision_interval;
+                let mut next = now + di;
                 if !self.naive {
-                    if let Some(until) = self.scheduler.idle_until(&ctx) {
-                        let until = until.min(horizon);
+                    if let Some(span) = self.scheduler.idle_until(&ctx) {
+                        let mut until = span.until.min(horizon);
+                        if let Some(need) = span.data_below {
+                            until = until.max(buffer.first_wake_holding(now, di, need, horizon));
+                        }
                         if until > next {
-                            let di = self.config.decision_interval.as_micros();
-                            let steps = (until.as_micros() - now.as_micros()).div_ceil(di);
-                            next = now + SimDuration::from_micros(steps * di);
+                            let steps = (until - now).as_micros().div_ceil(di.as_micros());
+                            next = now + di * steps;
                         }
                     }
                 }
@@ -584,6 +597,37 @@ mod tests {
         assert_eq!(metrics.epochs()[0].zeta_exact(), SimDuration::ZERO);
         // The radio still cycles, so Φ accrues.
         assert!(metrics.epochs()[0].phi() > 0.0);
+    }
+
+    #[test]
+    fn epoch_census_counts_contacts_by_start() {
+        // A contact straddling midnight counts in the epoch it starts in;
+        // contacts starting at or past the horizon count nowhere.
+        let day = 86_400;
+        let mut trace = ContactTrace::new();
+        for start in [10, day - 1, day + 5, 3 * day, 3 * day + 7] {
+            trace.push(Contact::new(
+                SimTime::from_secs(start),
+                SimDuration::from_secs(2),
+            ));
+        }
+        let mut sim = Simulation::new(
+            SimConfig::paper_defaults().with_epochs(3),
+            &trace,
+            SnipAt::new(DutyCycle::new(0.001).unwrap()),
+        );
+        let metrics = sim.run(&mut StdRng::seed_from_u64(12));
+        let totals: Vec<u64> = metrics.epochs().iter().map(|e| e.contacts_total).collect();
+        assert_eq!(totals, [2, 1, 0]);
+
+        let empty = ContactTrace::new();
+        let mut sim = Simulation::new(
+            SimConfig::paper_defaults().with_epochs(2),
+            &empty,
+            SnipAt::new(DutyCycle::new(0.001).unwrap()),
+        );
+        let metrics = sim.run(&mut StdRng::seed_from_u64(12));
+        assert!(metrics.epochs().iter().all(|e| e.contacts_total == 0));
     }
 
     #[test]

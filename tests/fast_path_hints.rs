@@ -1,18 +1,23 @@
-//! Fast-path fidelity for the extension schedulers.
+//! Fast-path fidelity for the SNIP-RH family of schedulers.
 //!
-//! PR 2 gave `AdaptiveSnipRh` and `SnipRhPlusAt` safe `None` hint
-//! fallbacks, which kept them correct but naive-stepped. Now that both
-//! implement `idle_until`/`steady_span`, the simulator's idle fast-forward
-//! and beacon batching engage — and with zero beacon loss the fast path
-//! must reproduce the reference stepper's exact integer-µs ledgers
-//! bit-for-bit, learned state included.
+//! `AdaptiveSnipRh` and `SnipRhPlusAt` implement `idle_until`/`steady_span`,
+//! so the simulator's idle fast-forward and beacon batching engage for them
+//! too. SNIP-RH's data gate (condition 2) comes with an exact "off until the
+//! buffer holds X" bound, which lets the simulator jump over data-gated
+//! wake-ups. With zero beacon loss the fast path must reproduce the
+//! reference stepper's exact integer-µs ledgers bit-for-bit, learned state
+//! included.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use snip_rh_repro::snip_core::{AdaptiveConfig, AdaptiveSnipRh, SnipRhConfig, SnipRhPlusAt};
+use snip_rh_repro::snip_core::{
+    AdaptiveConfig, AdaptiveSnipRh, ProbeScheduler, SnipRh, SnipRhConfig, SnipRhPlusAt,
+};
 use snip_rh_repro::snip_mobility::{ContactTrace, EpochProfile, TraceGenerator};
-use snip_rh_repro::snip_sim::{RunMetrics, SimConfig, Simulation};
+use snip_rh_repro::snip_sim::{
+    ObserverFlow, RunMetrics, SimConfig, SimEvent, SimObserver, Simulation,
+};
 use snip_rh_repro::snip_units::SimDuration;
 
 fn roadside_trace(epochs: u64, seed: u64) -> ContactTrace {
@@ -117,4 +122,102 @@ fn adaptive_learned_marks_match_across_steppers() {
     assert_eq!(f.phase(), n.phase());
     assert_eq!(f.rush_marks(), n.rush_marks());
     assert_eq!(f.slot_capacity(), n.slot_capacity());
+}
+
+fn rh_config(phi_max_secs: f64) -> SnipRhConfig {
+    SnipRhConfig::paper_defaults(EpochProfile::roadside().rush_marks())
+        .with_phi_max(SimDuration::from_secs_f64(phi_max_secs))
+}
+
+/// Runs `make()` on the fast path and on the naive stepper and asserts
+/// that both the ledgers and the learned state are identical. The state is
+/// compared through `Debug`, which prints every `f64` so that it parses
+/// back to the same bits: equal strings mean bit-identical schedulers.
+fn assert_steppers_agree<S, F>(trace: &ContactTrace, config: &SimConfig, make: F, what: &str)
+where
+    S: ProbeScheduler + std::fmt::Debug,
+    F: Fn() -> S,
+{
+    let mut fast = Simulation::new(config.clone(), trace, make());
+    let fast_metrics = fast.run(&mut StdRng::seed_from_u64(13));
+    let mut naive = Simulation::new(config.clone(), trace, make()).with_naive_stepping();
+    let naive_metrics = naive.run(&mut StdRng::seed_from_u64(13));
+    assert_eq!(fast_metrics, naive_metrics, "{what}: ledgers");
+    assert!(fast_metrics.total_contacts_probed() > 0, "{what}: probes");
+    assert_eq!(
+        format!("{:?}", fast.into_scheduler()),
+        format!("{:?}", naive.into_scheduler()),
+        "{what}: learned state"
+    );
+}
+
+#[test]
+fn data_gated_fast_path_is_bit_identical_to_naive_stepping() {
+    // Small targets keep the buffer short of the upload threshold for most
+    // of every rush hour: the regime the data bound skips through.
+    let trace = roadside_trace(14, 305);
+    for target in [4.0, 16.0] {
+        let config = SimConfig::paper_defaults()
+            .with_epochs(14)
+            .with_zeta_target_secs(target);
+        assert_steppers_agree(
+            &trace,
+            &config,
+            || SnipRh::new(rh_config(86.4)),
+            &format!("SNIP-RH ζt={target}"),
+        );
+        assert_steppers_agree(
+            &trace,
+            &config,
+            || SnipRhPlusAt::new(rh_config(86.4), 0.002),
+            &format!("SNIP-RH+AT ζt={target}"),
+        );
+        for tracking in [0.0, 0.000_5] {
+            assert_steppers_agree(
+                &trace,
+                &config,
+                || {
+                    let mut cfg = AdaptiveConfig::paper_sketch(24, 4);
+                    cfg.rh.phi_max = SimDuration::from_secs_f64(86.4);
+                    cfg.tracking_duty_cycle = tracking;
+                    AdaptiveSnipRh::new(cfg)
+                },
+                &format!("Adaptive-SNIP-RH tracking={tracking} ζt={target}"),
+            );
+        }
+    }
+}
+
+/// Counts the scheduler consultations of a run.
+#[derive(Default)]
+struct DecisionCounter(u64);
+
+impl SimObserver for DecisionCounter {
+    fn observe(&mut self, event: &SimEvent) -> ObserverFlow {
+        if matches!(event, SimEvent::Decision(_)) {
+            self.0 += 1;
+        }
+        ObserverFlow::Continue
+    }
+}
+
+#[test]
+fn data_gated_wake_ups_are_skipped_not_consulted() {
+    // SNIP-RH at ζtarget 4 s spends most of each rush hour waiting for data.
+    // Stepping every 60 s decision interval consults the scheduler 2,986
+    // times over these 14 epochs; jumping to the first wake-up that holds
+    // the upload threshold needs 123. A count repeats exactly, so this
+    // guards the saving without timing anything.
+    let trace = roadside_trace(14, 11);
+    let config = SimConfig::paper_defaults()
+        .with_epochs(14)
+        .with_zeta_target_secs(4.0);
+    let mut counter = DecisionCounter::default();
+    let mut sim = Simulation::new(config.clone(), &trace, SnipRh::new(rh_config(86.4)));
+    let fast = sim.run_observed(&mut StdRng::seed_from_u64(1), &mut counter);
+    assert!(counter.0 <= 300, "{} scheduler decisions", counter.0);
+
+    let mut naive =
+        Simulation::new(config, &trace, SnipRh::new(rh_config(86.4))).with_naive_stepping();
+    assert_eq!(fast, naive.run(&mut StdRng::seed_from_u64(1)));
 }
