@@ -277,6 +277,9 @@ struct TcpState {
 /// The transport-generic fleet driver. See the module docs.
 pub struct FleetDriver {
     spec: FleetSpec,
+    /// [`FleetSpec::spec_hash`] of `spec`, computed once when the driver
+    /// is built: every handshake, checkpoint and rejection reuses it.
+    spec_hash: u64,
     workers: usize,
     shard_size: u64,
     /// Most shards dealt to a peer in one `Shard` frame (≥ 1).
@@ -305,7 +308,7 @@ struct PlanStore {
 }
 
 /// The run's `Init`, encoded into its wire frame exactly once and shipped
-/// to every fresh peer verbatim ([`Transport::send_preencoded`]). The
+/// to every fresh peer verbatim ([`Transport::send_frame`]). The
 /// plan snapshot it carries is recorded so each admitted peer's shipping
 /// bookkeeping starts from the pre-encode state instead of re-scanning.
 struct InitFrame {
@@ -463,6 +466,7 @@ impl FleetDriver {
         }
         let jobs = spec.job_count();
         Ok(FleetDriver {
+            spec_hash: spec.spec_hash(),
             spec,
             workers,
             // Default granularity: ~4 shards per worker, so the queue has
@@ -719,7 +723,7 @@ impl FleetDriver {
         let msg = CoordinatorMsg::Init {
             protocol: PROTOCOL_VERSION,
             spec: self.spec.clone(),
-            spec_hash: self.spec.spec_hash(),
+            spec_hash: self.spec_hash,
             session: 0,
             plans,
         };
@@ -745,7 +749,7 @@ impl FleetDriver {
         if !self.resume {
             let header = CheckpointHeader {
                 version: CHECKPOINT_VERSION,
-                spec_hash: self.spec.spec_hash(),
+                spec_hash: self.spec_hash,
                 total_shards: shards.len() as u64,
                 name: self.spec.name.clone(),
             };
@@ -756,12 +760,12 @@ impl FleetDriver {
 
         let load = load_checkpoint(path)
             .map_err(|e| err(format!("cannot resume from {}: {e}", path.display())))?;
-        if load.header.spec_hash != self.spec.spec_hash() {
+        if load.header.spec_hash != self.spec_hash {
             return Err(err(format!(
                 "{} checkpoints a different run: spec hash {:#x} != this spec's {:#x}",
                 path.display(),
                 load.header.spec_hash,
-                self.spec.spec_hash()
+                self.spec_hash
             )));
         }
         if load.header.total_shards != shards.len() as u64 {
@@ -1060,7 +1064,7 @@ impl FleetDriver {
                 let rejection = CoordinatorMsg::Init {
                     protocol: PROTOCOL_VERSION,
                     spec: self.spec.clone(),
-                    spec_hash: self.spec.spec_hash(),
+                    spec_hash: self.spec_hash,
                     session: 0,
                     plans: vec![],
                 };
@@ -1189,7 +1193,7 @@ impl FleetDriver {
     ) -> PeerOutcome {
         // snip-lint: allow(wall-clock): "handshake latency metric; observability only"
         let handshake_start = Instant::now();
-        let spec_hash = self.spec.spec_hash();
+        let spec_hash = self.spec_hash;
         let obs = fleet_metrics();
         let ready = |msg: Option<WorkerMsg>| {
             matches!(msg, Some(WorkerMsg::Ready { protocol, spec_hash: echoed, .. })
@@ -1248,7 +1252,7 @@ impl FleetDriver {
                     shipped: init.plan_keys.iter().cloned().collect(),
                     seen_generation: init.generation,
                 };
-                if transport.send_preencoded(&init.frame).is_err()
+                if transport.send_frame(&init.frame.bytes).is_err()
                     || send_msg(transport, &CoordinatorMsg::Session { session: sid }).is_err()
                 {
                     transport.sever();

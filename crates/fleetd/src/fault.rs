@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::time::Duration;
 
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize};
 use snip_replay::frame::FrameError;
 
 use crate::transport::{RecvError, Transport};
@@ -139,10 +139,10 @@ pub struct FaultTransport {
     tx_count: u64,
     rx_count: u64,
     /// A Tx `ReorderNext` hold-back, sent after the next outgoing frame.
-    tx_held: Option<Value>,
-    /// Deliveries owed before the next wire frame (duplicates, reordered
+    tx_held: Option<Vec<u8>>,
+    /// Payloads owed before the next wire frame (duplicates, reordered
     /// hold-backs).
-    rx_replay: VecDeque<Value>,
+    rx_replay: VecDeque<Vec<u8>>,
 }
 
 impl FaultTransport {
@@ -180,7 +180,7 @@ impl FaultTransport {
 }
 
 impl Transport for FaultTransport {
-    fn send_value(&mut self, v: &Value) -> Result<(), FrameError> {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), FrameError> {
         self.tx_count += 1;
         let action = self.pending_action(FaultDirection::Tx, self.tx_count);
         let mut flush_held = true;
@@ -194,39 +194,39 @@ impl Transport for FaultTransport {
             }
             Some(FaultKind::Delay { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                self.inner.send_value(v)?;
+                self.inner.send_frame(frame)?;
             }
             Some(FaultKind::Truncate) => {
                 // The tear is the peer's problem; this side discovers the
                 // cut on its next operation, like a real mid-write crash.
-                let _ = self.inner.send_truncated(v);
+                let _ = self.inner.send_truncated(frame);
                 self.inner.sever();
                 return Ok(());
             }
             Some(FaultKind::Duplicate) => {
-                self.inner.send_value(v)?;
-                self.inner.send_value(v)?;
+                self.inner.send_frame(frame)?;
+                self.inner.send_frame(frame)?;
             }
             Some(FaultKind::ReorderNext) => {
                 // An earlier unflushed hold-back goes first — hold-backs
                 // never jump more than one frame.
                 if let Some(prior) = self.tx_held.take() {
-                    self.inner.send_value(&prior)?;
+                    self.inner.send_frame(&prior)?;
                 }
-                self.tx_held = Some(v.clone());
+                self.tx_held = Some(frame.to_vec());
                 flush_held = false;
             }
-            None => self.inner.send_value(v)?,
+            None => self.inner.send_frame(frame)?,
         }
         if flush_held {
             if let Some(held) = self.tx_held.take() {
-                self.inner.send_value(&held)?;
+                self.inner.send_frame(&held)?;
             }
         }
         Ok(())
     }
 
-    fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+    fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError> {
         if let Some(v) = self.rx_replay.pop_front() {
             return Ok(Some(v));
         }
@@ -244,13 +244,13 @@ impl Transport for FaultTransport {
             Some(FaultKind::Delay { ms }) => {
                 self.consumed[action.expect("matched")] = true;
                 std::thread::sleep(Duration::from_millis(ms));
-                let v = self.inner.recv_value(timeout)?;
+                let v = self.inner.recv_frame(timeout)?;
                 if v.is_some() {
                     self.rx_count += 1;
                 }
                 Ok(v)
             }
-            Some(FaultKind::Duplicate) => match self.inner.recv_value(timeout)? {
+            Some(FaultKind::Duplicate) => match self.inner.recv_frame(timeout)? {
                 // Consume only on delivery: a timeout retry still owes the
                 // duplicate when the frame eventually lands.
                 Some(v) => {
@@ -261,11 +261,11 @@ impl Transport for FaultTransport {
                 }
                 None => Ok(None),
             },
-            Some(FaultKind::ReorderNext) => match self.inner.recv_value(timeout)? {
+            Some(FaultKind::ReorderNext) => match self.inner.recv_frame(timeout)? {
                 Some(first) => {
                     self.consumed[action.expect("matched")] = true;
                     self.rx_count += 1;
-                    match self.inner.recv_value(timeout) {
+                    match self.inner.recv_frame(timeout) {
                         Ok(Some(second)) => {
                             self.rx_count += 1;
                             self.rx_replay.push_back(first);
@@ -285,7 +285,7 @@ impl Transport for FaultTransport {
                 None => Ok(None),
             },
             None => {
-                let v = self.inner.recv_value(timeout)?;
+                let v = self.inner.recv_frame(timeout)?;
                 if v.is_some() {
                     self.rx_count += 1;
                 }
@@ -298,8 +298,8 @@ impl Transport for FaultTransport {
         self.inner.sever();
     }
 
-    fn send_truncated(&mut self, v: &Value) -> Result<(), FrameError> {
-        self.inner.send_truncated(v)
+    fn send_truncated(&mut self, frame: &[u8]) -> Result<(), FrameError> {
+        self.inner.send_truncated(frame)
     }
 
     fn unlock_frame_limit(&mut self) {
@@ -314,7 +314,8 @@ impl Transport for FaultTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::StreamTransport;
+    use crate::transport::{recv_msg, send_msg, StreamTransport};
+    use serde::Value;
     use snip_replay::frame::FrameWriter;
     use std::io::Cursor;
     use std::sync::{Arc, Mutex};
@@ -368,10 +369,10 @@ mod tests {
     fn clean_plan_is_a_transparent_passthrough() {
         let out = SharedBuf::default();
         let mut t = wrap(scripted(&[v(1), v(2)]), out.clone(), FaultPlan::default());
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(1)));
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(2)));
-        assert_eq!(t.recv_value(None).unwrap(), None);
-        t.send_value(&v(10)).unwrap();
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(1)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(2)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), None);
+        send_msg(&mut t, &v(10)).unwrap();
         assert_eq!(frames_in(&out), vec![v(10)]);
     }
 
@@ -393,10 +394,10 @@ mod tests {
         };
         let out = SharedBuf::default();
         let mut t = wrap(Vec::new(), out.clone(), plan);
-        t.send_value(&v(1)).unwrap(); // duplicated
-        t.send_value(&v(2)).unwrap(); // held back
-        t.send_value(&v(3)).unwrap(); // jumps the queue
-        t.send_value(&v(4)).unwrap(); // clean
+        send_msg(&mut t, &v(1)).unwrap(); // duplicated
+        send_msg(&mut t, &v(2)).unwrap(); // held back
+        send_msg(&mut t, &v(3)).unwrap(); // jumps the queue
+        send_msg(&mut t, &v(4)).unwrap(); // clean
         assert_eq!(frames_in(&out), vec![v(1), v(1), v(3), v(2), v(4)]);
     }
 
@@ -411,8 +412,11 @@ mod tests {
         };
         let out = SharedBuf::default();
         let mut t = wrap(Vec::new(), out.clone(), plan);
-        t.send_value(&v(1)).unwrap();
-        assert!(t.send_value(&v(2)).is_err(), "the severed send must error");
+        send_msg(&mut t, &v(1)).unwrap();
+        assert!(
+            send_msg(&mut t, &v(2)).is_err(),
+            "the severed send must error"
+        );
         assert_eq!(frames_in(&out), vec![v(1)], "frame 2 never hit the wire");
     }
 
@@ -426,11 +430,15 @@ mod tests {
             }],
         };
         let mut t = wrap(scripted(&[v(1), v(2), v(3)]), SharedBuf::default(), plan);
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(1)));
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(2)));
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(2)), "the duplicate");
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(3)));
-        assert_eq!(t.recv_value(None).unwrap(), None);
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(1)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(2)));
+        assert_eq!(
+            recv_msg::<Value>(&mut t, None).unwrap(),
+            Some(v(2)),
+            "the duplicate"
+        );
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(3)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), None);
     }
 
     #[test]
@@ -443,9 +451,9 @@ mod tests {
             }],
         };
         let mut t = wrap(scripted(&[v(1), v(2), v(3)]), SharedBuf::default(), plan);
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(2)));
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(1)));
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(3)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(2)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(1)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(3)));
     }
 
     #[test]
@@ -458,11 +466,11 @@ mod tests {
             }],
         };
         let mut t = wrap(scripted(&[v(1), v(2), v(3)]), SharedBuf::default(), plan);
-        assert_eq!(t.recv_value(None).unwrap(), Some(v(1)));
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), Some(v(1)));
         // Frame 2 is already pumped and buffered — the sever must still
         // win: the fault layer reports a closed stream without touching
         // the buffered frame.
-        assert_eq!(t.recv_value(None).unwrap(), None);
+        assert_eq!(recv_msg::<Value>(&mut t, None).unwrap(), None);
     }
 
     #[test]

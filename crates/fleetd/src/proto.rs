@@ -305,6 +305,162 @@ mod tests {
         );
     }
 
+    /// A sweep spec and a fleet spec whose nodes mix five profile shapes
+    /// (every arrival process, every length distribution, contact-free
+    /// slots) and fractional targets.
+    fn specs() -> [FleetSpec; 2] {
+        use snip_mobility::{ArrivalProcess, EpochProfile};
+        use snip_model::LengthDistribution;
+        use snip_units::SimDuration;
+        let secs = SimDuration::from_secs;
+        let mut poisson = EpochProfile::roadside_with(
+            secs(240),
+            secs(2400),
+            LengthDistribution::exponential(secs(3)),
+        );
+        let slots = poisson
+            .slots()
+            .iter()
+            .map(|s| snip_mobility::profile::ProfileSlot {
+                arrivals: s
+                    .arrivals
+                    .map(|a| ArrivalProcess::poisson(a.mean_interval())),
+                ..*s
+            })
+            .collect();
+        poisson = EpochProfile::new(poisson.slot_length(), slots);
+        let profiles = [
+            EpochProfile::roadside(),
+            EpochProfile::roadside_deterministic(),
+            poisson,
+            EpochProfile::roadside_with(
+                secs(420),
+                secs(1500),
+                LengthDistribution::uniform(secs(1), secs(4)),
+            ),
+            EpochProfile::from_hourly_frequencies(
+                &[0.0, 0.2, 3.0, 12.5, 9.0, 0.1],
+                LengthDistribution::log_normal(secs(2), SimDuration::from_millis(500)),
+                0.3,
+            ),
+        ];
+        let fleet = FleetSpec {
+            name: "mixed \"fleet\"".into(),
+            seed: u64::MAX,
+            epochs: 3,
+            phi_max_secs: 86.4,
+            job: crate::spec::JobSpec::Fleet {
+                mechanism: snip_sim::Mechanism::SnipOpt,
+                nodes: profiles
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| crate::spec::NodeSpec {
+                        name: format!("site-{i}"),
+                        profile: p.clone(),
+                        zeta_target: 0.1 + 7.25 * i as f64,
+                    })
+                    .collect(),
+            },
+        };
+        let sweep = FleetSpec {
+            name: "sweep".into(),
+            seed: 7,
+            epochs: 2,
+            phi_max_secs: 864.0,
+            job: crate::spec::JobSpec::Sweep {
+                profile: EpochProfile::roadside(),
+                zeta_targets: vec![16.0, 1e-3, 56.5],
+            },
+        };
+        [sweep, fleet]
+    }
+
+    /// Every message variant and both spec shapes stream-encode to the
+    /// exact bytes their `Value` trees encode to, in CBOR and in JSON, and
+    /// stream-decode back to themselves.
+    #[test]
+    fn streamed_encodings_are_byte_identical_to_the_value_codecs() {
+        fn check<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(x: &T) {
+            let cbor = serde::cbor::to_vec(x);
+            assert_eq!(cbor, serde::cbor::to_vec(&x.to_value()), "{x:?}");
+            assert_eq!(&serde::cbor::decode::<T>(&cbor).unwrap(), x);
+            let json = serde::json::to_string(x);
+            assert_eq!(json, serde::json::to_string(&x.to_value()), "{x:?}");
+            assert_eq!(&serde::json::decode::<T>(&json).unwrap(), x);
+        }
+        let plan = PlanEntry {
+            key: "k|1".into(),
+            plan: snip_opt::solve_cached(
+                snip_model::SnipModel::default(),
+                &snip_model::SlotProfile::roadside(),
+                86.4,
+                16.0,
+            ),
+        };
+        let jobs = vec![
+            ShardJob {
+                id: 0,
+                start: 0,
+                end: 2,
+            },
+            ShardJob {
+                id: 1,
+                start: 2,
+                end: 3,
+            },
+        ];
+        for spec in specs() {
+            check(&spec);
+            check(&CoordinatorMsg::Init {
+                protocol: PROTOCOL_VERSION,
+                spec_hash: spec.spec_hash(),
+                spec,
+                session: 0,
+                plans: vec![plan.clone()],
+            });
+        }
+        for msg in [
+            CoordinatorMsg::Session { session: 3 },
+            CoordinatorMsg::Resumed { session: u64::MAX },
+            CoordinatorMsg::Shard {
+                jobs,
+                plans: vec![plan.clone()],
+            },
+            CoordinatorMsg::Shutdown,
+        ] {
+            check(&msg);
+        }
+        for msg in [
+            WorkerMsg::Join {
+                protocol: PROTOCOL_VERSION,
+                token: "t\u{e9}\n".into(),
+                pid: 1,
+                resume: None,
+            },
+            WorkerMsg::Join {
+                protocol: PROTOCOL_VERSION,
+                token: String::new(),
+                pid: 2,
+                resume: Some(9),
+            },
+            WorkerMsg::Ready {
+                protocol: PROTOCOL_VERSION,
+                pid: 3,
+                spec_hash: 0xdead_beef,
+            },
+            WorkerMsg::ShardDone {
+                results: vec![ShardResult {
+                    id: 4,
+                    metrics: vec![RunMetrics::with_epochs(2)],
+                }],
+                plans: vec![plan],
+                seeded_hits: 5,
+            },
+        ] {
+            check(&msg);
+        }
+    }
+
     #[test]
     fn join_and_plans_round_trip() {
         let join = WorkerMsg::Join {

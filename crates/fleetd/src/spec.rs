@@ -124,32 +124,38 @@ impl FleetSpec {
     }
 
     /// A stable 64-bit digest of the complete spec (FNV-1a over its
-    /// canonical JSON encoding). Both sides of the fleet handshake exchange
-    /// it so a worker joining the wrong run — or a spec corrupted in
-    /// flight — is refused before any shard is dealt, never merged.
+    /// canonical JSON encoding, streamed into the hash as it is written:
+    /// no text and no tree are built). Both sides of the fleet handshake
+    /// exchange it so a worker joining the wrong run — or a spec corrupted
+    /// in flight — is refused before any shard is dealt, never merged.
     #[must_use]
     pub fn spec_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let canonical = serde::json::to_string(&self.to_value());
-        let mut hash = FNV_OFFSET;
-        for byte in canonical.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        let mut writer = serde::json::Writer::new(Fnv1a(0xcbf2_9ce4_8422_2325));
+        self.encode(&mut writer);
+        writer.into_inner().0
     }
 
-    /// Parses a spec from JSON text (the `--spec` file format).
+    /// Parses a spec from JSON text (the `--spec` file format), straight
+    /// into the struct.
     ///
     /// # Errors
     ///
     /// Returns the codec or validation complaint.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = serde::json::from_str(text).map_err(|e| e.to_string())?;
-        let spec = Self::from_value(&value).map_err(|e| e.to_string())?;
+        let spec: FleetSpec = serde::json::decode(text).map_err(|e| e.to_string())?;
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// A running FNV-1a hash, fed by a streaming writer.
+struct Fnv1a(u64);
+
+impl serde::Sink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 }
 

@@ -12,12 +12,13 @@
 //! `fleet_determinism.rs` demand `assert_eq!`-identical merged output
 //! regardless of transport.
 //!
-//! **Pre-encoded frames.** Frames that are identical for every peer (the
-//! spec-bearing `Init`) are encoded once into a [`PreEncoded`] and sent
-//! through [`Transport::send_preencoded`]: binary transports ship the
-//! shared bytes verbatim with a single write, while value-level wrappers
-//! (the fault injector) fall back to the decoded value so they can still
-//! observe and mutate the message.
+//! **Frames, not values.** A transport moves complete frames: it sends
+//! the bytes [`send_msg`] encoded and hands [`recv_msg`] the payloads it
+//! read, and the typed codec runs on either side of it, straight between
+//! struct and bytes. Frames that are identical for every peer (the
+//! spec-bearing `Init`) are encoded once into a [`PreEncoded`] and every
+//! peer's transport sends the shared bytes with a single write. The fault
+//! injector works on the same frames.
 //!
 //! **Deadlines.** Receives take an optional timeout. Internally every
 //! transport pumps its read side through a dedicated thread into a
@@ -39,19 +40,18 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{cbor, Deserialize, Serialize};
+use snip_obs::metrics::{histogram, Histogram};
 use snip_replay::frame::{
-    encode_binary_frame, FrameError, FrameReader, FrameWriter, BINARY_HEADER_BYTES, MAX_FRAME_BYTES,
+    encode_frame, FrameError, FrameReader, FrameWriter, BINARY_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 
 /// A message encoded into its final binary wire frame once, shared
 /// across peers as cheap `Arc` clones. The coordinator pre-encodes
 /// `Init` this way: one serialization per run instead of one per peer.
 pub struct PreEncoded {
-    /// The decoded message, for value-level transports (fault wrappers).
-    pub value: Value,
     /// The complete binary frame: header plus canonical CBOR payload.
     pub bytes: Arc<[u8]>,
 }
@@ -59,9 +59,9 @@ pub struct PreEncoded {
 impl PreEncoded {
     /// Encodes `msg` into one shared binary frame.
     pub fn new<T: Serialize + ?Sized>(msg: &T) -> Self {
-        let value = msg.to_value();
-        let bytes: Arc<[u8]> = encode_binary_frame(&value).into();
-        PreEncoded { value, bytes }
+        PreEncoded {
+            bytes: encode_frame(msg).into(),
+        }
     }
 }
 
@@ -91,58 +91,51 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// A blocking, framed, deadline-capable message stream to one peer.
+/// A blocking, framed, deadline-capable byte stream to one peer.
 pub trait Transport: Send {
-    /// Sends one frame and flushes it.
+    /// Sends one complete frame (header and payload, as
+    /// [`encode_frame`] builds it) and flushes it.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError`] when the stream is broken or severed.
-    fn send_value(&mut self, v: &Value) -> Result<(), FrameError>;
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), FrameError>;
 
-    /// Receives the next frame, waiting at most `timeout` (forever when
-    /// `None`). `Ok(None)` is a clean end of stream — the peer closed at
-    /// a frame boundary.
+    /// Receives the next frame's payload (header stripped), waiting at
+    /// most `timeout` (forever when `None`). `Ok(None)` is a clean end of
+    /// stream — the peer closed at a frame boundary.
     ///
     /// # Errors
     ///
     /// [`RecvError::TimedOut`] on deadline expiry, [`RecvError::Frame`]
     /// on a broken stream or malformed frame.
-    fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError>;
+    fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError>;
 
     /// Forcibly severs the connection: the peer sees EOF/reset, and
     /// subsequent sends and receives on this side fail. Idempotent.
     fn sever(&mut self);
 
-    /// Sends a deliberately damaged rendition of `v` — the fault
-    /// injector's "crash mid-write". The peer must observe a frame error
-    /// (or a payload that fails typed decode), never a clean copy of `v`.
+    /// Sends a deliberately damaged rendition of `frame` — the fault
+    /// injector's "crash mid-write". The peer must observe a frame error,
+    /// never a clean copy of the frame.
     ///
-    /// The default writes a placeholder payload that no protocol message
-    /// decodes as — enough to poison the peer's typed receive on
-    /// transports whose framing cannot be torn from this side (pipes,
-    /// in-memory streams). [`TcpTransport`] overrides it with a genuine
-    /// torn frame: a length header promising more bytes than follow.
+    /// The default sends a well-framed torn payload: the first half of
+    /// the CBOR item under a header stamped with that half's length. A
+    /// CBOR item is self-delimiting, so no strict prefix of one decodes,
+    /// and the tear reaches the peer on transports whose framing cannot
+    /// be cut from this side (pipes, in-memory streams). [`TcpTransport`]
+    /// overrides it with a genuine torn frame: a header promising more
+    /// bytes than follow.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError`] when the stream is already broken.
-    fn send_truncated(&mut self, _v: &Value) -> Result<(), FrameError> {
-        self.send_value(&Value::Str("«torn frame»".into()))
-    }
-
-    /// Sends one pre-encoded frame. Binary transports override this to
-    /// ship the shared bytes verbatim (no re-serialization, one write);
-    /// the default re-encodes `frame.value` through [`Transport::send_value`]
-    /// so value-level wrappers (the fault injector) keep observing and
-    /// mutating the message — the canonical codec makes both paths
-    /// byte-identical on the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError`] when the stream is broken or severed.
-    fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
-        self.send_value(&frame.value)
+    fn send_truncated(&mut self, frame: &[u8]) -> Result<(), FrameError> {
+        let half = (frame.len() - BINARY_HEADER_BYTES) / 2;
+        let mut torn = frame[..BINARY_HEADER_BYTES + half].to_vec();
+        let len = u32::try_from(half).expect("frame payloads are bounded far below 4 GiB");
+        torn[1..BINARY_HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
+        self.send_frame(&torn)
     }
 
     /// Raises the per-frame size budget to the full [`MAX_FRAME_BYTES`]
@@ -154,7 +147,22 @@ pub trait Transport: Send {
     fn peer(&self) -> String;
 }
 
-/// Sends one typed message over a transport.
+/// Codec time of the typed messages every transport carries.
+struct MsgCodec {
+    encode_us: &'static Histogram,
+    decode_us: &'static Histogram,
+}
+
+fn msg_codec() -> &'static MsgCodec {
+    static CODEC: std::sync::OnceLock<MsgCodec> = std::sync::OnceLock::new();
+    CODEC.get_or_init(|| MsgCodec {
+        encode_us: histogram("snip_msg_encode_us"),
+        decode_us: histogram("snip_msg_decode_us"),
+    })
+}
+
+/// Sends one typed message over a transport, encoded straight into its
+/// frame.
 ///
 /// # Errors
 ///
@@ -163,31 +171,40 @@ pub fn send_msg<T: Serialize + ?Sized>(
     transport: &mut dyn Transport,
     msg: &T,
 ) -> Result<(), FrameError> {
-    transport.send_value(&msg.to_value())
+    // snip-lint: allow(wall-clock): "codec timing metric; observability only"
+    let start = Instant::now();
+    let frame = encode_frame(msg);
+    msg_codec().encode_us.observe(start.elapsed());
+    transport.send_frame(&frame)
 }
 
-/// Receives and decodes one typed message; `Ok(None)` on clean EOF.
+/// Receives one typed message, decoded straight from the frame's bytes;
+/// `Ok(None)` on clean EOF.
 ///
 /// # Errors
 ///
-/// As [`Transport::recv_value`], plus a codec error when the payload does
+/// As [`Transport::recv_frame`], plus a codec error when the payload does
 /// not decode as `T`.
 pub fn recv_msg<T: Deserialize>(
     transport: &mut dyn Transport,
     timeout: Option<Duration>,
 ) -> Result<Option<T>, RecvError> {
-    match transport.recv_value(timeout)? {
-        None => Ok(None),
-        Some(v) => T::from_value(&v)
-            .map(Some)
-            .map_err(|e| RecvError::Frame(FrameError::Codec(e.to_string()))),
-    }
+    let Some(payload) = transport.recv_frame(timeout)? else {
+        return Ok(None);
+    };
+    // snip-lint: allow(wall-clock): "codec timing metric; observability only"
+    let start = Instant::now();
+    let msg =
+        cbor::decode(&payload).map_err(|e| RecvError::Frame(FrameError::Codec(e.to_string())))?;
+    msg_codec().decode_us.observe(start.elapsed());
+    Ok(Some(msg))
 }
 
-/// The shared read-side pump: a thread decodes frames off the stream and
-/// feeds them through a channel, turning deadlines into `recv_timeout`.
+/// The shared read-side pump: a thread reads frames off the stream and
+/// feeds their payloads through a channel, turning deadlines into
+/// `recv_timeout`.
 struct FramePump {
-    rx: mpsc::Receiver<Result<Value, FrameError>>,
+    rx: mpsc::Receiver<Result<Vec<u8>, FrameError>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -203,9 +220,9 @@ impl FramePump {
             let mut reader = FrameReader::with_frame_limit(BufReader::new(input), limit)
                 .with_metrics(&metrics_label);
             loop {
-                match reader.recv_value() {
-                    Ok(Some(v)) => {
-                        if tx.send(Ok(v)).is_err() {
+                match reader.recv_frame() {
+                    Ok(Some(payload)) => {
+                        if tx.send(Ok(payload)).is_err() {
                             break; // transport dropped; stop pumping
                         }
                     }
@@ -223,7 +240,7 @@ impl FramePump {
         }
     }
 
-    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError> {
         let next = match timeout {
             None => self
                 .rx
@@ -309,9 +326,9 @@ impl PipeTransport {
 }
 
 impl Transport for PipeTransport {
-    fn send_value(&mut self, v: &Value) -> Result<(), FrameError> {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), FrameError> {
         match &mut self.writer {
-            Some(w) => w.send_value(v),
+            Some(w) => w.send_raw(frame),
             None => Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "transport severed",
@@ -319,20 +336,10 @@ impl Transport for PipeTransport {
         }
     }
 
-    fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+    fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError> {
         match &mut self.pump {
             Some(p) => p.recv(timeout),
             None => Ok(None),
-        }
-    }
-
-    fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
-        match &mut self.writer {
-            Some(w) => w.send_raw(&frame.bytes),
-            None => Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "transport severed",
-            ))),
         }
     }
 
@@ -417,11 +424,11 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send_value(&mut self, v: &Value) -> Result<(), FrameError> {
-        self.writer.send_value(v)
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), FrameError> {
+        self.writer.send_raw(frame)
     }
 
-    fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+    fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError> {
         match &mut self.pump {
             Some(p) => p.recv(timeout),
             None => Ok(None),
@@ -432,16 +439,11 @@ impl Transport for TcpTransport {
         let _ = self.ctl.shutdown(Shutdown::Both);
     }
 
-    fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
-        self.writer.send_raw(&frame.bytes)
-    }
-
-    fn send_truncated(&mut self, v: &Value) -> Result<(), FrameError> {
+    fn send_truncated(&mut self, frame: &[u8]) -> Result<(), FrameError> {
         // A genuine torn frame: the header promises the whole CBOR
         // payload, the socket carries only half of it. Written straight to
         // the control handle — the frame writer flushes per frame, so the
         // stream is at a frame boundary here.
-        let frame = encode_binary_frame(v);
         let payload = frame.len() - BINARY_HEADER_BYTES;
         self.ctl
             .write_all(&frame[..BINARY_HEADER_BYTES + payload / 2])?;
@@ -492,17 +494,17 @@ impl<W: Write + Send> StreamTransport<W> {
 }
 
 impl<W: Write + Send> Transport for StreamTransport<W> {
-    fn send_value(&mut self, v: &Value) -> Result<(), FrameError> {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), FrameError> {
         if self.severed {
             return Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "transport severed",
             )));
         }
-        self.writer.send_value(v)
+        self.writer.send_raw(frame)
     }
 
-    fn recv_value(&mut self, timeout: Option<Duration>) -> Result<Option<Value>, RecvError> {
+    fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, RecvError> {
         if self.severed {
             return Ok(None);
         }
@@ -510,16 +512,6 @@ impl<W: Write + Send> Transport for StreamTransport<W> {
             Some(p) => p.recv(timeout),
             None => Ok(None),
         }
-    }
-
-    fn send_preencoded(&mut self, frame: &PreEncoded) -> Result<(), FrameError> {
-        if self.severed {
-            return Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "transport severed",
-            )));
-        }
-        self.writer.send_raw(&frame.bytes)
     }
 
     fn sever(&mut self) {
@@ -551,6 +543,7 @@ impl<W: Write + Send> Drop for StreamTransport<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn stream_transport_round_trips_values_with_deadlines() {
@@ -562,12 +555,15 @@ mod tests {
         {
             let mut t = StreamTransport::new(io::Cursor::new(script), &mut out, "test");
             assert_eq!(
-                t.recv_value(Some(Duration::from_secs(5))).unwrap(),
+                recv_msg::<Value>(&mut t, Some(Duration::from_secs(5))).unwrap(),
                 Some(Value::U64(7))
             );
             // EOF after the scripted frame.
-            assert_eq!(t.recv_value(Some(Duration::from_secs(5))).unwrap(), None);
-            t.send_value(&Value::Bool(true)).unwrap();
+            assert_eq!(
+                recv_msg::<Value>(&mut t, Some(Duration::from_secs(5))).unwrap(),
+                None
+            );
+            send_msg(&mut t, &Value::Bool(true)).unwrap();
         }
         let mut r = FrameReader::new(io::Cursor::new(out));
         assert_eq!(r.recv_value().unwrap(), Some(Value::Bool(true)));
@@ -584,7 +580,7 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         let mut t = TcpTransport::accept(server).unwrap();
         let start = std::time::Instant::now();
-        match t.recv_value(Some(Duration::from_millis(50))) {
+        match recv_msg::<Value>(&mut t, Some(Duration::from_millis(50))) {
             Err(RecvError::TimedOut) => {}
             other => panic!("expected a deadline expiry, got {other:?}"),
         }
@@ -603,7 +599,7 @@ mod tests {
         coordinator_side.sever();
         // The worker observes a closed stream: EOF or a reset error, never
         // a hang.
-        match worker_side.recv_value(Some(Duration::from_secs(5))) {
+        match recv_msg::<Value>(&mut worker_side, Some(Duration::from_secs(5))) {
             Ok(None) | Err(RecvError::Frame(_)) => {}
             other => panic!("expected EOF/reset, got {other:?}"),
         }
@@ -619,8 +615,8 @@ mod tests {
         let mut worker_side = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
 
         let big = Value::Str("x".repeat(2 * HANDSHAKE_FRAME_BYTES as usize));
-        worker_side.send_value(&big).unwrap();
-        match coordinator_side.recv_value(Some(Duration::from_secs(5))) {
+        send_msg(&mut worker_side, &big).unwrap();
+        match recv_msg::<Value>(&mut coordinator_side, Some(Duration::from_secs(5))) {
             Err(RecvError::Frame(FrameError::Codec(msg))) => {
                 assert!(msg.contains("exceeds"), "{msg}");
             }
@@ -638,18 +634,37 @@ mod tests {
         let mut b = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
 
         let pre = PreEncoded::new(&Value::Str("shared-init".into()));
-        b.send_preencoded(&pre).unwrap();
-        b.send_value(&Value::Str("per-peer".into())).unwrap();
-        b.send_value(&Value::U64(9)).unwrap();
+        b.send_frame(&pre.bytes).unwrap();
+        send_msg(&mut b, &Value::Str("per-peer".into())).unwrap();
+        send_msg(&mut b, &Value::U64(9)).unwrap();
         for expect in [
             Value::Str("shared-init".into()),
             Value::Str("per-peer".into()),
             Value::U64(9),
         ] {
             assert_eq!(
-                a.recv_value(Some(Duration::from_secs(5))).unwrap(),
+                recv_msg::<Value>(&mut a, Some(Duration::from_secs(5))).unwrap(),
                 Some(expect)
             );
+        }
+    }
+
+    /// On a stream whose framing this side cannot cut, the default tear
+    /// is a well-framed half payload: the peer reads the frame and fails
+    /// to decode it, for any message size.
+    #[test]
+    fn a_torn_stream_frame_fails_to_decode_on_the_receiving_end() {
+        for msg in [Value::U64(7), Value::Str("a shard result".into())] {
+            let mut out = Vec::new();
+            {
+                let mut t = StreamTransport::new(io::empty(), &mut out, "test");
+                t.send_truncated(&encode_frame(&msg)).unwrap();
+            }
+            let mut r = FrameReader::new(io::Cursor::new(out));
+            match r.recv_value() {
+                Err(FrameError::Codec(_)) => {}
+                other => panic!("expected an undecodable frame, got {other:?}"),
+            }
         }
     }
 
@@ -663,10 +678,10 @@ mod tests {
         let mut worker_side = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
 
         worker_side
-            .send_truncated(&Value::Str("a shard result".into()))
+            .send_truncated(&encode_frame(&Value::Str("a shard result".into())))
             .unwrap();
         worker_side.sever();
-        match coordinator_side.recv_value(Some(Duration::from_secs(5))) {
+        match recv_msg::<Value>(&mut coordinator_side, Some(Duration::from_secs(5))) {
             Err(RecvError::Frame(FrameError::Truncated)) => {}
             other => panic!("expected a truncated frame, got {other:?}"),
         }
@@ -681,16 +696,16 @@ mod tests {
         let mut a = TcpTransport::accept(server).unwrap();
         let mut b = TcpTransport::wrap(client, MAX_FRAME_BYTES).unwrap();
 
-        b.send_value(&Value::Str("dial-in".into())).unwrap();
+        send_msg(&mut b, &Value::Str("dial-in".into())).unwrap();
         assert_eq!(
-            a.recv_value(Some(Duration::from_secs(5))).unwrap(),
+            recv_msg::<Value>(&mut a, Some(Duration::from_secs(5))).unwrap(),
             Some(Value::Str("dial-in".into()))
         );
         a.unlock_frame_limit();
         let big = Value::Str("y".repeat(2 * HANDSHAKE_FRAME_BYTES as usize));
-        b.send_value(&big).unwrap();
+        send_msg(&mut b, &big).unwrap();
         assert_eq!(
-            a.recv_value(Some(Duration::from_secs(5))).unwrap(),
+            recv_msg::<Value>(&mut a, Some(Duration::from_secs(5))).unwrap(),
             Some(big)
         );
     }

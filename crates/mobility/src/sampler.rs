@@ -27,26 +27,85 @@ use snip_units::SimDuration;
 /// ```
 #[must_use]
 pub fn sample_duration<R: Rng + ?Sized>(dist: &LengthDistribution, rng: &mut R) -> SimDuration {
-    match *dist {
-        LengthDistribution::Fixed { length } => length,
-        LengthDistribution::Normal { mean, std_dev } => {
-            sample_positive_normal(mean.as_secs_f64(), std_dev.as_secs_f64(), rng)
+    Sampler::new(dist).sample(rng)
+}
+
+/// A distribution with its `f64` constants worked out once, for drawing
+/// from it many times (a trace generator draws one per contact). Draws
+/// are bit-identical to [`sample_duration`]'s and consume the same
+/// random numbers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sampler {
+    /// Always this duration; no draw.
+    Fixed(SimDuration),
+    /// Normal, truncated to positive values by rejection (seconds).
+    Normal { mean: f64, sd: f64 },
+    /// Exponential by inverse CDF (seconds).
+    Exponential { mean: f64 },
+    /// Uniform over whole microseconds `low..=high`.
+    Uniform { low: u64, high: u64 },
+    /// Log-normal with the underlying normal's `mu` and `sigma`.
+    LogNormal { mu: f64, sigma: f64 },
+}
+
+impl Sampler {
+    pub(crate) fn new(dist: &LengthDistribution) -> Sampler {
+        match *dist {
+            LengthDistribution::Fixed { length } => Sampler::Fixed(length),
+            LengthDistribution::Normal { mean, std_dev } => {
+                let (mean, sd) = (mean.as_secs_f64(), std_dev.as_secs_f64());
+                if sd == 0.0 {
+                    Sampler::Fixed(SimDuration::from_secs_f64(mean.max(0.0)))
+                } else {
+                    Sampler::Normal { mean, sd }
+                }
+            }
+            LengthDistribution::Exponential { mean } => Sampler::Exponential {
+                mean: mean.as_secs_f64(),
+            },
+            LengthDistribution::Uniform { low, high } => {
+                if low == high {
+                    Sampler::Fixed(low)
+                } else {
+                    Sampler::Uniform {
+                        low: low.as_micros(),
+                        high: high.as_micros(),
+                    }
+                }
+            }
+            LengthDistribution::LogNormal { mean, std_dev } => {
+                // The log-normal's own mean/sd, turned into the underlying
+                // normal's parameters.
+                let (mean, sd) = (mean.as_secs_f64(), std_dev.as_secs_f64());
+                if sd == 0.0 {
+                    Sampler::Fixed(SimDuration::from_secs_f64(mean))
+                } else {
+                    let sigma2 = (1.0 + (sd * sd) / (mean * mean)).ln();
+                    Sampler::LogNormal {
+                        mu: mean.ln() - sigma2 / 2.0,
+                        sigma: sigma2.sqrt(),
+                    }
+                }
+            }
+            // LengthDistribution is #[non_exhaustive]; fall back to the mean
+            // for any future variant this sampler predates.
+            _ => Sampler::Fixed(dist.mean()),
         }
-        LengthDistribution::Exponential { mean } => sample_exponential(mean.as_secs_f64(), rng),
-        LengthDistribution::Uniform { low, high } => {
-            let (a, b) = (low.as_micros(), high.as_micros());
-            if a == b {
-                low
-            } else {
-                SimDuration::from_micros(rng.gen_range(a..=b))
+    }
+
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+        match *self {
+            Sampler::Fixed(length) => length,
+            Sampler::Normal { mean, sd } => sample_positive_normal(mean, sd, rng),
+            Sampler::Exponential { mean } => {
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                SimDuration::from_secs_f64(-mean * u.ln())
+            }
+            Sampler::Uniform { low, high } => SimDuration::from_micros(rng.gen_range(low..=high)),
+            Sampler::LogNormal { mu, sigma } => {
+                SimDuration::from_secs_f64((mu + sigma * standard_normal(rng)).exp())
             }
         }
-        LengthDistribution::LogNormal { mean, std_dev } => {
-            sample_log_normal(mean.as_secs_f64(), std_dev.as_secs_f64(), rng)
-        }
-        // LengthDistribution is #[non_exhaustive]; fall back to the mean for
-        // any future variant this sampler predates.
-        _ => dist.mean(),
     }
 }
 
@@ -58,11 +117,9 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A normal draw truncated to strictly positive values by rejection.
+/// A normal draw (`sd > 0`) truncated to strictly positive values by
+/// rejection.
 fn sample_positive_normal<R: Rng + ?Sized>(mean: f64, sd: f64, rng: &mut R) -> SimDuration {
-    if sd == 0.0 {
-        return SimDuration::from_secs_f64(mean.max(0.0));
-    }
     // With the paper's σ = µ/10 a single rejection is a 1-in-10²³ event;
     // cap the loop anyway so adversarial parameters cannot hang the caller.
     for _ in 0..1_000 {
@@ -73,23 +130,6 @@ fn sample_positive_normal<R: Rng + ?Sized>(mean: f64, sd: f64, rng: &mut R) -> S
     }
     // Pathological (mean ≪ 0): fall back to a hair above zero.
     SimDuration::from_micros(1)
-}
-
-/// An exponential draw via inverse CDF.
-fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> SimDuration {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    SimDuration::from_secs_f64(-mean * u.ln())
-}
-
-/// A log-normal draw, parameterized by the log-normal's own mean/sd.
-fn sample_log_normal<R: Rng + ?Sized>(mean: f64, sd: f64, rng: &mut R) -> SimDuration {
-    if sd == 0.0 {
-        return SimDuration::from_secs_f64(mean);
-    }
-    let sigma2 = (1.0 + (sd * sd) / (mean * mean)).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    let draw = (mu + sigma2.sqrt() * standard_normal(rng)).exp();
-    SimDuration::from_secs_f64(draw)
 }
 
 #[cfg(test)]

@@ -11,9 +11,12 @@ use std::str::FromStr;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use snip_model::LengthDistribution;
 use snip_units::{SimDuration, SimTime};
 
+use crate::arrival::ArrivalProcess;
 use crate::profile::EpochProfile;
+use crate::sampler::Sampler;
 
 /// One contact: a mobile node within range of the sensor node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -309,42 +312,97 @@ impl TraceGenerator {
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> ContactTrace {
         let mut trace = ContactTrace::new();
         let horizon = SimTime::ZERO + self.profile.epoch() * self.epochs;
+        // Each slot's samplers, with their constants worked out once.
+        let samplers: Vec<(Option<Sampler>, Sampler)> = self
+            .profile
+            .slots()
+            .iter()
+            .map(|s| {
+                let arrivals = s.arrivals.map(|a| match a {
+                    ArrivalProcess::Periodic { interval } => Sampler::Fixed(interval),
+                    ArrivalProcess::Renewal { interval } => Sampler::new(&interval),
+                    ArrivalProcess::Poisson { mean_interval } => {
+                        Sampler::new(&LengthDistribution::exponential(mean_interval))
+                    }
+                });
+                (arrivals, Sampler::new(&s.contact_length))
+            })
+            .collect();
+        let floor = SimDuration::from_micros(1);
+        let mut slot = SlotWalk::new(&self.profile);
         let mut cursor = SimTime::ZERO;
-        // Skip to the first slot that has arrivals at all.
         while cursor < horizon {
-            match self.profile.arrivals_at(cursor) {
-                None => {
-                    cursor = self.slot_end(cursor);
-                    continue;
-                }
-                Some(process) => {
-                    let interval = process.next_interval(rng);
-                    let mut start = cursor + interval;
-                    if start >= horizon {
-                        break;
-                    }
-                    // Enforce the single-mobile-node reference model.
-                    if let Some(last) = trace.contacts().last() {
-                        if start < last.end() {
-                            start = last.end();
-                        }
-                    }
-                    if start >= horizon {
-                        break;
-                    }
-                    let length = self.profile.sample_contact_length(start, rng);
-                    trace.push(Contact::new(start, length));
-                    cursor = start;
+            // `cursor` only moves forward, so the slot holding it is found
+            // by stepping, not by division.
+            slot.seek(cursor);
+            let Some(arrivals) = &samplers[slot.index].0 else {
+                // Skip to the end of a slot without arrivals.
+                cursor = slot.end;
+                continue;
+            };
+            let mut start = cursor + arrivals.sample(rng).max(floor);
+            if start >= horizon {
+                break;
+            }
+            // Enforce the single-mobile-node reference model.
+            if let Some(last) = trace.contacts().last() {
+                if start < last.end() {
+                    start = last.end();
                 }
             }
+            if start >= horizon {
+                break;
+            }
+            slot.seek(start);
+            let length = samplers[slot.index].1.sample(rng).max(floor);
+            trace.push(Contact::new(start, length));
+            cursor = start;
         }
         trace
     }
+}
 
-    fn slot_end(&self, t: SimTime) -> SimTime {
-        let slot = self.profile.slot_length();
-        let into = t.time_in_epoch(self.profile.epoch()) % slot;
-        t + (slot - into)
+/// The slot of an epoch profile that holds a forward-moving instant,
+/// tracked across epochs.
+struct SlotWalk {
+    slot_length: SimDuration,
+    slots: usize,
+    epoch: SimDuration,
+    /// Index of the current slot within its epoch.
+    index: usize,
+    /// Absolute end of the current slot.
+    end: SimTime,
+}
+
+impl SlotWalk {
+    fn new(profile: &EpochProfile) -> SlotWalk {
+        SlotWalk {
+            slot_length: profile.slot_length(),
+            slots: profile.slot_count(),
+            epoch: profile.epoch(),
+            index: 0,
+            end: SimTime::ZERO + profile.slot_length(),
+        }
+    }
+
+    /// Moves to the slot holding `t`, which must not precede the current
+    /// slot.
+    fn seek(&mut self, t: SimTime) {
+        if t < self.end {
+            return;
+        }
+        if t < self.end + self.slot_length {
+            self.index = if self.index + 1 == self.slots {
+                0
+            } else {
+                self.index + 1
+            };
+            self.end += self.slot_length;
+            return;
+        }
+        let into_slot = t.time_in_epoch(self.epoch) % self.slot_length;
+        self.index = (t.time_in_epoch(self.epoch) / self.slot_length) as usize;
+        self.end = t + (self.slot_length - into_slot);
     }
 }
 

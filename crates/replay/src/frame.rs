@@ -47,7 +47,9 @@ use snip_obs::metrics::{Counter, Histogram};
 /// Pre-resolved registry handles for one direction of one transport, so
 /// the per-frame cost is a few relaxed atomic ops (the registry mutex is
 /// hit once, at wiring time). Byte counts include the 5-byte frame
-/// header — the actual wire footprint.
+/// header — the actual wire footprint. Codec time is recorded where the
+/// codec runs: by [`FrameWriter::send`] and [`FrameReader::recv`], not
+/// by the raw-frame paths.
 struct FrameMetrics {
     /// CBOR encode or decode time per frame.
     codec_us: &'static Histogram,
@@ -92,21 +94,31 @@ pub const BINARY_FRAME_MAGIC: u8 = 0xC5;
 /// length.
 pub const BINARY_HEADER_BYTES: usize = 5;
 
-/// Encodes one complete frame (header + canonical CBOR payload) into a
-/// fresh buffer. This is the pre-encode path: the coordinator frames
-/// `Init` once per run and every transport ships the same bytes.
+/// Encodes one complete frame (header + canonical CBOR payload) for a
+/// [`Value`] tree into a fresh buffer.
 #[must_use]
 pub fn encode_binary_frame(value: &Value) -> Vec<u8> {
+    encode_frame(value)
+}
+
+/// Encodes one complete frame (header + canonical CBOR payload) for any
+/// message into a fresh buffer, streaming derived types straight into it
+/// (no [`Value`] tree). The bytes equal [`encode_binary_frame`] of the
+/// message's `to_value()`. This is also the pre-encode path: the
+/// coordinator frames `Init` once per run and every transport ships the
+/// same bytes.
+#[must_use]
+pub fn encode_frame<T: Serialize + ?Sized>(msg: &T) -> Vec<u8> {
     let mut frame = Vec::with_capacity(BINARY_HEADER_BYTES + 128);
-    encode_frame_into(&mut frame, value);
+    encode_frame_into(&mut frame, msg);
     frame
 }
 
-/// Appends one frame for `value` to `out`.
-fn encode_frame_into(out: &mut Vec<u8>, value: &Value) {
+/// Appends one frame for `msg` to `out`.
+fn encode_frame_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, msg: &T) {
     let start = out.len();
     out.extend_from_slice(&[BINARY_FRAME_MAGIC, 0, 0, 0, 0]);
-    cbor::write_value(out, value).expect("Vec<u8> writes are infallible");
+    msg.encode(&mut cbor::Writer::new(&mut *out));
     let len = u32::try_from(out.len() - start - BINARY_HEADER_BYTES)
         .expect("frame payloads are bounded far below 4 GiB");
     out[start + 1..start + BINARY_HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
@@ -194,33 +206,18 @@ impl<W: Write> FrameWriter<W> {
         self.frames
     }
 
-    /// Sends one pre-encoded value.
+    /// Sends one value.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError::Io`] on write or flush failure.
     pub fn send_value(&mut self, value: &Value) -> Result<(), FrameError> {
-        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
-        let encode_start = self.metrics.as_ref().map(|_| Instant::now());
-        self.scratch.clear();
-        encode_frame_into(&mut self.scratch, value);
-        if let (Some(m), Some(t0)) = (&self.metrics, encode_start) {
-            m.codec_us.observe(t0.elapsed());
-        }
-        self.out.write_all(&self.scratch)?;
-        self.out.flush()?;
-        self.frames += 1;
-        if let Some(m) = &self.metrics {
-            m.bytes.add(self.scratch.len() as u64);
-            m.frames.inc();
-        }
-        Ok(())
+        self.send(value)
     }
 
-    /// Sends one pre-framed byte run (header and payload already encoded
-    /// by [`encode_binary_frame`]) without re-serializing. This is the
-    /// zero-copy shard path: pre-encoded frames are shared across peers
-    /// as `Arc<[u8]>` and hit the wire as a single write.
+    /// Sends one complete frame (header and payload already encoded by
+    /// [`encode_frame`]) verbatim, as a single write. Pre-encoded frames
+    /// are shared across peers as `Arc<[u8]>` this way.
     ///
     /// # Errors
     ///
@@ -236,13 +233,23 @@ impl<W: Write> FrameWriter<W> {
         Ok(())
     }
 
-    /// Sends one message.
+    /// Sends one message, encoded straight into the frame.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError::Io`] on write or flush failure.
-    pub fn send<T: Serialize>(&mut self, msg: &T) -> Result<(), FrameError> {
-        self.send_value(&msg.to_value())
+    pub fn send<T: Serialize + ?Sized>(&mut self, msg: &T) -> Result<(), FrameError> {
+        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
+        let encode_start = self.metrics.as_ref().map(|_| Instant::now());
+        self.scratch.clear();
+        encode_frame_into(&mut self.scratch, msg);
+        if let (Some(m), Some(t0)) = (&self.metrics, encode_start) {
+            m.codec_us.observe(t0.elapsed());
+        }
+        let frame = std::mem::take(&mut self.scratch);
+        let sent = self.send_raw(&frame);
+        self.scratch = frame;
+        sent
     }
 }
 
@@ -291,16 +298,17 @@ impl<R: BufRead> FrameReader<R> {
         self.frames
     }
 
-    /// Reads the next frame's value; `Ok(None)` on a clean end of stream
-    /// (EOF exactly at a frame boundary). The length is checked against
-    /// the shared budget before the payload is allocated.
+    /// Reads the next frame's payload (its CBOR bytes, header stripped);
+    /// `Ok(None)` on a clean end of stream (EOF exactly at a frame
+    /// boundary). The length is checked against the shared budget before
+    /// the payload is allocated.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError`] on I/O failure, a first byte other than
-    /// [`BINARY_FRAME_MAGIC`], a malformed frame, or a stream that ends
-    /// mid-frame.
-    pub fn recv_value(&mut self) -> Result<Option<Value>, FrameError> {
+    /// [`BINARY_FRAME_MAGIC`], a length over the budget, or a stream that
+    /// ends mid-frame.
+    pub fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         match self.input.fill_buf()?.first() {
             None => return Ok(None), // clean EOF between frames
             Some(&BINARY_FRAME_MAGIC) => {}
@@ -334,30 +342,44 @@ impl<R: BufRead> FrameReader<R> {
                 io::ErrorKind::UnexpectedEof => FrameError::Truncated,
                 _ => FrameError::from(e),
             })?;
-        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
-        let decode_start = self.metrics.as_ref().map(|_| Instant::now());
-        let value = cbor::from_slice(&payload)?;
         self.frames += 1;
-        if let (Some(m), Some(t0)) = (&self.metrics, decode_start) {
-            m.codec_us.observe(t0.elapsed());
+        if let Some(m) = &self.metrics {
             m.bytes.add(BINARY_HEADER_BYTES as u64 + len);
             m.frames.inc();
         }
-        Ok(Some(value))
+        Ok(Some(payload))
     }
 
-    /// Reads and decodes the next frame; `Ok(None)` on a clean end of
+    /// Reads the next frame's value; `Ok(None)` on a clean end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameError`] as [`FrameReader::recv_frame`], plus
+    /// [`FrameError::Codec`] on a payload that is not one well-formed CBOR
+    /// item.
+    pub fn recv_value(&mut self) -> Result<Option<Value>, FrameError> {
+        self.recv()
+    }
+
+    /// Reads the next frame and decodes it straight into a `T` (no
+    /// [`Value`] tree for derived types); `Ok(None)` on a clean end of
     /// stream.
     ///
     /// # Errors
     ///
-    /// Returns [`FrameError`] as [`FrameReader::recv_value`], plus
+    /// Returns [`FrameError`] as [`FrameReader::recv_frame`], plus
     /// [`FrameError::Codec`] when the payload does not decode as `T`.
     pub fn recv<T: Deserialize>(&mut self) -> Result<Option<T>, FrameError> {
-        match self.recv_value()? {
-            None => Ok(None),
-            Some(v) => Ok(Some(T::from_value(&v)?)),
+        let Some(payload) = self.recv_frame()? else {
+            return Ok(None);
+        };
+        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
+        let decode_start = self.metrics.as_ref().map(|_| Instant::now());
+        let msg = cbor::decode(&payload)?;
+        if let (Some(m), Some(t0)) = (&self.metrics, decode_start) {
+            m.codec_us.observe(t0.elapsed());
         }
+        Ok(Some(msg))
     }
 }
 

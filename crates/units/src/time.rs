@@ -30,6 +30,20 @@ use crate::TICKS_PER_SECOND;
 #[serde(transparent)]
 pub struct SimDuration(u64);
 
+/// `ticks.round() as u64` for `0 ≤ ticks ≤ 2^64` (half away from zero),
+/// without the out-of-line `round` call: below 2^52 the fraction
+/// `ticks - trunc(ticks)` is exact, and from 2^52 up every float is a
+/// whole number, so adding one at a fraction of one half or more is the
+/// same rounding. At 2^64 both saturate to `u64::MAX`.
+fn round_ticks(ticks: f64) -> u64 {
+    let whole = ticks as u64;
+    if ticks - whole as f64 >= 0.5 {
+        whole + 1
+    } else {
+        whole
+    }
+}
+
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -84,7 +98,7 @@ impl SimDuration {
             ticks <= u64::MAX as f64,
             "duration of {secs} s overflows the microsecond clock"
         );
-        SimDuration(ticks.round() as u64)
+        SimDuration(round_ticks(ticks))
     }
 
     /// Returns the duration in whole microseconds.
@@ -429,6 +443,39 @@ impl Sub for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tick_rounding_matches_round_half_away_from_zero() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut cases = vec![0.0, 0.25, 1.0, 3.75, 2f64.powi(52), 2f64.powi(64)];
+        for tie in [
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            2f64.powi(51) + 0.5,
+            2f64.powi(52) - 0.5,
+        ] {
+            cases.extend([tie, next_up(tie), next_down(tie)]);
+        }
+        for big in [
+            2f64.powi(52) + 1.0,
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+        ] {
+            cases.extend([big, next_down(big)]);
+        }
+        for ticks in cases {
+            assert_eq!(round_ticks(ticks), ticks.round() as u64, "{ticks:e}");
+        }
+        assert_eq!(round_ticks(2f64.powi(64)), u64::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(2.5e-6),
+            SimDuration::from_micros(3)
+        );
+    }
     use proptest::prelude::*;
 
     #[test]

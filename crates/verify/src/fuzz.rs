@@ -4,7 +4,9 @@
 //! The workspace has exactly three places where bytes of unknown
 //! provenance are decoded: the fleet frame reader (magic byte,
 //! big-endian length, CBOR payload — pre-auth bytes from the network,
-//! fuzzed over generic and proto-shaped seeds), the journal decoder
+//! fuzzed over generic and proto-shaped seeds, with every payload also
+//! run through the streaming typed decoder the fleet uses and checked
+//! against the `Value` tree route), the journal decoder
 //! (`snip replay FILE` on a file somebody handed you, JSONL or CBOR),
 //! and the checkpoint loader (`--resume-from` on a journal that may be
 //! torn, truncated, or hostile). Each must *reject* bad input with an
@@ -54,6 +56,7 @@ use std::sync::Once;
 use std::thread;
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize, Value};
 use snip_replay::frame::FrameReader;
 use snip_replay::journal::{JournalFormat, JournalReader};
 use snip_replay::{load_checkpoint_from, CheckpointEvent, CheckpointHeader, FrameWriter};
@@ -304,48 +307,46 @@ fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
 /// Valid inputs for a target, produced by the workspace's own encoders —
 /// mutation starts from structure, not noise.
 fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
-    use serde::Value;
     match target {
         Target::Frame => {
-            // Generic values plus proto-shaped payloads mirroring the
-            // fleet messages (`snip-fleetd` is out of reach from this
-            // crate, so the shapes are spelled at the Value level): a
-            // Join, a batched Shard assignment, and a batched ShardDone.
-            let job = |id: u64, start: u64, end: u64| {
-                Value::Map(vec![
-                    ("id".to_string(), Value::U64(id)),
-                    ("start".to_string(), Value::U64(start)),
-                    ("end".to_string(), Value::U64(end)),
-                ])
+            // Generic values plus proto-shaped payloads: the fleet
+            // messages' derived stand-ins (a Join, a batched Shard
+            // assignment, a batched ShardDone carrying run metrics, a
+            // unit variant), so mutations reach the typed decoders' field
+            // and variant logic.
+            let plan = ProbePlan {
+                key: "fuzz|plan".to_string(),
+                weights: vec![0.5, 3.0, 86.4],
+                duty: Some(1e-3),
+                slots: [7, 17],
             };
+            let job = |id: u64, start: u64, end: u64| ProbeJob { id, start, end };
             let values = [
                 Value::Seq(vec![Value::U64(1), Value::Null, Value::Bool(true)]),
                 Value::Str("ready".to_string()),
-                Value::Map(vec![
-                    ("type".to_string(), Value::Str("join".to_string())),
-                    ("protocol".to_string(), Value::U64(4)),
-                    ("token".to_string(), Value::Str("fuzz".to_string())),
-                    ("resume".to_string(), Value::Null),
-                ]),
-                Value::Map(vec![
-                    ("type".to_string(), Value::Str("shard".to_string())),
-                    (
-                        "jobs".to_string(),
-                        Value::Seq(vec![job(0, 0, 2), job(1, 2, 4)]),
-                    ),
-                    ("plans".to_string(), Value::Seq(vec![])),
-                ]),
-                Value::Map(vec![
-                    ("type".to_string(), Value::Str("shard_done".to_string())),
-                    (
-                        "results".to_string(),
-                        Value::Seq(vec![Value::Map(vec![
-                            ("id".to_string(), Value::U64(0)),
-                            ("metrics".to_string(), Value::Seq(vec![])),
-                        ])]),
-                    ),
-                    ("seeded_hits".to_string(), Value::U64(0)),
-                ]),
+                ProbeMsg::Join {
+                    protocol: 4,
+                    token: "fuzz".to_string(),
+                    pid: 7,
+                    resume: None,
+                }
+                .to_value(),
+                ProbeMsg::Shard {
+                    jobs: vec![job(0, 0, 2), job(1, 2, 4)],
+                    plans: vec![plan.clone()],
+                }
+                .to_value(),
+                ProbeMsg::ShardDone {
+                    results: vec![ProbeResult {
+                        id: 0,
+                        metrics: vec![snip_sim::RunMetrics::with_epochs(1)],
+                    }],
+                    plans: vec![plan],
+                    seeded_hits: 0,
+                }
+                .to_value(),
+                ProbeMsg::Pair(-3, 0.25).to_value(),
+                ProbeMsg::Shutdown.to_value(),
             ];
             let mut one_each: Vec<Vec<u8>> = values
                 .iter()
@@ -555,8 +556,12 @@ fn decode(target: Target, input: &[u8]) -> Outcome {
             let mut reader = FrameReader::new(Cursor::new(input));
             let mut n = 0u32;
             loop {
-                match reader.recv_value() {
-                    Ok(Some(_)) => {
+                match reader.recv_frame() {
+                    Ok(Some(payload)) => {
+                        typed_decoders_agree(&payload);
+                        if serde::cbor::from_slice(&payload).is_err() {
+                            return Outcome::Rejected;
+                        }
                         n += 1;
                         if n >= MAX_RECORDS {
                             return Outcome::Ok(n);
@@ -593,6 +598,78 @@ fn decode(target: Target, input: &[u8]) -> Outcome {
             Err(_) => Outcome::Rejected,
         },
     }
+}
+
+/// Derived stand-ins for the fleet messages (`snip-fleetd` depends on
+/// this crate, so its types are out of reach): the same derive shapes —
+/// an externally tagged enum with struct, tuple, newtype and unit
+/// variants, nested structs, `Option`s, sequences, arrays, floats — with
+/// a hand-written `Value`-route type ([`snip_sim::RunMetrics`]) inside.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum ProbeMsg {
+    Join {
+        protocol: u32,
+        token: String,
+        pid: u64,
+        resume: Option<u64>,
+    },
+    Shard {
+        jobs: Vec<ProbeJob>,
+        plans: Vec<ProbePlan>,
+    },
+    ShardDone {
+        results: Vec<ProbeResult>,
+        plans: Vec<ProbePlan>,
+        seeded_hits: u64,
+    },
+    Session(u64),
+    Pair(i64, f64),
+    Shutdown,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ProbeJob {
+    id: u64,
+    start: u64,
+    end: u64,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ProbeResult {
+    id: u64,
+    metrics: Vec<snip_sim::RunMetrics>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ProbePlan {
+    key: String,
+    weights: Vec<f64>,
+    duty: Option<f64>,
+    slots: [u8; 2],
+}
+
+/// Decodes `payload` through the streaming typed decoder and through the
+/// tree route (`from_value(cbor::from_slice(..))`) as each stand-in type
+/// and as a bare [`Value`], and panics — a finding — unless both accept
+/// with the same value or both refuse.
+fn typed_decoders_agree(payload: &[u8]) {
+    fn agree<T: Serialize + Deserialize>(payload: &[u8], ty: &str) {
+        // Compared as canonical bytes: bit-exact, and NaN-safe.
+        let tree = serde::cbor::from_slice(payload)
+            .and_then(|v| T::from_value(&v))
+            .map(|t| serde::cbor::to_vec(&t.to_value()));
+        let stream = serde::cbor::decode::<T>(payload).map(|t| serde::cbor::to_vec(&t));
+        match (tree, stream) {
+            (Ok(a), Ok(b)) if a == b => {}
+            (Err(_), Err(_)) => {}
+            (tree, stream) => panic!(
+                "streaming and tree decoders disagree on a {ty}: tree {tree:?}, stream {stream:?}"
+            ),
+        }
+    }
+    agree::<ProbeMsg>(payload, "ProbeMsg");
+    agree::<ProbeJob>(payload, "ProbeJob");
+    agree::<Value>(payload, "Value");
 }
 
 thread_local! {
