@@ -2,10 +2,13 @@
 //!
 //! These quantify the cost of the closed-form paths that the figure
 //! binaries and the simulator call in tight loops: eq. (1), the numeric
-//! length-distribution expectations, and the Fig 5/6 scenario analysis.
+//! length-distribution expectations, a whole SNIP-AT plan, and the Fig 5/6
+//! scenario analysis.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use snip_model::analysis::PAPER_ZETA_TARGETS;
+use snip_core::SnipAt;
+use snip_mobility::EpochProfile;
+use snip_model::analysis::{PAPER_PHI_MAX_LOOSE, PAPER_ZETA_TARGETS};
 use snip_model::{LengthDistribution, ScenarioAnalysis, SlotProfile, SnipModel};
 use snip_units::{DutyCycle, SimDuration};
 
@@ -38,7 +41,9 @@ fn bench_upsilon_normal_numeric(c: &mut Criterion) {
 
 fn bench_uniform_capacity_normal_profile(c: &mut Criterion) {
     // The profile the simulations plan on: Normal(2 s, 0.2 s) lengths in all
-    // 24 slots, one SNIP-AT bisection step's worth of work.
+    // 24 slots, evaluated through a fresh memo: one integral that computes
+    // its own node densities. A SNIP-AT bisection step reuses a memo's
+    // densities and costs less (`model/snip_at_for_target_normal_profile`).
     let profile = SlotProfile::roadside_with_lengths(LengthDistribution::paper_normal(
         SimDuration::from_secs(2),
     ));
@@ -46,6 +51,25 @@ fn bench_uniform_capacity_normal_profile(c: &mut Criterion) {
     let d = DutyCycle::new(0.005).unwrap();
     c.bench_function("model/uniform_capacity_normal_profile", |b| {
         b.iter(|| black_box(profile.probed_capacity_uniform(&model, black_box(d))))
+    });
+}
+
+fn bench_snip_at_for_target_normal_profile(c: &mut Criterion) {
+    // A whole SNIP-AT plan on the planning sweep's profile (the roadside
+    // epoch with Normal(2 s, 0.2 s) lengths) at Φmax = 864 s and ζ = 16 s:
+    // the budget check, the always-on check and 64 bisection midpoints over
+    // one memo.
+    let profile = EpochProfile::roadside().to_slot_profile();
+    let model = SnipModel::default();
+    c.bench_function("model/snip_at_for_target_normal_profile", |b| {
+        b.iter(|| {
+            black_box(SnipAt::for_target(
+                model,
+                black_box(&profile),
+                black_box(PAPER_PHI_MAX_LOOSE),
+                black_box(16.0),
+            ))
+        })
     });
 }
 
@@ -68,6 +92,7 @@ criterion_group!(
     bench_upsilon_exponential,
     bench_upsilon_normal_numeric,
     bench_uniform_capacity_normal_profile,
+    bench_snip_at_for_target_normal_profile,
     bench_fig5_analysis_sweep
 );
 criterion_main!(benches);

@@ -76,7 +76,7 @@ impl SnipAt {
     ///
     /// # Panics
     ///
-    /// Panics if `phi_max` or `zeta_target` is not positive.
+    /// Panics if `phi_max` is not positive.
     #[must_use]
     pub fn for_target(
         model: SnipModel,
@@ -84,22 +84,8 @@ impl SnipAt {
         phi_max: f64,
         zeta_target: f64,
     ) -> Self {
-        let epoch = profile.epoch().as_secs_f64();
-        let budget_d = DutyCycle::clamped(phi_max / epoch);
-        // ζ(d) is monotone: when even the budget-bound duty-cycle misses the
-        // target, the minimal duty-cycle for the target certainly busts the
-        // budget — the outcome is `budget_d` without running the bisection
-        // (one capacity evaluation instead of ~65, the dominant cost of a
-        // tight-budget sweep point).
-        if profile.probed_capacity_uniform(&model, budget_d) < zeta_target {
-            return SnipAt::new(budget_d);
-        }
         let analysis = ScenarioAnalysis::new(model, profile.clone(), phi_max);
-        let d = match analysis.duty_cycle_for_target(zeta_target) {
-            Some(d) if d.as_fraction() <= budget_d.as_fraction() => d,
-            _ => budget_d,
-        };
-        SnipAt::new(d)
+        SnipAt::new(analysis.snip_at_duty_cycle(zeta_target))
     }
 
     /// The configured duty-cycle.
@@ -164,6 +150,7 @@ impl ProbeScheduler for SnipAt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snip_model::LengthDistribution;
     use snip_units::{DataSize, SimTime};
 
     fn ctx(now_s: u64, phi_spent_s: u64) -> ProbeContext {
@@ -234,6 +221,62 @@ mod tests {
         // reach, so it degrades to d = Φmax/Tepoch = 0.001.
         let at = SnipAt::for_target(SnipModel::default(), &SlotProfile::roadside(), 86.4, 16.0);
         assert!((at.duty_cycle().as_fraction() - 0.001).abs() < 1e-12);
+    }
+
+    /// `for_target` as a sequence of fresh profile evaluations: the budget
+    /// check, then the bisection, each evaluation on its own.
+    fn reference_for_target(profile: &SlotProfile, phi_max: f64, target: f64) -> DutyCycle {
+        let model = SnipModel::default();
+        let zeta = |d| profile.probed_capacity_uniform(&model, d);
+        let budget_d = DutyCycle::clamped(phi_max / profile.epoch().as_secs_f64());
+        if zeta(budget_d) < target || zeta(DutyCycle::ALWAYS_ON) < target {
+            return budget_d;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if zeta(DutyCycle::clamped(mid)) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let d = DutyCycle::clamped(hi);
+        if d.as_fraction() <= budget_d.as_fraction() {
+            d
+        } else {
+            budget_d
+        }
+    }
+
+    #[test]
+    fn for_target_equals_fresh_evaluations_over_the_sweep_profile() {
+        let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
+        let profile = SlotProfile::roadside_with_lengths(lengths);
+        // 0.5 s to ~190 s under Φmax = 864 s (reachable, budget-capped, and
+        // past the always-on capacity) and a few under Φmax = 86.4 s.
+        let targets = (0..200).map(|k| (864.0, 0.5 * 1.0303f64.powi(k)));
+        for (phi_max, target) in targets.chain([(86.4, 4.0), (86.4, 8.0), (86.4, 16.0)]) {
+            let at = SnipAt::for_target(SnipModel::default(), &profile, phi_max, target);
+            let want = reference_for_target(&profile, phi_max, target);
+            assert_eq!(at.duty_cycle(), want, "Φmax = {phi_max}, ζ = {target}");
+        }
+    }
+
+    #[test]
+    fn zero_spread_lengths_plan_like_fixed_ones() {
+        let model = SnipModel::default();
+        let two = SimDuration::from_secs(2);
+        let fixed = SnipAt::for_target(model, &SlotProfile::roadside(), 864.0, 16.0);
+        assert!((fixed.duty_cycle().as_fraction() - 16.0 / 8_800.0).abs() < 1e-7);
+        for lengths in [
+            LengthDistribution::normal(two, SimDuration::ZERO),
+            LengthDistribution::log_normal(two, SimDuration::ZERO),
+        ] {
+            let profile = SlotProfile::roadside_with_lengths(lengths);
+            let at = SnipAt::for_target(model, &profile, 864.0, 16.0);
+            assert_eq!(at.duty_cycle(), fixed.duty_cycle(), "{lengths:?}");
+        }
     }
 
     #[test]

@@ -168,7 +168,8 @@ impl ScenarioAnalysis {
     ///
     /// Picks the smallest all-day duty-cycle reaching `zeta_target`; if that
     /// busts the budget (or the target is unreachable at `d = 1`), runs at
-    /// the budget-bound duty-cycle instead.
+    /// the budget-bound duty-cycle instead
+    /// ([`ScenarioAnalysis::snip_at_duty_cycle`]).
     ///
     /// # Panics
     ///
@@ -176,13 +177,29 @@ impl ScenarioAnalysis {
     #[must_use]
     pub fn snip_at(&self, zeta_target: f64) -> AnalysisPoint {
         assert!(zeta_target > 0.0, "ζtarget must be positive");
+        self.snip_at_fixed(self.snip_at_duty_cycle(zeta_target))
+    }
+
+    /// The duty-cycle SNIP-AT runs for a capacity target: the smallest
+    /// uniform duty-cycle reaching `zeta_target`, capped at the budget-bound
+    /// duty-cycle `Φmax/Tepoch` (the paper's offline selection).
+    ///
+    /// `ζ(d)` is monotone, so when even the budget-bound duty-cycle misses
+    /// the target the answer is the budget-bound one, found with one
+    /// capacity evaluation instead of a bisection. The check and the
+    /// bisection share one [`ProbedTimeMemo`].
+    #[must_use]
+    pub fn snip_at_duty_cycle(&self, zeta_target: f64) -> DutyCycle {
         let epoch = self.profile.epoch().as_secs_f64();
         let budget_d = DutyCycle::clamped(self.phi_max / epoch);
-        let d = match self.duty_cycle_for_target(zeta_target) {
+        let mut memo = ProbedTimeMemo::new(self.model);
+        if memo.probed_capacity_uniform(&self.profile, budget_d) < zeta_target {
+            return budget_d;
+        }
+        match self.bisect_for_target(&mut memo, zeta_target) {
             Some(d) if d.as_fraction() <= budget_d.as_fraction() => d,
             _ => budget_d,
-        };
-        self.snip_at_fixed(d)
+        }
     }
 
     /// The smallest uniform duty-cycle whose probed capacity reaches the
@@ -191,9 +208,13 @@ impl ScenarioAnalysis {
     /// Bisection on the monotone `ζ(d)`; exact enough for 1 µs duty-cycles.
     #[must_use]
     pub fn duty_cycle_for_target(&self, zeta_target: f64) -> Option<DutyCycle> {
-        let max = self
-            .profile
-            .probed_capacity_uniform(&self.model, DutyCycle::ALWAYS_ON);
+        self.bisect_for_target(&mut ProbedTimeMemo::new(self.model), zeta_target)
+    }
+
+    /// [`ScenarioAnalysis::duty_cycle_for_target`]'s bisection, with every
+    /// capacity evaluation through `memo`.
+    fn bisect_for_target(&self, memo: &mut ProbedTimeMemo, zeta_target: f64) -> Option<DutyCycle> {
+        let max = memo.probed_capacity_uniform(&self.profile, DutyCycle::ALWAYS_ON);
         if max < zeta_target {
             return None;
         }
@@ -201,9 +222,7 @@ impl ScenarioAnalysis {
         let mut hi = 1.0f64;
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
-            let z = self
-                .profile
-                .probed_capacity_uniform(&self.model, DutyCycle::clamped(mid));
+            let z = memo.probed_capacity_uniform(&self.profile, DutyCycle::clamped(mid));
             if z >= zeta_target {
                 hi = mid;
             } else {
@@ -292,6 +311,8 @@ pub const PAPER_PHI_MAX_LOOSE: f64 = 864.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LengthDistribution;
+    use snip_units::SimDuration;
 
     fn analysis(phi_max: f64) -> ScenarioAnalysis {
         ScenarioAnalysis::new(SnipModel::default(), SlotProfile::roadside(), phi_max)
@@ -385,6 +406,65 @@ mod tests {
         let point = a.snip_at_fixed(d);
         // 88 contacts × 1 µs probed-time quantization ⇒ ζ steps of ~88 µs.
         assert!((point.zeta - 16.0).abs() < 1e-3, "ζ = {}", point.zeta);
+    }
+
+    /// The sweep's profile: the roadside epoch with Normal(2 s, 0.2 s)
+    /// contact lengths.
+    fn sweep_analysis() -> ScenarioAnalysis {
+        let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
+        ScenarioAnalysis::new(
+            SnipModel::default(),
+            SlotProfile::roadside_with_lengths(lengths),
+            PAPER_PHI_MAX_LOOSE,
+        )
+    }
+
+    /// The bisection with a fresh evaluation of the profile at every step.
+    fn reference_bisection(a: &ScenarioAnalysis, target: f64) -> Option<DutyCycle> {
+        let zeta = |d| a.profile().probed_capacity_uniform(a.model(), d);
+        if zeta(DutyCycle::ALWAYS_ON) < target {
+            return None;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if zeta(DutyCycle::clamped(mid)) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(DutyCycle::clamped(hi))
+    }
+
+    #[test]
+    fn one_memo_bisection_equals_fresh_evaluations() {
+        let a = sweep_analysis();
+        let budget_d = DutyCycle::clamped(PAPER_PHI_MAX_LOOSE / 86_400.0);
+        let (mut capped, mut unreachable) = (0, 0);
+        // 0.9 s to 320 s: reachable within budget, over budget, and past
+        // the always-on capacity (≈ 175 s).
+        for k in 0..200 {
+            let target = 0.9 * 1.03f64.powi(k);
+            let want = reference_bisection(&a, target);
+            assert_eq!(a.duty_cycle_for_target(target), want, "ζ = {target}");
+            let at = a.snip_at_duty_cycle(target);
+            match want {
+                Some(d) if d.as_fraction() <= budget_d.as_fraction() => assert_eq!(at, d),
+                Some(_) => {
+                    capped += 1;
+                    assert_eq!(at, budget_d);
+                }
+                None => {
+                    unreachable += 1;
+                    assert_eq!(at, budget_d);
+                }
+            }
+        }
+        assert!(
+            capped > 0 && unreachable > 0,
+            "{capped} capped, {unreachable} unreachable"
+        );
     }
 
     #[test]

@@ -1,10 +1,26 @@
 //! Small numerical-integration helpers used by the length-distribution
 //! expectations.
 //!
-//! The integrands in this crate (piecewise-smooth probed-time curves weighted
-//! by a density) are well behaved, so composite Simpson on a fixed grid plus
-//! one refinement pass is plenty; we still expose an adaptive wrapper so the
-//! tolerance is explicit at call sites.
+//! [`integrate`] is adaptive composite Simpson: it starts at 64 panels and
+//! doubles the panel count until two successive estimates agree, up to
+//! `2^14` panels (nine levels). It never evaluates a node twice. With
+//! `h = (b − a)/n`, the finer step `(b − a)/2n` is exactly `h/2` in binary
+//! floating point (halving is exact and commutes with rounding), so node
+//! `2i` of the finer grid, `a + (h/2)·2i`, rounds to the same `f64` as node
+//! `i` of the coarser one, `a + h·i`. Each doubling therefore keeps the
+//! previous level's values and evaluates only the new odd nodes, and each
+//! level's sum is formed in the same order as [`simpson`] forms it: the
+//! result is bit-identical to calling [`simpson`] afresh at every level.
+//!
+//! The nodes depend only on `[a, b]` and the level, never on the integrand,
+//! which lets a density-weighted expectation take its node densities from a
+//! cache shared across integrands (`length::DensityGrid`).
+
+/// Panel count of [`integrate`]'s first level.
+const FIRST_PANELS: usize = 64;
+
+/// Panel count of [`integrate`]'s last level.
+const MAX_PANELS: usize = 1 << 14;
 
 /// Composite Simpson's rule over `[a, b]` with `n` panels (`n` is rounded up
 /// to the next even number).
@@ -31,23 +47,57 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
 
 /// Adaptive Simpson integration: doubles the panel count until two successive
 /// estimates agree to `tol` (relative when the value is large, absolute when
-/// near zero), up to `2^14` panels.
+/// near zero), up to `2^14` panels. Bit-identical to [`simpson`] at each
+/// level, with every node evaluated once (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if `b < a` or `tol` is not positive.
 #[must_use]
 pub fn integrate<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
+    integrate_nodes(a, b, tol, || (f(a), f(b)), |_, _, x| f(x))
+}
+
+/// The loop behind [`integrate`], over node values supplied by the caller.
+///
+/// `ends` yields the values at `a` and `b`. `node(level, j, x)` yields the
+/// value at `x`, the `j`-th node first visited at refinement `level`: at
+/// level 0 the interior node `i = j + 1` of the 64-panel grid, at level
+/// `k ≥ 1` the odd node `i = 2j + 1` of the `64·2^k`-panel grid. Each level's
+/// nodes are visited once, in increasing `j`, and levels in increasing order.
+pub(crate) fn integrate_nodes(
+    a: f64,
+    b: f64,
+    tol: f64,
+    ends: impl FnOnce() -> (f64, f64),
+    mut node: impl FnMut(usize, usize, f64) -> f64,
+) -> f64 {
     assert!(tol > 0.0, "tolerance must be positive");
     assert!(b >= a, "integration bounds reversed: [{a}, {b}]");
     if a == b {
         return 0.0;
     }
-    let mut n = 64;
-    let mut prev = simpson(&f, a, b, n);
-    while n < (1 << 14) {
+    let ends = ends();
+    let mut n = FIRST_PANELS;
+    let mut h = (b - a) / n as f64;
+    // Values at the interior nodes `1..n` of the current level.
+    let mut inner: Vec<f64> = (1..n).map(|i| node(0, i - 1, a + h * i as f64)).collect();
+    let mut finer = Vec::with_capacity(2 * n);
+    let mut prev = simpson_sum(ends, &inner, h);
+    let mut level = 0;
+    while n < MAX_PANELS {
         n *= 2;
-        let next = simpson(&f, a, b, n);
+        level += 1;
+        h = (b - a) / n as f64;
+        finer.clear();
+        for (j, &kept) in inner.iter().enumerate() {
+            finer.push(node(level, j, a + h * (2 * j + 1) as f64));
+            finer.push(kept);
+        }
+        let last = inner.len();
+        finer.push(node(level, last, a + h * (2 * last + 1) as f64));
+        std::mem::swap(&mut inner, &mut finer);
+        let next = simpson_sum(ends, &inner, h);
         let scale = next.abs().max(1.0);
         if (next - prev).abs() <= tol * scale {
             return next;
@@ -55,6 +105,17 @@ pub fn integrate<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
         prev = next;
     }
     prev
+}
+
+/// [`simpson`]'s weighted sum over node values already computed: the ends,
+/// then interior node `i` (stored at `i − 1`) times 4 when `i` is odd and 2
+/// when even, added in node order.
+fn simpson_sum((fa, fb): (f64, f64), inner: &[f64], h: f64) -> f64 {
+    let mut sum = fa + fb;
+    for (k, &v) in inner.iter().enumerate() {
+        sum += v * if k % 2 == 0 { 4.0 } else { 2.0 };
+    }
+    sum * h / 3.0
 }
 
 #[cfg(test)]
@@ -94,6 +155,75 @@ mod tests {
     #[should_panic(expected = "reversed")]
     fn reversed_bounds_panic() {
         let _ = simpson(|x| x, 1.0, 0.0, 4);
+    }
+
+    /// The adaptive loop without node reuse: [`simpson`] afresh per level.
+    fn fresh_levels<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
+        let mut n = FIRST_PANELS;
+        let mut prev = simpson(&f, a, b, n);
+        while n < MAX_PANELS {
+            n *= 2;
+            let next = simpson(&f, a, b, n);
+            if (next - prev).abs() <= tol * next.abs().max(1.0) {
+                return next;
+            }
+            prev = next;
+        }
+        prev
+    }
+
+    #[test]
+    fn node_reuse_is_bit_identical_to_fresh_levels() {
+        let cycle = 0.37;
+        let kinked = |l: f64| {
+            if cycle >= l {
+                l * l / (2.0 * cycle)
+            } else {
+                l - cycle / 2.0
+            }
+        };
+        let spiky = |x: f64| (40.0 * x).sin().abs() + (-x * x).exp();
+        for (a, b) in [(0.0, 1.0), (0.13, 2.9), (1.8, 2.2), (0.0, 80.0)] {
+            for tol in [1e-6, 1e-9, 1e-13] {
+                for (name, f) in [
+                    ("kinked", &kinked as &dyn Fn(f64) -> f64),
+                    ("spiky", &spiky),
+                ] {
+                    let want = fresh_levels(f, a, b, tol);
+                    let got = integrate(f, a, b, tol);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name} on [{a}, {b}] at {tol}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_node_is_visited_once_in_level_order() {
+        let mut seen = Vec::new();
+        let _ = integrate_nodes(
+            0.0,
+            1.0,
+            1e-300,
+            || (0.0, 0.0),
+            |level, j, x| {
+                seen.push((level, j, x));
+                x
+            },
+        );
+        // Nine levels: 63 interior nodes, then n/2 odd nodes per doubling.
+        assert_eq!(seen.len(), MAX_PANELS - 1);
+        let mut xs: Vec<f64> = seen.iter().map(|&(_, _, x)| x).collect();
+        xs.sort_by(f64::total_cmp);
+        xs.dedup();
+        assert_eq!(xs.len(), MAX_PANELS - 1, "a node was evaluated twice");
+        for pair in seen.windows(2) {
+            let ((l0, j0, _), (l1, j1, _)) = (pair[0], pair[1]);
+            assert!(l1 == l0 && j1 == j0 + 1 || l1 == l0 + 1 && j1 == 0);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 use snip_units::SimDuration;
 
-use crate::integrate::integrate;
+use crate::integrate::{integrate, integrate_nodes};
 
 /// A distribution over contact lengths (or inter-contact intervals).
 ///
@@ -215,25 +215,32 @@ impl LengthDistribution {
         }
     }
 
-    /// The expectation `E[f(L)]`, by exact evaluation for degenerate
-    /// distributions and adaptive Simpson integration over an effective
+    /// The expectation `E[f(L)]`, by exact evaluation for distributions
+    /// without spread and adaptive Simpson integration over an effective
     /// support otherwise.
+    ///
+    /// A normal or log-normal whose spread is zero (σ rounds to 0 µs, as in
+    /// `paper_normal` of a mean under 10 µs) is the point mass at its mean,
+    /// exactly as `snip-mobility` samples it.
     #[must_use]
     pub fn expect<F: Fn(f64) -> f64>(&self, f: F) -> f64 {
+        DensityGrid::new(self).expect(f)
+    }
+
+    /// The single length every draw takes, for distributions without
+    /// spread: fixed lengths, a uniform with `low == high`, and a normal or
+    /// log-normal with σ = 0.
+    pub(crate) fn point_mass(&self) -> Option<SimDuration> {
         match *self {
-            LengthDistribution::Fixed { length } => f(length.as_secs_f64()),
-            LengthDistribution::Uniform { low, high } => {
-                let (a, b) = (low.as_secs_f64(), high.as_secs_f64());
-                if a == b {
-                    return f(a);
-                }
-                integrate(|l| f(l) / (b - a), a, b, 1e-9)
+            LengthDistribution::Fixed { length } => Some(length),
+            LengthDistribution::Normal { mean, std_dev } if std_dev.is_zero() => Some(mean),
+            LengthDistribution::Uniform { low, high } if low == high => Some(low),
+            LengthDistribution::LogNormal { mean, std_dev }
+                if log_normal_params(mean, std_dev).1 == 0.0 =>
+            {
+                Some(mean)
             }
-            _ => {
-                let (a, b) = self.effective_support();
-                let density = self.density();
-                integrate(|l| f(l) * density.at(l), a, b, 1e-9)
-            }
+            _ => None,
         }
     }
 
@@ -329,6 +336,112 @@ impl Density {
     }
 }
 
+/// Integration tolerance of every length expectation.
+const EXPECT_TOL: f64 = 1e-9;
+
+/// One distribution's densities at the Simpson nodes of its effective
+/// support, each computed on first use and kept for later expectations.
+///
+/// [`integrate_nodes`]'s nodes depend only on the support and the
+/// refinement level, never on the integrand, so expectations of different
+/// functions over one distribution (a duty-cycle sweep of `E[Tprobed]`)
+/// need each node's density once. The grid holds the two endpoint
+/// densities and one vector per refinement level; a level is filled the
+/// first time an integral reaches it. Every node value is the product
+/// `f(l) * density(l)` of the same two factors, in the same order, as a
+/// fresh integral's, so results are bit-identical to uncached ones.
+#[derive(Debug, Clone)]
+pub(crate) struct DensityGrid {
+    dist: LengthDistribution,
+    weights: Weights,
+}
+
+/// How a [`DensityGrid`] weights its integrand.
+#[derive(Debug, Clone)]
+enum Weights {
+    /// No spread: the expectation is `f` at this length, in seconds.
+    Point(f64),
+    /// Uniform on `[a, b]`: the integrand is `f(l) / (b − a)`.
+    Flat { a: f64, b: f64 },
+    /// A density over the effective support `[a, b]`.
+    Density {
+        a: f64,
+        b: f64,
+        density: Density,
+        /// The densities at `a` and `b`, once an expectation needed them.
+        ends: Option<(f64, f64)>,
+        /// `levels[k][j]`: the density at node `j` of refinement level `k`
+        /// (see [`integrate_nodes`]).
+        levels: Vec<Vec<f64>>,
+    },
+}
+
+impl DensityGrid {
+    /// An empty grid for `dist`.
+    pub(crate) fn new(dist: &LengthDistribution) -> Self {
+        let weights = if let Some(length) = dist.point_mass() {
+            Weights::Point(length.as_secs_f64())
+        } else if let LengthDistribution::Uniform { low, high } = *dist {
+            Weights::Flat {
+                a: low.as_secs_f64(),
+                b: high.as_secs_f64(),
+            }
+        } else {
+            let (a, b) = dist.effective_support();
+            let density = dist.density();
+            Weights::Density {
+                a,
+                b,
+                density,
+                ends: None,
+                levels: Vec::new(),
+            }
+        };
+        DensityGrid {
+            dist: *dist,
+            weights,
+        }
+    }
+
+    /// The distribution this grid integrates over.
+    pub(crate) fn distribution(&self) -> &LengthDistribution {
+        &self.dist
+    }
+
+    /// [`LengthDistribution::expect`], with node densities from the grid.
+    pub(crate) fn expect<F: Fn(f64) -> f64>(&mut self, f: F) -> f64 {
+        match &mut self.weights {
+            Weights::Point(l) => f(*l),
+            &mut Weights::Flat { a, b } => integrate(|l| f(l) / (b - a), a, b, EXPECT_TOL),
+            Weights::Density {
+                a,
+                b,
+                density,
+                ends,
+                levels,
+            } => integrate_nodes(
+                *a,
+                *b,
+                EXPECT_TOL,
+                || {
+                    let (da, db) = *ends.get_or_insert_with(|| (density.at(*a), density.at(*b)));
+                    (f(*a) * da, f(*b) * db)
+                },
+                |level, j, l| {
+                    if level == levels.len() {
+                        levels.push(Vec::new());
+                    }
+                    let row = &mut levels[level];
+                    if j == row.len() {
+                        row.push(density.at(l));
+                    }
+                    f(l) * row[j]
+                },
+            ),
+        }
+    }
+}
+
 /// Converts a log-normal's own (mean, std-dev) into the underlying normal's
 /// `(µ, σ)`.
 fn log_normal_params(mean: SimDuration, std_dev: SimDuration) -> (f64, f64) {
@@ -354,6 +467,7 @@ fn erf(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrate::simpson;
 
     fn secs(s: f64) -> SimDuration {
         SimDuration::from_secs_f64(s)
@@ -486,5 +600,123 @@ mod tests {
     fn fixed_expectation_is_exact() {
         let d = LengthDistribution::fixed(secs(2.0));
         assert_eq!(d.expect(|l| l * 10.0), 20.0);
+    }
+
+    /// The adaptive loop with no reuse at all: fixed-panel Simpson over the
+    /// public density, afresh at every level. Returns the estimate and the
+    /// number of doublings it took.
+    fn reference_expect(dist: &LengthDistribution, f: &dyn Fn(f64) -> f64) -> (f64, u32) {
+        let (a, b, weighted): (f64, f64, Box<dyn Fn(f64) -> f64>) = match *dist {
+            LengthDistribution::Uniform { low, high } => {
+                let (a, b) = (low.as_secs_f64(), high.as_secs_f64());
+                (a, b, Box::new(move |l| f(l) / (b - a)))
+            }
+            _ => {
+                let (a, b) = dist.effective_support();
+                (a, b, Box::new(move |l| f(l) * dist.pdf(l)))
+            }
+        };
+        let mut n = 64;
+        let mut doublings = 0;
+        let mut prev = simpson(&weighted, a, b, n);
+        while n < 1 << 14 {
+            n *= 2;
+            doublings += 1;
+            let next = simpson(&weighted, a, b, n);
+            if (next - prev).abs() <= 1e-9 * next.abs().max(1.0) {
+                return (next, doublings);
+            }
+            prev = next;
+        }
+        (prev, doublings)
+    }
+
+    /// `E[Tprobed]`'s integrand for a SNIP cycle of `cycle` seconds.
+    fn probed(cycle: f64) -> impl Fn(f64) -> f64 {
+        move |l: f64| {
+            if l <= 0.0 {
+                0.0
+            } else if cycle >= l {
+                l * l / (2.0 * cycle)
+            } else {
+                l - cycle / 2.0
+            }
+        }
+    }
+
+    #[test]
+    fn one_grid_serves_a_shuffled_duty_cycle_sweep_bit_for_bit() {
+        let families = [
+            LengthDistribution::paper_normal(secs(2.0)),
+            // Support clipped at zero: the truncated normal's left tail.
+            LengthDistribution::normal(secs(1.0), secs(0.45)),
+            LengthDistribution::exponential(secs(3.0)),
+            LengthDistribution::log_normal(secs(2.0), secs(0.5)),
+            LengthDistribution::uniform(secs(1.0), secs(3.0)),
+        ];
+        // 60 duty-cycles from 10⁻⁴ to 1, visited in a scrambled order so
+        // deep levels built for one integrand serve later, shallower ones.
+        let cycles: Vec<f64> = (0..60)
+            .map(|i| (i * 37) % 60)
+            .map(|k| 0.02 / 10f64.powf(-4.0 + 4.0 * f64::from(k) / 59.0))
+            .collect();
+        for dist in families {
+            let mut grid = DensityGrid::new(&dist);
+            let mut depths = Vec::new();
+            for &cycle in &cycles {
+                let f = probed(cycle);
+                let (want, depth) = reference_expect(&dist, &f);
+                depths.push(depth);
+                let got = grid.expect(&f);
+                assert_eq!(got.to_bits(), want.to_bits(), "{dist:?}, cycle {cycle}");
+                assert_eq!(dist.expect(&f).to_bits(), want.to_bits(), "fresh grid");
+            }
+            if !matches!(dist, LengthDistribution::Uniform { .. }) {
+                let deepest = depths.iter().max().unwrap();
+                assert!(
+                    depths.iter().any(|d| d < deepest),
+                    "{dist:?}: every integrand stopped at one depth {depths:?}"
+                );
+            }
+        }
+        let fixed = LengthDistribution::fixed(secs(2.0));
+        let mut grid = DensityGrid::new(&fixed);
+        for &cycle in &cycles {
+            assert_eq!(
+                grid.expect(probed(cycle)).to_bits(),
+                probed(cycle)(2.0).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn zero_spread_is_the_point_mass_at_the_mean() {
+        let fixed = LengthDistribution::fixed(secs(2.0));
+        let tiny = SimDuration::from_micros(7);
+        let cases = [
+            (
+                LengthDistribution::normal(secs(2.0), SimDuration::ZERO),
+                fixed,
+            ),
+            (
+                LengthDistribution::log_normal(secs(2.0), SimDuration::ZERO),
+                fixed,
+            ),
+            // σ = 7 µs / 10 rounds to 0 µs.
+            (
+                LengthDistribution::paper_normal(tiny),
+                LengthDistribution::fixed(tiny),
+            ),
+        ];
+        for (spec, point) in cases {
+            assert_eq!(spec.point_mass(), Some(point.mean()), "{spec:?}");
+            assert_eq!(spec.expect(|l| l), point.expect(|l| l), "{spec:?} E[L]");
+            assert_eq!(spec.expect(|l| l * l), point.expect(|l| l * l), "{spec:?}");
+            assert!(spec.expect(|l| l) > 0.0);
+        }
+        assert_eq!(
+            LengthDistribution::paper_normal(secs(2.0)).point_mass(),
+            None
+        );
     }
 }

@@ -7,10 +7,12 @@
 //! the objective pieces of the SNIP-OPT optimization and of the closed-form
 //! analysis behind Figs 5 and 6.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 use snip_units::{DutyCycle, SimDuration};
 
-use crate::length::LengthDistribution;
+use crate::length::{DensityGrid, LengthDistribution};
 use crate::snip::SnipModel;
 
 /// One time-slot's contact arrival process.
@@ -130,12 +132,17 @@ impl SlotSpec {
 }
 
 /// Expected probed times `E[Tprobed](d, L)`, each computed once per distinct
-/// `(duty-cycle, contact-length distribution)` pair.
+/// `(duty-cycle, contact-length distribution)` pair, over node densities
+/// computed once per distinct distribution.
 ///
 /// A profile's slots usually share one contact-length distribution, and for
 /// a numeric distribution each expectation is an adaptive Simpson integral.
 /// Evaluating a whole profile through one memo integrates each distinct pair
-/// once instead of once per slot. Entries are exactly the values of
+/// once instead of once per slot. The memo also keeps each distribution's
+/// node densities, which do not depend on the duty-cycle, so a caller that
+/// sweeps duty-cycles (a bisection, a curve's breakpoints) should keep one
+/// memo for the whole sweep: each later integral then evaluates only its
+/// integrand. Entries are exactly the values of
 /// [`SnipModel::expected_probed_dist`], so every result is bit-identical to
 /// evaluating the slots one by one.
 ///
@@ -148,17 +155,32 @@ impl SlotSpec {
 /// let lengths = LengthDistribution::paper_normal(SimDuration::from_secs(2));
 /// let profile = SlotProfile::roadside_with_lengths(lengths);
 /// let model = SnipModel::default();
-/// let d = DutyCycle::new(0.005).unwrap();
 ///
 /// let mut memo = ProbedTimeMemo::new(model);
-/// // 24 slots sharing one distribution: one integral.
-/// let zeta: f64 = profile.slots().iter().map(|s| memo.probed_capacity(s, d)).sum();
-/// assert_eq!(zeta, profile.probed_capacity_uniform(&model, d));
+/// for frac in [0.001, 0.005, 0.01] {
+///     let d = DutyCycle::new(frac).unwrap();
+///     // 24 slots sharing one distribution: one integral per duty-cycle,
+///     // all three over the same node densities.
+///     let zeta = memo.probed_capacity_uniform(&profile, d);
+///     assert_eq!(zeta, profile.probed_capacity_uniform(&model, d));
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbedTimeMemo {
     model: SnipModel,
-    entries: Vec<(DutyCycle, LengthDistribution, f64)>,
+    /// One entry per distinct distribution, in first-use order.
+    dists: Vec<DistMemo>,
+}
+
+/// A [`ProbedTimeMemo`]'s state for one distribution.
+#[derive(Debug, Clone)]
+struct DistMemo {
+    grid: DensityGrid,
+    /// `E[Tprobed]` in seconds, keyed by the duty-cycle's bits.
+    probed: BTreeMap<u64, f64>,
+    /// The most recent entry of `probed`: a profile evaluation asks for the
+    /// same duty-cycle once per slot in a row.
+    last: Option<(u64, f64)>,
 }
 
 impl ProbedTimeMemo {
@@ -167,7 +189,7 @@ impl ProbedTimeMemo {
     pub fn new(model: SnipModel) -> Self {
         ProbedTimeMemo {
             model,
-            entries: Vec::new(),
+            dists: Vec::new(),
         }
     }
 
@@ -176,26 +198,51 @@ impl ProbedTimeMemo {
     /// afterwards.
     pub fn probed_capacity(&mut self, slot: &SlotSpec, d: DutyCycle) -> f64 {
         let dist = &slot.contact_length;
-        let seen = self
-            .entries
+        let at = match self
+            .dists
             .iter()
-            .find(|(seen_d, seen_dist, _)| *seen_d == d && seen_dist == dist);
-        let secs = match seen {
-            Some(&(_, _, secs)) => secs,
+            .position(|seen| seen.grid.distribution() == dist)
+        {
+            Some(at) => at,
             None => {
-                let secs = self.model.expected_probed_dist(d, dist).as_secs_f64();
-                self.entries.push((d, *dist, secs));
+                self.dists.push(DistMemo {
+                    grid: DensityGrid::new(dist),
+                    probed: BTreeMap::new(),
+                    last: None,
+                });
+                self.dists.len() - 1
+            }
+        };
+        let DistMemo { grid, probed, last } = &mut self.dists[at];
+        let key = d.as_fraction().to_bits();
+        let secs = match *last {
+            Some((seen, secs)) if seen == key => secs,
+            _ => {
+                let model = &self.model;
+                let secs = *probed
+                    .entry(key)
+                    .or_insert_with(|| model.expected_probed_on(d, grid).as_secs_f64());
+                *last = Some((key, secs));
                 secs
             }
         };
         slot.expected_contacts() * secs
     }
 
+    /// [`SlotProfile::probed_capacity_uniform`] through this memo.
+    pub fn probed_capacity_uniform(&mut self, profile: &SlotProfile, d: DutyCycle) -> f64 {
+        profile
+            .slots()
+            .iter()
+            .map(|s| self.probed_capacity(s, d))
+            .sum()
+    }
+
     /// Number of distinct pairs computed so far: the expectations actually
     /// evaluated.
     #[cfg(test)]
     fn integrals(&self) -> usize {
-        self.entries.len()
+        self.dists.iter().map(|m| m.probed.len()).sum()
     }
 }
 
@@ -296,8 +343,7 @@ impl SlotProfile {
     /// one per slot ([`ProbedTimeMemo`]).
     #[must_use]
     pub fn probed_capacity_uniform(&self, model: &SnipModel, d: DutyCycle) -> f64 {
-        let mut memo = ProbedTimeMemo::new(*model);
-        self.slots.iter().map(|s| memo.probed_capacity(s, d)).sum()
+        ProbedTimeMemo::new(*model).probed_capacity_uniform(self, d)
     }
 
     /// Probed capacity under a per-slot duty-cycle plan.

@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 use snip_units::{DutyCycle, SimDuration};
 
-use crate::length::LengthDistribution;
+use crate::length::{DensityGrid, LengthDistribution};
 
 /// The closed-form SNIP probing model, parameterized by the beacon window.
 ///
@@ -184,7 +184,8 @@ impl SnipModel {
 
     /// The expected probed time for a random contact length.
     ///
-    /// Uses the exact closed form for [`LengthDistribution::Fixed`] and
+    /// Uses the exact closed form for lengths without spread (as
+    /// [`LengthDistribution::Fixed`]) and for
     /// [`LengthDistribution::Exponential`], and adaptive Simpson integration
     /// otherwise.
     ///
@@ -193,11 +194,20 @@ impl SnipModel {
     /// `E[Tprobed] = m²·(1 − e^(−T/m)) / T`.
     #[must_use]
     pub fn expected_probed_dist(&self, d: DutyCycle, dist: &LengthDistribution) -> SimDuration {
+        self.expected_probed_on(d, &mut DensityGrid::new(dist))
+    }
+
+    /// [`SnipModel::expected_probed_dist`] over `grid`'s distribution, with
+    /// the node densities taken from and kept in `grid`.
+    pub(crate) fn expected_probed_on(&self, d: DutyCycle, grid: &mut DensityGrid) -> SimDuration {
         if d.is_off() {
             return SimDuration::ZERO;
         }
+        let dist = grid.distribution();
+        if let Some(length) = dist.point_mass() {
+            return self.expected_probed(d, length);
+        }
         match *dist {
-            LengthDistribution::Fixed { length } => self.expected_probed(d, length),
             LengthDistribution::Exponential { mean } => {
                 let m = mean.as_secs_f64();
                 let cycle = self.ton.as_secs_f64() / d.as_fraction();
@@ -217,8 +227,7 @@ impl SnipModel {
                         l - cycle / 2.0
                     }
                 };
-                let expect = dist.expect(probed);
-                SimDuration::from_secs_f64(expect.max(0.0))
+                SimDuration::from_secs_f64(grid.expect(probed).max(0.0))
             }
         }
     }
@@ -407,6 +416,32 @@ mod tests {
                 "d={frac}: fixed {fixed} vs normal {normal}"
             );
         }
+    }
+
+    #[test]
+    fn zero_spread_lengths_probe_like_fixed_ones() {
+        let m = model();
+        let l = SimDuration::from_secs(2);
+        let short = SimDuration::from_micros(9);
+        let cases = [
+            (LengthDistribution::normal(l, SimDuration::ZERO), l),
+            (LengthDistribution::log_normal(l, SimDuration::ZERO), l),
+            (LengthDistribution::paper_normal(short), short),
+        ];
+        for (spec, mean) in cases {
+            let fixed = LengthDistribution::fixed(mean);
+            for frac in [1e-4, 0.001, 0.01, 0.3, 1.0] {
+                let got = m.expected_probed_dist(d(frac), &spec);
+                assert_eq!(
+                    got,
+                    m.expected_probed_dist(d(frac), &fixed),
+                    "{spec:?} d={frac}"
+                );
+                assert_eq!(got, m.expected_probed(d(frac), mean));
+            }
+        }
+        let spec = LengthDistribution::normal(l, SimDuration::ZERO);
+        assert!(m.expected_probed_dist(d(0.01), &spec) > SimDuration::ZERO);
     }
 
     #[test]

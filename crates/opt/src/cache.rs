@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use serde::{json, Serialize as _};
+use serde::json;
 use snip_model::{SlotProfile, SnipModel};
 
 use crate::two_step::{OptPlan, TwoStepOptimizer};
@@ -110,12 +110,13 @@ pub fn plan_cache_stats() -> PlanCacheStats {
 }
 
 /// The exact cache key: full JSON of the generative inputs plus the raw
-/// bits of the scalar inputs.
+/// bits of the scalar inputs. The JSON streams straight from the structs;
+/// its bytes are those of the `Value` tree's rendering.
 fn key(model: &SnipModel, profile: &SlotProfile, phi_max: f64, zeta_target: f64) -> String {
     format!(
         "{}|{}|{:016x}|{:016x}",
-        json::to_string(&model.to_value()),
-        json::to_string(&profile.to_value()),
+        json::to_string(model),
+        json::to_string(profile),
         phi_max.to_bits(),
         zeta_target.to_bits()
     )
@@ -209,6 +210,50 @@ pub fn solve_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize as _;
+    use snip_model::{LengthDistribution, SlotSpec};
+    use snip_units::SimDuration;
+
+    #[test]
+    fn key_streams_the_bytes_of_the_value_tree_route() {
+        let model = SnipModel::default();
+        let secs = SimDuration::from_secs_f64;
+        let hour = SimDuration::from_hours(1);
+        let custom = SlotProfile::new(vec![
+            SlotSpec::new(
+                hour,
+                secs(300.0),
+                LengthDistribution::paper_normal(secs(2.0)),
+            ),
+            SlotSpec::empty(hour),
+            SlotSpec::new(
+                hour,
+                secs(123.456),
+                LengthDistribution::log_normal(secs(2.5), secs(0.7)),
+            ),
+            SlotSpec::new(
+                hour,
+                secs(1800.0),
+                LengthDistribution::uniform(secs(1.0), secs(3.5)),
+            ),
+            SlotSpec::new(
+                hour,
+                secs(600.0),
+                LengthDistribution::exponential(secs(4.0)),
+            ),
+        ]);
+        for profile in [SlotProfile::roadside(), custom] {
+            let (phi_max, target) = (86.4f64, 16.0f64 + 1e-9);
+            let via_tree = format!(
+                "{}|{}|{:016x}|{:016x}",
+                json::to_string(&model.to_value()),
+                json::to_string(&profile.to_value()),
+                phi_max.to_bits(),
+                target.to_bits()
+            );
+            assert_eq!(key(&model, &profile, phi_max, target), via_tree);
+        }
+    }
 
     #[test]
     fn cached_solve_equals_a_fresh_solve_and_counts_hits() {
