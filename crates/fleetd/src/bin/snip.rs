@@ -13,7 +13,7 @@
 //! snip fleet-worker [--connect ADDR --token-file F]
 //!                                  (no flags: spawned by `snip fleet` over stdio)
 //! snip lint    [--root DIR]              determinism lint over the workspace
-//! snip check-proto [--abstract-only]     exhaustive protocol-v4 state check
+//! snip check-proto                     exhaustive protocol-v4 state check
 //! snip fuzz    [--seed S] [--iters N] [--corpus DIR] [--replay]
 //! ```
 //!
@@ -58,7 +58,7 @@ USAGE:
                                                a fleet-serve coordinator
     snip lint    [--root DIR]                  enforce the determinism contract
                                                over the workspace's own sources
-    snip check-proto [--abstract-only]         explore every bounded fault
+    snip check-proto                           explore every bounded fault
                                                interleaving of protocol v4 and
                                                check the fleet invariants
     snip fuzz    [options]                     seeded structured fuzzing of the
@@ -128,11 +128,6 @@ lint options:
     --root <dir>           workspace root to scan            [.]
                            (rules + the `// snip-lint: allow(<rule>): \"why\"`
                            escape hatch are documented in crates/verify)
-
-check-proto options:
-    --abstract-only        run only the state-space exploration; skip the concrete
-                           fault-schedule sweep and the auth-uniformity wire
-                           probe (which spawn worker subprocesses)
 
 fuzz options (defaults in brackets):
     --seed <n>             xorshift seed; same seed, same run  [1592614637]
@@ -1195,38 +1190,28 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// `snip check-proto`: the bounded-exhaustive protocol check — model
-/// exploration, then concrete fault schedules against the real driver,
-/// then the auth-uniformity wire probe.
+/// `snip check-proto`: the bounded-exhaustive protocol check — state
+/// exploration of the shipped cores, then concrete fault schedules
+/// against the real driver, then the auth-uniformity wire probe.
 fn cmd_check_proto(args: &[String]) -> Result<ExitCode, CliError> {
-    let mut abstract_only = false;
-    for arg in args {
-        match arg.as_str() {
-            "--abstract-only" => abstract_only = true,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown check-proto option `{other}`"
-                )))
-            }
-        }
+    if let Some(other) = args.first() {
+        return Err(CliError::Usage(format!(
+            "unknown check-proto option `{other}`"
+        )));
     }
 
     // Leg 1: every reachable state of the protocol within the fault
-    // budget — the shipped coordinator core in the loop — with the
-    // invariants asserted in each one.
+    // budget — the shipped worker and coordinator cores in the loop —
+    // with the invariants asserted in each one.
     use snip_fleetd::proto::explore::{explore, ExploreConfig, MIN_EXPLORED_STATES};
     let report = explore(&ExploreConfig::default())
         .map_err(|v| fatal(format!("protocol invariant violated: {v}")))?;
-    println!("check-proto [model]: {report}");
+    println!("check-proto [explore]: {report}");
     if report.states < MIN_EXPLORED_STATES {
         return Err(fatal(format!(
             "exploration bound regressed below the {MIN_EXPLORED_STATES}-state floor: {report}"
         )));
     }
-    if abstract_only {
-        return Ok(ExitCode::SUCCESS);
-    }
-
     // Leg 2: concrete fault schedules against the real `FleetDriver`,
     // worker subprocesses and all. Every schedule must end clean:
     // bit-identical to the sequential run, or `Incomplete` with the
@@ -1276,7 +1261,7 @@ fn check_proto_spec() -> FleetSpec {
     }
 }
 
-/// The concrete schedules: one per protocol hazard the model explores —
+/// The concrete schedules: one per protocol hazard the explorer covers —
 /// duplication (exactly-once merge), sever (steal + redial), reorder.
 fn check_proto_schedules() -> Vec<(&'static str, snip_fleetd::ChaosPlan)> {
     use snip_fleetd::{ChaosPlan, FaultAction, FaultDirection, FaultKind, FaultPlan, PeerFaults};

@@ -9,11 +9,13 @@
 //! is severed and counted lost — its in-flight shard goes back on the
 //! queue for a healthy worker.
 //!
-//! **One state machine.** Every decision of the run is made by the
-//! sans-IO [`RunCore`](crate::run_core::RunCore), the same type
-//! `snip check-proto` explores exhaustively. This module is its IO: one
-//! thread per peer drives a transport and feeds events into one
-//! `Mutex<RunCore>`, waiting on one condvar when there is nothing to deal.
+//! **Shipped state machines.** Every decision of the run is made by the
+//! sans-IO [`RunCore`](crate::run_core::RunCore), and every decision about
+//! one connection by its [`PeerCore`](crate::run_core::PeerCore) acting on
+//! it; `snip check-proto` explores the same two types exhaustively. This
+//! module is their IO: one thread per peer receives a frame, hands it to
+//! its `PeerCore` under the one `Mutex<RunCore>`, and sends what comes
+//! back, waiting on one condvar when there is nothing to deal.
 //!
 //! Two dispatch modes share every line of the drive loop:
 //!
@@ -66,7 +68,7 @@ use snip_sim::RunMetrics;
 
 use crate::fault::{ChaosPlan, FaultTransport};
 use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
-use crate::run_core::{Deal, Reply, RunCore, SessionEntry, Shard};
+use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, SessionEntry, Shard};
 use crate::spec::{FleetOutput, FleetSpec, JobRunner};
 use crate::transport::{
     recv_msg, send_msg, PipeTransport, PreEncoded, RecvError, TcpTransport, Transport,
@@ -363,10 +365,10 @@ impl Shared {
 
     /// Blocks until the core deals `peer` a batch; `None` means the run
     /// completed (or gave up) and the peer should shut down.
-    fn next_batch(&self, peer: usize, max: u64) -> Option<Vec<Shard>> {
+    fn next_batch(&self, peer: &mut PeerCore, max: u64) -> Option<Vec<Shard>> {
         let mut run = self.lock();
         loop {
-            match run.core.deal(peer, max) {
+            match peer.deal(&mut run.core, max) {
                 Deal::Batch(batch) => return Some(batch),
                 Deal::Over => return None,
                 // The 200 ms re-check is a hang backstop: every shard is
@@ -377,13 +379,11 @@ impl Shared {
         }
     }
 
-    /// Hands a `ShardDone` to the core: from the live peer `peer`
-    /// (validated against its batch) or, with `peer: None`, re-sent on a
-    /// resumed session (validated against the shard table). Fresh results
-    /// hit the checkpoint journal before they count as merged.
+    /// Hands `peer`'s `ShardDone` to its [`PeerCore`]. Fresh results hit
+    /// the checkpoint journal before they count as merged.
     fn receive_done(
         &self,
-        peer: Option<usize>,
+        peer: &mut PeerCore,
         results: Vec<ShardResult>,
         seeded_hits: u64,
     ) -> Reply {
@@ -391,7 +391,7 @@ impl Shared {
         let now = self.now();
         let mut guard = self.lock();
         let Run { core, checkpoint } = &mut *guard;
-        let reply = core.shard_done(peer, outs, now, &mut |id, metrics| {
+        let reply = peer.done(core, outs, now, &mut |id, metrics| {
             journal_shard(checkpoint, id, metrics);
         });
         if let Reply::Merged { .. } = reply {
@@ -400,16 +400,6 @@ impl Shared {
             self.wakeup.notify_all();
         }
         reply
-    }
-
-    /// A peer was lost: its unmerged batch goes back on the queue and its
-    /// session stays resumable.
-    fn lose(&self, peer: usize, session_id: u64, session: SessionEntry) {
-        let mut run = self.lock();
-        run.core.sever(peer);
-        run.core.save_session(session_id, session);
-        drop(run);
-        self.wakeup.notify_all();
     }
 }
 
@@ -431,16 +421,6 @@ fn journal_shard(checkpoint: &mut Option<CheckpointWriter>, id: u64, metrics: &[
             .observe(write_start.elapsed());
     }
     fleet_metrics().shards_done.inc();
-}
-
-/// How a peer's service ended.
-enum PeerOutcome {
-    /// Served until the queue drained (or joined after the finish line).
-    Finished,
-    /// Never made it through `Init`/`Ready`.
-    HandshakeFailed,
-    /// Admitted, then crashed/hung/spoke out of protocol.
-    Lost,
 }
 
 /// Constant-time token comparison (length aside): a byte-wise early exit
@@ -826,24 +806,17 @@ impl FleetDriver {
                 let args = &args;
                 let spawn_failure = &spawn_failure;
                 scope.spawn(move || {
+                    let peer = PeerCore::new(worker_idx, false);
                     let transport = match PipeTransport::spawn(program, args) {
                         Ok(t) => t,
                         Err(error) => {
                             lock(spawn_failure).get_or_insert((worker_idx, error));
-                            shared.lock().core.stats.workers_lost += 1;
+                            peer.lost(&mut shared.lock().core, SessionEntry::default());
                             return;
                         }
                     };
                     let mut transport = self.maybe_chaos(worker_idx, Box::new(transport));
-                    match self.drive_peer(worker_idx, transport.as_mut(), shared, init, None) {
-                        PeerOutcome::Finished => {}
-                        // A spawned pipe worker that fails its handshake
-                        // was still one of our own workers: count it lost.
-                        PeerOutcome::HandshakeFailed | PeerOutcome::Lost => {
-                            shared.lock().core.stats.workers_lost += 1;
-                            transport.sever();
-                        }
-                    }
+                    self.drive_peer(peer, transport.as_mut(), shared, init, None);
                 });
             }
         });
@@ -929,21 +902,15 @@ impl FleetDriver {
                         let idx = next_idx;
                         next_idx += 1;
                         scope.spawn(move || {
+                            let peer = PeerCore::new(idx, true);
                             match TcpTransport::accept(stream) {
                                 Ok(transport) => {
                                     let mut transport = self.maybe_chaos(idx, Box::new(transport));
-                                    self.drive_tcp_peer(
-                                        idx,
-                                        transport.as_mut(),
-                                        shared,
-                                        init,
-                                        &tcp.token,
-                                    );
+                                    let token = Some(tcp.token.as_str());
+                                    self.drive_peer(peer, transport.as_mut(), shared, init, token);
                                 }
                                 Err(_) => {
-                                    let mut run = shared.lock();
-                                    run.core.peer_authenticated();
-                                    run.core.stats.peers_rejected += 1;
+                                    peer.lost(&mut shared.lock().core, SessionEntry::default())
                                 }
                             }
                             shared.lock().core.peer_left(shared.now());
@@ -1020,91 +987,10 @@ impl FleetDriver {
         }
     }
 
-    /// Authenticates one dialed-in peer, then hands it to the shared
-    /// drive loop. The `Join` wait is bounded by `min(shard timeout,
-    /// JOIN_TIMEOUT)`: an unauthenticated peer is the cheapest thing to
-    /// stall with, so it gets seconds, not the shard budget.
-    fn drive_tcp_peer(
-        &self,
-        worker_idx: usize,
-        transport: &mut dyn Transport,
-        shared: &Shared,
-        init: &InitFrame,
-        token: &str,
-    ) {
-        let join_window = self.shard_timeout.min(JOIN_TIMEOUT);
-        let join = self.recv_peer_within(transport, shared, join_window);
-        shared.lock().core.peer_authenticated();
-        let resume = match join {
-            Some(WorkerMsg::Join {
-                protocol,
-                token: presented,
-                pid: _,
-                resume,
-            }) if protocol == PROTOCOL_VERSION && token_matches(&presented, token) => {
-                transport.unlock_frame_limit();
-                // A session id is an identity, never a credential: the
-                // token was just re-checked, and an id this run does not
-                // know (a restarted coordinator, a stale worker) simply
-                // falls back to a fresh Init inside the drive loop.
-                resume
-            }
-            // An *authenticated* peer on the wrong protocol version gets
-            // told so before the sever: a spec-bearing Init naming this
-            // coordinator's version, so the worker reports the skew
-            // instead of a bare disconnect.
-            // Unauthenticated skew stays indistinguishable from a bad
-            // token — the version is not a secret, but uniformity is
-            // what keeps the rejection path oracle-free.
-            Some(WorkerMsg::Join {
-                protocol,
-                token: presented,
-                ..
-            }) if protocol != PROTOCOL_VERSION && token_matches(&presented, token) => {
-                let rejection = CoordinatorMsg::Init {
-                    protocol: PROTOCOL_VERSION,
-                    spec: self.spec.clone(),
-                    spec_hash: self.spec_hash,
-                    session: 0,
-                    plans: vec![],
-                };
-                let _ = send_msg(transport, &rejection);
-                snip_obs::event!(
-                    snip_obs::log::Level::Warn,
-                    "peer {worker_idx} ({}) joined with protocol {protocol}, this \
-                     coordinator speaks {PROTOCOL_VERSION}; refused with a typed rejection",
-                    transport.peer()
-                );
-                transport.sever();
-                shared.lock().core.stats.peers_rejected += 1;
-                return;
-            }
-            // Bad token, garbage, a stall, or EOF: sever without
-            // revealing which check failed.
-            _ => {
-                transport.sever();
-                shared.lock().core.stats.peers_rejected += 1;
-                return;
-            }
-        };
-        let outcome = self.drive_peer(worker_idx, transport, shared, init, resume);
-        let mut run = shared.lock();
-        match outcome {
-            PeerOutcome::Finished => {}
-            PeerOutcome::HandshakeFailed => run.core.stats.peers_rejected += 1,
-            PeerOutcome::Lost => run.core.stats.workers_lost += 1,
-        }
-    }
-
-    /// Receives the peer's next message, bounded by the shard timeout and
-    /// sliced so the wait also ends promptly when the run finishes.
-    fn recv_peer(&self, transport: &mut dyn Transport, shared: &Shared) -> Option<WorkerMsg> {
-        self.recv_peer_within(transport, shared, self.shard_timeout)
-    }
-
-    /// [`Self::recv_peer`] with an explicit bound (the pre-auth `Join`
-    /// wait uses a much shorter one than the shard timeout).
-    fn recv_peer_within(
+    /// Receives the peer's next message within `timeout` (the shard
+    /// timeout, or the much shorter pre-auth `Join` bound), sliced so the
+    /// wait also ends promptly when the run finishes.
+    fn recv_peer(
         &self,
         transport: &mut dyn Transport,
         shared: &Shared,
@@ -1176,74 +1062,97 @@ impl FleetDriver {
         }
     }
 
-    /// Speaks the post-authentication protocol with one peer until the
-    /// queue drains or the peer is lost (any in-flight shard re-queued
-    /// first). Transport-generic: this is the whole worker lifecycle for
-    /// pipes and TCP both. `resume` is a redialing worker's session id;
-    /// when this run still knows it, the handshake is skipped, the
-    /// worker's in-flight `ShardDone` (if any) is accepted, and service
-    /// continues — otherwise a fresh `Init` assigns a new session.
+    /// Speaks the protocol with one peer until the queue drains or the
+    /// peer is lost: the whole worker lifecycle for pipes and TCP both, as
+    /// a loop over the peer's [`PeerCore`]. A dialed-in peer (`token`)
+    /// authenticates first. Its `Join` wait is bounded by `min(shard
+    /// timeout, JOIN_TIMEOUT)`: an unauthenticated peer is the cheapest
+    /// thing to stall with, so it gets seconds, not the shard budget. A
+    /// redialing worker presents its session id: when this run still
+    /// knows it, the worker's in-flight `ShardDone` (if any) is accepted
+    /// and service continues; otherwise a fresh `Init` assigns a new
+    /// session.
     fn drive_peer(
         &self,
-        worker_idx: usize,
+        mut peer: PeerCore,
         transport: &mut dyn Transport,
         shared: &Shared,
         init: &InitFrame,
-        resume: Option<u64>,
-    ) -> PeerOutcome {
+        token: Option<&str>,
+    ) {
+        let worker_idx = peer.peer;
+        let join_window = self.shard_timeout.min(JOIN_TIMEOUT);
+        let joined = match token {
+            // A spawned pipe worker joins unasked.
+            None => Ok(None),
+            Some(token) => match self.recv_peer(transport, shared, join_window) {
+                Some(WorkerMsg::Join {
+                    protocol,
+                    token: presented,
+                    pid: _,
+                    resume,
+                }) if protocol == PROTOCOL_VERSION && token_matches(&presented, token) => {
+                    transport.unlock_frame_limit();
+                    Ok(resume)
+                }
+                // An *authenticated* peer on the wrong protocol version
+                // gets told so before the sever: a spec-bearing Init
+                // naming this coordinator's version, so the worker reports
+                // the skew instead of a bare disconnect.
+                // Unauthenticated skew stays indistinguishable from a bad
+                // token — the version is not a secret, but uniformity is
+                // what keeps the rejection path oracle-free.
+                Some(WorkerMsg::Join {
+                    protocol,
+                    token: presented,
+                    ..
+                }) if protocol != PROTOCOL_VERSION && token_matches(&presented, token) => {
+                    let rejection = CoordinatorMsg::Init {
+                        protocol: PROTOCOL_VERSION,
+                        spec: self.spec.clone(),
+                        spec_hash: self.spec_hash,
+                        session: 0,
+                        plans: vec![],
+                    };
+                    let _ = send_msg(transport, &rejection);
+                    snip_obs::event!(
+                        snip_obs::log::Level::Warn,
+                        "peer {worker_idx} ({}) joined with protocol {protocol}, this \
+                         coordinator speaks {PROTOCOL_VERSION}; refused with a typed rejection",
+                        transport.peer()
+                    );
+                    Err(())
+                }
+                // Bad token, garbage, a stall, or EOF: sever without
+                // revealing which check failed.
+                _ => Err(()),
+            },
+        };
+        let Ok(resume) = joined else {
+            transport.sever();
+            peer.lost(&mut shared.lock().core, SessionEntry::default());
+            return;
+        };
         // snip-lint: allow(wall-clock): "handshake latency metric; observability only"
         let handshake_start = Instant::now();
-        let spec_hash = self.spec_hash;
         let obs = fleet_metrics();
-        let ready = |msg: Option<WorkerMsg>| {
-            matches!(msg, Some(WorkerMsg::Ready { protocol, spec_hash: echoed, .. })
-                if protocol == PROTOCOL_VERSION && echoed == spec_hash)
-        };
-        let resumed = resume.and_then(|sid| Some((sid, shared.lock().core.resume_session(sid)?)));
-        let (session_id, mut session) = match resumed {
-            Some((sid, mut session)) => {
-                // The worker was admitted on its first connection —
-                // resuming re-counts nothing, only the reconnect itself.
+        let admit = peer.join(&mut shared.lock().core, resume);
+        let (mut session, opened) = match admit.expect("a new connection joins once") {
+            // The worker was admitted on its first connection: resuming
+            // re-counts nothing, only the reconnect itself. The worker
+            // re-sends the `ShardDone` batch in flight when its socket
+            // dropped, or reports `Ready` (nothing pending).
+            Admit::Resumed(sid, session) => {
                 snip_obs::event!(
                     snip_obs::log::Level::Info,
                     "peer {worker_idx} ({}) resumed session {sid}",
                     transport.peer()
                 );
-                // The worker now either re-sends the ShardDone batch that
-                // was in flight when the socket dropped, or reports Ready
-                // (nothing pending). The core checks the re-sent batch
-                // against the shard table and merges each result exactly
-                // once.
-                let accepted = send_msg(transport, &CoordinatorMsg::Resumed { session: sid })
-                    .is_ok()
-                    && match self.recv_peer(transport, shared) {
-                        Some(WorkerMsg::ShardDone {
-                            results,
-                            plans,
-                            seeded_hits,
-                        }) => {
-                            let reply = shared.receive_done(None, results, seeded_hits);
-                            let merged = matches!(reply, Reply::Merged { .. });
-                            if merged {
-                                self.absorb_plans(plans, &mut session.shipped);
-                            }
-                            merged
-                        }
-                        msg => ready(msg),
-                    };
-                if !accepted {
-                    shared.lose(worker_idx, sid, session);
-                    transport.sever();
-                    return PeerOutcome::Lost;
-                }
-                (sid, session)
+                let resumed = send_msg(transport, &CoordinatorMsg::Resumed { session: sid });
+                (session, resumed)
             }
-            None => {
-                let sid = {
-                    let mut run = shared.lock();
-                    run.core.stats.plans_shipped += init.plan_keys.len() as u64;
-                    run.core.open_session()
-                };
+            Admit::Fresh(sid) => {
+                shared.lock().core.stats.plans_shipped += init.plan_keys.len() as u64;
                 // The peer's plan bookkeeping starts from the pre-encode
                 // snapshot: the frame already carries those plans, so
                 // they count as shipped and the generation is the one
@@ -1252,31 +1161,10 @@ impl FleetDriver {
                     shipped: init.plan_keys.iter().cloned().collect(),
                     seen_generation: init.generation,
                 };
-                if transport.send_frame(&init.frame.bytes).is_err()
-                    || send_msg(transport, &CoordinatorMsg::Session { session: sid }).is_err()
-                {
-                    transport.sever();
-                    return PeerOutcome::HandshakeFailed;
-                }
-                if !ready(self.recv_peer(transport, shared)) {
-                    transport.sever();
-                    // A joiner that was still shaking hands when the run
-                    // finished is neither lost nor rejected.
-                    return if shared.lock().core.over() {
-                        PeerOutcome::Finished
-                    } else {
-                        PeerOutcome::HandshakeFailed
-                    };
-                }
-                shared.lock().core.stats.workers += 1;
-                obs.workers.inc();
-                obs.handshake_us.observe(handshake_start.elapsed());
-                snip_obs::event!(
-                    snip_obs::log::Level::Debug,
-                    "peer {worker_idx} ({}) admitted as session {sid}",
-                    transport.peer()
-                );
-                (sid, session)
+                let sent = transport
+                    .send_frame(&init.frame.bytes)
+                    .and_then(|()| send_msg(transport, &CoordinatorMsg::Session { session: sid }));
+                (session, sent)
             }
         };
 
@@ -1286,67 +1174,93 @@ impl FleetDriver {
         let serve_start = Instant::now();
         let mut busy_us = 0u64;
         let mut done_here = 0u64;
-        let outcome = loop {
-            let Some(batch) = shared.next_batch(worker_idx, self.shard_batch) else {
-                let _ = send_msg(transport, &CoordinatorMsg::Shutdown);
-                break PeerOutcome::Finished;
-            };
-            let _shard_span = snip_obs::span!(
-                "shards {:?} jobs {}..{} peer {worker_idx}",
-                batch.iter().map(|s| s.id).collect::<Vec<_>>(),
-                batch[0].start,
-                batch[batch.len() - 1].end
-            );
-            // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
-            let compute_start = Instant::now();
-            let assignment = CoordinatorMsg::Shard {
-                jobs: batch
-                    .iter()
-                    .map(|s| ShardJob {
-                        id: s.id,
-                        start: s.start,
-                        end: s.end,
-                    })
-                    .collect(),
-                plans: self.plans_for(&mut session, shared),
-            };
-            if send_msg(transport, &assignment).is_err() {
-                break PeerOutcome::Lost;
-            }
-            let plans = loop {
-                match self.recv_peer(transport, shared) {
+        // The batch the peer owes: its size, when it was dealt, its span.
+        let mut owed = None;
+        let served = opened.is_ok()
+            && loop {
+                if let PeerPhase::Dealing(_) = peer.phase() {
+                    let Some(batch) = shared.next_batch(&mut peer, self.shard_batch) else {
+                        let _ = send_msg(transport, &CoordinatorMsg::Shutdown);
+                        break true;
+                    };
+                    let shard_span = snip_obs::span!(
+                        "shards {:?} jobs {}..{} peer {worker_idx}",
+                        batch.iter().map(|s| s.id).collect::<Vec<_>>(),
+                        batch[0].start,
+                        batch[batch.len() - 1].end
+                    );
+                    // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
+                    let compute_start = Instant::now();
+                    let assignment = CoordinatorMsg::Shard {
+                        jobs: batch
+                            .iter()
+                            .map(|s| ShardJob {
+                                id: s.id,
+                                start: s.start,
+                                end: s.end,
+                            })
+                            .collect(),
+                        plans: self.plans_for(&mut session, shared),
+                    };
+                    if send_msg(transport, &assignment).is_err() {
+                        break false;
+                    }
+                    owed = Some((batch.len() as u64, compute_start, shard_span));
+                }
+                // A wrong reply, broken frame, EOF, or timeout loses the peer.
+                match self.recv_peer(transport, shared, self.shard_timeout) {
                     Some(WorkerMsg::ShardDone {
                         results,
                         plans,
                         seeded_hits,
-                    }) => match shared.receive_done(Some(worker_idx), results, seeded_hits) {
-                        Reply::Merged { .. } => break Some(plans),
+                    }) => match shared.receive_done(&mut peer, results, seeded_hits) {
+                        Reply::Merged { .. } => {
+                            self.absorb_plans(plans, &mut session.shipped);
+                            // A resumed session's re-sent batch was not dealt
+                            // on this connection: nothing to time.
+                            if let Some((shards, compute_start, _span)) = owed.take() {
+                                let round_trip = compute_start.elapsed();
+                                obs.compute_us.observe(round_trip);
+                                busy_us += snip_obs::metrics::duration_us(round_trip);
+                                done_here += shards;
+                            }
+                        }
                         // A re-delivery of an already-merged batch — a
-                        // chaos-injected repeat, or a re-send racing its
-                        // own acknowledgement — is dropped; the peer is
-                        // still healthy and still owes the current batch.
-                        Reply::Stale => continue,
-                        Reply::Invalid => break None,
+                        // chaos-injected repeat, or a re-send racing its own
+                        // acknowledgement — is dropped; the peer is still
+                        // healthy and still owes the current batch.
+                        Reply::Stale => {}
+                        Reply::Invalid => break false,
                     },
-                    _ => break None,
+                    Some(WorkerMsg::Ready {
+                        protocol,
+                        spec_hash,
+                        ..
+                    }) if protocol == PROTOCOL_VERSION && spec_hash == self.spec_hash => {
+                        let phase = peer.phase();
+                        if !peer.ready() {
+                            break false;
+                        }
+                        if let PeerPhase::AwaitReady(sid) = phase {
+                            shared.lock().core.stats.workers += 1;
+                            obs.workers.inc();
+                            obs.handshake_us.observe(handshake_start.elapsed());
+                            snip_obs::event!(
+                                snip_obs::log::Level::Debug,
+                                "peer {worker_idx} ({}) admitted as session {sid}",
+                                transport.peer()
+                            );
+                        }
+                    }
+                    _ => break false,
                 }
             };
-            // Wrong reply, broken frame, EOF, or timeout: the peer is lost.
-            let Some(plans) = plans else {
-                break PeerOutcome::Lost;
-            };
-            let round_trip = compute_start.elapsed();
-            obs.compute_us.observe(round_trip);
-            busy_us += snip_obs::metrics::duration_us(round_trip);
-            self.absorb_plans(plans, &mut session.shipped);
-            done_here += batch.len() as u64;
-        };
-        // A lost peer's unmerged batch goes back on the queue (members that
-        // merged through a resumed session meanwhile stay put), and its
-        // session stays resumable: if the worker redials with this id, it
-        // picks up where the socket dropped.
-        if matches!(outcome, PeerOutcome::Lost) {
-            shared.lose(worker_idx, session_id, session);
+        if !served {
+            // A lost peer's unmerged batch goes back on the queue, and its
+            // session stays resumable: if the worker redials with this id,
+            // it picks up where the socket dropped.
+            peer.lost(&mut shared.lock().core, session);
+            shared.wakeup.notify_all();
             transport.sever();
         }
         let serve_us = snip_obs::metrics::duration_us(serve_start.elapsed());
@@ -1364,7 +1278,6 @@ impl FleetDriver {
             snip_obs::log::Level::Debug,
             "peer {worker_idx} served {done_here} shard(s), busy {busy_us}µs of {serve_us}µs"
         );
-        outcome
     }
 }
 

@@ -548,10 +548,10 @@ mod tests {
         );
     }
 
-    /// `batch: 1` is the one-job-per-frame wire on the same fault
+    /// `batch: 1` deals one shard per `Shard` frame on the same fault
     /// budgets — everything still holds, nothing ever batches.
     #[test]
-    fn batch_of_one_reproduces_the_v3_wire() {
+    fn batch_of_one_never_packs_a_frame() {
         let cfg = ExploreConfig {
             batch: 1,
             ..ExploreConfig::default()

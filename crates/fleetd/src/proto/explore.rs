@@ -1,5 +1,5 @@
 //! `snip check-proto`: bounded exhaustive exploration of the fleet
-//! protocol, with the shipped coordinator state machine in the loop.
+//! protocol, with both ends of every connection running shipped code.
 //!
 //! The protocol promises: every job of a `ShardDone` batch merges exactly
 //! once; every run reaches a terminal (complete, or given up with a full
@@ -7,71 +7,43 @@
 //! journaled shard. This module enumerates the *entire* reachable state
 //! space of a small run within a fault budget and checks every state.
 //!
-//! The coordinator half is not a model: each coordinator transition is a
-//! call into the [`RunCore`] that `FleetDriver::run`'s peer threads drive
-//! (deal, `ShardDone` validation and merge, requeue, sessions, restart
-//! from the checkpointed set, idle give-up). Only the environment is
-//! modelled: workers that dial, compute, answer, and re-send their last
-//! unacknowledged `ShardDone` after a resume; one coordinator thread per
-//! connection stepping through `drive_peer`; and faults — a sever seen by
-//! both ends at once (the chaos layer's `Sever`, `Truncate` and
-//! reorder-fatal outcomes), a duplicated `ShardDone`, and a coordinator
-//! restart that keeps only the checkpoint journal.
+//! Nothing here models the protocol. Each worker is the [`WorkerCore`]
+//! its `snip fleet-worker` loop steps; each coordinator connection is the
+//! [`PeerCore`] `FleetDriver`'s peer threads step; all of them act on the
+//! run's one [`RunCore`] (deal, `ShardDone` validation and merge, requeue,
+//! sessions, restart from the checkpointed set, idle give-up). Only the
+//! environment is modelled: the frames, abstracted to [`Msg`], two
+//! bounded channels per worker, and faults — a sever seen by both ends
+//! at once (the chaos layer's `Sever`, `Truncate` and reorder-fatal
+//! outcomes), a duplicated `ShardDone`, a coordinator restart that keeps
+//! only the checkpoint journal, and a budget of dials per worker.
 //!
 //! Invariants hold in **every reachable state** ([`RunCore::violation`],
-//! exactly-once journaling, batch ownership), and terminal reachability
-//! is checked by reverse closure over the explored graph, so a livelock
-//! is reported, not just a deadlock.
+//! exactly-once journaling, batch ownership), no worker ever hears a
+//! frame out of grammar, and terminal reachability is checked by reverse
+//! closure over the explored graph, so a livelock is reported, not just
+//! a deadlock.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
 use crate::coordinator::{DriverStats, MAX_PREAUTH_PEERS};
-use crate::run_core::{Deal, Reply, RunCore, SessionEntry, Shard};
+use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, SessionEntry, Shard};
+use crate::worker::{Heard, Phase, Step, WorkerCore, WorkerSummary};
 
 /// The fewest distinct states the default bounds must explore. It is the
 /// count [`explore`] reaches with [`ExploreConfig::default`], rounded
 /// down: a change that shrinks the explored space fails `check-proto`.
 pub const MIN_EXPLORED_STATES: usize = 226_000;
 
-/// What a worker process is doing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-enum WorkerMode {
-    /// Not connected; may dial while budget remains.
-    #[default]
-    Down,
-    /// Connected, awaiting the coordinator's next frame.
-    Up,
-    /// Computing a batch of shards (bitmask; results not yet sent).
-    Computing(u16),
-}
-
-/// What the coordinator's thread for one worker connection is doing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-enum Conn {
-    /// No connection.
-    #[default]
-    Closed,
-    /// Accepted; awaiting `Join`.
-    AwaitJoin,
-    /// Fresh `Init` sent for this session; awaiting `Ready`.
-    AwaitReady(u64),
-    /// `Resumed` sent; awaiting the re-sent `ShardDone` or a `Ready`.
-    AwaitResume(u64),
-    /// Blocked in the core's deal.
-    Dealing(u64),
-    /// A batch was dealt; awaiting its `ShardDone`.
-    Serving(u64),
-}
-
-/// Frames in flight, abstracted to what drives the state machine.
+/// Frames in flight, abstracted to what drives the state machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Msg {
-    /// Coordinator → worker: fresh admission (`Init` + `Session`).
+    /// Coordinator → worker: fresh admission, `Init` and its `Session`.
     Init(u64),
     /// Coordinator → worker: session resumed.
-    Resumed,
+    Resumed(u64),
     /// Coordinator → worker: compute this batch (bitmask).
     Shard(u16),
     /// Worker → coordinator: `Join`, presenting a session to resume.
@@ -82,16 +54,15 @@ enum Msg {
     Done(u16),
 }
 
-/// One worker and its connection.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+/// One worker, the coordinator's end of its connection, and the wire.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(super) struct WorkerSt {
-    mode: WorkerMode,
-    /// The last `ShardDone` sent and not yet acknowledged by a later
-    /// coordinator frame (bitmask) — re-sent after a resume.
-    pending: u16,
-    /// The session id the worker would present on redial.
-    session: Option<u64>,
-    conn: Conn,
+    /// The worker process; it keeps its result as a shard bitmask.
+    core: WorkerCore<u16>,
+    /// The batch being computed (bitmask), while `core` computes.
+    computing: u16,
+    /// The coordinator's thread for the connection, if one is up.
+    peer: Option<PeerCore>,
     /// Coordinator → worker frames in flight.
     c2w: VecDeque<Msg>,
     /// Worker → coordinator frames in flight.
@@ -245,9 +216,13 @@ impl St {
             ),
             workers: (0..cfg.workers)
                 .map(|_| WorkerSt {
+                    core: WorkerCore::new(),
+                    computing: 0,
+                    peer: None,
+                    c2w: VecDeque::new(),
+                    w2c: VecDeque::new(),
                     redials_left: cfg.redials,
                     severs_left: cfg.severs_per_worker,
-                    ..WorkerSt::default()
                 })
                 .collect(),
             journaled: 0,
@@ -263,7 +238,7 @@ impl St {
         self.workers.iter().all(|w| {
             w.c2w.is_empty()
                 && w.w2c.is_empty()
-                && w.mode == WorkerMode::Down
+                && w.core.phase() == Phase::Down
                 && w.redials_left == 0
         })
     }
@@ -272,16 +247,23 @@ impl St {
     /// and keeping them would multiply states without new behavior.
     fn settled(mut self) -> St {
         self.core.stats = DriverStats::default();
+        for w in &mut self.workers {
+            w.core.summary = WorkerSummary::default();
+        }
         self
     }
 }
 
 /// Enumerates every successor of `st`, tallying what the transitions
 /// exercise into `report`.
-fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<St> {
+fn successors(
+    st: &St,
+    cfg: &ExploreConfig,
+    report: &mut ExploreReport,
+) -> Result<Vec<St>, ProtoViolation> {
     let mut out = Vec::new();
     if st.core.over() {
-        return out;
+        return Ok(out);
     }
 
     if st.stalled() {
@@ -289,58 +271,41 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
         // No time passes in the explorer: a zero timeout has expired.
         next.core.give_up_if_idle(Duration::ZERO, Duration::ZERO);
         out.push(next);
-        return out;
+        return Ok(out);
     }
 
     for (wi, w) in st.workers.iter().enumerate() {
+        let phase = w.core.phase();
         // Dial (first join) or redial after a sever.
-        if w.mode == WorkerMode::Down && w.redials_left > 0 {
+        if phase == Phase::Down && w.redials_left > 0 {
             let mut next = st.clone();
             assert!(next.core.peer_accepted(Duration::ZERO, MAX_PREAUTH_PEERS));
             let nw = &mut next.workers[wi];
             nw.redials_left -= 1;
-            nw.mode = WorkerMode::Up;
-            nw.conn = Conn::AwaitJoin;
-            nw.w2c.push_back(Msg::Join(nw.session));
+            nw.peer = Some(PeerCore::new(wi, true));
+            let resume = nw.core.linked();
+            nw.w2c.push_back(Msg::Join(resume));
             out.push(next);
         }
 
         // Worker finishes its compute: the whole batch's results enter
         // the wire as one `ShardDone` frame.
-        if let WorkerMode::Computing(mask) = w.mode {
-            if w.w2c.len() < CHANNEL_CAP {
-                let mut next = st.clone();
-                let nw = &mut next.workers[wi];
-                nw.mode = WorkerMode::Up;
-                nw.pending = mask;
-                nw.w2c.push_back(Msg::Done(mask));
-                out.push(next);
-            }
+        if phase == Phase::Computing && w.w2c.len() < CHANNEL_CAP {
+            let mut next = st.clone();
+            let done = finish_compute(&mut next.workers[wi]);
+            next.workers[wi].w2c.push_back(Msg::Done(done));
+            out.push(next);
         }
 
         // Worker consumes the head coordinator frame.
-        if let (Some(&msg), false) = (w.c2w.front(), w.mode == WorkerMode::Down) {
+        if let (Some(&msg), Phase::Handshake | Phase::Serving) = (w.c2w.front(), phase) {
             let mut next = st.clone();
             let nw = &mut next.workers[wi];
             nw.c2w.pop_front();
-            match msg {
-                // A fresh admission drops a pending result whose session
-                // the coordinator no longer knows; a resumed one re-sends it.
-                Msg::Init(sid) => {
-                    nw.session = Some(sid);
-                    nw.pending = 0;
-                    nw.w2c.push_back(Msg::Ready);
-                }
-                Msg::Resumed => nw.w2c.push_back(match nw.pending {
-                    0 => Msg::Ready,
-                    mask => Msg::Done(mask),
-                }),
-                Msg::Shard(mask) => {
-                    nw.pending = 0;
-                    nw.mode = WorkerMode::Computing(mask);
-                }
-                _ => unreachable!("worker-bound channel never carries worker messages"),
-            }
+            deliver_to_worker(nw, msg).map_err(|step| {
+                let invariant = "a worker must only ever hear frames its protocol expects";
+                ProtoViolation::new(invariant, format!("{step:?} after {msg:?} in {st:?}"))
+            })?;
             if nw.w2c.len() <= CHANNEL_CAP {
                 out.push(next);
             }
@@ -348,7 +313,7 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
 
         // Coordinator consumes the head worker frame.
         if let Some(&msg) = w.w2c.front() {
-            if let Some(next) = coordinator_recv(st, wi, msg, report) {
+            if let Some(next) = deliver_to_peer(st, wi, msg, report) {
                 if next.workers[wi].c2w.len() <= CHANNEL_CAP {
                     out.push(next);
                 }
@@ -356,11 +321,13 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
         }
 
         // The coordinator thread blocked in the deal gets its batch.
-        if let Conn::Dealing(sid) = w.conn {
+        if w.peer
+            .is_some_and(|p| matches!(p.phase(), PeerPhase::Dealing(_)))
+        {
             let mut next = st.clone();
-            if let Deal::Batch(batch) = next.core.deal(wi, u64::from(cfg.batch)) {
-                let nw = &mut next.workers[wi];
-                nw.conn = Conn::Serving(sid);
+            let nw = &mut next.workers[wi];
+            let peer = nw.peer.as_mut().expect("dealing peer");
+            if let Deal::Batch(batch) = peer.deal(&mut next.core, u64::from(cfg.batch)) {
                 nw.c2w
                     .push_back(Msg::Shard(mask_of(batch.iter().map(|s| s.id))));
                 if nw.c2w.len() <= CHANNEL_CAP {
@@ -385,10 +352,10 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
         }
 
         // Sever the worker's connection.
-        if w.severs_left > 0 && w.mode != WorkerMode::Down {
+        if w.severs_left > 0 && phase != Phase::Down {
             let mut next = st.clone();
             next.workers[wi].severs_left -= 1;
-            sever_worker(&mut next, wi);
+            sever(&mut next, wi);
             out.push(next);
         }
     }
@@ -398,6 +365,9 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
     if st.restarts_left > 0 {
         let mut next = st.clone();
         next.restarts_left -= 1;
+        for wi in 0..next.workers.len() {
+            sever(&mut next, wi);
+        }
         let checkpointed = (0..u64::from(cfg.shards))
             .filter(|id| next.journaled & 1 << id != 0)
             .map(|id| (id, vec![()]))
@@ -407,103 +377,120 @@ fn successors(st: &St, cfg: &ExploreConfig, report: &mut ExploreReport) -> Vec<S
             checkpointed,
             Duration::ZERO,
         );
-        for w in &mut next.workers {
-            drop_link(w);
-        }
         out.push(next);
     }
 
-    out.into_iter().map(St::settled).collect()
+    Ok(out.into_iter().map(St::settled).collect())
 }
 
-/// The coordinator thread for worker `wi` receives `msg`, stepping
-/// `drive_peer` through the core. `None` when that thread is not
-/// reading (blocked in the deal, or no connection).
-fn coordinator_recv(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> Option<St> {
+/// The worker hands its computed batch to its core; returns the result.
+fn finish_compute(w: &mut WorkerSt) -> u16 {
+    let done = std::mem::take(&mut w.computing);
+    let shards = u64::from(done.count_ones());
+    *w.core.computed(done, shards, shards)
+}
+
+/// The worker's loop: `msg` goes through its core, and the frame the
+/// core asks for goes on the wire. `Err` carries a step the worker's
+/// protocol never takes on this frame.
+fn deliver_to_worker(w: &mut WorkerSt, msg: Msg) -> Result<(), Step> {
+    let heard = match msg {
+        Msg::Init(_) => Heard::Init(Ok(())),
+        Msg::Resumed(sid) => Heard::Resumed(sid),
+        Msg::Shard(_) => Heard::Shard,
+        _ => unreachable!("worker-bound channel never carries worker messages"),
+    };
+    match (w.core.heard(heard), msg) {
+        // The `Session` frame follows `Init` on the wire; the two are
+        // delivered together.
+        (Step::Ready, Msg::Init(sid)) => match w.core.heard(Heard::Session(sid)) {
+            Step::Recv => w.w2c.push_back(Msg::Ready),
+            step => return Err(step),
+        },
+        (Step::Ready, _) => w.w2c.push_back(Msg::Ready),
+        (Step::Resend, _) => w.w2c.push_back(Msg::Done(
+            *w.core.pending().expect("a re-send has a result"),
+        )),
+        (Step::Compute, Msg::Shard(mask)) => w.computing = mask,
+        (step, _) => return Err(step),
+    }
+    Ok(())
+}
+
+/// The coordinator thread for worker `wi` receives `msg` through its
+/// [`PeerCore`]. `None` when that thread is not reading (waiting in the
+/// deal, or no connection).
+fn deliver_to_peer(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> Option<St> {
     let mut next = st.clone();
-    next.workers[wi].w2c.pop_front();
-    // `None`: the peer broke protocol, and `drive_peer` severs it.
-    let conn = match (next.workers[wi].conn, msg) {
-        (Conn::Closed | Conn::Dealing(_), _) => return None,
-        (Conn::AwaitJoin, Msg::Join(resume)) => {
-            next.core.peer_authenticated();
-            let known = resume.and_then(|sid| next.core.resume_session(sid).map(|_| sid));
-            Some(match known {
-                Some(sid) => {
-                    next.workers[wi].c2w.push_back(Msg::Resumed);
-                    Conn::AwaitResume(sid)
-                }
-                None => {
-                    // Fresh admission, also for a session a restarted
-                    // coordinator no longer knows.
-                    let sid = next.core.open_session();
-                    next.workers[wi].c2w.push_back(Msg::Init(sid));
-                    Conn::AwaitReady(sid)
-                }
-            })
+    let St {
+        core,
+        workers,
+        journaled,
+        journaled_twice,
+        ..
+    } = &mut next;
+    let w = &mut workers[wi];
+    let peer = w.peer.as_mut()?;
+    if let PeerPhase::Dealing(_) = peer.phase() {
+        return None;
+    }
+    w.w2c.pop_front();
+    let resumed = matches!(peer.phase(), PeerPhase::AwaitResume(_));
+    let in_grammar = match msg {
+        Msg::Join(resume) => match peer.join(core, resume) {
+            Some(Admit::Fresh(sid)) => Some(Msg::Init(sid)),
+            Some(Admit::Resumed(sid, _)) => Some(Msg::Resumed(sid)),
+            None => None,
         }
-        (Conn::AwaitReady(sid) | Conn::AwaitResume(sid), Msg::Ready) => Some(Conn::Dealing(sid)),
-        (Conn::AwaitResume(sid) | Conn::Serving(sid), Msg::Done(mask)) => {
-            let resumed = matches!(next.workers[wi].conn, Conn::AwaitResume(_));
-            let peer = (!resumed).then_some(wi);
-            let (journaled, twice) = (&mut next.journaled, &mut next.journaled_twice);
-            let reply =
-                next.core
-                    .shard_done(peer, results_of(mask), Duration::ZERO, &mut |id, _| {
-                        *twice |= *journaled & 1 << id != 0;
-                        *journaled |= 1 << id;
-                    });
-            match reply {
+        .map(|reply| w.c2w.push_back(reply))
+        .is_some(),
+        Msg::Ready => peer.ready(),
+        Msg::Done(mask) => {
+            let journal = &mut |id: u64, _: &[()]| {
+                *journaled_twice |= *journaled & 1 << id != 0;
+                *journaled |= 1 << id;
+            };
+            match peer.done(core, results_of(mask), Duration::ZERO, journal) {
                 Reply::Merged { fresh, stale } => {
                     report.resume_redeliveries += usize::from(resumed);
                     report.dedup_absorptions += usize::from(stale > 0);
                     report.partial_batch_merges += usize::from(fresh > 0 && stale > 0);
-                    Some(Conn::Dealing(sid))
+                    true
                 }
                 Reply::Stale => {
                     report.dedup_absorptions += 1;
-                    Some(Conn::Serving(sid))
+                    true
                 }
-                Reply::Invalid => None,
+                Reply::Invalid => false,
             }
         }
-        _ => None,
+        _ => unreachable!("coordinator-bound channel never carries coordinator messages"),
     };
-    match conn {
-        Some(conn) => next.workers[wi].conn = conn,
-        None => sever_worker(&mut next, wi),
+    // The peer broke protocol, and `drive_peer` severs it.
+    if !in_grammar {
+        sever(&mut next, wi);
     }
     Some(next)
 }
 
-/// Connection loss seen by both ends: the coordinator thread ends the way
-/// `drive_peer` ends for a failed peer (a lost peer's unmerged batch
-/// requeued and its session kept resumable), and the worker keeps its
-/// computed results as `pending`.
-fn sever_worker(next: &mut St, wi: usize) {
-    let conn = next.workers[wi].conn;
-    if conn == Conn::AwaitJoin {
-        next.core.peer_authenticated();
-    }
-    if let Conn::AwaitResume(sid) | Conn::Dealing(sid) | Conn::Serving(sid) = conn {
-        next.core.sever(wi);
-        next.core.save_session(sid, SessionEntry::default());
-    }
-    if conn != Conn::Closed {
+/// Connection loss seen by both ends: the coordinator's thread ends
+/// through its [`PeerCore`], the worker's link through its core.
+fn sever(next: &mut St, wi: usize) {
+    let w = &mut next.workers[wi];
+    if let Some(peer) = w.peer.take() {
+        peer.lost(&mut next.core, SessionEntry::default());
         next.core.peer_left(Duration::ZERO);
     }
-    drop_link(&mut next.workers[wi]);
-}
-
-/// The worker side of a lost connection.
-fn drop_link(w: &mut WorkerSt) {
     // The worker process survives a connection loss and finishes its
-    // compute: the results become the pending re-delivery.
-    if let WorkerMode::Computing(mask) = w.mode {
-        w.pending = mask;
+    // compute; only sending the result fails.
+    if w.core.phase() == Phase::Computing {
+        finish_compute(w);
     }
-    w.mode = WorkerMode::Down;
-    w.conn = Conn::Closed;
+    // A worker that stops instead of redialing (it had no session yet)
+    // is relaunched fresh: the dial budget covers either.
+    if !matches!(w.core.lost(None, true), Step::Redial) {
+        w.core = WorkerCore::new();
+    }
     w.c2w.clear();
     w.w2c.clear();
 }
@@ -522,7 +509,10 @@ pub(super) fn check_state(st: &St, cfg: &ExploreConfig) -> Result<(), ProtoViola
         return fail("a shard must be journaled before it counts as merged");
     }
     for (wi, w) in st.workers.iter().enumerate() {
-        if matches!(w.conn, Conn::Serving(_)) != st.core.holds(wi) {
+        let serving = w
+            .peer
+            .is_some_and(|p| matches!(p.phase(), PeerPhase::Serving(_)));
+        if serving != st.core.holds(wi) {
             return fail("a peer holds a batch exactly while it owes that batch's ShardDone");
         }
     }
@@ -559,7 +549,7 @@ pub fn explore(cfg: &ExploreConfig) -> Result<ExploreReport, ProtoViolation> {
 
     while let Some(st) = frontier.pop_front() {
         let id = ids[&st] as usize;
-        let succs = successors(&st, cfg, &mut report);
+        let succs = successors(&st, cfg, &mut report)?;
         let is_terminal = st.core.over();
         if succs.is_empty() && !is_terminal {
             let invariant = "deadlock freedom: a non-terminal state has no enabled transition";

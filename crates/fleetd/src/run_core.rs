@@ -1,4 +1,5 @@
-//! The coordinator's shard lifecycle as a sans-IO state machine.
+//! The coordinator's shard lifecycle and its side of each connection as
+//! sans-IO state machines.
 //!
 //! [`RunCore`] makes every decision of a fleet run: which shards are
 //! queued, which batch each peer holds, which results have merged, which
@@ -6,10 +7,17 @@
 //! [`DriverStats`] counter. It reads no clock, touches no socket and never
 //! blocks: events go in as method calls, decisions come out as return
 //! values, and time comes in as a [`Duration`] since the run started.
-//! [`FleetDriver`](crate::FleetDriver)'s peer threads drive it behind one
-//! mutex, and `snip check-proto` ([`crate::proto::explore`]) drives the
-//! same type through every bounded fault interleaving. It is generic over
-//! the per-job result: the driver stores `RunMetrics`, the explorer `()`.
+//! It is generic over the per-job result: the driver stores `RunMetrics`,
+//! the explorer `()`.
+//!
+//! [`PeerCore`] is the coordinator's side of one connection: the `Join`
+//! admission (fresh or resumed), the `Ready` and `ShardDone` it awaits,
+//! and what a lost connection hands back. It acts on the run's `RunCore`.
+//! [`FleetDriver`](crate::FleetDriver)'s peer threads step one `PeerCore`
+//! each behind the run's one mutex, and `snip check-proto`
+//! ([`crate::proto::explore`]) steps the same types, with the worker's
+//! own core at the other end of each connection, through every bounded
+//! fault interleaving.
 //!
 //! Its invariants ([`RunCore::violation`]): the FIFO queue never holds a
 //! merged shard (a merge retires any queued copy); every unmerged shard
@@ -280,25 +288,6 @@ impl<T> RunCore<T> {
         }
     }
 
-    /// Assigns a fresh session id.
-    pub(crate) fn open_session(&mut self) -> u64 {
-        let sid = self.next_session;
-        self.next_session += 1;
-        sid
-    }
-
-    /// Keeps a lost peer's session resumable.
-    pub(crate) fn save_session(&mut self, sid: u64, entry: SessionEntry) {
-        self.sessions.insert(sid, entry);
-    }
-
-    /// Takes a redialing worker's session, when this run knows it.
-    pub(crate) fn resume_session(&mut self, sid: u64) -> Option<SessionEntry> {
-        let entry = self.sessions.remove(&sid)?;
-        self.stats.reconnects += 1;
-        Some(entry)
-    }
-
     /// A TCP connection arrived. Refused (and counted rejected) when
     /// `preauth_cap` connections are already waiting to authenticate.
     pub(crate) fn peer_accepted(&mut self, now: Duration, preauth_cap: usize) -> bool {
@@ -362,6 +351,160 @@ impl<T> RunCore<T> {
             0 | 1 => None,
             _ => Some("a shard must never be queued twice, or held by two workers at once"),
         })
+    }
+}
+
+/// Where the coordinator's side of one connection stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PeerPhase {
+    /// Awaiting `Join`; a worker spawned over a pipe joins unasked.
+    AwaitJoin,
+    /// Fresh `Init` sent for this session; awaiting `Ready`.
+    AwaitReady(u64),
+    /// `Resumed` sent; awaiting the re-sent `ShardDone` or a `Ready`.
+    AwaitResume(u64),
+    /// Waiting in the core's deal.
+    Dealing(u64),
+    /// A batch was dealt; awaiting its `ShardDone`.
+    Serving(u64),
+}
+
+/// How a joining peer was admitted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// A new session: send `Init` and `Session`.
+    Fresh(u64),
+    /// A session this run still knows: send `Resumed`. Carries what the
+    /// coordinator remembered of it.
+    Resumed(u64, SessionEntry),
+}
+
+/// The coordinator's side of one connection, acting on the run's
+/// [`RunCore`]: the handshake, the deal-and-answer loop, and the end of
+/// the connection. `FleetDriver`'s peer threads and `check-proto` both
+/// step it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PeerCore {
+    /// The peer's ordinal: admission order.
+    pub(crate) peer: usize,
+    /// Dialed in over TCP, rather than spawned over a pipe.
+    dialed: bool,
+    phase: PeerPhase,
+}
+
+impl PeerCore {
+    /// Peer ordinal `peer`: a dialed-in connection the run accepted
+    /// ([`RunCore::peer_accepted`]) when `dialed`, else a worker spawned
+    /// over a pipe.
+    pub(crate) fn new(peer: usize, dialed: bool) -> Self {
+        PeerCore {
+            peer,
+            dialed,
+            phase: PeerPhase::AwaitJoin,
+        }
+    }
+
+    pub(crate) fn phase(&self) -> PeerPhase {
+        self.phase
+    }
+
+    /// The peer joined, presenting `resume`. A session id is an identity,
+    /// not a credential: one this run does not know (a restarted
+    /// coordinator, a stale worker) gets a fresh session. `None` when the
+    /// peer already joined.
+    pub(crate) fn join<T>(&mut self, run: &mut RunCore<T>, resume: Option<u64>) -> Option<Admit> {
+        if self.phase != PeerPhase::AwaitJoin {
+            return None;
+        }
+        if self.dialed {
+            run.peer_authenticated();
+        }
+        let known = resume.and_then(|sid| Some((sid, run.sessions.remove(&sid)?)));
+        Some(match known {
+            Some((sid, entry)) => {
+                run.stats.reconnects += 1;
+                self.phase = PeerPhase::AwaitResume(sid);
+                Admit::Resumed(sid, entry)
+            }
+            None => {
+                let sid = run.next_session;
+                run.next_session += 1;
+                self.phase = PeerPhase::AwaitReady(sid);
+                Admit::Fresh(sid)
+            }
+        })
+    }
+
+    /// The peer sent a valid `Ready`. False when none was due.
+    pub(crate) fn ready(&mut self) -> bool {
+        match self.phase {
+            PeerPhase::AwaitReady(sid) | PeerPhase::AwaitResume(sid) => {
+                self.phase = PeerPhase::Dealing(sid);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Asks the core for the peer's next batch ([`RunCore::deal`]). A
+    /// dealt batch is owed back.
+    pub(crate) fn deal<T>(&mut self, run: &mut RunCore<T>, max: u64) -> Deal {
+        let PeerPhase::Dealing(sid) = self.phase else {
+            return Deal::Over;
+        };
+        let deal = run.deal(self.peer, max);
+        if let Deal::Batch(_) = deal {
+            self.phase = PeerPhase::Serving(sid);
+        }
+        deal
+    }
+
+    /// The peer sent a `ShardDone` ([`RunCore::shard_done`]): after
+    /// `Resumed`, the batch in flight when its last connection dropped;
+    /// while serving, the answer to its batch. A merge earns the next
+    /// deal, and a stale repeat leaves the batch owed.
+    pub(crate) fn done<T>(
+        &mut self,
+        run: &mut RunCore<T>,
+        results: Vec<(u64, Vec<T>)>,
+        now: Duration,
+        journal: &mut dyn FnMut(u64, &[T]),
+    ) -> Reply {
+        let (peer, sid) = match self.phase {
+            PeerPhase::AwaitResume(sid) => (None, sid),
+            PeerPhase::Serving(sid) => (Some(self.peer), sid),
+            _ => return Reply::Invalid,
+        };
+        let reply = run.shard_done(peer, results, now, journal);
+        if let Reply::Merged { .. } = reply {
+            self.phase = PeerPhase::Dealing(sid);
+        }
+        reply
+    }
+
+    /// The connection was lost, refused, or never came up, and is
+    /// counted: a dialed-in peer lost before admission as rejected (it
+    /// also leaves the pre-auth count), any other as a lost worker — a
+    /// spawned pipe worker that fails to start or to shake hands was
+    /// still one of ours — except a joiner still shaking hands when the
+    /// run finished. A peer that had resumed or been admitted hands its
+    /// unmerged batch back ([`RunCore::sever`]) and keeps its session,
+    /// with `entry`, resumable.
+    pub(crate) fn lost<T>(self, run: &mut RunCore<T>, entry: SessionEntry) {
+        match self.phase {
+            PeerPhase::AwaitJoin if self.dialed => {
+                run.stats.peers_rejected += 1;
+                run.peer_authenticated();
+            }
+            PeerPhase::AwaitReady(_) if run.over() => {}
+            PeerPhase::AwaitReady(_) if self.dialed => run.stats.peers_rejected += 1,
+            PeerPhase::AwaitJoin | PeerPhase::AwaitReady(_) => run.stats.workers_lost += 1,
+            PeerPhase::AwaitResume(sid) | PeerPhase::Dealing(sid) | PeerPhase::Serving(sid) => {
+                run.stats.workers_lost += 1;
+                run.sever(self.peer);
+                run.sessions.insert(sid, entry);
+            }
+        }
     }
 }
 
@@ -441,6 +584,70 @@ mod tests {
         assert_eq!(core.deal(1, 8), Deal::Wait, "the rest is owed by peer 0");
         core.shard_done(Some(0), done(&[0, 2]), T, &mut |_, _| {});
         assert_eq!(core.deal(1, 8), Deal::Over);
+    }
+
+    /// A pipe peer admitted fresh and dealing.
+    fn dealing(core: &mut RunCore<()>, peer: usize) -> (PeerCore, u64) {
+        let mut peer = PeerCore::new(peer, false);
+        let Some(Admit::Fresh(sid)) = peer.join(core, None) else {
+            panic!("a new peer is admitted fresh");
+        };
+        assert!(peer.ready());
+        (peer, sid)
+    }
+
+    #[test]
+    fn join_resumes_a_known_session_and_admits_anything_else_fresh() {
+        let mut core = core(2, &[]);
+        let (peer, sid) = dealing(&mut core, 0);
+        peer.lost(&mut core, SessionEntry::default());
+        for (resume, resumed) in [(None, false), (Some(99), false), (Some(sid), true)] {
+            let mut peer = PeerCore::new(1, false);
+            match peer.join(&mut core, resume) {
+                Some(Admit::Resumed(id, _)) => assert!(resumed && id == sid),
+                Some(Admit::Fresh(id)) => assert!(!resumed && id > sid, "a new id"),
+                None => panic!("a new peer joins"),
+            }
+            assert_eq!(peer.join(&mut core, resume), None, "only once");
+        }
+        assert_eq!(core.stats.reconnects, 1);
+    }
+
+    #[test]
+    fn replies_keep_serving_or_break_the_peer() {
+        let mut core = core(3, &[]);
+        let (mut peer, sid) = dealing(&mut core, 0);
+        assert_eq!(ids(peer.deal(&mut core, 1)), [0]);
+        let reply = peer.done(&mut core, done(&[0]), T, &mut |_, _| {});
+        assert_eq!(reply, Reply::Merged { fresh: 1, stale: 0 });
+        assert_eq!(peer.phase(), PeerPhase::Dealing(sid));
+        assert_eq!(ids(peer.deal(&mut core, 1)), [1]);
+        // A duplicate of the merged batch: dropped, the batch still owed.
+        let reply = peer.done(&mut core, done(&[0]), T, &mut |_, _| {});
+        assert_eq!(reply, Reply::Stale);
+        assert_eq!(peer.phase(), PeerPhase::Serving(sid));
+        // A reply to a batch never dealt breaks protocol: the IO severs.
+        let reply = peer.done(&mut core, done(&[2]), T, &mut |_, _| {});
+        assert_eq!(reply, Reply::Invalid);
+        peer.lost(&mut core, SessionEntry::default());
+        assert_eq!(core.queue, [2, 1], "the owed batch is requeued");
+        assert!(!core.holds(0));
+        assert_eq!(core.violation(1), None);
+    }
+
+    #[test]
+    fn a_peer_lost_while_serving_requeues_its_unmerged_remainder() {
+        let mut core = core(3, &[]);
+        let (mut peer, sid) = dealing(&mut core, 0);
+        assert_eq!(ids(peer.deal(&mut core, 2)), [0, 1]);
+        // Shard 0 merges through another delivery meanwhile.
+        core.shard_done(None, done(&[0]), T, &mut |_, _| {});
+        peer.lost(&mut core, SessionEntry::default());
+        assert_eq!(core.queue, [2, 1], "only the unmerged remainder");
+        assert_eq!(core.stats.workers_lost, 1);
+        let mut again = PeerCore::new(1, false);
+        let admit = again.join(&mut core, Some(sid));
+        assert!(matches!(admit, Some(Admit::Resumed(id, _)) if id == sid));
     }
 
     #[test]

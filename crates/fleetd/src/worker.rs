@@ -12,15 +12,22 @@
 //! same pure function of `(spec, index)` the coordinator's verification
 //! path uses, so every transport yields bit-identical metrics.
 //!
+//! **One state machine.** Every protocol decision is made by the sans-IO
+//! `WorkerCore`: which frame is due, when a result is acknowledged, what
+//! a resume re-sends, and whether a lost link means stop, error or
+//! redial. `snip check-proto` steps the same type through every bounded
+//! fault interleaving. This module is its IO: receive a frame, hand it
+//! to the core, then send or compute what the core asks for.
+//!
 //! **Reconnect-with-resume (TCP).** A dialing worker remembers the
-//! session id its `Init` assigned. When the socket drops mid-run it
-//! redials under seeded jittered exponential [`Backoff`], re-presents the
-//! token plus `Join { resume }`, and — if the coordinator still knows the
-//! session — re-sends its un-acknowledged `ShardDone` (delivered exactly
-//! once: the coordinator's merge is idempotent) and keeps serving. A
-//! coordinator that restarted answers with a fresh `Init` instead, and
-//! the worker starts over cleanly. Pipe workers never reconnect: their
-//! transport *is* their parent process.
+//! session id the `Session` frame assigned. When the socket drops mid-run
+//! it redials under seeded jittered exponential [`Backoff`], re-presents
+//! the token plus `Join { resume }`, and — if the coordinator still knows
+//! the session — re-sends its un-acknowledged `ShardDone` (delivered
+//! exactly once: the coordinator's merge is idempotent) and keeps
+//! serving. A coordinator that restarted answers with a fresh `Init`
+//! instead, and the worker starts over cleanly. Pipe workers never
+//! reconnect: their transport *is* their parent process.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -31,7 +38,7 @@ use std::time::{Duration, Instant};
 use snip_replay::frame::FrameError;
 
 use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
-use crate::spec::JobRunner;
+use crate::spec::{FleetSpec, JobRunner};
 use crate::transport::{recv_msg, send_msg, RecvError, StreamTransport, TcpTransport, Transport};
 
 /// Why a worker gave up.
@@ -57,25 +64,6 @@ impl fmt::Display for WorkerError {
 }
 
 impl std::error::Error for WorkerError {}
-
-impl From<FrameError> for WorkerError {
-    fn from(e: FrameError) -> Self {
-        WorkerError::Frame(e)
-    }
-}
-
-impl From<RecvError> for WorkerError {
-    fn from(e: RecvError) -> Self {
-        match e {
-            RecvError::Frame(fe) => WorkerError::Frame(fe),
-            RecvError::TimedOut => WorkerError::Protocol(
-                "coordinator went silent past the worker's receive deadline \
-                 (host down or network partition?)"
-                    .into(),
-            ),
-        }
-    }
-}
 
 /// How long a *dialing* worker lets the coordinator stay silent before
 /// assuming its host is gone (a powered-off coordinator never sends a
@@ -145,7 +133,7 @@ impl Backoff {
 }
 
 /// What a finished worker did (diagnostics/tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct WorkerSummary {
     /// Shards completed.
     pub shards: u64,
@@ -153,324 +141,369 @@ pub struct WorkerSummary {
     pub jobs: u64,
 }
 
-/// Everything a worker must remember across a socket drop to resume: the
-/// session identity, the decoded job, the plan-reporting bookkeeping, and
-/// the `ShardDone` the coordinator may not have received.
-struct Session {
-    /// The id the `Session` frame assigned (presented as
-    /// `Join { resume }` on redial). `None` until that frame arrives:
-    /// since protocol 4 `Init` is pre-encoded once per run and carries a
-    /// placeholder, the per-peer id travels separately.
+/// Where a worker stands in the protocol.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub(crate) enum Phase {
+    /// No link: not dialed yet, or lost and about to be redialed.
+    #[default]
+    Down,
+    /// Linked, awaiting the coordinator's first frame: `Init`, or
+    /// `Resumed` after a resume `Join`.
+    Handshake,
+    /// Admitted, awaiting the next frame.
+    Serving,
+    /// Computing the batch just dealt.
+    Computing,
+}
+
+/// A coordinator frame, reduced to what the worker's protocol state
+/// depends on. `Init` carries the IO's verdict on its version and spec
+/// hash.
+#[derive(Debug)]
+pub(crate) enum Heard {
+    Init(Result<(), String>),
+    Session(u64),
+    Resumed(u64),
+    Shard,
+    Shutdown,
+}
+
+/// What the worker's IO does next.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Receive the next frame.
+    Recv,
+    /// Send `Ready`: after a fresh `Init` (set the job up from it first),
+    /// or after `Resumed` with nothing pending.
+    Ready,
+    /// Re-send the pending result after `Resumed`.
+    Resend,
+    /// Compute the batch just heard and hand the result to
+    /// [`WorkerCore::computed`].
+    Compute,
+    /// The link is gone but the session can resume: redial.
+    Redial,
+    /// Stop cleanly.
+    Done,
+    /// Stop with this error.
+    Fail(WorkerError),
+}
+
+/// The worker's side of the protocol as a sans-IO state machine, generic
+/// over the result it keeps for re-delivery: the `ShardDone` message in
+/// the worker, a shard bitmask in `check-proto`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct WorkerCore<R> {
+    /// The id the `Session` frame assigned, presented as
+    /// `Join { resume }` on redial.
     session: Option<u64>,
-    runner: Option<JobRunner>,
+    phase: Phase,
+    /// The last result sent and not yet acknowledged by a later
+    /// coordinator frame; re-sent after a resume.
+    pending: Option<R>,
+    pub(crate) summary: WorkerSummary,
+}
+
+impl<R> WorkerCore<R> {
+    pub(crate) fn new() -> Self {
+        WorkerCore {
+            session: None,
+            phase: Phase::Down,
+            pending: None,
+            summary: WorkerSummary::default(),
+        }
+    }
+
+    pub(crate) fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// The result awaiting acknowledgement, if any.
+    pub(crate) fn pending(&self) -> Option<&R> {
+        self.pending.as_ref()
+    }
+
+    /// A link is up. Returns the session to present in `Join { resume }`.
+    pub(crate) fn linked(&mut self) -> Option<u64> {
+        self.phase = Phase::Handshake;
+        self.session
+    }
+
+    /// The coordinator sent `heard`.
+    pub(crate) fn heard(&mut self, heard: Heard) -> Step {
+        use Phase::{Handshake, Serving};
+        // Any frame after a `ShardDone` acknowledges it: the result merged
+        // (or is idempotently droppable), no re-send is needed.
+        if self.phase == Serving {
+            self.pending = None;
+        }
+        match (self.phase, heard) {
+            (_, Heard::Shutdown) => Step::Done,
+            // A fresh `Init`, also in answer to a resume request (the
+            // coordinator restarted): the old session, pending result
+            // included, is void. The new id follows in `Session`.
+            (Handshake, Heard::Init(Ok(()))) => {
+                self.session = None;
+                self.pending = None;
+                self.phase = Serving;
+                Step::Ready
+            }
+            (Handshake, Heard::Resumed(sid)) if self.session == Some(sid) => {
+                self.phase = Serving;
+                if self.pending.is_some() {
+                    Step::Resend
+                } else {
+                    Step::Ready
+                }
+            }
+            (Serving, Heard::Session(sid)) => {
+                self.session = Some(sid);
+                Step::Recv
+            }
+            (Serving, Heard::Shard) => {
+                self.phase = Phase::Computing;
+                Step::Compute
+            }
+            (_, Heard::Init(Err(e))) => fail(e),
+            (Handshake, other) => {
+                fail(format!("expected Init as the first message, got {other:?}"))
+            }
+            (_, other) => fail(format!("unexpected mid-run message {other:?}")),
+        }
+    }
+
+    /// The batch is computed: its result is pending until a later frame
+    /// acknowledges it. Returns it, to send.
+    pub(crate) fn computed(&mut self, result: R, shards: u64, jobs: u64) -> &R {
+        self.phase = Phase::Serving;
+        self.summary.shards += shards;
+        self.summary.jobs += jobs;
+        self.pending.insert(result)
+    }
+
+    /// The link ended, at a clean EOF (`None`) or with `error`. A link
+    /// that can be redialed is, when there is a session to resume.
+    /// Otherwise the worker stops: cleanly at an EOF after admission (a
+    /// vanished parent process, or a run that is over), with an error in
+    /// every other case.
+    pub(crate) fn lost(&mut self, error: Option<RecvError>, redial: bool) -> Step {
+        let admitted = self.phase != Phase::Handshake;
+        self.phase = Phase::Down;
+        match error {
+            _ if redial && self.session.is_some() => Step::Redial,
+            None if admitted => Step::Done,
+            None => fail(
+                "coordinator closed the transport before Init (a dialing worker was refused \
+                 — wrong token, version skew — or the coordinator vanished)"
+                    .into(),
+            ),
+            Some(RecvError::Frame(e)) => Step::Fail(WorkerError::Frame(e)),
+            Some(RecvError::TimedOut) => fail(
+                "coordinator went silent past the worker's receive deadline \
+                 (host down or network partition?)"
+                    .into(),
+            ),
+        }
+    }
+}
+
+fn fail(msg: String) -> Step {
+    Step::Fail(WorkerError::Protocol(msg))
+}
+
+/// What the worker keeps of its job beside the core.
+struct Job {
+    runner: JobRunner,
     spec_hash: u64,
     /// Plan keys already known to the coordinator — never reported back.
     reported: BTreeSet<String>,
-    /// The last `ShardDone` sent but not yet acknowledged by any
-    /// subsequent coordinator message; re-sent after a resume.
-    pending: Option<WorkerMsg>,
-    summary: WorkerSummary,
 }
 
-impl Session {
-    fn new() -> Session {
-        Session {
-            session: None,
-            runner: None,
-            spec_hash: 0,
-            reported: BTreeSet::new(),
-            pending: None,
-            summary: WorkerSummary { shards: 0, jobs: 0 },
-        }
-    }
-}
-
-/// How one connection's service ended.
-enum ServeEnd {
-    /// `Shutdown`, or a clean EOF with nothing left to do.
-    Done,
-    /// The transport broke mid-run (reconnectable mode only): the session
-    /// survives, redial and resume.
-    Disconnected,
-}
-
-/// Serves the worker side of the protocol over the given transport until
-/// `Shutdown` or a clean EOF. `join_token` (TCP dial mode) is sent as the
-/// opening `Join` authentication message; pipe workers pass `None`.
-///
-/// # Errors
-///
-/// Returns [`WorkerError`] on a broken transport, a malformed frame, or
-/// an out-of-grammar coordinator.
-pub fn serve(
-    transport: &mut dyn Transport,
-    pid: u64,
-    join_token: Option<&str>,
-) -> Result<WorkerSummary, WorkerError> {
-    let mut session = Session::new();
-    // Not reconnectable: a pipe/stdio transport is its parent process —
-    // there is nothing to redial.
-    serve_once(transport, pid, join_token, &mut session, false)?;
-    Ok(session.summary)
-}
-
-/// Classifies a mid-run transport failure: reconnectable connections
-/// (TCP) hand the session back for a redial, everything else keeps the
-/// legacy semantics (EOF is a clean stop, breakage is fatal).
-fn disconnect(reconnectable: bool, fatal: WorkerError) -> Result<ServeEnd, WorkerError> {
-    if reconnectable {
-        Ok(ServeEnd::Disconnected)
-    } else {
-        Err(fatal)
-    }
-}
-
-/// Drives one connection's worth of the protocol against `session`,
-/// which accumulates identity and progress across calls (reconnects).
-fn serve_once(
-    transport: &mut dyn Transport,
-    pid: u64,
-    join_token: Option<&str>,
-    session: &mut Session,
-    reconnectable: bool,
-) -> Result<ServeEnd, WorkerError> {
-    // Remote coordinators can vanish without a trace (host power-off,
-    // partition); bound every wait so the worker process can be relied
-    // on to exit on its own.
-    let recv_window = join_token.map(|_| COORDINATOR_SILENCE_TIMEOUT);
-    let resuming = join_token.is_some() && session.session.is_some();
-    if let Some(token) = join_token {
-        let join = WorkerMsg::Join {
-            protocol: PROTOCOL_VERSION,
-            token: token.to_string(),
-            pid,
-            resume: session.session,
-        };
-        if let Err(e) = send_msg(transport, &join) {
-            // A redial whose socket dies this fast is just another
-            // failed attempt; a fresh join's transport should not break.
-            return disconnect(resuming, WorkerError::Frame(e));
-        }
-    }
-
-    // The handshake: Init (fresh session), or — when redialing with a
-    // session id — Resumed, after which the pending ShardDone (if any)
-    // is re-sent and service continues without a new handshake.
-    match recv_first(transport, recv_window, reconnectable && resuming)? {
-        First::Msg(CoordinatorMsg::Init {
-            protocol,
-            spec,
+impl Job {
+    /// The job a checked `Init` carries, its plans seeded.
+    fn new(spec: &FleetSpec, spec_hash: u64, plans: &[PlanEntry]) -> Job {
+        seed_plans(plans);
+        Job {
+            runner: JobRunner::new(spec),
             spec_hash,
-            session: _,
-            plans,
-        }) => {
-            if protocol != PROTOCOL_VERSION {
-                return Err(WorkerError::Protocol(format!(
-                    "coordinator speaks protocol {protocol}, worker speaks {PROTOCOL_VERSION}"
-                )));
-            }
-            spec.validate().map_err(WorkerError::Protocol)?;
-            let local_hash = spec.spec_hash();
-            if local_hash != spec_hash {
-                return Err(WorkerError::Protocol(format!(
-                    "spec hash mismatch: coordinator announced {spec_hash:#018x}, the decoded \
-                     spec hashes to {local_hash:#018x} (corrupted spec or skewed codec)"
-                )));
-            }
-            seed_plans(&plans);
-            // A fresh Init in answer to a resume request means the
-            // coordinator restarted: the old session — pending result
-            // included — is void. Since protocol 4 the Init frame is
-            // pre-encoded once per run, so its `session` field is a
-            // placeholder; the real id arrives in the `Session` frame
-            // that immediately follows.
-            session.session = None;
-            session.runner = Some(JobRunner::new(&spec));
-            session.spec_hash = local_hash;
-            session.pending = None;
             // Plans already known to the coordinator (everything it
             // seeded plus everything in this process before the run) are
             // never reported back.
-            session.reported = snip_opt::cached_plans()
+            reported: snip_opt::cached_plans()
                 .into_iter()
                 .map(|(key, _)| key)
-                .collect();
-            send_msg(
-                transport,
-                &WorkerMsg::Ready {
-                    protocol: PROTOCOL_VERSION,
-                    pid,
-                    spec_hash: local_hash,
-                },
-            )?;
+                .collect(),
         }
-        First::Msg(CoordinatorMsg::Resumed { session: sid }) if session.session == Some(sid) => {
-            snip_obs::event!(
-                snip_obs::log::Level::Info,
-                "session {sid} resumed; {}",
-                if session.pending.is_some() {
-                    "re-sending the in-flight ShardDone"
-                } else {
-                    "nothing was in flight"
-                }
-            );
-            let catch_up = match session.pending.clone() {
-                Some(done) => done,
-                None => WorkerMsg::Ready {
-                    protocol: PROTOCOL_VERSION,
-                    pid,
-                    spec_hash: session.spec_hash,
-                },
+    }
+
+    /// Computes a dealt batch into its `ShardDone`; a batch this job
+    /// cannot hold is a protocol error.
+    fn compute(&mut self, jobs: &[ShardJob], plans: &[PlanEntry]) -> Result<WorkerMsg, String> {
+        let job_count = self.runner.job_count();
+        if jobs.is_empty() {
+            return Err("empty shard batch".into());
+        }
+        if let Some(ShardJob { id, start, end }) =
+            jobs.iter().find(|j| j.start >= j.end || j.end > job_count)
+        {
+            return Err(format!(
+                "shard {id} range {start}..{end} is invalid for {job_count} jobs"
+            ));
+        }
+        seed_plans(plans);
+        self.reported
+            .extend(plans.iter().map(|entry| entry.key.clone()));
+        let seeded_before = snip_opt::plan_cache_stats().seeded_hits;
+        let mut results = Vec::with_capacity(jobs.len());
+        for ShardJob { id, start, end } in jobs {
+            // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
+            let compute_start = Instant::now();
+            let metrics = {
+                let _span = snip_obs::span!("worker shard {id} jobs {start}..{end}");
+                (*start..*end).map(|i| self.runner.run_job(i)).collect()
             };
-            if send_msg(transport, &catch_up).is_err() {
-                return Ok(ServeEnd::Disconnected);
-            }
+            snip_obs::metrics::histogram("snip_worker_shard_compute_us")
+                .observe(compute_start.elapsed());
+            results.push(ShardResult { id: *id, metrics });
         }
-        // A dialing worker can be turned away politely: the coordinator's
-        // run was already complete when it got to this connection. No
-        // work, no error.
-        First::Msg(CoordinatorMsg::Shutdown) if join_token.is_some() => return Ok(ServeEnd::Done),
-        First::Msg(other) => {
-            return Err(WorkerError::Protocol(format!(
-                "expected Init as the first message, got {other:?}"
-            )))
-        }
-        First::Disconnected => return Ok(ServeEnd::Disconnected),
-    }
-
-    let runner = session
-        .runner
-        .as_ref()
-        .expect("handshake leaves a runner in place");
-
-    loop {
-        let msg = match recv_msg::<CoordinatorMsg>(transport, recv_window) {
-            Ok(Some(m)) => {
-                // Any post-ShardDone coordinator message acknowledges the
-                // delivery: the result is merged (or idempotently
-                // droppable), no re-send needed.
-                session.pending = None;
-                m
-            }
-            // EOF mid-run: on a pipe, a vanished parent — a clean stop by
-            // design; on TCP, a dropped socket — resume it.
-            Ok(None) => {
-                return Ok(if reconnectable {
-                    ServeEnd::Disconnected
-                } else {
-                    ServeEnd::Done
-                })
-            }
-            Err(RecvError::Frame(fe)) => return disconnect(reconnectable, WorkerError::Frame(fe)),
-            Err(RecvError::TimedOut) => {
-                return disconnect(
-                    reconnectable,
-                    WorkerError::Protocol(
-                        "coordinator went silent past the worker's receive deadline \
-                         (host down or network partition?)"
-                            .into(),
-                    ),
-                )
-            }
-        };
-        match msg {
-            // The per-peer session id, sent right after the (shared,
-            // pre-encoded) Init. Remembered for `Join { resume }`.
-            CoordinatorMsg::Session { session: sid } => {
-                session.session = Some(sid);
-            }
-            CoordinatorMsg::Shard { jobs, plans } => {
-                if jobs.is_empty() {
-                    return Err(WorkerError::Protocol("empty shard batch".into()));
-                }
-                for ShardJob { id, start, end } in &jobs {
-                    if start >= end || *end > runner.job_count() {
-                        return Err(WorkerError::Protocol(format!(
-                            "shard {id} range {start}..{end} is invalid for {} jobs",
-                            runner.job_count()
-                        )));
-                    }
-                }
-                seed_plans(&plans);
-                for entry in &plans {
-                    session.reported.insert(entry.key.clone());
-                }
-                let seeded_before = snip_opt::plan_cache_stats().seeded_hits;
-                let mut results = Vec::with_capacity(jobs.len());
-                for ShardJob { id, start, end } in &jobs {
-                    // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
-                    let compute_start = Instant::now();
-                    let metrics = {
-                        let _span = snip_obs::span!("worker shard {id} jobs {start}..{end}");
-                        (*start..*end).map(|i| runner.run_job(i)).collect()
-                    };
-                    snip_obs::metrics::histogram("snip_worker_shard_compute_us")
-                        .observe(compute_start.elapsed());
-                    results.push(ShardResult { id: *id, metrics });
-                    session.summary.shards += 1;
-                    session.summary.jobs += end - start;
-                }
-                let seeded_hits = snip_opt::plan_cache_stats().seeded_hits - seeded_before;
-                let new_plans: Vec<PlanEntry> =
-                    snip_opt::cached_plans_where(|key| !session.reported.contains(key))
-                        .into_iter()
-                        .map(|(key, plan)| PlanEntry { key, plan })
-                        .collect();
-                for entry in &new_plans {
-                    session.reported.insert(entry.key.clone());
-                }
-                let done = WorkerMsg::ShardDone {
-                    results,
-                    plans: new_plans,
-                    seeded_hits,
-                };
-                // The batch is computed either way; only the delivery is
-                // in doubt, so the summary counts it above and `pending`
-                // guards the delivery.
-                session.pending = Some(done.clone());
-                if let Err(e) = send_msg(transport, &done) {
-                    return disconnect(reconnectable, WorkerError::Frame(e));
-                }
-            }
-            CoordinatorMsg::Shutdown => return Ok(ServeEnd::Done),
-            other => {
-                return Err(WorkerError::Protocol(format!(
-                    "unexpected mid-run message {other:?}"
-                )))
-            }
-        }
+        let seeded_hits = snip_opt::plan_cache_stats().seeded_hits - seeded_before;
+        let new_plans: Vec<PlanEntry> =
+            snip_opt::cached_plans_where(|key| !self.reported.contains(key))
+                .into_iter()
+                .map(|(key, plan)| PlanEntry { key, plan })
+                .collect();
+        self.reported
+            .extend(new_plans.iter().map(|entry| entry.key.clone()));
+        Ok(WorkerMsg::ShardDone {
+            results,
+            plans: new_plans,
+            seeded_hits,
+        })
     }
 }
 
-/// The first message of a connection, with EOF classified by context.
-enum First {
-    Msg(CoordinatorMsg),
-    /// EOF on a resume attempt: the coordinator vanished between the
-    /// redial and its reply — try again.
-    Disconnected,
-}
-
-fn recv_first(
-    transport: &mut dyn Transport,
-    recv_window: Option<Duration>,
-    eof_is_disconnect: bool,
-) -> Result<First, WorkerError> {
-    match recv_msg::<CoordinatorMsg>(transport, recv_window) {
-        Ok(Some(m)) => Ok(First::Msg(m)),
-        Ok(None) if eof_is_disconnect => Ok(First::Disconnected),
-        Ok(None) => Err(WorkerError::Protocol(
-            "coordinator closed the transport before Init (a dialing worker was \
-             refused — wrong token, version skew — or the coordinator vanished)"
-                .into(),
-        )),
-        Err(_) if eof_is_disconnect => Ok(First::Disconnected),
-        Err(e) => Err(e.into()),
+fn check_init(protocol: u32, spec: &FleetSpec, spec_hash: u64) -> Result<(), String> {
+    if protocol != PROTOCOL_VERSION {
+        return Err(format!(
+            "coordinator speaks protocol {protocol}, worker speaks {PROTOCOL_VERSION}"
+        ));
     }
+    spec.validate()?;
+    let local_hash = spec.spec_hash();
+    if local_hash != spec_hash {
+        return Err(format!(
+            "spec hash mismatch: coordinator announced {spec_hash:#018x}, the decoded \
+             spec hashes to {local_hash:#018x} (corrupted spec or skewed codec)"
+        ));
+    }
+    Ok(())
 }
 
 fn seed_plans(plans: &[PlanEntry]) {
     for entry in plans {
         snip_opt::seed_plan(entry.key.clone(), entry.plan.clone());
+    }
+}
+
+/// Serves one link until it ends, with `core` and `job` carried across
+/// links; returns the core's last step: `Redial`, `Done` or `Fail`.
+/// `join_token` (TCP dial mode) is sent as the opening `Join`, and makes
+/// the link redialable; pipe workers pass `None` — their transport is
+/// their parent process, there is nothing to redial.
+fn serve_link(
+    transport: &mut dyn Transport,
+    pid: u64,
+    join_token: Option<&str>,
+    core: &mut WorkerCore<WorkerMsg>,
+    job: &mut Option<Job>,
+) -> Step {
+    let redial = join_token.is_some();
+    // Remote coordinators can vanish without a trace (host power-off,
+    // partition); bound every wait so the worker process can be relied
+    // on to exit on its own.
+    let recv_window = join_token.map(|_| COORDINATOR_SILENCE_TIMEOUT);
+    let resume = core.linked();
+    if let Some(token) = join_token {
+        let join = WorkerMsg::Join {
+            protocol: PROTOCOL_VERSION,
+            token: token.to_string(),
+            pid,
+            resume,
+        };
+        if let Err(e) = send_msg(transport, &join) {
+            return core.lost(Some(RecvError::Frame(e)), redial);
+        }
+    }
+    loop {
+        let msg = match recv_msg::<CoordinatorMsg>(transport, recv_window) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => return core.lost(None, redial),
+            Err(e) => return core.lost(Some(e), redial),
+        };
+        let heard = match &msg {
+            CoordinatorMsg::Init {
+                protocol,
+                spec,
+                spec_hash,
+                ..
+            } => Heard::Init(check_init(*protocol, spec, *spec_hash)),
+            CoordinatorMsg::Session { session } => Heard::Session(*session),
+            CoordinatorMsg::Resumed { session } => Heard::Resumed(*session),
+            CoordinatorMsg::Shard { .. } => Heard::Shard,
+            CoordinatorMsg::Shutdown => Heard::Shutdown,
+        };
+        let sent = match core.heard(heard) {
+            Step::Recv => Ok(()),
+            Step::Ready => {
+                match &msg {
+                    CoordinatorMsg::Init {
+                        spec,
+                        spec_hash,
+                        plans,
+                        ..
+                    } => *job = Some(Job::new(spec, *spec_hash, plans)),
+                    _ => snip_obs::event!(
+                        snip_obs::log::Level::Info,
+                        "session resumed; nothing was in flight"
+                    ),
+                }
+                let spec_hash = job.as_ref().expect("a session implies its job").spec_hash;
+                send_msg(
+                    transport,
+                    &WorkerMsg::Ready {
+                        protocol: PROTOCOL_VERSION,
+                        pid,
+                        spec_hash,
+                    },
+                )
+            }
+            Step::Resend => {
+                snip_obs::event!(
+                    snip_obs::log::Level::Info,
+                    "session resumed; re-sending the in-flight ShardDone"
+                );
+                send_msg(transport, core.pending().expect("a re-send has a result"))
+            }
+            Step::Compute => {
+                let CoordinatorMsg::Shard { jobs, plans } = &msg else {
+                    unreachable!("only a Shard frame is computed")
+                };
+                let job = job.as_mut().expect("a session implies its job");
+                let done = match job.compute(jobs, plans) {
+                    Ok(done) => done,
+                    Err(e) => return fail(e),
+                };
+                let count = jobs.iter().map(|j| j.end - j.start).sum();
+                // The batch is computed either way; only the delivery is
+                // in doubt, so the summary counts it and the core keeps
+                // the result pending until a later frame acknowledges it.
+                send_msg(transport, core.computed(done, jobs.len() as u64, count))
+            }
+            end => return end,
+        };
+        if let Err(e) = sent {
+            return core.lost(Some(RecvError::Frame(e)), redial);
+        }
     }
 }
 
@@ -480,14 +513,19 @@ fn seed_plans(plans: &[PlanEntry]) {
 ///
 /// # Errors
 ///
-/// Returns [`WorkerError`] as [`serve`].
+/// Returns [`WorkerError`] on a broken transport, a malformed frame, or
+/// an out-of-grammar coordinator.
 pub fn run_worker<R: BufRead + Send + 'static, W: Write + Send>(
     input: R,
     output: W,
     pid: u64,
 ) -> Result<WorkerSummary, WorkerError> {
     let mut transport = StreamTransport::new(input, output, "stdio");
-    serve(&mut transport, pid, None)
+    let mut core = WorkerCore::new();
+    match serve_link(&mut transport, pid, None, &mut core, &mut None) {
+        Step::Fail(e) => Err(e),
+        _ => Ok(core.summary),
+    }
 }
 
 /// How a remote worker reaches its coordinator.
@@ -519,41 +557,41 @@ const MAX_FRUITLESS_RECONNECTS: u32 = 3;
 ///
 /// Returns [`WorkerError::Connect`] when the coordinator stays
 /// unreachable past the retry window *before any session existed*;
-/// otherwise as [`serve`]. Once a session is established, a coordinator
+/// otherwise as [`run_worker`]. Once a session is established, a coordinator
 /// that disappears for good is a clean stop (the run is over for this
 /// worker), not an error — mirroring the pipe worker's EOF semantics.
 pub fn run_worker_tcp(opts: &ConnectOptions, pid: u64) -> Result<WorkerSummary, WorkerError> {
     let mut backoff = Backoff::new(opts.backoff_seed);
     let mut transport = dial(opts, &mut backoff)?;
-    let mut session = Session::new();
+    let (mut core, mut job) = (WorkerCore::new(), None);
     let mut fruitless = 0u32;
     loop {
-        let shards_before = session.summary.shards;
-        match serve_once(&mut transport, pid, Some(&opts.token), &mut session, true)? {
-            ServeEnd::Done => return Ok(session.summary),
-            ServeEnd::Disconnected => {
-                fruitless = if session.summary.shards > shards_before {
-                    0
-                } else {
-                    fruitless + 1
-                };
-                if fruitless > MAX_FRUITLESS_RECONNECTS {
-                    snip_obs::event!(
-                        snip_obs::log::Level::Warn,
-                        "giving up after {MAX_FRUITLESS_RECONNECTS} fruitless reconnect(s)"
-                    );
-                    return Ok(session.summary);
-                }
-                snip_obs::metrics::counter("snip_worker_reconnects_total").inc();
-                backoff.reset();
-                match dial(opts, &mut backoff) {
-                    Ok(t) => transport = t,
-                    // The redial window expired with a session on the
-                    // books: the coordinator is gone, the run is over.
-                    Err(_) if session.runner.is_some() => return Ok(session.summary),
-                    Err(e) => return Err(e),
-                }
-            }
+        let shards_before = core.summary.shards;
+        match serve_link(&mut transport, pid, Some(&opts.token), &mut core, &mut job) {
+            Step::Redial => {}
+            Step::Fail(e) => return Err(e),
+            _ => return Ok(core.summary),
+        }
+        fruitless = if core.summary.shards > shards_before {
+            0
+        } else {
+            fruitless + 1
+        };
+        if fruitless > MAX_FRUITLESS_RECONNECTS {
+            snip_obs::event!(
+                snip_obs::log::Level::Warn,
+                "giving up after {MAX_FRUITLESS_RECONNECTS} fruitless reconnect(s)"
+            );
+            return Ok(core.summary);
+        }
+        snip_obs::metrics::counter("snip_worker_reconnects_total").inc();
+        backoff.reset();
+        match dial(opts, &mut backoff) {
+            Ok(t) => transport = t,
+            // The redial window expired with a session on the books: the
+            // coordinator is gone, the run is over.
+            Err(_) if job.is_some() => return Ok(core.summary),
+            Err(e) => return Err(e),
         }
     }
 }
@@ -786,6 +824,103 @@ mod tests {
         let script = coordinator_script(&[init_msg(&small_spec())]);
         let (summary, _) = run_scripted(script, 1);
         assert_eq!(summary.unwrap(), WorkerSummary { shards: 0, jobs: 0 });
+    }
+
+    /// A worker core admitted as session 1, its `ShardDone` for shards
+    /// `0b11` sent and not yet acknowledged.
+    fn owing() -> WorkerCore<u16> {
+        let mut core = WorkerCore::new();
+        assert_eq!(core.linked(), None);
+        assert!(matches!(core.heard(Heard::Init(Ok(()))), Step::Ready));
+        assert!(matches!(core.heard(Heard::Session(1)), Step::Recv));
+        assert!(matches!(core.heard(Heard::Shard), Step::Compute));
+        assert_eq!(*core.computed(0b11, 2, 2), 0b11);
+        core
+    }
+
+    /// The same core after its link dropped and was redialed.
+    fn redialed(mut core: WorkerCore<u16>) -> WorkerCore<u16> {
+        assert!(matches!(core.lost(None, true), Step::Redial));
+        assert_eq!(core.linked(), Some(1), "the redial presents the session");
+        core
+    }
+
+    #[test]
+    fn any_coordinator_frame_after_a_shard_done_acknowledges_it() {
+        for heard in [Heard::Session(1), Heard::Shard, Heard::Shutdown] {
+            let mut core = owing();
+            assert_eq!(core.pending(), Some(&0b11));
+            core.heard(heard);
+            assert_eq!(core.pending(), None);
+        }
+    }
+
+    #[test]
+    fn resumed_re_sends_exactly_the_pending_result_or_ready() {
+        let mut core = redialed(owing());
+        assert!(matches!(core.heard(Heard::Resumed(1)), Step::Resend));
+        assert_eq!(
+            core.pending(),
+            Some(&0b11),
+            "the re-send is the pending batch"
+        );
+
+        let mut core = owing();
+        core.heard(Heard::Session(1)); // acknowledges the batch
+        let mut core = redialed(core);
+        assert!(matches!(core.heard(Heard::Resumed(1)), Step::Ready));
+        assert_eq!(core.summary, WorkerSummary { shards: 2, jobs: 2 });
+    }
+
+    #[test]
+    fn a_fresh_init_voids_the_pending_result_and_the_session() {
+        let mut core = redialed(owing());
+        assert!(matches!(core.heard(Heard::Init(Ok(()))), Step::Ready));
+        assert_eq!(core.pending(), None);
+        assert!(
+            matches!(core.lost(None, true), Step::Done),
+            "no session is left to resume"
+        );
+    }
+
+    #[test]
+    fn out_of_grammar_frames_are_protocol_errors() {
+        let mut unknown = redialed(owing());
+        let mut init_mid_run = owing();
+        let mut resumed_mid_run = owing();
+        for step in [
+            unknown.heard(Heard::Resumed(9)),
+            init_mid_run.heard(Heard::Init(Ok(()))),
+            resumed_mid_run.heard(Heard::Resumed(1)),
+            WorkerCore::<u16>::new().heard(Heard::Shard),
+        ] {
+            assert!(
+                matches!(step, Step::Fail(WorkerError::Protocol(_))),
+                "{step:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lost_link_is_decided_by_phase_session_and_redialability() {
+        let fresh = || {
+            let mut core = WorkerCore::<u16>::new();
+            core.linked();
+            core
+        };
+        let broken = || Some(RecvError::Frame(FrameError::Codec("torn".into())));
+        let cases: [(WorkerCore<u16>, Option<RecvError>, bool, &str); 6] = [
+            (owing(), None, true, "Redial"),
+            (redialed(owing()), broken(), true, "Redial"),
+            (fresh(), None, true, "closed the transport before Init"),
+            (owing(), None, false, "Done"),
+            (owing(), broken(), false, "Frame"),
+            (owing(), Some(RecvError::TimedOut), false, "went silent"),
+        ];
+        for (mut core, error, redial, expect) in cases {
+            let step = format!("{:?}", core.lost(error, redial));
+            assert!(step.contains(expect), "expected {expect}, got {step}");
+        }
     }
 
     #[test]
