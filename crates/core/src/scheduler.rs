@@ -37,8 +37,7 @@ pub struct ProbedContactInfo {
 }
 
 /// A scheduler decision in recordable form: what a record/replay journal
-/// stores for every wake-up the driver consults the scheduler at (a
-/// fast-path driver skips wake-ups the hints prove to be off).
+/// stores whenever the decision a driver acts on changes.
 ///
 /// Serializes compactly (`now` as microseconds, the duty-cycle as a bare
 /// fraction or `null`), and compares exactly — replay divergence detection
@@ -48,7 +47,7 @@ pub struct DecisionRecord {
     /// When the scheduler was asked.
     pub now: SimTime,
     /// The decision: `Some(d)` to probe at duty-cycle `d`, `None` for radio
-    /// off until the next wake-up.
+    /// off.
     pub duty_cycle: Option<DutyCycle>,
 }
 
@@ -102,15 +101,6 @@ pub trait ProbeScheduler {
     /// Returns `Some(d)` to probe with duty-cycle `d`, or `None` to keep the
     /// radio off until the next wake-up.
     fn decide(&mut self, ctx: &ProbeContext) -> Option<DutyCycle>;
-
-    /// [`ProbeScheduler::decide`], packaged as a [`DecisionRecord`] for
-    /// recording hooks.
-    fn decide_recorded(&mut self, ctx: &ProbeContext) -> DecisionRecord {
-        DecisionRecord {
-            now: ctx.now,
-            duty_cycle: self.decide(ctx),
-        }
-    }
 
     /// Feeds back a successfully probed contact (for online learning).
     ///

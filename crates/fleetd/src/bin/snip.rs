@@ -511,7 +511,6 @@ fn replay_summary(journal: &Path) -> Result<ExitCode, CliError> {
                 match sim {
                     snip_sim::SimEvent::NodeStart { .. } => "NodeStart",
                     snip_sim::SimEvent::Decision(_) => "Decision",
-                    snip_sim::SimEvent::ProbeBatch { .. } => "ProbeBatch",
                     snip_sim::SimEvent::Probe { .. } => "Probe",
                     snip_sim::SimEvent::Upload { .. } => "Upload",
                     snip_sim::SimEvent::EpochEnd { .. } => "EpochEnd",
@@ -528,9 +527,6 @@ fn replay_summary(journal: &Path) -> Result<ExitCode, CliError> {
             }
             JournalEvent::Sim(sim) => match sim {
                 snip_sim::SimEvent::Decision(d) => observe_at(&mut span, d.now.as_micros()),
-                snip_sim::SimEvent::ProbeBatch { from, .. } => {
-                    observe_at(&mut span, from.as_micros());
-                }
                 snip_sim::SimEvent::Probe { at, .. } | snip_sim::SimEvent::Upload { at, .. } => {
                     observe_at(&mut span, at.as_micros());
                 }

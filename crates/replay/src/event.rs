@@ -8,8 +8,9 @@
 //!
 //! The header carries enough to *re-execute* the run (scheduler spec,
 //! simulation config, RNG seed); the contact section carries the exact input
-//! trace; the sim section carries every observable step; the trailer carries
-//! the final metrics. Replay re-runs the header against the recorded trace
+//! trace; the sim section carries what the run decides (decision changes,
+//! beacons inside contacts, uploads, epoch ends); the trailer carries the
+//! final metrics. Replay re-runs the header against the recorded trace
 //! and verifies the sim section event-for-event.
 
 use serde::{Deserialize, Serialize};
@@ -21,29 +22,24 @@ use snip_units::DutyCycle;
 
 /// The journal format version this crate writes and replays.
 ///
-/// Bump on any change to the event grammar or to event payload shapes;
-/// replay refuses journals from other versions rather than mis-decoding
-/// them. A change of the simulator's event *cadence* alone keeps the
-/// format readable: a journal recorded before it replays to a divergence
-/// report at its first differing event (see the `replay` module).
+/// Bump on any change to the event grammar, to event payload shapes, or to
+/// which events a run emits; replay refuses journals from other versions
+/// at the header rather than mis-decoding them.
 ///
 /// Version history:
 /// * 1 — initial grammar; one `Decision` per wake-up, one `Probe` per
 ///   beacon.
-/// * 2 — fast-path simulator: provably-off wake-ups are elided, runs of
-///   empty probing cycles collapse into `ProbeBatch` events.
+/// * 2 — provably-off wake-ups are elided, runs of empty probing cycles
+///   collapse into one batch event each.
 /// * 3 — exact integer-µs metrics ledgers: `EpochEnd`/`RunEnd` metric
 ///   payloads carry integer microseconds (`zeta_us`, `slot_phi_us`, …)
-///   instead of float seconds, and SNIP-RH's budget gate checks the room
-///   for a whole `Ton` before each cycle (`Φ ≤ Φmax` exactly). Version 2
-///   read support has been **removed** after a deprecation cycle: the
-///   float-seconds decoder is gone, and a v2 journal is refused at the
-///   header. Later, with the format unchanged, data-gated wake-ups are
-///   elided too, so SNIP-RH journals carry fewer `Decision` events.
-pub const JOURNAL_VERSION: u32 = 3;
-
-/// The oldest journal version this crate can still read and replay.
-pub const MIN_SUPPORTED_JOURNAL_VERSION: u32 = 3;
+///   instead of float seconds.
+/// * 4 — the stream records what the run decides, not how the simulator
+///   stepped: a `Decision` only when the effective decision changes, a
+///   `Probe { at, beacon_heard, contact }` only for a beacon that lands
+///   inside a contact, and no event for a beacon in empty air (the batch
+///   event is gone). Fast and naive steppers write the same journal.
+pub const JOURNAL_VERSION: u32 = 4;
 
 /// A rebuildable description of the recorded scheduler.
 ///

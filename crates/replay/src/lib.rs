@@ -3,11 +3,12 @@
 //! The paper's evaluation (and this workspace's regression surface) lives
 //! and dies by reproducibility: every figure is "a two-week simulation at
 //! seed S". This crate makes each such run a *shareable artifact* — a
-//! versioned event journal holding the input contact trace, every scheduler
-//! decision, probe outcome and upload, the per-epoch ζ/Φ/ρ metrics, and
-//! enough header metadata to re-execute the whole thing. Metric records are
-//! exact integer-µs ledgers (journal v3), so replay asserts *equality* on
-//! ζ/Φ — no tolerance; journals of any other version are refused:
+//! versioned event journal holding the input contact trace, what the run
+//! decides (decision changes, beacons inside contacts, uploads), the
+//! per-epoch ζ/Φ/ρ metrics, and enough header metadata to re-execute the
+//! whole thing. Metric records are exact integer-µs ledgers, so replay
+//! asserts *equality* on ζ/Φ — no tolerance; journals of any version but
+//! journal v4 are refused:
 //!
 //! * [`record::record_run`] — run a simulation, streaming every event to a
 //!   journal (JSONL or CBOR, autodetected by extension, O(1) memory).
@@ -73,9 +74,7 @@ pub use checkpoint::{
     CheckpointWriter, CHECKPOINT_VERSION,
 };
 pub use diff::{diff_journals, DiffReport, FirstDifference};
-pub use event::{
-    JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION, MIN_SUPPORTED_JOURNAL_VERSION,
-};
+pub use event::{JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION};
 pub use frame::{FrameError, FrameReader, FrameWriter};
 pub use journal::{convert, JournalError, JournalFormat, JournalReader, JournalWriter};
 pub use record::{record_run, RecordError, Recorder};

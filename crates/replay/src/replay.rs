@@ -17,15 +17,9 @@
 //! recorded trailer bit-for-bit, so per-epoch ζ/Φ/ρ are verified even if a
 //! (hypothetical) event-stream-preserving metrics bug slipped in.
 //!
-//! The event stream records the wake-ups the simulator *consults* the
-//! scheduler at, not every decision-interval tick: the fast path skips
-//! wake-ups its hints prove off. Since SNIP-RH's data gate (condition 2)
-//! got an exact bound, data-gated wake-ups are skipped as well, so SNIP-RH
-//! runs journal fewer `Decision` events while their metrics are unchanged.
-//! The frame format did not change and [`JOURNAL_VERSION`] stays where it
-//! was, so a journal recorded before that change still decodes, and its
-//! replay reports a divergence at the first wake-up the live run skips —
-//! re-record it to replay it cleanly.
+//! The event stream holds what the run decides, not how the simulator
+//! stepped through it, so a faster stepper replays old journals cleanly; a
+//! divergence means the behaviour changed.
 
 use std::fmt;
 use std::io::BufRead;
@@ -35,9 +29,7 @@ use rand::SeedableRng;
 use snip_mobility::{Contact, ContactTrace};
 use snip_sim::{ObserverFlow, RunMetrics, SimEvent, SimObserver, Simulation};
 
-use crate::event::{
-    JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION, MIN_SUPPORTED_JOURNAL_VERSION,
-};
+use crate::event::{JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION};
 use crate::journal::{JournalError, JournalReader};
 
 /// A first-divergence report: where replay and journal disagree.
@@ -100,8 +92,8 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported journal version {found} (this build replays versions \
-                 {MIN_SUPPORTED_JOURNAL_VERSION}..={JOURNAL_VERSION})"
+                "unsupported journal version {found} (this build replays version \
+                 {JOURNAL_VERSION} only; re-record the run)"
             ),
             ReplayError::Malformed(msg) => write!(f, "malformed journal: {msg}"),
             ReplayError::Divergence(d) => d.fmt(f),
@@ -201,10 +193,9 @@ fn read_preamble<R: BufRead>(
         }
         None => return Err(ReplayError::MissingHeader),
     };
-    // Refused before any later event is decoded: a v2 journal's
-    // float-second metric records would fail to decode anyway, but the
-    // header names the real problem.
-    if !(MIN_SUPPORTED_JOURNAL_VERSION..=JOURNAL_VERSION).contains(&header.version) {
+    // Refused before any later event is decoded: the header names the
+    // real problem, where an older event shape would only fail to decode.
+    if header.version != JOURNAL_VERSION {
         return Err(ReplayError::UnsupportedVersion {
             found: header.version,
         });
@@ -376,7 +367,13 @@ mod tests {
             let mut reader = JournalReader::new(std::io::Cursor::new(bytes), format);
             let report = replay_run(&mut reader, None).unwrap();
             assert_eq!(report.metrics, recorded, "{format}");
-            assert!(report.events_verified > 100);
+            // SNIP-AT's one decision, a probe and an upload per probed
+            // contact, and the two epoch ends.
+            assert_eq!(
+                report.events_verified,
+                1 + 2 * recorded.total_contacts_probed() + 2,
+                "{format}"
+            );
             assert_eq!(report.header.mechanism, "SNIP-AT");
         }
     }
@@ -448,10 +445,9 @@ mod tests {
 
     #[test]
     fn wrong_version_is_refused() {
-        // Below MIN_SUPPORTED_JOURNAL_VERSION (v1, the v2 float-seconds
-        // format) and above JOURNAL_VERSION alike, on both codecs.
+        // Every version but JOURNAL_VERSION, older and newer, on both codecs.
         for format in [JournalFormat::Cbor, JournalFormat::Jsonl] {
-            for version in [1, 2, 4, 999] {
+            for version in [1, 2, 3, 5, 999] {
                 let mut header = JournalHeader::new(at_spec(), SimConfig::paper_defaults(), 1);
                 header.version = version;
                 let mut writer = JournalWriter::new(Vec::new(), format);

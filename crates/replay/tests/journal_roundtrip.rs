@@ -195,7 +195,6 @@ fn mutate(event: &mut SimEvent) {
                 Some(_) => None,
             };
         }
-        SimEvent::ProbeBatch { count, .. } => *count += 1,
         SimEvent::Probe { beacon_heard, .. } => *beacon_heard = !*beacon_heard,
         SimEvent::Upload { at, .. } => *at += SimDuration::from_micros(1),
         SimEvent::EpochEnd { metrics, .. } => metrics.charge_phi(SimDuration::from_secs(1)),

@@ -1,4 +1,5 @@
-//! A journal recorded for a parallel-sweep point replays bit-for-bit.
+//! A journal recorded for a parallel-sweep point replays bit-for-bit, and
+//! the fast and the naive stepper write the same journal.
 //!
 //! The parallel sweep engine and the record/replay pipeline must describe
 //! the *same* run: recording the scheduler/config/seed combination of a
@@ -8,14 +9,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use snip_core::SnipRhConfig;
-use snip_mobility::{EpochProfile, TraceGenerator};
+use snip_core::{AdaptiveConfig, AdaptiveSnipRh, ProbeScheduler, SnipRhConfig, SnipRhPlusAt};
+use snip_mobility::{ContactTrace, EpochProfile, TraceGenerator};
 use snip_replay::event::{JournalHeader, SchedulerSpec};
 use snip_replay::journal::{JournalFormat, JournalReader, JournalWriter};
-use snip_replay::record::record_run;
+use snip_replay::record::{record_run, Recorder};
 use snip_replay::replay::replay_run;
-use snip_sim::{Mechanism, ScenarioRunner, SimConfig, SimEvent};
-use snip_units::SimDuration;
+use snip_sim::{Mechanism, RunMetrics, ScenarioRunner, SimConfig, Simulation};
+use snip_units::{DutyCycle, SimDuration};
 
 const SEED: u64 = 2011;
 const EPOCHS: u64 = 7;
@@ -82,41 +83,82 @@ fn parallel_sweep_point_records_and_replays_bit_for_bit() {
     assert!(report.events_verified > 0);
 }
 
-#[test]
-fn fast_path_journals_contain_probe_batches() {
-    // The v2 cadence: a two-week SNIP-RH journal elides provably-off
-    // wake-ups and batches empty probing cycles, so it is dominated by
-    // ProbeBatch/Probe events rather than per-minute Decisions.
-    let profile = EpochProfile::roadside();
-    let config = SimConfig::paper_defaults()
-        .with_epochs(2)
-        .with_zeta_target_secs(TARGET);
-    let trace = TraceGenerator::new(profile.clone())
-        .epochs(2)
-        .generate(&mut StdRng::seed_from_u64(SEED));
-    let header = JournalHeader::new(rh_spec(&profile, &config), config, SEED.wrapping_add(1));
+/// Records one run's sim events through a [`Recorder`] into CBOR bytes.
+fn journal<S: ProbeScheduler>(mut sim: Simulation<'_, S>) -> (Vec<u8>, RunMetrics) {
     let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Cbor);
-    record_run(&mut writer, &header, &trace).expect("record");
+    let mut recorder = Recorder::new(&mut writer);
+    let metrics = sim.run_observed(&mut StdRng::seed_from_u64(SEED), &mut recorder);
+    recorder.finish().expect("in-memory journal");
+    (writer.into_inner(), metrics)
+}
 
-    let bytes = writer.into_inner();
-    let mut reader = JournalReader::new(std::io::Cursor::new(bytes), JournalFormat::Cbor);
-    let mut batches = 0u64;
-    let mut decisions = 0u64;
-    while let Some(event) = reader.next_event().expect("read") {
-        match event {
-            snip_replay::JournalEvent::Sim(SimEvent::ProbeBatch { count, .. }) => {
-                assert!(count > 0, "batches are never empty");
-                batches += 1;
-            }
-            snip_replay::JournalEvent::Sim(SimEvent::Decision(_)) => decisions += 1,
-            _ => {}
-        }
+/// Journals `make()`'s run on the fast path and on the naive stepper and
+/// requires the same bytes.
+fn assert_same_journal<S: ProbeScheduler>(
+    trace: &ContactTrace,
+    config: &SimConfig,
+    make: impl Fn() -> S,
+    what: &str,
+) {
+    let (fast, metrics) = journal(Simulation::new(config.clone(), trace, make()));
+    let (naive, _) = journal(Simulation::new(config.clone(), trace, make()).with_naive_stepping());
+    assert!(metrics.total_contacts_probed() > 0, "{what}: probes");
+    assert_eq!(fast, naive, "{what}: journal bytes");
+}
+
+#[test]
+fn fast_and_naive_steppers_write_identical_journals() {
+    // A journal records what the run decides, not how the stepper walked
+    // through it: at zero beacon loss the fast path's skipped wake-ups and
+    // batched empty beacons leave no trace in the bytes.
+    let profile = EpochProfile::roadside();
+    let trace = TraceGenerator::new(profile.clone())
+        .epochs(EPOCHS)
+        .generate(&mut StdRng::seed_from_u64(SEED));
+    let config = |target| {
+        SimConfig::paper_defaults()
+            .with_epochs(EPOCHS)
+            .with_zeta_target_secs(target)
+    };
+    let rh = |target| rh_spec(&profile, &config(target));
+
+    let at = SchedulerSpec::At {
+        duty_cycle: DutyCycle::new(0.001).unwrap(),
+    };
+    let opt = SchedulerSpec::Opt {
+        profile: profile.clone(),
+        phi_max_secs: 864.0,
+        zeta_target: TARGET,
+    };
+    for (spec, target) in [
+        (at, TARGET),
+        (opt, TARGET),
+        (rh(4.0), 4.0),
+        (rh(TARGET), TARGET),
+    ] {
+        let config = config(target);
+        let what = format!("{} zeta_target={target}", spec.label());
+        assert_same_journal(&trace, &config, || spec.build(&config), &what);
     }
-    assert!(batches > 0, "rush hours with empty air must batch");
-    // Naive stepping would record ~1200 off-peak decisions per day; the
-    // fast path collapses each off-peak stretch into a single decision.
-    assert!(
-        decisions < 600,
-        "fast-path cadence should elide idle wake-ups, got {decisions}"
+    assert_same_journal(
+        &trace,
+        &config(TARGET),
+        || {
+            let mut cfg = AdaptiveConfig::paper_sketch(24, 4);
+            cfg.rh.phi_max = SimDuration::from_secs_f64(PHI_MAX);
+            cfg.tracking_duty_cycle = 0.000_5;
+            AdaptiveSnipRh::new(cfg)
+        },
+        "Adaptive-SNIP-RH",
+    );
+    assert_same_journal(
+        &trace,
+        &config(TARGET),
+        || {
+            let cfg = SnipRhConfig::paper_defaults(profile.rush_marks())
+                .with_phi_max(SimDuration::from_secs_f64(PHI_MAX));
+            SnipRhPlusAt::new(cfg, 0.002)
+        },
+        "SNIP-RH+AT",
     );
 }

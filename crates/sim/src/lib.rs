@@ -13,9 +13,9 @@
 //!   start, probe contacts, upload buffered data, learn online.
 //! * [`mip`] — the mobile-node-initiated probing baseline simulation.
 //! * [`metrics`] — per-epoch and aggregate metrics.
-//! * [`observe`] — the recording hook: every decision, probe, upload and
-//!   epoch boundary as a stream of serializable [`SimEvent`]s (what the
-//!   `snip-replay` journal pipeline consumes).
+//! * [`observe`] — the recording hook: decision changes, beacons inside
+//!   contacts, uploads and epoch boundaries as a stream of serializable
+//!   [`SimEvent`]s (what the `snip-replay` journal pipeline consumes).
 //! * [`runner`] — the Fig 7/8 harness: run each mechanism over a seeded
 //!   scenario sweep.
 //!

@@ -181,28 +181,12 @@ impl Serialize for EpochMetrics {
     }
 }
 
-/// The error for the one shape this decoder deliberately refuses: the
-/// float-seconds metric records journal v2 carried. The v2 decoder was
-/// removed after a deprecation cycle; naming the old shape here keeps the
-/// failure actionable instead of a bare missing-field error.
-fn refuse_legacy_shape(ty: &str) -> serde::Error {
-    serde::Error::custom(format!(
-        "{ty}: legacy float-seconds metrics (journal v2) are no longer readable by this \
-         build; re-record the run to get a v3 journal"
-    ))
-}
-
 impl Deserialize for EpochMetrics {
-    /// Accepts the integer-µs shape (journal v3: `zeta_us` …) only. The
-    /// legacy float-seconds shape (journal v2: `zeta` …) is refused with
-    /// a migration hint.
+    /// Accepts the integer-µs shape (`zeta_us` …) only.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let map = v
             .as_map()
             .ok_or_else(|| serde::Error::expected("EpochMetrics map", v))?;
-        if v.get("zeta_us").is_none() && v.get("zeta").is_some() {
-            return Err(refuse_legacy_shape("EpochMetrics"));
-        }
         Ok(EpochMetrics {
             zeta: serde::__field(map, "zeta_us", "EpochMetrics")?,
             phi: serde::__field(map, "phi_us", "EpochMetrics")?,
@@ -443,16 +427,11 @@ impl Serialize for RunMetrics {
 }
 
 impl Deserialize for RunMetrics {
-    /// Accepts the integer-µs shape (journal v3: `slot_phi_us` …) only;
-    /// the legacy float-seconds shape (journal v2: `slot_phi` …) is
-    /// refused with a migration hint, as in [`EpochMetrics::from_value`].
+    /// Accepts the integer-µs shape (`slot_phi_us` …) only.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let map = v
             .as_map()
             .ok_or_else(|| serde::Error::expected("RunMetrics map", v))?;
-        if v.get("slot_phi_us").is_none() && v.get("slot_phi").is_some() {
-            return Err(refuse_legacy_shape("RunMetrics"));
-        }
         Ok(RunMetrics {
             epochs: serde::__field(map, "epochs", "RunMetrics")?,
             slot_phi: serde::__field(map, "slot_phi_us", "RunMetrics")?,
@@ -563,34 +542,6 @@ mod tests {
         assert_eq!(EpochMetrics::from_value(&e.to_value()).unwrap(), e);
     }
 
-    #[test]
-    fn legacy_float_seconds_shape_is_refused_with_a_migration_hint() {
-        // The v2 journal shape: seconds as floats, old field names. The
-        // decoder was removed at the end of the v2 sunset; decoding must
-        // fail loudly, name the shape and say how to get a readable
-        // journal, never mis-read.
-        let legacy = Value::Map(vec![
-            ("zeta".into(), Value::F64(8.8)),
-            ("phi".into(), Value::F64(86.4)),
-            ("uploaded".into(), Value::F64(8.0)),
-            ("upload_on_time".into(), Value::F64(8.8)),
-            ("contacts_total".into(), Value::U64(88)),
-            ("contacts_probed".into(), Value::U64(10)),
-            ("beacons".into(), Value::U64(1000)),
-        ]);
-        let err = EpochMetrics::from_value(&legacy).unwrap_err();
-        assert!(err.to_string().contains("journal v2"), "{err}");
-        assert!(err.to_string().contains("re-record"), "{err}");
-
-        let legacy_run = Value::Map(vec![
-            ("epochs".into(), Value::Seq(vec![])),
-            ("slot_phi".into(), Value::Seq(vec![Value::F64(1.5)])),
-            ("slot_zeta".into(), Value::Seq(vec![Value::F64(0.5)])),
-        ]);
-        let err = RunMetrics::from_value(&legacy_run).unwrap_err();
-        assert!(err.to_string().contains("journal v2"), "{err}");
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "out of range")]
@@ -613,10 +564,9 @@ mod tests {
 
     #[test]
     fn corrupt_legacy_floats_are_decode_errors_not_panics() {
-        // A corrupt v2 journal reaches this decoder via `snip replay`; it
-        // must surface an error, never abort the process. Post-sunset the
-        // whole legacy shape is refused before any float is even looked
-        // at, corrupt or not.
+        // The float-seconds shape of old journals, corrupt floats included,
+        // can reach this decoder via `snip replay`; it must surface an
+        // error, never abort the process.
         for bad in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
             let legacy = Value::Map(vec![
                 ("zeta".into(), Value::F64(bad)),
@@ -628,7 +578,7 @@ mod tests {
                 ("beacons".into(), Value::U64(0)),
             ]);
             let err = EpochMetrics::from_value(&legacy).unwrap_err();
-            assert!(err.to_string().contains("journal v2"), "{bad}: {err}");
+            assert!(err.to_string().contains("zeta_us"), "{bad}: {err}");
         }
     }
 

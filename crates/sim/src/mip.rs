@@ -81,8 +81,9 @@ impl MipSimulation {
     }
 
     /// [`MipSimulation::run`] with a recording hook: one [`SimEvent::Probe`]
-    /// per contact (heard or missed) and an [`SimEvent::EpochEnd`] per epoch,
-    /// in execution order.
+    /// per contact (at the discovering beacon's end, or at the contact start
+    /// when no beacon was heard) and an [`SimEvent::EpochEnd`] per epoch, in
+    /// execution order.
     ///
     /// MIP has no sensor-side scheduler, so no `Decision` events are emitted;
     /// the listening overhead is deterministic.
@@ -181,9 +182,7 @@ impl MipSimulation {
             emit!(SimEvent::Probe {
                 at: discovery.unwrap_or(contact.start),
                 beacon_heard: discovery.is_some(),
-                contact_start: discovery.map(|_| contact.start),
-                contact_length: discovery.map(|_| contact.length),
-                probed_duration: discovery.map(|at| contact.end() - at),
+                contact: *contact,
             });
             if let Some(at) = discovery {
                 let probed = contact.end() - at;

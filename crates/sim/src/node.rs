@@ -36,8 +36,7 @@
 //! * **Beacon batching** — while the decision is guaranteed steady, the
 //!   contact list (not the clock) drives the loop: the simulator computes
 //!   the first beacon that can land inside a contact and accounts all the
-//!   empty cycles before it in one step (`count × Ton` of Φ, one
-//!   [`SimEvent::ProbeBatch`]).
+//!   empty cycles before it in one step (`count × Ton` of Φ).
 //!
 //! With injected beacon loss the batched empty beacons do not consume RNG
 //! draws (the naive stepper draws one per beacon), so fast and naive runs
@@ -48,11 +47,21 @@
 //! a batched `count × Ton` charge is the same integer as `count` single
 //! charges. [`Simulation::with_naive_stepping`] keeps the reference stepper
 //! available for cross-checks.
+//!
+//! # What a run reports
+//!
+//! [`Simulation::run_observed`] reports what the run decides, never how the
+//! stepper walked: a [`SimEvent::Decision`] only when the effective
+//! decision changes, a [`SimEvent::Probe`] only for a beacon that lands
+//! inside a contact (heard or lost), and uploads and epoch ends. Every
+//! wake-up or beacon the fast path skips is one at which the decision
+//! holds and the air is empty, so at `beacon_loss == 0` both steppers emit
+//! the same stream.
 
 use rand::Rng;
-use snip_core::{ProbeContext, ProbeScheduler, ProbedContactInfo};
+use snip_core::{DecisionRecord, ProbeContext, ProbeScheduler, ProbedContactInfo};
 use snip_mobility::ContactTrace;
-use snip_units::{SimDuration, SimTime};
+use snip_units::{DutyCycle, SimDuration, SimTime};
 
 use crate::buffer::DataBuffer;
 use crate::config::SimConfig;
@@ -104,9 +113,10 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
         self.run_observed(rng, &mut NoopObserver)
     }
 
-    /// [`Simulation::run`] with a recording hook: every scheduler decision,
-    /// probe outcome, upload and epoch boundary is reported to `observer`
-    /// in execution order (the `snip-replay` journal pipeline).
+    /// [`Simulation::run`] with a recording hook: every change of decision,
+    /// beacon inside a contact, upload and epoch boundary is reported to
+    /// `observer` in execution order (the `snip-replay` journal pipeline;
+    /// see "What a run reports" in the module docs).
     ///
     /// If the observer returns [`ObserverFlow::Stop`] the run aborts and the
     /// metrics collected so far are returned — how a replay verifier fails
@@ -147,6 +157,8 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
         // Simulated time only moves forward, so a monotone cursor into the
         // contact list replaces a binary search per beacon.
         let mut cursor = 0usize;
+        // The effective decision last reported (`None` before the first).
+        let mut reported: Option<Option<DutyCycle>> = None;
 
         let mut now = SimTime::ZERO;
         while now < horizon {
@@ -172,12 +184,14 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                 buffered_data: buffer.available(now),
                 phi_spent_epoch: phi_in_epoch,
             };
-            let decision = self.scheduler.decide_recorded(&ctx);
-            emit!(SimEvent::Decision(decision));
-            let active = match decision.duty_cycle {
-                Some(d) if !d.is_off() => Some(d),
-                _ => None,
-            };
+            let active = self.scheduler.decide(&ctx).filter(|d| !d.is_off());
+            if reported != Some(active) {
+                reported = Some(active);
+                emit!(SimEvent::Decision(DecisionRecord {
+                    now,
+                    duty_cycle: active,
+                }));
+            }
             let Some(duty_cycle) = active else {
                 // Idle: wake again one decision interval later — or, when
                 // the scheduler bounds its own silence, at the first
@@ -218,6 +232,7 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
             } else {
                 self.scheduler.steady_span(&ctx)
             };
+            let mut at = now;
             if let Some(span) = steady {
                 // Fast path: the decision holds across a span, so the
                 // contact list drives the loop. Bound the batch to the
@@ -246,8 +261,8 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
 
                 // The first beacon `now + j·cycle`, `j < k_max`, landing
                 // inside a contact — the naive stepper's hit, computed
-                // directly.
-                let mut hit: Option<(u64, &snip_mobility::Contact)> = None;
+                // directly. Every contact before it ends by that beacon.
+                let mut hit = None;
                 let mut ci = cursor;
                 while let Some(c) = contacts.get(ci) {
                     let j = if c.start <= now {
@@ -259,7 +274,7 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                         break;
                     }
                     if now.as_micros() + j * cycle_us < c.end().as_micros() {
-                        hit = Some((j, c));
+                        hit = Some((j, ci));
                         break;
                     }
                     ci += 1;
@@ -273,91 +288,57 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                     em.charge_phi(ton * misses);
                     em.beacons += misses;
                     metrics.charge_slot_phi(slot_idx, ton * misses);
-                    emit!(SimEvent::ProbeBatch {
-                        from: now,
-                        cycle,
-                        count: misses,
-                    });
                 }
-                let Some((j, &contact)) = hit else {
+                let Some((j, ci)) = hit else {
                     now += SimDuration::from_micros(k_max * cycle_us);
                     continue;
                 };
-                let at = now + SimDuration::from_micros(j * cycle_us);
-                let em = metrics.epoch_mut(epoch_idx as usize);
-                em.charge_phi(ton);
-                em.beacons += 1;
-                metrics.charge_slot_phi(slot_idx, ton);
-                let beacon_heard =
-                    self.config.beacon_loss == 0.0 || rng.gen::<f64>() >= self.config.beacon_loss;
-                let probed = if beacon_heard { Some(contact) } else { None };
-                emit!(SimEvent::Probe {
-                    at,
-                    beacon_heard,
-                    contact_start: probed.map(|c| c.start),
-                    contact_length: probed.map(|c| c.length),
-                    probed_duration: probed.map(|c| c.end() - at),
-                });
-                match probed {
-                    Some(contact) => {
-                        match self.probe_success(
-                            &mut metrics,
-                            &mut buffer,
-                            epoch_idx,
-                            slot_idx,
-                            at,
-                            contact,
-                            observer,
-                        ) {
-                            Some(next) => now = next,
-                            None => return metrics,
-                        }
-                    }
-                    None => now = at + cycle,
-                }
-                continue;
+                at = now + SimDuration::from_micros(j * cycle_us);
+                cursor = ci;
             }
 
-            // Reference stepper: one beacon per consultation.
+            // One beacon at `at`: every beacon of the reference stepper,
+            // the hit of the fast path.
             let em = metrics.epoch_mut(epoch_idx as usize);
             em.charge_phi(ton);
             em.beacons += 1;
             metrics.charge_slot_phi(slot_idx, ton);
-
             let beacon_heard =
                 self.config.beacon_loss == 0.0 || rng.gen::<f64>() >= self.config.beacon_loss;
-            let probed = if beacon_heard {
-                contacts.get(cursor).filter(|c| c.contains(now)).copied()
-            } else {
-                None
-            };
-            emit!(SimEvent::Probe {
-                at: now,
-                beacon_heard,
-                contact_start: probed.map(|c| c.start),
-                contact_length: probed.map(|c| c.length),
-                probed_duration: probed.map(|c| c.end() - now),
-            });
-
-            match probed {
-                Some(contact) => {
-                    match self.probe_success(
-                        &mut metrics,
-                        &mut buffer,
-                        epoch_idx,
-                        slot_idx,
-                        now,
-                        contact,
-                        observer,
-                    ) {
-                        Some(next) => now = next,
-                        None => return metrics,
+            if let Some(&contact) = contacts.get(cursor).filter(|c| c.contains(at)) {
+                emit!(SimEvent::Probe {
+                    at,
+                    beacon_heard,
+                    contact,
+                });
+                if beacon_heard {
+                    // Probed: the radio serves the upload until the mobile
+                    // node leaves; probing resumes with a fresh cycle after.
+                    let probed_duration = contact.end() - at;
+                    let uploaded = buffer.upload(at, probed_duration);
+                    if !uploaded.is_zero() {
+                        emit!(SimEvent::Upload {
+                            at,
+                            airtime: uploaded,
+                        });
                     }
-                }
-                None => {
-                    now += cycle;
+                    let em = metrics.epoch_mut(epoch_idx as usize);
+                    em.charge_zeta(probed_duration);
+                    em.charge_uploaded(uploaded);
+                    em.charge_upload_on_time(probed_duration);
+                    em.contacts_probed += 1;
+                    metrics.charge_slot_zeta(slot_idx, probed_duration);
+                    self.scheduler.record_probed_contact(&ProbedContactInfo {
+                        probe_time: at,
+                        probed_duration,
+                        uploaded,
+                        contact_length: Some(contact.length),
+                    });
+                    now = contact.end();
+                    continue;
                 }
             }
+            now = at + cycle;
         }
         // Epochs never entered (or the final one) are final now.
         for e in current_epoch..self.config.epochs {
@@ -368,48 +349,6 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
             });
         }
         metrics
-    }
-
-    /// Accounts a successful probe: upload, metrics, scheduler feedback.
-    /// Returns the resumption time (the contact's end), or `None` if the
-    /// observer stopped the run.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_success<O: SimObserver + ?Sized>(
-        &mut self,
-        metrics: &mut RunMetrics,
-        buffer: &mut DataBuffer,
-        epoch_idx: u64,
-        slot_idx: usize,
-        at: SimTime,
-        contact: snip_mobility::Contact,
-        observer: &mut O,
-    ) -> Option<SimTime> {
-        let probed_duration = contact.end() - at;
-        let uploaded = buffer.upload(at, probed_duration);
-        if !uploaded.is_zero() {
-            let stop = observer.observe(&SimEvent::Upload {
-                at,
-                airtime: uploaded,
-            }) == ObserverFlow::Stop;
-            if stop {
-                return None;
-            }
-        }
-        let em = metrics.epoch_mut(epoch_idx as usize);
-        em.charge_zeta(probed_duration);
-        em.charge_uploaded(uploaded);
-        em.charge_upload_on_time(probed_duration);
-        em.contacts_probed += 1;
-        metrics.charge_slot_zeta(slot_idx, probed_duration);
-        self.scheduler.record_probed_contact(&ProbedContactInfo {
-            probe_time: at,
-            probed_duration,
-            uploaded,
-            contact_length: Some(contact.length),
-        });
-        // The radio serves the upload until the mobile node leaves; probing
-        // resumes with a fresh cycle after that.
-        Some(contact.end())
     }
 
     /// Consumes the simulation, returning the scheduler with its learned
@@ -649,6 +588,48 @@ mod tests {
         assert_eq!(metrics.total_contacts_probed(), 1);
         let zeta = metrics.epochs()[0].zeta();
         assert!((zeta - 10.0).abs() < 0.05, "Tprobed = {zeta}");
+    }
+
+    #[test]
+    fn lost_beacons_inside_a_contact_are_journaled_and_empty_air_is_not() {
+        // One 10 s contact and a beacon every 2 s, all lost: the five
+        // beacons inside the contact each report it, unheard; the other
+        // 43,195 beacons of the day report nothing, on either stepper.
+        let contact = Contact::new(SimTime::from_secs(100), SimDuration::from_secs(10));
+        let mut trace = ContactTrace::new();
+        trace.push(contact);
+        let config = SimConfig::paper_defaults()
+            .with_epochs(1)
+            .with_beacon_loss(1.0);
+        let d = DutyCycle::new(0.01).unwrap();
+        let run = |mut sim: Simulation<'_, SnipAt>| {
+            let mut events = crate::observe::CollectingObserver::default();
+            let metrics = sim.run_observed(&mut StdRng::seed_from_u64(13), &mut events);
+            (metrics, events.events)
+        };
+        let (metrics, events) = run(Simulation::new(config.clone(), &trace, SnipAt::new(d)));
+        let naive = run(Simulation::new(config, &trace, SnipAt::new(d)).with_naive_stepping());
+        assert_eq!(naive, (metrics.clone(), events.clone()));
+
+        assert_eq!(metrics.epochs()[0].beacons, 43_200);
+        assert_eq!(metrics.total_contacts_probed(), 0);
+        let probes: Vec<SimTime> = events
+            .iter()
+            .filter_map(|e| match *e {
+                SimEvent::Probe {
+                    at,
+                    beacon_heard,
+                    contact: c,
+                } => {
+                    assert!(!beacon_heard && c == contact, "{e:?}");
+                    Some(at)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes, [100, 102, 104, 106, 108].map(SimTime::from_secs));
+        // One decision, the five probes, one epoch end: nothing else.
+        assert_eq!(events.len(), 7, "{events:?}");
     }
 
     #[test]

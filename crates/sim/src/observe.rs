@@ -1,10 +1,14 @@
-//! The recording hook: everything a simulation run does, as a stream of
+//! The recording hook: what a simulation run decides, as a stream of
 //! serializable events.
 //!
-//! A [`SimObserver`] sees every scheduler decision, probe outcome, upload and
-//! epoch boundary as the simulation executes. The `snip-replay` crate builds
-//! its journal recorder and its replay verifier on this trait; anything else
-//! (live dashboards, debuggers, invariant checkers) can hook in the same way.
+//! A [`SimObserver`] sees every change of the scheduler's decision, every
+//! beacon that lands inside a contact, every upload and every epoch
+//! boundary as the simulation executes. The stream depends only on the
+//! run, not on how the simulator stepped through it: the fast path and the
+//! naive reference stepper emit the same events. The `snip-replay` crate
+//! builds its journal recorder and its replay verifier on this trait;
+//! anything else (live dashboards, debuggers, invariant checkers) can hook
+//! in the same way.
 //!
 //! Observers are deliberately *streaming*: events are borrowed, emitted in
 //! execution order, and never buffered by the simulator, so a multi-week
@@ -12,7 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 use snip_core::DecisionRecord;
-use snip_units::{DataSize, SimDuration, SimTime};
+use snip_mobility::Contact;
+use snip_units::{DataSize, SimTime};
 
 use crate::metrics::EpochMetrics;
 
@@ -20,7 +25,9 @@ use crate::metrics::EpochMetrics;
 ///
 /// Events serialize with serde and compare exactly ([`PartialEq`] is
 /// bit-for-bit on the embedded floats) — the properties record/replay
-/// divergence detection depends on.
+/// divergence detection depends on. Beacons that find empty air emit
+/// nothing: they are counted in [`EpochMetrics::beacons`] and charged to
+/// its Φ.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SimEvent {
     /// A fleet run switched to the named node (single-node runs emit none).
@@ -28,34 +35,18 @@ pub enum SimEvent {
         /// The node's site name.
         name: String,
     },
-    /// The scheduler was consulted at a CPU wake-up.
+    /// The scheduler's effective decision changed (an off duty-cycle counts
+    /// as `None`). The first consultation of a run is always reported.
     Decision(DecisionRecord),
-    /// A run of consecutive probing cycles that all found empty air (fast
-    /// path): `count` beacons from `from` at `cycle` spacing, none landing
-    /// inside a contact. Emitted in place of per-beacon [`SimEvent::Probe`]
-    /// events when the scheduler guarantees a steady decision across the
-    /// span; the probing overhead charged is `count × Ton`, exactly as if
-    /// the beacons had been reported one by one.
-    ProbeBatch {
-        /// When the first beacon of the run was sent.
-        from: SimTime,
-        /// The spacing between consecutive beacons.
-        cycle: SimDuration,
-        /// How many beacons were sent, all missing.
-        count: u64,
-    },
-    /// A probing cycle transmitted its beacon.
+    /// A beacon landed inside a contact.
     Probe {
         /// When the beacon was sent.
         at: SimTime,
-        /// Whether the beacon survived injected loss.
+        /// Whether the beacon survived injected loss; if it did, the
+        /// contact was probed and `Tprobed` is `contact.end() − at`.
         beacon_heard: bool,
-        /// Start of the probed contact, if one was in range.
-        contact_start: Option<SimTime>,
-        /// Full length of the probed contact.
-        contact_length: Option<SimDuration>,
-        /// `Tprobed`: probe to contact end.
-        probed_duration: Option<SimDuration>,
+        /// The contact the beacon landed in.
+        contact: Contact,
     },
     /// Buffered data was uploaded during a probed contact.
     Upload {
@@ -118,6 +109,7 @@ impl SimObserver for CollectingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snip_units::SimDuration;
 
     #[test]
     fn noop_continues_and_collector_collects() {
@@ -138,17 +130,10 @@ mod tests {
                 now: SimTime::from_secs(60),
                 duty_cycle: None,
             }),
-            SimEvent::ProbeBatch {
-                from: SimTime::from_secs(60),
-                cycle: SimDuration::from_secs(2),
-                count: 1_800,
-            },
             SimEvent::Probe {
                 at: SimTime::from_secs(61),
                 beacon_heard: true,
-                contact_start: Some(SimTime::from_secs(60)),
-                contact_length: Some(SimDuration::from_secs(2)),
-                probed_duration: Some(SimDuration::from_millis(1_500)),
+                contact: Contact::new(SimTime::from_secs(60), SimDuration::from_secs(2)),
             },
             SimEvent::Upload {
                 at: SimTime::from_secs(61),

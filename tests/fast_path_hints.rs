@@ -12,13 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use snip_rh_repro::snip_core::{
-    AdaptiveConfig, AdaptiveSnipRh, ProbeScheduler, SnipRh, SnipRhConfig, SnipRhPlusAt,
+    AdaptiveConfig, AdaptiveSnipRh, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo,
+    SnipRh, SnipRhConfig, SnipRhPlusAt, SteadySpan,
 };
 use snip_rh_repro::snip_mobility::{ContactTrace, EpochProfile, TraceGenerator};
-use snip_rh_repro::snip_sim::{
-    ObserverFlow, RunMetrics, SimConfig, SimEvent, SimObserver, Simulation,
-};
-use snip_rh_repro::snip_units::SimDuration;
+use snip_rh_repro::snip_sim::{RunMetrics, SimConfig, Simulation};
+use snip_rh_repro::snip_units::{DutyCycle, SimDuration};
 
 fn roadside_trace(epochs: u64, seed: u64) -> ContactTrace {
     TraceGenerator::new(EpochProfile::roadside())
@@ -188,16 +187,30 @@ fn data_gated_fast_path_is_bit_identical_to_naive_stepping() {
     }
 }
 
-/// Counts the scheduler consultations of a run.
-#[derive(Default)]
-struct DecisionCounter(u64);
+/// A scheduler that counts its consultations and otherwise defers to the
+/// wrapped one, hints included.
+struct Consultations<S>(S, u64);
 
-impl SimObserver for DecisionCounter {
-    fn observe(&mut self, event: &SimEvent) -> ObserverFlow {
-        if matches!(event, SimEvent::Decision(_)) {
-            self.0 += 1;
-        }
-        ObserverFlow::Continue
+impl<S: ProbeScheduler> ProbeScheduler for Consultations<S> {
+    fn decide(&mut self, ctx: &ProbeContext) -> Option<DutyCycle> {
+        self.1 += 1;
+        self.0.decide(ctx)
+    }
+
+    fn record_probed_contact(&mut self, info: &ProbedContactInfo) {
+        self.0.record_probed_contact(info);
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
+        self.0.idle_until(ctx)
+    }
+
+    fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
+        self.0.steady_span(ctx)
     }
 }
 
@@ -212,10 +225,11 @@ fn data_gated_wake_ups_are_skipped_not_consulted() {
     let config = SimConfig::paper_defaults()
         .with_epochs(14)
         .with_zeta_target_secs(4.0);
-    let mut counter = DecisionCounter::default();
-    let mut sim = Simulation::new(config.clone(), &trace, SnipRh::new(rh_config(86.4)));
-    let fast = sim.run_observed(&mut StdRng::seed_from_u64(1), &mut counter);
-    assert!(counter.0 <= 300, "{} scheduler decisions", counter.0);
+    let scheduler = Consultations(SnipRh::new(rh_config(86.4)), 0);
+    let mut sim = Simulation::new(config.clone(), &trace, scheduler);
+    let fast = sim.run(&mut StdRng::seed_from_u64(1));
+    let consulted = sim.scheduler().1;
+    assert!(consulted <= 300, "{consulted} scheduler decisions");
 
     let mut naive =
         Simulation::new(config, &trace, SnipRh::new(rh_config(86.4))).with_naive_stepping();
