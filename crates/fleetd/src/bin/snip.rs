@@ -815,8 +815,7 @@ fn read_token(path: &Path) -> Result<String, CliError> {
 /// Renders the merged output as JSON (the journal codec, so the file is
 /// exactly the serde shape of the report).
 fn fleet_output_json(output: &FleetOutput) -> String {
-    use serde::Serialize as _;
-    let mut text = serde::json::to_string(&output.to_value());
+    let mut text = serde::json::to_string(output);
     text.push('\n');
     text
 }
@@ -953,8 +952,7 @@ fn build_driver(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetDriver, Cl
 
 fn cmd_fleet(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(opts) = parse_fleet_options(args, false)? else {
-        use serde::Serialize as _;
-        println!("{}", serde::json::to_string(&example_spec().to_value()));
+        println!("{}", serde::json::to_string(&example_spec()));
         return Ok(ExitCode::SUCCESS);
     };
     let spec = load_fleet_spec(&opts)?;
@@ -1339,7 +1337,6 @@ fn check_clean_end(
 /// version (and that reply is asserted here too). A real worker then
 /// finishes the run, proving the probes poisoned nothing.
 fn check_auth_uniformity(spec: &FleetSpec) -> Result<(), CliError> {
-    use serde::Serialize as _;
     use snip_fleetd::{
         CoordinatorMsg, JobRunner, TcpConfig, WorkerMsg, PROTOCOL_VERSION, TOKEN_ENV_VAR,
     };
@@ -1371,7 +1368,7 @@ fn check_auth_uniformity(spec: &FleetSpec) -> Result<(), CliError> {
     };
     // The protocol-3 wire: decimal length, newline, JSON, newline.
     let json_join = |msg: &WorkerMsg| -> Vec<u8> {
-        let body = serde::json::to_string(&msg.to_value());
+        let body = serde::json::to_string(msg);
         format!("{}\n{body}\n", body.len()).into_bytes()
     };
     let probes: Vec<(&str, Vec<u8>)> = vec![

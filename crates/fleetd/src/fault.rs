@@ -117,14 +117,13 @@ impl ChaosPlan {
     ///
     /// Returns the codec error message on malformed JSON or shape.
     pub fn from_json(text: &str) -> Result<ChaosPlan, String> {
-        let value = json::from_str(text).map_err(|e| e.to_string())?;
-        ChaosPlan::from_value(&value).map_err(|e| e.to_string())
+        json::decode(text).map_err(|e| e.to_string())
     }
 
     /// Renders the plan as JSON (the `--chaos-plan` file format).
     #[must_use]
     pub fn to_json(&self) -> String {
-        json::to_string(&self.to_value())
+        json::to_string(self)
     }
 }
 

@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let spec = example_spec();
-        let text = serde::json::to_string(&spec.to_value());
+        let text = serde::json::to_string(&spec);
         let back = FleetSpec::from_json(&text).expect("round trip");
         assert_eq!(back, spec);
     }

@@ -222,13 +222,12 @@ fn spawn_worker(addr: &str, token_file: &Path, retry_secs: &str) -> Child {
 
 #[test]
 fn sigkilled_coordinator_resumes_bit_identically_over_tcp() {
-    use serde::Serialize as _;
     let spec = resume_spec();
     let dir = tmp_path("serve");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let spec_file = dir.join("spec.json");
-    std::fs::write(&spec_file, serde::json::to_string(&spec.to_value())).expect("spec written");
+    std::fs::write(&spec_file, serde::json::to_string(&spec)).expect("spec written");
     let token_file = dir.join("token");
     std::fs::write(&token_file, "resume-drill-token\n").expect("token written");
     let journal = dir.join("ckpt.snipj");

@@ -29,7 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-use serde::{cbor, json, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use snip_sim::RunMetrics;
 
 use crate::journal::{JournalError, JournalFormat};
@@ -151,17 +151,7 @@ impl CheckpointWriter {
     ///
     /// Returns [`JournalError::Io`] on write or sync failure.
     pub fn append(&mut self, event: &CheckpointEvent) -> Result<(), JournalError> {
-        let value = event.to_value();
-        match self.format {
-            JournalFormat::Jsonl => {
-                let mut line = json::to_string(&value);
-                line.push('\n');
-                self.out.write_all(line.as_bytes())?;
-            }
-            JournalFormat::Cbor => {
-                cbor::write_value(&mut self.out, &value)?;
-            }
-        }
+        self.out.write_all(&self.format.record(event))?;
         self.out.flush()?;
         self.out.sync_data()?;
         self.events += 1;
@@ -249,28 +239,6 @@ pub fn load_checkpoint_from<R: Read>(
         read: 0,
     });
 
-    fn next_value<R: Read>(
-        format: JournalFormat,
-        input: &mut BufReader<CountingReader<R>>,
-        line_buf: &mut String,
-    ) -> Result<Option<serde::Value>, JournalError> {
-        match format {
-            JournalFormat::Jsonl => loop {
-                line_buf.clear();
-                use std::io::BufRead as _;
-                if input.read_line(line_buf)? == 0 {
-                    return Ok(None);
-                }
-                let line = line_buf.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                return Ok(Some(json::from_str(line)?));
-            },
-            JournalFormat::Cbor => Ok(cbor::read_value(input)?),
-        }
-    }
-
     // The stream offset the loader has fully consumed: bytes pulled from
     // the stream minus what still sits unparsed in the BufReader.
     fn consumed<R>(input: &BufReader<CountingReader<R>>) -> u64 {
@@ -278,15 +246,13 @@ pub fn load_checkpoint_from<R: Read>(
     }
 
     let mut line_buf = String::new();
-    let header = match next_value(format, &mut input, &mut line_buf)? {
-        Some(v) => match CheckpointEvent::from_value(&v)? {
-            CheckpointEvent::Header(h) => h,
-            other => {
-                return Err(JournalError::Codec(format!(
-                    "checkpoint journal does not start with a Header (got {other:?})"
-                )))
-            }
-        },
+    let header = match format.read_record(&mut input, &mut line_buf)? {
+        Some(CheckpointEvent::Header(h)) => h,
+        Some(other) => {
+            return Err(JournalError::Codec(format!(
+                "checkpoint journal does not start with a Header (got {other:?})"
+            )))
+        }
         None => {
             return Err(JournalError::Codec(
                 "checkpoint journal is empty (no header)".into(),
@@ -304,18 +270,9 @@ pub fn load_checkpoint_from<R: Read>(
     let mut truncated = false;
     let mut valid_bytes = consumed(&input);
     loop {
-        let value = match next_value(format, &mut input, &mut line_buf) {
-            Ok(Some(v)) => v,
+        match format.read_record(&mut input, &mut line_buf) {
             Ok(None) => break,
-            // A torn record can only be the last one (appends are
-            // sequential and fsynced); drop it and keep the prefix.
-            Err(_) => {
-                truncated = true;
-                break;
-            }
-        };
-        match CheckpointEvent::from_value(&value) {
-            Ok(CheckpointEvent::ShardDone { shard, metrics }) => {
+            Ok(Some(CheckpointEvent::ShardDone { shard, metrics })) => {
                 if shard >= header.total_shards {
                     return Err(JournalError::Codec(format!(
                         "checkpoint shard {shard} is outside the header's {} shard(s)",
@@ -325,11 +282,13 @@ pub fn load_checkpoint_from<R: Read>(
                 shards.entry(shard).or_insert(metrics);
                 valid_bytes = consumed(&input);
             }
-            Ok(CheckpointEvent::Header(_)) => {
+            Ok(Some(CheckpointEvent::Header(_))) => {
                 return Err(JournalError::Codec(
                     "checkpoint journal holds a second Header".into(),
                 ))
             }
+            // A torn record can only be the last one (appends are
+            // sequential and fsynced); drop it and keep the prefix.
             Err(_) => {
                 truncated = true;
                 break;

@@ -17,7 +17,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use serde::{cbor, json, Deserialize as _, Serialize as _};
+use serde::{cbor, json, Deserialize, Serialize};
 
 use crate::event::JournalEvent;
 
@@ -44,6 +44,44 @@ impl JournalFormat {
         {
             Some("json" | "jsonl") => JournalFormat::Jsonl,
             _ => JournalFormat::Cbor,
+        }
+    }
+
+    /// One record of `event` in this format: a JSON line, or one CBOR
+    /// item.
+    pub(crate) fn record<T: Serialize>(self, event: &T) -> Vec<u8> {
+        match self {
+            JournalFormat::Jsonl => {
+                let mut line = json::to_string(event).into_bytes();
+                line.push(b'\n');
+                line
+            }
+            JournalFormat::Cbor => cbor::to_vec(event),
+        }
+    }
+
+    /// Reads the next record in this format; `Ok(None)` at a clean end.
+    /// Blank JSONL lines are skipped.
+    pub(crate) fn read_record<T: Deserialize>(
+        self,
+        input: &mut impl BufRead,
+        line_buf: &mut String,
+    ) -> Result<Option<T>, JournalError> {
+        match self {
+            JournalFormat::Jsonl => loop {
+                line_buf.clear();
+                if input.read_line(line_buf)? == 0 {
+                    return Ok(None);
+                }
+                let line = line_buf.trim();
+                if !line.is_empty() {
+                    return Ok(Some(json::decode(line)?));
+                }
+            },
+            JournalFormat::Cbor => match cbor::read_value(input)? {
+                Some(v) => Ok(Some(T::from_value(&v)?)),
+                None => Ok(None),
+            },
         }
     }
 }
@@ -137,17 +175,7 @@ impl<W: Write> JournalWriter<W> {
     ///
     /// Returns [`JournalError::Io`] on write failure.
     pub fn write(&mut self, event: &JournalEvent) -> Result<(), JournalError> {
-        let value = event.to_value();
-        match self.format {
-            JournalFormat::Jsonl => {
-                let mut line = json::to_string(&value);
-                line.push('\n');
-                self.out.write_all(line.as_bytes())?;
-            }
-            JournalFormat::Cbor => {
-                cbor::write_value(&mut self.out, &value)?;
-            }
-        }
+        self.out.write_all(&self.format.record(event))?;
         self.events += 1;
         Ok(())
     }
@@ -218,28 +246,13 @@ impl<R: BufRead> JournalReader<R> {
     ///
     /// Returns [`JournalError`] on I/O failure or a malformed event.
     pub fn next_event(&mut self) -> Result<Option<JournalEvent>, JournalError> {
-        let value = match self.format {
-            JournalFormat::Jsonl => loop {
-                self.line_buf.clear();
-                if self.input.read_line(&mut self.line_buf)? == 0 {
-                    break None;
-                }
-                let line = self.line_buf.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                break Some(json::from_str(line)?);
-            },
-            JournalFormat::Cbor => cbor::read_value(&mut self.input)?,
-        };
-        match value {
-            None => Ok(None),
-            Some(v) => {
-                let event = JournalEvent::from_value(&v)?;
-                self.events += 1;
-                Ok(Some(event))
-            }
+        let event = self
+            .format
+            .read_record(&mut self.input, &mut self.line_buf)?;
+        if event.is_some() {
+            self.events += 1;
         }
+        Ok(event)
     }
 }
 

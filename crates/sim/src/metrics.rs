@@ -15,24 +15,25 @@
 //! the reporting getters ([`EpochMetrics::zeta`], [`RunMetrics::
 //! mean_zeta_per_epoch`], …), which convert the settled integer totals once.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Decoder, Deserialize, Serialize};
 use snip_units::{DataSize, SimDuration};
 
 /// Metrics of one simulated epoch.
 ///
 /// Time-valued fields are exact integer-µs ledgers; the f64 getters convert
 /// for reporting. [`PartialEq`]/[`Eq`] compare the raw integers, so equality
-/// is exact — the property replay divergence detection relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// is exact — the property replay divergence detection relies on. The
+/// field names are the keys it is serialized under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EpochMetrics {
     /// Probed contact capacity `ζ` (sum of `Tprobed`), integer µs.
-    zeta: SimDuration,
+    zeta_us: SimDuration,
     /// Probing overhead `Φ` (radio-on time charged to probing), integer µs.
-    phi: SimDuration,
+    phi_us: SimDuration,
     /// Data uploaded during probed windows, exact airtime.
-    uploaded: DataSize,
+    uploaded_us: DataSize,
     /// Radio-on time spent uploading (not charged to `Φ`), integer µs.
-    upload_on_time: SimDuration,
+    upload_on_time_us: SimDuration,
     /// Contacts present in the trace during this epoch.
     pub contacts_total: u64,
     /// Contacts successfully probed.
@@ -45,70 +46,70 @@ impl EpochMetrics {
     /// Probed contact capacity `ζ`, seconds (reporting conversion).
     #[must_use]
     pub fn zeta(&self) -> f64 {
-        self.zeta.as_secs_f64()
+        self.zeta_us.as_secs_f64()
     }
 
     /// Probing overhead `Φ`, seconds (reporting conversion).
     #[must_use]
     pub fn phi(&self) -> f64 {
-        self.phi.as_secs_f64()
+        self.phi_us.as_secs_f64()
     }
 
     /// Data uploaded during probed windows, airtime seconds (reporting
     /// conversion).
     #[must_use]
     pub fn uploaded(&self) -> f64 {
-        self.uploaded.as_airtime_secs_f64()
+        self.uploaded_us.as_airtime_secs_f64()
     }
 
     /// Radio-on time spent uploading, seconds (reporting conversion).
     #[must_use]
     pub fn upload_on_time(&self) -> f64 {
-        self.upload_on_time.as_secs_f64()
+        self.upload_on_time_us.as_secs_f64()
     }
 
     /// The exact `ζ` ledger.
     #[must_use]
     pub fn zeta_exact(&self) -> SimDuration {
-        self.zeta
+        self.zeta_us
     }
 
     /// The exact `Φ` ledger.
     #[must_use]
     pub fn phi_exact(&self) -> SimDuration {
-        self.phi
+        self.phi_us
     }
 
     /// The exact uploaded-data ledger.
     #[must_use]
     pub fn uploaded_exact(&self) -> DataSize {
-        self.uploaded
+        self.uploaded_us
     }
 
     /// The exact upload-on-time ledger.
     #[must_use]
     pub fn upload_on_time_exact(&self) -> SimDuration {
-        self.upload_on_time
+        self.upload_on_time_us
     }
 
     /// Adds probed capacity to the `ζ` ledger.
     pub fn charge_zeta(&mut self, amount: SimDuration) {
-        self.zeta += amount;
+        self.zeta_us += amount;
     }
 
     /// Adds probing on-time to the `Φ` ledger.
     pub fn charge_phi(&mut self, amount: SimDuration) {
-        self.phi += amount;
+        self.phi_us += amount;
     }
 
     /// Adds uploaded data to the upload ledger.
     pub fn charge_uploaded(&mut self, amount: DataSize) {
-        self.uploaded += amount;
+        self.uploaded_us += amount;
     }
 
     /// Adds radio-on time spent uploading (not charged to `Φ`).
     pub fn charge_upload_on_time(&mut self, amount: SimDuration) {
-        self.upload_on_time += amount;
+        self.upload_on_time_us += amount;
     }
 
     /// Unit probing cost `ρ = Φ/ζ`; `None` when nothing was probed.
@@ -117,10 +118,10 @@ impl EpochMetrics {
     /// float division — never an accumulation.
     #[must_use]
     pub fn rho(&self) -> Option<f64> {
-        if self.zeta.is_zero() {
+        if self.zeta_us.is_zero() {
             None
         } else {
-            Some(self.phi.as_micros() as f64 / self.zeta.as_micros() as f64)
+            Some(self.phi_us.as_micros() as f64 / self.zeta_us.as_micros() as f64)
         }
     }
 
@@ -144,10 +145,10 @@ impl std::ops::Add for EpochMetrics {
 
     fn add(self, rhs: EpochMetrics) -> EpochMetrics {
         EpochMetrics {
-            zeta: self.zeta + rhs.zeta,
-            phi: self.phi + rhs.phi,
-            uploaded: self.uploaded + rhs.uploaded,
-            upload_on_time: self.upload_on_time + rhs.upload_on_time,
+            zeta_us: self.zeta_us + rhs.zeta_us,
+            phi_us: self.phi_us + rhs.phi_us,
+            uploaded_us: self.uploaded_us + rhs.uploaded_us,
+            upload_on_time_us: self.upload_on_time_us + rhs.upload_on_time_us,
             contacts_total: self.contacts_total + rhs.contacts_total,
             contacts_probed: self.contacts_probed + rhs.contacts_probed,
             beacons: self.beacons + rhs.beacons,
@@ -167,46 +168,15 @@ impl std::iter::Sum for EpochMetrics {
     }
 }
 
-impl Serialize for EpochMetrics {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("zeta_us".into(), self.zeta.to_value()),
-            ("phi_us".into(), self.phi.to_value()),
-            ("uploaded_us".into(), self.uploaded.to_value()),
-            ("upload_on_time_us".into(), self.upload_on_time.to_value()),
-            ("contacts_total".into(), self.contacts_total.to_value()),
-            ("contacts_probed".into(), self.contacts_probed.to_value()),
-            ("beacons".into(), self.beacons.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EpochMetrics {
-    /// Accepts the integer-µs shape (`zeta_us` …) only.
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("EpochMetrics map", v))?;
-        Ok(EpochMetrics {
-            zeta: serde::__field(map, "zeta_us", "EpochMetrics")?,
-            phi: serde::__field(map, "phi_us", "EpochMetrics")?,
-            uploaded: DataSize::from_airtime(serde::__field(map, "uploaded_us", "EpochMetrics")?),
-            upload_on_time: serde::__field(map, "upload_on_time_us", "EpochMetrics")?,
-            contacts_total: serde::__field(map, "contacts_total", "EpochMetrics")?,
-            contacts_probed: serde::__field(map, "contacts_probed", "EpochMetrics")?,
-            beacons: serde::__field(map, "beacons", "EpochMetrics")?,
-        })
-    }
-}
-
-/// Metrics of a whole run, per epoch plus convenience aggregates.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Metrics of a whole run, per epoch plus convenience aggregates. The
+/// field names are the keys it is serialized under.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct RunMetrics {
     epochs: Vec<EpochMetrics>,
     /// Probing on-time per slot-of-epoch across the whole run, integer µs.
-    slot_phi: Vec<SimDuration>,
+    slot_phi_us: Vec<SimDuration>,
     /// Probed capacity per slot-of-epoch across the whole run, integer µs.
-    slot_zeta: Vec<SimDuration>,
+    slot_zeta_us: Vec<SimDuration>,
     /// Charges aimed at a slot index `>= slots` (a caller bug): counted and
     /// folded into the last slot rather than silently dropped. Debug builds
     /// panic instead.
@@ -226,8 +196,8 @@ impl RunMetrics {
     pub fn with_epochs_and_slots(epochs: usize, slots: usize) -> Self {
         RunMetrics {
             epochs: vec![EpochMetrics::default(); epochs],
-            slot_phi: vec![SimDuration::ZERO; slots],
-            slot_zeta: vec![SimDuration::ZERO; slots],
+            slot_phi_us: vec![SimDuration::ZERO; slots],
+            slot_zeta_us: vec![SimDuration::ZERO; slots],
             out_of_range_slot_charges: 0,
         }
     }
@@ -238,25 +208,25 @@ impl RunMetrics {
     /// concentrates its energy where it claims to.
     #[must_use]
     pub fn slot_phi(&self) -> &[SimDuration] {
-        &self.slot_phi
+        &self.slot_phi_us
     }
 
     /// Probed capacity per slot-of-epoch, aggregated over the run (exact).
     #[must_use]
     pub fn slot_zeta(&self) -> &[SimDuration] {
-        &self.slot_zeta
+        &self.slot_zeta_us
     }
 
     /// Probing on-time per slot-of-epoch, seconds (reporting conversion).
     #[must_use]
     pub fn slot_phi_secs(&self) -> Vec<f64> {
-        self.slot_phi.iter().map(|d| d.as_secs_f64()).collect()
+        self.slot_phi_us.iter().map(|d| d.as_secs_f64()).collect()
     }
 
     /// Probed capacity per slot-of-epoch, seconds (reporting conversion).
     #[must_use]
     pub fn slot_zeta_secs(&self) -> Vec<f64> {
-        self.slot_zeta.iter().map(|d| d.as_secs_f64()).collect()
+        self.slot_zeta_us.iter().map(|d| d.as_secs_f64()).collect()
     }
 
     /// Charges that named a slot index out of range (see
@@ -272,16 +242,16 @@ impl RunMetrics {
     /// totals. Returns `None` only for a zero-slot ledger, where there is
     /// no slot to saturate into (the charge is still counted).
     fn clamp_slot(&mut self, slot: usize) -> Option<usize> {
-        if slot < self.slot_phi.len() {
+        if slot < self.slot_phi_us.len() {
             return Some(slot);
         }
         debug_assert!(
             false,
             "slot {slot} out of range for {}-slot ledger",
-            self.slot_phi.len()
+            self.slot_phi_us.len()
         );
         self.out_of_range_slot_charges += 1;
-        self.slot_phi.len().checked_sub(1)
+        self.slot_phi_us.len().checked_sub(1)
     }
 
     /// Adds probing on-time to a slot's ledger (simulator internal).
@@ -293,7 +263,7 @@ impl RunMetrics {
     /// ([`RunMetrics::out_of_range_slot_charges`]).
     pub(crate) fn charge_slot_phi(&mut self, slot: usize, amount: SimDuration) {
         if let Some(slot) = self.clamp_slot(slot) {
-            self.slot_phi[slot] += amount;
+            self.slot_phi_us[slot] += amount;
         }
     }
 
@@ -305,7 +275,7 @@ impl RunMetrics {
     /// saturate to the last slot and count the event.
     pub(crate) fn charge_slot_zeta(&mut self, slot: usize, amount: SimDuration) {
         if let Some(slot) = self.clamp_slot(slot) {
-            self.slot_zeta[slot] += amount;
+            self.slot_zeta_us[slot] += amount;
         }
     }
 
@@ -412,35 +382,36 @@ impl RunMetrics {
     }
 }
 
-impl Serialize for RunMetrics {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("epochs".into(), self.epochs.to_value()),
-            ("slot_phi_us".into(), self.slot_phi.to_value()),
-            ("slot_zeta_us".into(), self.slot_zeta.to_value()),
-            (
-                "out_of_range_slot_charges".into(),
-                self.out_of_range_slot_charges.to_value(),
-            ),
-        ])
-    }
-}
-
 impl Deserialize for RunMetrics {
-    /// Accepts the integer-µs shape (`slot_phi_us` …) only.
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("RunMetrics map", v))?;
+    /// Reads the map the derived `encode` writes, under the derive's rules
+    /// (keys in any order, the first occurrence wins, unknown keys
+    /// skipped), except that a missing `out_of_range_slot_charges` reads as
+    /// zero.
+    fn decode<'de, D: Decoder<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        use serde::{__decode_field as field, __require as require};
+        const TY: &str = "RunMetrics";
+        let mut items = serde::__open_map(d, "RunMetrics map")?;
+        let (mut epochs, mut slot_phi, mut slot_zeta, mut charges) = (None, None, None, None);
+        while let Some(key) = d.next_key(&mut items)? {
+            match &*key {
+                "epochs" if epochs.is_none() => epochs = Some(field(d, "epochs", TY)?),
+                "slot_phi_us" if slot_phi.is_none() => {
+                    slot_phi = Some(field(d, "slot_phi_us", TY)?)
+                }
+                "slot_zeta_us" if slot_zeta.is_none() => {
+                    slot_zeta = Some(field(d, "slot_zeta_us", TY)?);
+                }
+                "out_of_range_slot_charges" if charges.is_none() => {
+                    charges = Some(field(d, "out_of_range_slot_charges", TY)?);
+                }
+                _ => d.skip()?,
+            }
+        }
         Ok(RunMetrics {
-            epochs: serde::__field(map, "epochs", "RunMetrics")?,
-            slot_phi: serde::__field(map, "slot_phi_us", "RunMetrics")?,
-            slot_zeta: serde::__field(map, "slot_zeta_us", "RunMetrics")?,
-            out_of_range_slot_charges: match v.get("out_of_range_slot_charges") {
-                Some(n) => u64::from_value(n)
-                    .map_err(|e| serde::Error::custom(format!("out_of_range_slot_charges: {e}")))?,
-                None => 0,
-            },
+            epochs: require(epochs, "epochs", TY)?,
+            slot_phi_us: require(slot_phi, "slot_phi_us", TY)?,
+            slot_zeta_us: require(slot_zeta, "slot_zeta_us", TY)?,
+            out_of_range_slot_charges: charges.unwrap_or(0),
         })
     }
 }
@@ -448,6 +419,7 @@ impl Deserialize for RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn epoch(zeta_s: u64, phi_s: u64, uploaded_s: u64, probed: u64, total: u64) -> EpochMetrics {
         let mut e = EpochMetrics {
@@ -540,6 +512,119 @@ mod tests {
         assert_eq!(RunMetrics::from_value(&v).unwrap(), m);
         let e = m.epochs()[0];
         assert_eq!(EpochMetrics::from_value(&e.to_value()).unwrap(), e);
+    }
+
+    /// A multi-epoch run with every ledger nonzero somewhere, and the map
+    /// it travels as, written out by hand: the wire, journal and
+    /// checkpoint bytes of a `RunMetrics` are this map's bytes.
+    fn pinned() -> (RunMetrics, Value) {
+        let mut m = sample();
+        m.charge_slot_phi(3, SimDuration::from_micros(1_500));
+        m.charge_slot_zeta(23, SimDuration::from_micros(7));
+        m.out_of_range_slot_charges = 2;
+        let epoch = |zeta: u64, phi: u64, up: u64, probed: u64, total: u64| {
+            Value::Map(vec![
+                ("zeta_us".into(), Value::U64(zeta)),
+                ("phi_us".into(), Value::U64(phi)),
+                ("uploaded_us".into(), Value::U64(up)),
+                ("upload_on_time_us".into(), Value::U64(zeta)),
+                ("contacts_total".into(), Value::U64(total)),
+                ("contacts_probed".into(), Value::U64(probed)),
+                ("beacons".into(), Value::U64(1000)),
+            ])
+        };
+        let slots = |slot: usize, us: u64| {
+            let mut seq = vec![Value::U64(0); 24];
+            seq[slot] = Value::U64(us);
+            Value::Seq(seq)
+        };
+        let value = Value::Map(vec![
+            (
+                "epochs".into(),
+                Value::Seq(vec![
+                    epoch(10_000_000, 30_000_000, 8_000_000, 10, 88),
+                    epoch(20_000_000, 30_000_000, 16_000_000, 20, 90),
+                ]),
+            ),
+            ("slot_phi_us".into(), slots(3, 1_500)),
+            ("slot_zeta_us".into(), slots(23, 7)),
+            ("out_of_range_slot_charges".into(), Value::U64(2)),
+        ]);
+        (m, value)
+    }
+
+    /// Decodes `v` as a `RunMetrics` from the tree, from its CBOR bytes and
+    /// from its JSON text, which must all agree.
+    fn decode_all(v: &Value) -> Result<RunMetrics, serde::Error> {
+        let from_tree = RunMetrics::from_value(v);
+        assert_eq!(serde::cbor::decode(&serde::cbor::to_vec(v)), from_tree);
+        assert_eq!(serde::json::decode(&serde::json::to_string(v)), from_tree);
+        from_tree
+    }
+
+    fn edit_map(v: &mut Value, f: impl Fn(&mut Vec<(String, Value)>)) {
+        match v {
+            Value::Map(m) => f(m),
+            other => panic!("not a map: {other:?}"),
+        }
+    }
+
+    fn edit_epochs(v: &mut Value, f: impl Fn(&mut Vec<(String, Value)>)) {
+        edit_map(v, |m| {
+            let (_, epochs) = m.iter_mut().find(|(k, _)| k == "epochs").unwrap();
+            match epochs {
+                Value::Seq(epochs) => epochs.iter_mut().for_each(|e| edit_map(e, &f)),
+                other => panic!("not a sequence: {other:?}"),
+            }
+        });
+    }
+
+    #[test]
+    fn metrics_bytes_are_pinned_to_the_integer_map() {
+        let (m, value) = pinned();
+        assert_eq!(serde::cbor::to_vec(&m), serde::cbor::to_vec(&value));
+        assert_eq!(serde::json::to_string(&m), serde::json::to_string(&value));
+        assert_eq!(decode_all(&value), Ok(m.clone()));
+
+        // Keys in any order.
+        let mut shuffled = value.clone();
+        edit_map(&mut shuffled, |m| m.reverse());
+        edit_epochs(&mut shuffled, |e| e.rotate_left(3));
+        assert_eq!(decode_all(&shuffled), Ok(m.clone()));
+
+        // The first occurrence of a key wins, whatever the repeat holds.
+        let mut repeated = value.clone();
+        edit_map(&mut repeated, |m| {
+            m.push(("out_of_range_slot_charges".into(), Value::U64(77)));
+            m.push(("epochs".into(), Value::Str("not epochs".into())));
+        });
+        edit_epochs(&mut repeated, |e| e.push(("zeta_us".into(), Value::U64(1))));
+        assert_eq!(decode_all(&repeated), Ok(m.clone()));
+
+        // Unknown keys are skipped.
+        let mut unknown = value.clone();
+        edit_map(&mut unknown, |m| {
+            m.insert(1, ("later".into(), Value::Seq(vec![Value::Null])));
+        });
+        edit_epochs(&mut unknown, |e| e.push(("rho".into(), Value::F64(0.5))));
+        assert_eq!(decode_all(&unknown), Ok(m.clone()));
+
+        // A missing out-of-range count reads as zero.
+        let mut no_count = value.clone();
+        edit_map(&mut no_count, |m| {
+            m.pop();
+        });
+        let mut zero = m.clone();
+        zero.out_of_range_slot_charges = 0;
+        assert_eq!(decode_all(&no_count), Ok(zero));
+
+        // A missing ledger is an error that names it.
+        let mut no_zeta = value;
+        edit_epochs(&mut no_zeta, |e| {
+            e.remove(0);
+        });
+        let err = decode_all(&no_zeta).unwrap_err();
+        assert!(err.to_string().contains("zeta_us"), "{err}");
     }
 
     #[cfg(debug_assertions)]

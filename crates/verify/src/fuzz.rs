@@ -5,8 +5,8 @@
 //! provenance are decoded: the fleet frame reader (magic byte,
 //! big-endian length, CBOR payload — pre-auth bytes from the network,
 //! fuzzed over generic and proto-shaped seeds, with every payload also
-//! run through the streaming typed decoder the fleet uses and checked
-//! against the `Value` tree route), the journal decoder
+//! run through the typed slice reader the fleet uses and checked
+//! against the `Value` format's walker), the journal decoder
 //! (`snip replay FILE` on a file somebody handed you, JSONL or CBOR),
 //! and the checkpoint loader (`--resume-from` on a journal that may be
 //! torn, truncated, or hostile). Each must *reject* bad input with an
@@ -401,7 +401,6 @@ fn journal_seed(format: JournalFormat) -> Vec<u8> {
 
 /// A JSONL checkpoint journal: the header plus one shard record.
 fn checkpoint_seed() -> Vec<u8> {
-    use serde::Serialize as _;
     let events = [
         CheckpointEvent::Header(CheckpointHeader {
             version: snip_replay::CHECKPOINT_VERSION,
@@ -416,7 +415,7 @@ fn checkpoint_seed() -> Vec<u8> {
     ];
     let mut bytes = Vec::new();
     for event in &events {
-        bytes.extend_from_slice(serde::json::to_string(&event.to_value()).as_bytes());
+        bytes.extend_from_slice(serde::json::to_string(event).as_bytes());
         bytes.push(b'\n');
     }
     bytes
@@ -648,22 +647,23 @@ struct ProbePlan {
     slots: [u8; 2],
 }
 
-/// Decodes `payload` through the streaming typed decoder and through the
-/// tree route (`from_value(cbor::from_slice(..))`) as each stand-in type
-/// and as a bare [`Value`], and panics — a finding — unless both accept
-/// with the same value or both refuse.
+/// Decodes `payload` straight through the CBOR slice reader, and through
+/// the `Value` format (`cbor::from_slice`, then `from_value` walks the
+/// tree), as each stand-in type and as a bare [`Value`], and panics — a
+/// finding — unless both accept with the same value or both refuse.
 fn typed_decoders_agree(payload: &[u8]) {
     fn agree<T: Serialize + Deserialize>(payload: &[u8], ty: &str) {
         // Compared as canonical bytes: bit-exact, and NaN-safe.
-        let tree = serde::cbor::from_slice(payload)
+        let walked = serde::cbor::from_slice(payload)
             .and_then(|v| T::from_value(&v))
             .map(|t| serde::cbor::to_vec(&t.to_value()));
-        let stream = serde::cbor::decode::<T>(payload).map(|t| serde::cbor::to_vec(&t));
-        match (tree, stream) {
+        let read = serde::cbor::decode::<T>(payload).map(|t| serde::cbor::to_vec(&t));
+        match (walked, read) {
             (Ok(a), Ok(b)) if a == b => {}
             (Err(_), Err(_)) => {}
-            (tree, stream) => panic!(
-                "streaming and tree decoders disagree on a {ty}: tree {tree:?}, stream {stream:?}"
+            (walked, read) => panic!(
+                "the slice reader and the Value walker disagree on a {ty}: \
+                 walked {walked:?}, read {read:?}"
             ),
         }
     }

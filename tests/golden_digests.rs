@@ -45,7 +45,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn digest<T: Serialize>(value: &T) -> u64 {
-    fnv1a(&serde::cbor::to_vec(&value.to_value()))
+    fnv1a(&serde::cbor::to_vec(value))
 }
 
 /// A 20-node SNIP-RH fleet: five profile shapes (stochastic and
