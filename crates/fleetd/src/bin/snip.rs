@@ -13,7 +13,7 @@
 //! snip fleet-worker [--connect ADDR --token-file F]
 //!                                  (no flags: spawned by `snip fleet` over stdio)
 //! snip lint    [--root DIR]              determinism lint over the workspace
-//! snip check-proto                     exhaustive protocol-v4 state check
+//! snip check-proto                     exhaustive protocol-v5 state check
 //! snip fuzz    [--seed S] [--iters N] [--corpus DIR] [--replay]
 //! ```
 //!
@@ -59,7 +59,7 @@ USAGE:
     snip lint    [--root DIR]                  enforce the determinism contract
                                                over the workspace's own sources
     snip check-proto                           explore every bounded fault
-                                               interleaving of protocol v4 and
+                                               interleaving of protocol v5 and
                                                check the fleet invariants
     snip fuzz    [options]                     seeded structured fuzzing of the
                                                frame/journal/checkpoint decoders
@@ -577,10 +577,7 @@ fn replay_summary(journal: &Path) -> Result<ExitCode, CliError> {
 /// verbatim (and therefore replays clean).
 fn respec_for_override(journal: &Path, mechanism: MechanismArg) -> Result<SchedulerSpec, CliError> {
     let mut reader = JournalReader::open(journal).map_err(fatal)?;
-    let header = match reader.next_event().map_err(fatal)? {
-        Some(snip_replay::JournalEvent::Header(h)) => h,
-        _ => return Err(fatal("journal does not start with a header")),
-    };
+    let header = snip_replay::read_header(&mut reader).map_err(fatal)?;
     let recorded_label = header.scheduler.label();
     let wanted_label = match mechanism {
         MechanismArg::At => "SNIP-AT",

@@ -55,7 +55,7 @@
 //! that presents the **correct token** but a skewed protocol version is
 //! told so before the sever — the coordinator answers with a spec-bearing
 //! `Init` naming its own version, so the worker can report "coordinator
-//! speaks protocol 4, worker speaks 5" instead of a bare disconnect. A
+//! speaks protocol 5, worker speaks 6" instead of a bare disconnect. A
 //! protocol-3 peer, which predates binary frames, cannot authenticate at
 //! all: its JSON-framed `Join` is refused at the frame's first byte,
 //! exactly like a wrong token. Both handshake messages then pin the *job
@@ -107,7 +107,10 @@ pub mod explore;
 ///   `Shard { jobs }` / `ShardDone { results }`, and a typed rejection
 ///   for authenticated version-skewed peers. Binary frames are the only
 ///   encoding: protocol-3 JSON frames are refused at the first byte.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// * 5 — compact profiles: every `EpochProfile` in the spec travels as its
+///   distinct slots plus one index per slot, and the spec hash covers
+///   that shape.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// One solved SNIP-OPT plan under its exact cache key, as shipped between
 /// processes. The key is the solver's own bit-exact composite (model +

@@ -376,6 +376,47 @@ mod tests {
     }
 
     #[test]
+    fn hostile_profiles_are_refused_naming_the_profile() {
+        const HOUR_US: u64 = 3_600_000_000;
+        let profile = EpochProfile::roadside_deterministic();
+        let mut spec = example_spec();
+        if let JobSpec::Fleet { nodes, .. } = &mut spec.job {
+            nodes.truncate(1);
+            nodes[0].profile = profile.clone();
+        }
+        let text = serde::json::to_string(&spec);
+        let wire = serde::json::to_string(&profile);
+        assert!(text.contains(&wire));
+        let off = serde::json::to_string(&profile.slots()[0]);
+        let rush = serde::json::to_string(&profile.slots()[7]);
+        let with = |slot_length: u64, distinct: &[&str], index: &str| {
+            let distinct = distinct.join(",");
+            text.replace(
+                &wire,
+                &format!(
+                    r#"{{"slot_length":{slot_length},"distinct":[{distinct}],"index":[{index}]}}"#
+                ),
+            )
+        };
+        FleetSpec::from_json(&with(HOUR_US, &[&off, &rush], "0,1,0")).expect("canonical");
+        let hostile = [
+            (with(HOUR_US, &[&off], ""), "index is empty"),
+            (with(0, &[&off], "0"), "slot_length must be positive"),
+            (with(HOUR_US, &[&off], "0,1"), "out of range"),
+            (with(HOUR_US, &[&off, &rush], "0,0"), "never used"),
+            (with(HOUR_US, &[&off, &off], "0,1"), "are equal"),
+            (with(HOUR_US, &[&off, &rush], "1,0"), "first-use order"),
+        ];
+        for (bad, why) in hostile {
+            let err = FleetSpec::from_json(&bad).expect_err(why);
+            assert!(
+                err.contains("`profile`") && err.contains("EpochProfile") && err.contains(why),
+                "{why}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn validation_catches_bad_fields() {
         let mut spec = example_spec();
         spec.epochs = 0;

@@ -189,15 +189,24 @@ pub fn recv_msg<T: Deserialize>(
     transport: &mut dyn Transport,
     timeout: Option<Duration>,
 ) -> Result<Option<T>, RecvError> {
-    let Some(payload) = transport.recv_frame(timeout)? else {
-        return Ok(None);
-    };
+    match transport.recv_frame(timeout)? {
+        Some(payload) => decode_msg(&payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Decodes one typed message from a frame's payload.
+///
+/// # Errors
+///
+/// Returns a codec error when the payload does not decode as `T`.
+pub fn decode_msg<T: Deserialize>(payload: &[u8]) -> Result<T, RecvError> {
     // snip-lint: allow(wall-clock): "codec timing metric; observability only"
     let start = Instant::now();
     let msg =
-        cbor::decode(&payload).map_err(|e| RecvError::Frame(FrameError::Codec(e.to_string())))?;
+        cbor::decode(payload).map_err(|e| RecvError::Frame(FrameError::Codec(e.to_string())))?;
     msg_codec().decode_us.observe(start.elapsed());
-    Ok(Some(msg))
+    Ok(msg)
 }
 
 /// The shared read-side pump: a thread reads frames off the stream and

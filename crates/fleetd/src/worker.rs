@@ -39,7 +39,7 @@ use snip_replay::frame::FrameError;
 
 use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
 use crate::spec::{FleetSpec, JobRunner};
-use crate::transport::{recv_msg, send_msg, RecvError, StreamTransport, TcpTransport, Transport};
+use crate::transport::{decode_msg, send_msg, RecvError, StreamTransport, TcpTransport, Transport};
 
 /// Why a worker gave up.
 #[derive(Debug)]
@@ -382,12 +382,18 @@ impl Job {
     }
 }
 
-fn check_init(protocol: u32, spec: &FleetSpec, spec_hash: u64) -> Result<(), String> {
-    if protocol != PROTOCOL_VERSION {
-        return Err(format!(
+fn check_protocol(protocol: u32) -> Result<(), String> {
+    if protocol == PROTOCOL_VERSION {
+        Ok(())
+    } else {
+        Err(format!(
             "coordinator speaks protocol {protocol}, worker speaks {PROTOCOL_VERSION}"
-        ));
+        ))
     }
+}
+
+fn check_init(protocol: u32, spec: &FleetSpec, spec_hash: u64) -> Result<(), String> {
+    check_protocol(protocol)?;
     spec.validate()?;
     let local_hash = spec.spec_hash();
     if local_hash != spec_hash {
@@ -403,6 +409,13 @@ fn seed_plans(plans: &[PlanEntry]) {
     for entry in plans {
         snip_opt::seed_plan(entry.key.clone(), entry.plan.clone());
     }
+}
+
+/// The one field of an `Init` every protocol version shares; decoding
+/// skips the rest, whatever its shape.
+#[derive(serde::Deserialize)]
+enum InitProtocol {
+    Init { protocol: u32 },
 }
 
 /// Serves one link until it ends, with `core` and `job` carried across
@@ -435,10 +448,21 @@ fn serve_link(
         }
     }
     loop {
-        let msg = match recv_msg::<CoordinatorMsg>(transport, recv_window) {
-            Ok(Some(msg)) => msg,
+        let payload = match transport.recv_frame(recv_window) {
+            Ok(Some(payload)) => payload,
             Ok(None) => return core.lost(None, redial),
             Err(e) => return core.lost(Some(e), redial),
+        };
+        let msg = match decode_msg::<CoordinatorMsg>(&payload) {
+            Ok(msg) => msg,
+            Err(e) => match decode_msg::<InitProtocol>(&payload) {
+                // Another version may shape `Init` differently; its
+                // `protocol` still names the real problem.
+                Ok(InitProtocol::Init { protocol }) if protocol != PROTOCOL_VERSION => {
+                    return core.heard(Heard::Init(check_protocol(protocol)));
+                }
+                _ => return core.lost(Some(e), redial),
+            },
         };
         let heard = match &msg {
             CoordinatorMsg::Init {
@@ -799,6 +823,51 @@ mod tests {
         let script = coordinator_script(&[CoordinatorMsg::Resumed { session: 9 }]);
         let (err, _) = run_scripted(script, 1);
         assert!(matches!(err.unwrap_err(), WorkerError::Protocol(_)));
+    }
+
+    /// `Init` as protocol 4 wrote it: every profile's slots in full.
+    fn v4_shaped_init(protocol: u32) -> Vec<u8> {
+        let spec = small_spec();
+        let profile = snip_mobility::EpochProfile::roadside();
+        let slots: Vec<String> = profile.slots().iter().map(serde::json::to_string).collect();
+        let v4_profile = format!(
+            r#"{{"slot_length":{},"slots":[{}]}}"#,
+            serde::json::to_string(&profile.slot_length()),
+            slots.join(",")
+        );
+        let text = serde::json::to_string(&CoordinatorMsg::Init {
+            protocol,
+            spec: spec.clone(),
+            spec_hash: spec.spec_hash(),
+            session: 0,
+            plans: vec![],
+        })
+        .replace(&serde::json::to_string(&profile), &v4_profile);
+        assert!(serde::json::decode::<CoordinatorMsg>(&text).is_err());
+        let mut script = Vec::new();
+        FrameWriter::new(&mut script)
+            .send_value(&serde::json::from_str(&text).unwrap())
+            .unwrap();
+        script
+    }
+
+    #[test]
+    fn an_init_of_another_shape_is_refused_by_its_version() {
+        let (err, out) = run_scripted(v4_shaped_init(4), 1);
+        match err.unwrap_err() {
+            WorkerError::Protocol(msg) => assert_eq!(
+                msg,
+                format!("coordinator speaks protocol 4, worker speaks {PROTOCOL_VERSION}")
+            ),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(
+            out.is_empty(),
+            "no Ready may be sent to a skewed coordinator"
+        );
+        // At this build's own version the shape is simply malformed.
+        let (err, _) = run_scripted(v4_shaped_init(PROTOCOL_VERSION), 1);
+        assert!(matches!(err.unwrap_err(), WorkerError::Frame(_)));
     }
 
     #[test]

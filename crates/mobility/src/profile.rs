@@ -8,7 +8,7 @@
 //! [`snip_model::SlotProfile`] for closed-form analysis.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Decoder, Deserialize, Encoder, Serialize};
 use snip_model::{LengthDistribution, SlotProfile, SlotSpec};
 use snip_units::{SimDuration, SimTime};
 
@@ -58,7 +58,12 @@ pub struct ProfileSlot {
 /// let t = SimTime::from_secs(8 * 3600 + 30 * 60);
 /// assert!(p.kind_at(t).is_rush());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// On the wire a profile is `{slot_length, distinct, index}`: its distinct
+/// slots in first-use order, and one position in `distinct` per slot. A
+/// roadside profile's 24 slots are two distinct ones, so it travels as two
+/// slot processes and 24 small integers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochProfile {
     slot_length: SimDuration,
     slots: Vec<ProfileSlot>,
@@ -288,6 +293,109 @@ impl EpochProfile {
     }
 }
 
+impl Serialize for EpochProfile {
+    fn encode<E: Encoder>(&self, e: &mut E) {
+        let mut distinct: Vec<&ProfileSlot> = Vec::new();
+        let mut index = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let at = distinct.iter().position(|&d| d == slot).unwrap_or_else(|| {
+                distinct.push(slot);
+                distinct.len() - 1
+            });
+            index.push(at);
+        }
+        e.map(3);
+        e.map_key(0, "slot_length");
+        self.slot_length.encode(e);
+        e.map_key(1, "distinct");
+        distinct.encode(e);
+        e.map_key(2, "index");
+        index.encode(e);
+        e.map_end();
+    }
+}
+
+impl Deserialize for EpochProfile {
+    /// Reads the map `encode` writes, under the derive's key rules (keys in
+    /// any order, the first occurrence wins, unknown keys skipped), and
+    /// accepts only the canonical form `encode` produces: a positive
+    /// `slot_length`, a non-empty `index` of in-range entries, and every
+    /// `distinct` entry used, in first-use order, with no two equal. So a
+    /// decoded profile re-encodes to the `distinct` and `index` it was read
+    /// from, and no decoded profile breaks [`EpochProfile::new`]'s
+    /// invariants.
+    fn decode<'de, D: Decoder<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        use serde::{__decode_field as field, __require as require};
+        const TY: &str = "EpochProfile";
+        let mut items = serde::__open_map(d, "EpochProfile map")?;
+        let (mut slot_length, mut distinct, mut index) = (None, None, None);
+        while let Some(key) = d.next_key(&mut items)? {
+            match &*key {
+                "slot_length" if slot_length.is_none() => {
+                    slot_length = Some(field(d, "slot_length", TY)?);
+                }
+                "distinct" if distinct.is_none() => distinct = Some(field(d, "distinct", TY)?),
+                "index" if index.is_none() => index = Some(field(d, "index", TY)?),
+                _ => d.skip()?,
+            }
+        }
+        let slot_length: SimDuration = require(slot_length, "slot_length", TY)?;
+        let distinct: Vec<ProfileSlot> = require(distinct, "distinct", TY)?;
+        let index: Vec<usize> = require(index, "index", TY)?;
+        check_canonical(slot_length, &distinct, &index)
+            .map_err(|msg| serde::Error::custom(format!("{TY}: {msg}")))?;
+        Ok(EpochProfile {
+            slot_length,
+            slots: index.iter().map(|&i| distinct[i]).collect(),
+        })
+    }
+}
+
+/// The first way `(slot_length, distinct, index)` departs from the form
+/// [`EpochProfile`]'s `encode` writes, if any.
+fn check_canonical(
+    slot_length: SimDuration,
+    distinct: &[ProfileSlot],
+    index: &[usize],
+) -> Result<(), String> {
+    if slot_length.is_zero() {
+        return Err("slot_length must be positive".into());
+    }
+    if index.is_empty() {
+        return Err("index is empty: a profile needs at least one slot".into());
+    }
+    // The next entry a slot may use for the first time.
+    let mut fresh = 0;
+    for (slot, &i) in index.iter().enumerate() {
+        if i >= distinct.len() {
+            return Err(format!(
+                "index[{slot}] is {i}, out of range for {} distinct slot(s)",
+                distinct.len()
+            ));
+        }
+        if i > fresh {
+            return Err(format!(
+                "index[{slot}] is {i} before entry {fresh} was used: distinct slots \
+                 must appear in first-use order"
+            ));
+        }
+        if i == fresh {
+            fresh += 1;
+        }
+    }
+    if fresh < distinct.len() {
+        return Err(format!("distinct entry {fresh} is never used"));
+    }
+    for (later, slot) in distinct.iter().enumerate().skip(1) {
+        if let Some(earlier) = distinct[..later].iter().position(|d| d == slot) {
+            return Err(format!(
+                "distinct entries {earlier} and {later} are equal: each slot is listed once"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +488,109 @@ mod tests {
         for s in [0u64, 8 * 3_600, 12 * 3_600] {
             let len = p.sample_contact_length(SimTime::from_secs(s), &mut rng);
             assert!(len > SimDuration::ZERO);
+        }
+    }
+
+    /// One profile per constructor, the diurnal builder included; the
+    /// hourly one has a contact-free slot (below `min_per_hour`).
+    fn every_constructor() -> Vec<EpochProfile> {
+        let two_s = LengthDistribution::fixed(SimDuration::from_secs(2));
+        let mut hourly = vec![4.0; 24];
+        hourly[8] = 20.0;
+        hourly[3] = 0.2;
+        vec![
+            EpochProfile::roadside(),
+            EpochProfile::roadside_deterministic(),
+            EpochProfile::roadside_with(
+                SimDuration::from_secs(240),
+                SimDuration::from_secs(2_400),
+                LengthDistribution::exponential(SimDuration::from_secs(3)),
+            ),
+            EpochProfile::from_hourly_frequencies(&hourly, two_s, 0.5),
+            crate::DiurnalDemand::commuter().to_profile(120.0, two_s, 0.5),
+        ]
+    }
+
+    #[test]
+    fn every_constructor_round_trips_to_the_same_bytes() {
+        for p in every_constructor() {
+            let text = serde::json::to_string(&p);
+            let from_text: EpochProfile = serde::json::decode(&text).unwrap();
+            assert_eq!(from_text, p);
+            assert_eq!(serde::json::to_string(&from_text), text);
+
+            let bytes = serde::cbor::to_vec(&p);
+            let from_bytes: EpochProfile = serde::cbor::decode(&bytes).unwrap();
+            assert_eq!(from_bytes, p);
+            assert_eq!(serde::cbor::to_vec(&from_bytes), bytes);
+
+            let tree = p.to_value();
+            let from_tree = EpochProfile::from_value(&tree).unwrap();
+            assert_eq!(from_tree, p);
+            assert_eq!(from_tree.to_value(), tree);
+        }
+        let hourly = &every_constructor()[3];
+        assert!(hourly.slots()[3].arrivals.is_none(), "a contact-free slot");
+    }
+
+    #[test]
+    fn roadside_travels_as_two_distinct_slots() {
+        let p = EpochProfile::roadside_with(
+            SimDuration::from_secs(300),
+            SimDuration::from_secs(1_800),
+            LengthDistribution::fixed(SimDuration::from_secs(2)),
+        );
+        let tree = p.to_value();
+        assert_eq!(tree.get("distinct").unwrap().as_seq().unwrap().len(), 2);
+        assert_eq!(
+            serde::json::to_string(&EpochProfile::roadside()),
+            concat!(
+                r#"{"slot_length":3600000000,"distinct":["#,
+                r#"{"kind":"OffPeak","arrivals":{"Renewal":{"interval":"#,
+                r#"{"Normal":{"mean":1800000000,"std_dev":180000000}}}},"#,
+                r#""contact_length":{"Normal":{"mean":2000000,"std_dev":200000}}},"#,
+                r#"{"kind":"Rush","arrivals":{"Renewal":{"interval":"#,
+                r#"{"Normal":{"mean":300000000,"std_dev":30000000}}}},"#,
+                r#""contact_length":{"Normal":{"mean":2000000,"std_dev":200000}}}],"#,
+                r#""index":[0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,1,1,0,0,0,0,0]}"#,
+            )
+        );
+    }
+
+    /// Wire text of one-hour slots: `distinct` lists `OFF` and `RUSH`
+    /// (contact-free off-peak and rush slots), `index` the slots.
+    fn roadside_text_with(distinct: &str, index: &str) -> String {
+        let off =
+            r#"{"kind":"OffPeak","arrivals":null,"contact_length":{"Fixed":{"length":2000000}}}"#;
+        let rush =
+            r#"{"kind":"Rush","arrivals":null,"contact_length":{"Fixed":{"length":2000000}}}"#;
+        let distinct = distinct.replace("OFF", off).replace("RUSH", rush);
+        format!(r#"{{"slot_length":3600000000,"distinct":[{distinct}],"index":[{index}]}}"#)
+    }
+
+    #[test]
+    fn only_the_canonical_form_decodes() {
+        let decode = |text: &str| serde::json::decode::<EpochProfile>(text);
+        let ok = decode(&roadside_text_with("OFF,RUSH", "0,1,0")).unwrap();
+        assert_eq!(ok.slot_count(), 3);
+        assert!(ok.rush_marks()[1]);
+        let refused = [
+            (roadside_text_with("OFF", ""), "index is empty"),
+            (
+                roadside_text_with("OFF", "0").replace("3600000000", "0"),
+                "slot_length must be positive",
+            ),
+            (roadside_text_with("OFF", "0,1"), "out of range"),
+            (roadside_text_with("OFF,RUSH", "0,0"), "never used"),
+            (roadside_text_with("OFF,OFF", "0,1"), "are equal"),
+            (roadside_text_with("OFF,RUSH", "1,0"), "first-use order"),
+        ];
+        for (text, why) in refused {
+            let err = decode(&text).expect_err(&text).to_string();
+            assert!(
+                err.contains("EpochProfile") && err.contains(why),
+                "{text}: {err}"
+            );
         }
     }
 

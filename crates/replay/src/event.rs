@@ -39,7 +39,9 @@ use snip_units::DutyCycle;
 ///   `Probe { at, beacon_heard, contact }` only for a beacon that lands
 ///   inside a contact, and no event for a beacon in empty air (the batch
 ///   event is gone). Fast and naive steppers write the same journal.
-pub const JOURNAL_VERSION: u32 = 4;
+/// * 5 — a SNIP-OPT header's `EpochProfile` is written as its distinct
+///   slots plus one index per slot.
+pub const JOURNAL_VERSION: u32 = 5;
 
 /// A rebuildable description of the recorded scheduler.
 ///

@@ -246,13 +246,25 @@ impl<R: BufRead> JournalReader<R> {
     ///
     /// Returns [`JournalError`] on I/O failure or a malformed event.
     pub fn next_event(&mut self) -> Result<Option<JournalEvent>, JournalError> {
-        let event = self
+        self.next_record()
+    }
+
+    /// Reads the next record as any `T`, such as a [`serde::Value`] to
+    /// inspect before it is decoded as an event; `Ok(None)` on a clean
+    /// end of journal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JournalError`] on I/O failure or a record that does not
+    /// decode as `T`.
+    pub fn next_record<T: Deserialize>(&mut self) -> Result<Option<T>, JournalError> {
+        let record = self
             .format
             .read_record(&mut self.input, &mut self.line_buf)?;
-        if event.is_some() {
+        if record.is_some() {
             self.events += 1;
         }
-        Ok(event)
+        Ok(record)
     }
 }
 

@@ -8,7 +8,7 @@
 //! per-epoch ζ/Φ/ρ metrics, and enough header metadata to re-execute the
 //! whole thing. Metric records are exact integer-µs ledgers, so replay
 //! asserts *equality* on ζ/Φ — no tolerance; journals of any version but
-//! journal v4 are refused:
+//! journal v5 are refused:
 //!
 //! * [`record::record_run`] — run a simulation, streaming every event to a
 //!   journal (JSONL or CBOR, autodetected by extension, O(1) memory).
@@ -78,4 +78,4 @@ pub use event::{JournalEvent, JournalHeader, SchedulerSpec, JOURNAL_VERSION};
 pub use frame::{FrameError, FrameReader, FrameWriter};
 pub use journal::{convert, JournalError, JournalFormat, JournalReader, JournalWriter};
 pub use record::{record_run, RecordError, Recorder};
-pub use replay::{replay_run, Divergence, ReplayError, ReplayReport};
+pub use replay::{read_header, replay_run, Divergence, ReplayError, ReplayReport};

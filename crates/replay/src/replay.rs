@@ -26,6 +26,7 @@ use std::io::BufRead;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Value};
 use snip_mobility::{Contact, ContactTrace};
 use snip_sim::{ObserverFlow, RunMetrics, SimEvent, SimObserver, Simulation};
 
@@ -178,28 +179,51 @@ impl<R: BufRead> SimObserver for Verifier<'_, R> {
     }
 }
 
+/// The one field of a header event every journal version shares; decoding
+/// skips the rest, whatever its shape.
+#[derive(Deserialize)]
+enum HeaderVersion {
+    Header { version: u32 },
+}
+
+/// Reads a journal's header, refusing any version but [`JOURNAL_VERSION`]
+/// before a later event is decoded: the header names the real problem,
+/// where an older event shape would only fail to decode. A header of
+/// another version whose body no longer decodes is still refused by its
+/// version.
+///
+/// # Errors
+///
+/// Returns [`ReplayError::UnsupportedVersion`] for another version,
+/// [`ReplayError::MissingHeader`] for an empty journal, and
+/// [`ReplayError::Malformed`] or [`ReplayError::Journal`] when the first
+/// record is not a header.
+pub fn read_header<R: BufRead>(
+    reader: &mut JournalReader<R>,
+) -> Result<JournalHeader, ReplayError> {
+    let Some(record) = reader.next_record::<Value>()? else {
+        return Err(ReplayError::MissingHeader);
+    };
+    if let Ok(HeaderVersion::Header { version }) = HeaderVersion::from_value(&record) {
+        if version != JOURNAL_VERSION {
+            return Err(ReplayError::UnsupportedVersion { found: version });
+        }
+    }
+    match JournalEvent::from_value(&record).map_err(JournalError::from)? {
+        JournalEvent::Header(h) => Ok(h),
+        other => Err(ReplayError::Malformed(format!(
+            "expected Header as first event, got {}",
+            other.kind()
+        ))),
+    }
+}
+
 /// Reads the header and trace section, leaving the reader positioned at the
 /// first sim event.
 fn read_preamble<R: BufRead>(
     reader: &mut JournalReader<R>,
 ) -> Result<(JournalHeader, ContactTrace), ReplayError> {
-    let header = match reader.next_event()? {
-        Some(JournalEvent::Header(h)) => h,
-        Some(other) => {
-            return Err(ReplayError::Malformed(format!(
-                "expected Header as first event, got {}",
-                other.kind()
-            )))
-        }
-        None => return Err(ReplayError::MissingHeader),
-    };
-    // Refused before any later event is decoded: the header names the
-    // real problem, where an older event shape would only fail to decode.
-    if header.version != JOURNAL_VERSION {
-        return Err(ReplayError::UnsupportedVersion {
-            found: header.version,
-        });
-    }
+    let header = read_header(reader)?;
 
     let mut contacts: Vec<Contact> = Vec::new();
     loop {
@@ -447,7 +471,7 @@ mod tests {
     fn wrong_version_is_refused() {
         // Every version but JOURNAL_VERSION, older and newer, on both codecs.
         for format in [JournalFormat::Cbor, JournalFormat::Jsonl] {
-            for version in [1, 2, 3, 5, 999] {
+            for version in [1, 2, 3, 4, 6, 999] {
                 let mut header = JournalHeader::new(at_spec(), SimConfig::paper_defaults(), 1);
                 header.version = version;
                 let mut writer = JournalWriter::new(Vec::new(), format);
@@ -458,6 +482,43 @@ mod tests {
                     Err(ReplayError::UnsupportedVersion { found }) => assert_eq!(found, version),
                     other => panic!("version {version} must be refused, got {other:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_v4_opt_journal_is_refused_by_its_version() {
+        // Version 4 wrote a SNIP-OPT header's profile slot by slot, a
+        // shape this version's header does not decode.
+        let profile = EpochProfile::roadside();
+        let slots: Vec<String> = profile.slots().iter().map(serde::json::to_string).collect();
+        let v4_profile = format!(
+            r#"{{"slot_length":{},"slots":[{}]}}"#,
+            serde::json::to_string(&profile.slot_length()),
+            slots.join(",")
+        );
+        let mut header = JournalHeader::new(
+            SchedulerSpec::Opt {
+                profile: profile.clone(),
+                phi_max_secs: 86.4,
+                zeta_target: 24.0,
+            },
+            SimConfig::paper_defaults(),
+            1,
+        );
+        header.version = 4;
+        let line = serde::json::to_string(&JournalEvent::Header(header))
+            .replace(&serde::json::to_string(&profile), &v4_profile);
+        assert!(serde::json::decode::<JournalEvent>(&line).is_err());
+        let cbor = serde::cbor::to_vec(&serde::json::from_str(&line).unwrap());
+        for (format, bytes) in [
+            (JournalFormat::Jsonl, line.into_bytes()),
+            (JournalFormat::Cbor, cbor),
+        ] {
+            let mut reader = JournalReader::new(std::io::Cursor::new(bytes), format);
+            match replay_run(&mut reader, None) {
+                Err(ReplayError::UnsupportedVersion { found: 4 }) => {}
+                other => panic!("{format}: a v4 journal must be refused by version, got {other:?}"),
             }
         }
     }

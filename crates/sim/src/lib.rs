@@ -65,3 +65,6 @@ pub use node::Simulation;
 pub use observe::{CollectingObserver, NoopObserver, ObserverFlow, SimEvent, SimObserver};
 pub use parallel::{default_threads, parallel_map};
 pub use runner::{Mechanism, ScenarioRunner, SweepPoint};
+/// The contact process [`FleetNode`] and [`ScenarioRunner`] take, so a
+/// caller can build one without depending on `snip-mobility` itself.
+pub use snip_mobility::EpochProfile;

@@ -60,6 +60,7 @@ use serde::{Deserialize, Serialize, Value};
 use snip_replay::frame::FrameReader;
 use snip_replay::journal::{JournalFormat, JournalReader};
 use snip_replay::{load_checkpoint_from, CheckpointEvent, CheckpointHeader, FrameWriter};
+use snip_sim::EpochProfile;
 
 /// Which decoder an input is fed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -312,8 +313,10 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
             // Generic values plus proto-shaped payloads: the fleet
             // messages' derived stand-ins (a Join, a batched Shard
             // assignment, a batched ShardDone carrying run metrics, a
-            // unit variant), so mutations reach the typed decoders' field
-            // and variant logic.
+            // unit variant) and a spec's epoch profile (repeated and
+            // contact-free slots), so mutations reach the typed decoders'
+            // field and variant logic and the profile's canonical-form
+            // checks.
             let plan = ProbePlan {
                 key: "fuzz|plan".to_string(),
                 weights: vec![0.5, 3.0, 86.4],
@@ -347,6 +350,7 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
                 .to_value(),
                 ProbeMsg::Pair(-3, 0.25).to_value(),
                 ProbeMsg::Shutdown.to_value(),
+                profile_seed().to_value(),
             ];
             let mut one_each: Vec<Vec<u8>> = values
                 .iter()
@@ -373,6 +377,16 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
         }
         Target::Checkpoint => vec![checkpoint_seed()],
     }
+}
+
+/// Six roadside hours, 05:00 to 11:00, with the first made free of
+/// contacts: three distinct slots, the contact-free one used once and the
+/// other two repeated.
+fn profile_seed() -> EpochProfile {
+    let roadside = EpochProfile::roadside_deterministic();
+    let mut slots = roadside.slots()[5..11].to_vec();
+    slots[0].arrivals = None;
+    EpochProfile::new(roadside.slot_length(), slots)
 }
 
 fn journal_seed(format: JournalFormat) -> Vec<u8> {
@@ -649,7 +663,8 @@ struct ProbePlan {
 
 /// Decodes `payload` straight through the CBOR slice reader, and through
 /// the `Value` format (`cbor::from_slice`, then `from_value` walks the
-/// tree), as each stand-in type and as a bare [`Value`], and panics — a
+/// tree), as each stand-in type, as the spec's hand-decoded
+/// [`EpochProfile`] and as a bare [`Value`], and panics — a
 /// finding — unless both accept with the same value or both refuse.
 fn typed_decoders_agree(payload: &[u8]) {
     fn agree<T: Serialize + Deserialize>(payload: &[u8], ty: &str) {
@@ -669,6 +684,7 @@ fn typed_decoders_agree(payload: &[u8]) {
     }
     agree::<ProbeMsg>(payload, "ProbeMsg");
     agree::<ProbeJob>(payload, "ProbeJob");
+    agree::<EpochProfile>(payload, "EpochProfile");
     agree::<Value>(payload, "Value");
 }
 

@@ -124,10 +124,22 @@ impl LintReport {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the directory walk and file reads.
+/// Returns [`io::ErrorKind::NotFound`] naming the missing path when `root`
+/// has no `crates/` directory (not a checkout's root), and propagates I/O
+/// errors from the directory walk and file reads.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
+    if !crates_dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "no `{}` directory: `snip lint` must run from the repository root \
+                 (or name it with --root)",
+                crates_dir.display()
+            ),
+        ));
+    }
     for entry in fs::read_dir(&crates_dir)? {
         let entry = entry?;
         if !entry.file_type()?.is_dir() {
@@ -813,6 +825,21 @@ mod tests {
             "fn f() { let r = StdRng::seed_from_u64(7); }\n"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn a_root_without_crates_names_the_missing_path() {
+        let dir = std::env::temp_dir().join(format!("snip-lint-no-crates-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let err = lint_workspace(&dir).unwrap_err();
+        fs::remove_dir_all(&dir).unwrap();
+        let msg = err.to_string();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(
+            msg.contains("must run from the repository root")
+                && msg.contains(&dir.join("crates").display().to_string()),
+            "{msg}"
+        );
     }
 
     #[test]
