@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use snip_core::{SnipAt, SnipRhConfig};
+use snip_core::SnipAt;
 use snip_fleetd::{example_spec, FleetDriver, FleetOutput, FleetSpec};
 use snip_mobility::{ContactTrace, EpochProfile, SyntheticSightings, TraceGenerator};
 use snip_model::SnipModel;
@@ -38,7 +38,7 @@ use snip_replay::event::{JournalHeader, SchedulerSpec};
 use snip_replay::journal::{convert, JournalReader, JournalWriter};
 use snip_replay::record::record_run;
 use snip_replay::replay::{replay_run, ReplayError};
-use snip_sim::{RunMetrics, SimConfig};
+use snip_sim::{snip_rh_config, RunMetrics, SimConfig};
 use snip_units::{DutyCycle, SimDuration};
 
 const USAGE: &str = "\
@@ -83,7 +83,7 @@ replay options:
 
 fleet options (defaults in brackets):
     --spec <path>          JSON fleet spec (required; see --example)
-    --workers <k>          worker subprocesses               [SNIP_THREADS or #cores]
+    --workers <k>          worker subprocesses               [#cores]
     --shard-size <n>       jobs per shard                    [jobs/(4*workers)]
     --shard-batch <n>      shards dealt per wire frame (amortizes round
                            trips for small shards)           [1]
@@ -151,6 +151,26 @@ environment:
 Exit codes: 0 ok · 1 divergence/difference · 2 usage or I/O error.
 ";
 
+/// Writes to stdout, the one route every report line takes. A closed
+/// stdout (the reader of a pipe went away, as in `snip fleet --example |
+/// head`) ends the process quietly with status 0: the reader asked for no
+/// more. Any other write error is fatal (status 2).
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        error!("error: writing to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -169,7 +189,7 @@ fn main() -> ExitCode {
         "check-proto" => cmd_check_proto(rest),
         "fuzz" => cmd_fuzz(rest),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            emit(format_args!("{USAGE}"));
             return ExitCode::SUCCESS;
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -302,22 +322,6 @@ fn parse_record_options(args: &[String]) -> Result<RecordOptions, CliError> {
 
 // ------------------------------------------------------------------- record
 
-/// The paper's SNIP-RH configuration with the knobs this CLI varies: the
-/// marks, the run's epoch/Ton, the budget, and the initial length estimate.
-fn rh_config(
-    rush_marks: Vec<bool>,
-    config: &SimConfig,
-    phi_max_secs: f64,
-    initial_contact_length: SimDuration,
-) -> SnipRhConfig {
-    let mut rh = SnipRhConfig::paper_defaults(rush_marks)
-        .with_phi_max(SimDuration::from_secs_f64(phi_max_secs));
-    rh.epoch = config.epoch;
-    rh.ton = config.ton;
-    rh.initial_contact_length = initial_contact_length;
-    rh
-}
-
 /// Builds the scenario's input trace and a rebuildable scheduler spec.
 fn build_scenario(
     opts: &RecordOptions,
@@ -342,7 +346,7 @@ fn build_scenario(
                     }
                 }
                 MechanismArg::Rh => SchedulerSpec::Rh {
-                    config: rh_config(
+                    config: snip_rh_config(
                         profile.rush_marks(),
                         config,
                         opts.phi_max,
@@ -371,7 +375,7 @@ fn build_scenario(
                     duty_cycle: DutyCycle::clamped(opts.phi_max / config.epoch.as_secs_f64()),
                 },
                 MechanismArg::Rh => SchedulerSpec::Rh {
-                    config: rh_config(
+                    config: snip_rh_config(
                         stats.top_k_marks(4),
                         config,
                         opts.phi_max,
@@ -412,7 +416,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, CliError> {
 
     let mut writer = JournalWriter::create(&opts.out).map_err(fatal)?;
     let metrics = record_run(&mut writer, &header, &trace).map_err(fatal)?;
-    println!(
+    outln!(
         "recorded {} ({} scenario, {} format): {} events, {} contacts",
         opts.out.display(),
         scenario_name,
@@ -466,7 +470,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
     };
     match replay_run(&mut reader, override_spec) {
         Ok(report) => {
-            println!(
+            outln!(
                 "replayed {}: {} sim events verified over {} contacts — bit-for-bit identical",
                 journal.display(),
                 report.events_verified,
@@ -536,26 +540,26 @@ fn replay_summary(journal: &Path) -> Result<ExitCode, CliError> {
         }
     }
 
-    println!(
+    outln!(
         "{} ({}): {} events",
         journal.display(),
         reader.format(),
         total
     );
-    println!("kind\tcount");
+    outln!("kind\tcount");
     for (kind, counter) in &counts {
-        println!("{kind}\t{}", counter.get());
+        outln!("{kind}\t{}", counter.get());
     }
     if contact_lengths.count() > 0 {
-        println!(
+        outln!(
             "contacts: {}, mean length {:.3} s",
             contact_lengths.count(),
             contact_lengths.mean_us() / 1e6,
         );
     }
     match span {
-        None => println!("wall span: (no timestamped events)"),
-        Some((lo, hi)) => println!(
+        None => outln!("wall span: (no timestamped events)"),
+        Some((lo, hi)) => outln!(
             "wall span: {:.3} s .. {:.3} s ({:.3} simulated days)",
             lo as f64 / 1e6,
             hi as f64 / 1e6,
@@ -615,7 +619,7 @@ fn respec_for_override(journal: &Path, mechanism: MechanismArg) -> Result<Schedu
         MechanismArg::Rh => {
             let profile = profile.unwrap_or_else(EpochProfile::roadside);
             SchedulerSpec::Rh {
-                config: rh_config(
+                config: snip_rh_config(
                     recorded_marks.unwrap_or_else(|| profile.rush_marks()),
                     config,
                     phi_max,
@@ -644,7 +648,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, CliError> {
     let report = diff_journals(&mut ra, &mut rb).map_err(fatal)?;
     match &report.first_difference {
         None => {
-            println!("journals are identical ({} events)", report.events_a);
+            outln!("journals are identical ({} events)", report.events_a);
             Ok(ExitCode::SUCCESS)
         }
         Some(d) => {
@@ -670,7 +674,7 @@ fn cmd_convert(args: &[String]) -> Result<ExitCode, CliError> {
     let mut reader = JournalReader::open(Path::new(input)).map_err(fatal)?;
     let mut writer = JournalWriter::create(Path::new(output)).map_err(fatal)?;
     let n = convert(&mut reader, &mut writer).map_err(fatal)?;
-    println!(
+    outln!(
         "converted {} ({}) -> {} ({}): {} events",
         input,
         reader.format(),
@@ -712,7 +716,7 @@ struct FleetOptions {
 fn parse_fleet_options(args: &[String], serve: bool) -> Result<Option<FleetOptions>, CliError> {
     let mut opts = FleetOptions {
         spec: PathBuf::new(),
-        workers: snip_sim::default_threads(),
+        workers: std::thread::available_parallelism().map_or(1, usize::from),
         shard_size: None,
         shard_batch: None,
         timeout_secs: 600,
@@ -874,7 +878,7 @@ fn run_fleet_driver(
                 missing.len(),
                 workers_lost
             );
-            println!(
+            outln!(
                 "partial: {} of {} shard(s) completed; missing: {}",
                 completed.len(),
                 completed.len() + missing.len(),
@@ -890,23 +894,23 @@ fn run_fleet_driver(
                     partial_manifest_json(&missing, workers_lost, &completed),
                 )
                 .map_err(fatal)?;
-                println!("wrote partial manifest to {}", out.display());
+                outln!("wrote partial manifest to {}", out.display());
             }
             return Ok(ExitCode::FAILURE);
         }
         Err(e) => return Err(fatal(e)),
     };
-    println!("fleet `{}` done: {}", spec.name, run.stats);
+    outln!("fleet `{}` done: {}", spec.name, run.stats);
     print_fleet_output(&run.output);
 
     if let Some(out) = &opts.out {
         std::fs::write(out, fleet_output_json(&run.output)).map_err(fatal)?;
-        println!("wrote {}", out.display());
+        outln!("wrote {}", out.display());
     }
     if opts.verify {
         let reference = snip_fleetd::JobRunner::new(spec).run_sequential();
         if reference == run.output {
-            println!("verify: distributed output is bit-identical to the sequential run");
+            outln!("verify: distributed output is bit-identical to the sequential run");
         } else {
             error!("error: distributed output differs from the sequential run");
             return Ok(ExitCode::FAILURE);
@@ -949,7 +953,7 @@ fn build_driver(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetDriver, Cl
 
 fn cmd_fleet(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(opts) = parse_fleet_options(args, false)? else {
-        println!("{}", serde::json::to_string(&example_spec()));
+        outln!("{}", serde::json::to_string(&example_spec()));
         return Ok(ExitCode::SUCCESS);
     };
     let spec = load_fleet_spec(&opts)?;
@@ -1019,14 +1023,18 @@ fn cmd_fleet_serve(args: &[String]) -> Result<ExitCode, CliError> {
 fn print_fleet_output(output: &FleetOutput) {
     match output {
         FleetOutput::Fleet(report) => {
-            println!("node\tzeta\tphi\tuploaded\ttarget_met");
+            outln!("node\tzeta\tphi\tuploaded\ttarget_met");
             for n in &report.nodes {
-                println!(
+                outln!(
                     "{}\t{:.3}\t{:.3}\t{:.3}\t{}",
-                    n.name, n.zeta, n.phi, n.uploaded, n.target_met
+                    n.name,
+                    n.zeta,
+                    n.phi,
+                    n.uploaded,
+                    n.target_met
                 );
             }
-            println!(
+            outln!(
                 "{} of {} nodes meet their target; mean phi {:.3} s",
                 report.nodes_meeting_target(),
                 report.nodes.len(),
@@ -1034,9 +1042,9 @@ fn print_fleet_output(output: &FleetOutput) {
             );
         }
         FleetOutput::Sweep(points) => {
-            println!("zeta_target\tmechanism\tzeta\tphi\trho");
+            outln!("zeta_target\tmechanism\tzeta\tphi\trho");
             for p in points {
-                println!(
+                outln!(
                     "{}\t{}\t{:.3}\t{:.3}\t{}",
                     p.zeta_target,
                     p.mechanism.label(),
@@ -1166,9 +1174,9 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
     let report = snip_verify::lint::lint_workspace(&root)
         .map_err(|e| fatal(format!("lint walk failed under {}: {e}", root.display())))?;
     for v in &report.violations {
-        println!("{v}");
+        outln!("{v}");
     }
-    println!(
+    outln!(
         "snip lint: {} file(s) scanned, {} allow(s) honored, {} violation(s)",
         report.files_scanned,
         report.allows_honored,
@@ -1197,7 +1205,7 @@ fn cmd_check_proto(args: &[String]) -> Result<ExitCode, CliError> {
     use snip_fleetd::proto::explore::{explore, ExploreConfig, MIN_EXPLORED_STATES};
     let report = explore(&ExploreConfig::default())
         .map_err(|v| fatal(format!("protocol invariant violated: {v}")))?;
-    println!("check-proto [explore]: {report}");
+    outln!("check-proto [explore]: {report}");
     if report.states < MIN_EXPLORED_STATES {
         return Err(fatal(format!(
             "exploration bound regressed below the {MIN_EXPLORED_STATES}-state floor: {report}"
@@ -1216,14 +1224,14 @@ fn cmd_check_proto(args: &[String]) -> Result<ExitCode, CliError> {
             .with_shard_timeout(std::time::Duration::from_secs(10))
             .with_chaos(plan);
         check_clean_end(name, &spec, total_shards, driver.run())?;
-        println!("check-proto [fault {name}]: clean end");
+        outln!("check-proto [fault {name}]: clean end");
     }
 
     // Leg 3: auth-rejection uniformity on the wire. Whatever the reason
     // — wrong token, protocol skew, or un-frameable garbage — a refused
     // dial must observe exactly the same bytes (none) before the sever.
     check_auth_uniformity(&spec)?;
-    println!(
+    outln!(
         "check-proto [auth]: unauthenticated rejection is uniform (0 bytes revealed), \
          authenticated skew gets its typed rejection, and the run still completes"
     );
@@ -1531,9 +1539,9 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
     if replay {
         let report = snip_verify::fuzz::replay_corpus(&corpus)
             .map_err(|e| fatal(format!("corpus replay under {}: {e}", corpus.display())))?;
-        println!("snip fuzz --replay: {report}");
+        outln!("snip fuzz --replay: {report}");
         for (path, detail) in &report.regressions {
-            println!("  REGRESSION {}: {detail}", path.display());
+            outln!("  REGRESSION {}: {detail}", path.display());
         }
         return Ok(if report.is_clean() {
             ExitCode::SUCCESS
@@ -1544,17 +1552,17 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
 
     cfg.corpus_dir = Some(corpus);
     let report = snip_verify::fuzz::run_fuzz(&cfg).map_err(|e| fatal(format!("fuzz run: {e}")))?;
-    println!("snip fuzz: {report}");
+    outln!("snip fuzz: {report}");
     for f in &report.findings {
         match &f.artifact {
-            Some(path) => println!(
+            Some(path) => outln!(
                 "  FINDING [{}] {} ({} bytes, minimized) -> {}",
                 f.class,
                 f.target.name(),
                 f.input.len(),
                 path.display()
             ),
-            None => println!(
+            None => outln!(
                 "  FINDING [{}] {} ({} bytes, minimized)",
                 f.class,
                 f.target.name(),
@@ -1562,7 +1570,7 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
             ),
         }
         if !f.detail.is_empty() {
-            println!("    {}", f.detail);
+            outln!("    {}", f.detail);
         }
     }
     Ok(if report.is_clean() {

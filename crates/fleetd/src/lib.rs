@@ -1,15 +1,15 @@
 //! `snip-fleetd`: a transport-generic, work-stealing fleet driver with
 //! deterministic shard merge.
 //!
-//! `Fleet::run_parallel` (snip-sim) shards a fleet across threads inside
-//! one process; the paper's target deployments (10⁵+ probing nodes) call
-//! for more. This crate adds the process and host levels: a
-//! **coordinator** cuts a [`FleetSpec`] — a deployment fleet or a Fig 7/8
-//! sweep grid — into contiguous shards and deals them to **workers**
-//! over any [`Transport`]: the stdio pipes of spawned `snip fleet-worker`
-//! re-execs ([`transport::PipeTransport`]), or TCP sockets that remote
-//! `snip fleet-worker --connect` processes dial in on
-//! ([`transport::TcpTransport`]), after an authenticated token +
+//! `Fleet::run` and `ScenarioRunner::sweep` (snip-sim) run one job after
+//! another in one process; the paper's target deployments (10⁵+ probing
+//! nodes) call for more. This crate is the one parallel route, across
+//! processes and hosts: a **coordinator** cuts a [`FleetSpec`] — a
+//! deployment fleet or a Fig 7/8 sweep grid — into contiguous shards and
+//! deals them to **workers** over any [`Transport`]: the stdio pipes of
+//! spawned `snip fleet-worker` re-execs ([`transport::PipeTransport`]), or
+//! TCP sockets that remote `snip fleet-worker --connect` processes dial in
+//! on ([`transport::TcpTransport`]), after an authenticated token +
 //! spec-hash + protocol-version handshake. Frames are length-prefixed
 //! CBOR (the journal codec on a stream, [`snip_replay::frame`]).
 //!

@@ -10,13 +10,11 @@
 //! metrics for it.
 
 use serde::{Deserialize, Serialize};
-use snip_core::{MechanismScheduler, SnipAt, SnipOptScheduler, SnipRh, SnipRhConfig};
+use snip_core::MechanismScheduler;
 use snip_mobility::EpochProfile;
-use snip_model::SnipModel;
 use snip_sim::{
     Fleet, FleetNode, FleetReport, Mechanism, RunMetrics, ScenarioRunner, SimConfig, SweepPoint,
 };
-use snip_units::SimDuration;
 
 /// One node of a fleet job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -234,41 +232,17 @@ impl JobRunner {
         self.spec.job_count()
     }
 
-    /// The scheduler a fleet node runs, configured exactly as
-    /// [`ScenarioRunner`] configures the paper's mechanisms (but against
-    /// the node's own profile and target).
+    /// The scheduler a fleet node runs: [`Mechanism::scheduler`], the
+    /// constructor [`ScenarioRunner`] builds its sweep's schedulers with,
+    /// against the node's own profile and target.
     #[must_use]
     pub fn node_scheduler(&self, mechanism: Mechanism, node: &FleetNode) -> MechanismScheduler {
-        let config = self.spec.sim_config();
-        let phi_max = self.spec.phi_max_secs;
-        match mechanism {
-            Mechanism::SnipAt => SnipAt::for_target(
-                SnipModel::new(config.ton),
-                &node.profile.to_slot_profile(),
-                phi_max,
-                node.zeta_target,
-            )
-            .into(),
-            Mechanism::SnipOpt => SnipOptScheduler::solve(
-                SnipModel::new(config.ton),
-                node.profile.to_slot_profile(),
-                phi_max,
-                node.zeta_target,
-            )
-            .into(),
-            Mechanism::SnipRh => SnipRh::new(SnipRhConfig {
-                rush_marks: node.profile.rush_marks(),
-                epoch: config.epoch,
-                ton: config.ton,
-                phi_max: SimDuration::from_secs_f64(phi_max),
-                ewma_weight: 0.1,
-                initial_contact_length: node.profile.mean_contact_length(),
-                length_estimation: snip_core::LengthEstimation::Exact,
-                min_duty_cycle: 1e-5,
-                duty_cycle_multiplier: 1.0,
-            })
-            .into(),
-        }
+        mechanism.scheduler(
+            &node.profile,
+            &self.spec.sim_config(),
+            self.spec.phi_max_secs,
+            node.zeta_target,
+        )
     }
 
     /// Runs job `i` and returns its exact-ledger metrics.
@@ -407,6 +381,51 @@ mod tests {
             (with(HOUR_US, &[&off, &off], "0,1"), "are equal"),
             (with(HOUR_US, &[&off, &rush], "1,0"), "first-use order"),
         ];
+        // Distributions no constructor would build, swapped into the
+        // off-peak slot: each would panic a worker mid-shard if it got past
+        // the decoder.
+        let periodic = r#"{"Periodic":{"interval":1800000000}}"#;
+        let fixed = r#"{"Fixed":{"length":2000000}}"#;
+        let uniform = r#"{"Uniform":{"low":3000000,"high":1000000}}"#;
+        let renewal = format!(r#"{{"Renewal":{{"interval":{uniform}}}}}"#);
+        let bad_slots = [
+            (
+                periodic,
+                r#"{"Periodic":{"interval":0}}"#,
+                "arrival interval must be",
+            ),
+            (
+                periodic,
+                r#"{"Poisson":{"mean_interval":0}}"#,
+                "mean arrival interval",
+            ),
+            (
+                periodic,
+                r#"{"Renewal":{"interval":{"Fixed":{"length":0}}}}"#,
+                "mean arrival",
+            ),
+            (periodic, &renewal, "arrivals: uniform bounds reversed"),
+            (
+                fixed,
+                r#"{"Normal":{"mean":0,"std_dev":1}}"#,
+                "normal mean must be",
+            ),
+            (
+                fixed,
+                r#"{"Exponential":{"mean":0}}"#,
+                "exponential mean must be",
+            ),
+            (
+                fixed,
+                r#"{"LogNormal":{"mean":0,"std_dev":1}}"#,
+                "log-normal mean must be",
+            ),
+            (fixed, uniform, "contact_length: uniform bounds reversed"),
+        ];
+        let hostile = hostile.into_iter().chain(bad_slots.map(|(good, bad, why)| {
+            assert!(off.contains(good), "{off}");
+            (with(HOUR_US, &[&off.replace(good, bad), &rush], "0,1"), why)
+        }));
         for (bad, why) in hostile {
             let err = FleetSpec::from_json(&bad).expect_err(why);
             assert!(

@@ -56,8 +56,7 @@ impl ArrivalProcess {
     /// Panics if `interval` is zero.
     #[must_use]
     pub fn periodic(interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "arrival interval must be positive");
-        ArrivalProcess::Periodic { interval }
+        ArrivalProcess::Periodic { interval }.checked()
     }
 
     /// Renewal arrivals with intervals drawn from `interval`.
@@ -67,11 +66,7 @@ impl ArrivalProcess {
     /// Panics if the distribution mean is zero.
     #[must_use]
     pub fn renewal(interval: LengthDistribution) -> Self {
-        assert!(
-            !interval.mean().is_zero(),
-            "mean arrival interval must be positive"
-        );
-        ArrivalProcess::Renewal { interval }
+        ArrivalProcess::Renewal { interval }.checked()
     }
 
     /// The paper's simulation setting: Normal(µ, µ/10) intervals.
@@ -91,11 +86,38 @@ impl ArrivalProcess {
     /// Panics if `mean_interval` is zero.
     #[must_use]
     pub fn poisson(mean_interval: SimDuration) -> Self {
-        assert!(
-            !mean_interval.is_zero(),
-            "mean arrival interval must be positive"
-        );
-        ArrivalProcess::Poisson { mean_interval }
+        ArrivalProcess::Poisson { mean_interval }.checked()
+    }
+
+    /// The condition this process breaks, if any: exactly what the
+    /// constructors assert (a positive interval or mean interval, and a
+    /// renewal distribution that passes [`LengthDistribution::check`]).
+    /// Decoders that take a process from bytes run it, so a decoded value
+    /// keeps the invariants a constructed one has.
+    ///
+    /// # Errors
+    ///
+    /// The constructor's panic message for the broken condition.
+    pub fn check(&self) -> Result<(), &'static str> {
+        match *self {
+            ArrivalProcess::Periodic { interval } if interval.is_zero() => {
+                Err("arrival interval must be positive")
+            }
+            ArrivalProcess::Renewal { interval } if interval.mean().is_zero() => {
+                Err("mean arrival interval must be positive")
+            }
+            ArrivalProcess::Renewal { interval } => interval.check(),
+            ArrivalProcess::Poisson { mean_interval } if mean_interval.is_zero() => {
+                Err("mean arrival interval must be positive")
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// `self`, after asserting [`ArrivalProcess::check`].
+    fn checked(self) -> Self {
+        self.check().unwrap_or_else(|why| panic!("{why}"));
+        self
     }
 
     /// The mean inter-contact interval.

@@ -295,6 +295,31 @@ mod tests {
     }
 
     #[test]
+    fn a_generated_trace_rendered_as_sightings_imports_back_exactly() {
+        use rand::SeedableRng;
+        // The roadside trace written out as one sighting per contact, each
+        // with its own mobile, at the microsecond precision of the clock.
+        let trace = crate::TraceGenerator::new(crate::EpochProfile::roadside())
+            .epochs(2)
+            .generate(&mut rand::rngs::StdRng::seed_from_u64(1));
+        let text: String = trace
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                format!(
+                    "{:.6} {:.6} 0 {}\n",
+                    c.start.as_secs_f64(),
+                    c.end().as_secs_f64(),
+                    i + 1
+                )
+            })
+            .collect();
+        let parsed: ExternalTrace = text.parse().expect("valid sightings");
+        assert_eq!(parsed.len(), trace.len());
+        assert_eq!(parsed.contacts_at(0), trace);
+    }
+
+    #[test]
     fn empty_input_is_empty_trace() {
         let t: ExternalTrace = "# only comments\n".parse().unwrap();
         assert!(t.is_empty());

@@ -320,10 +320,12 @@ impl Deserialize for EpochProfile {
     /// any order, the first occurrence wins, unknown keys skipped), and
     /// accepts only the canonical form `encode` produces: a positive
     /// `slot_length`, a non-empty `index` of in-range entries, and every
-    /// `distinct` entry used, in first-use order, with no two equal. So a
-    /// decoded profile re-encodes to the `distinct` and `index` it was read
-    /// from, and no decoded profile breaks [`EpochProfile::new`]'s
-    /// invariants.
+    /// `distinct` entry used, in first-use order, with no two equal. Every
+    /// `distinct` slot's arrival process and contact-length distribution
+    /// must pass its `check`. So a decoded profile re-encodes to the
+    /// `distinct` and `index` it was read from, and no decoded profile
+    /// breaks the invariants [`EpochProfile::new`] and the distribution
+    /// constructors hold.
     fn decode<'de, D: Decoder<'de>>(d: &mut D) -> Result<Self, serde::Error> {
         use serde::{__decode_field as field, __require as require};
         const TY: &str = "EpochProfile";
@@ -352,7 +354,9 @@ impl Deserialize for EpochProfile {
 }
 
 /// The first way `(slot_length, distinct, index)` departs from the form
-/// [`EpochProfile`]'s `encode` writes, if any.
+/// [`EpochProfile`]'s `encode` writes, or the first distinct slot whose
+/// arrival process or contact-length distribution no constructor would
+/// build, if any.
 fn check_canonical(
     slot_length: SimDuration,
     distinct: &[ProfileSlot],
@@ -385,6 +389,16 @@ fn check_canonical(
     }
     if fresh < distinct.len() {
         return Err(format!("distinct entry {fresh} is never used"));
+    }
+    for (k, slot) in distinct.iter().enumerate() {
+        if let Some(arrivals) = &slot.arrivals {
+            arrivals
+                .check()
+                .map_err(|why| format!("distinct entry {k}: arrivals: {why}"))?;
+        }
+        slot.contact_length
+            .check()
+            .map_err(|why| format!("distinct entry {k}: contact_length: {why}"))?;
     }
     for (later, slot) in distinct.iter().enumerate().skip(1) {
         if let Some(earlier) = distinct[..later].iter().position(|d| d == slot) {

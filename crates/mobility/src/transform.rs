@@ -217,6 +217,26 @@ mod tests {
     }
 
     #[test]
+    fn a_generated_trace_spliced_onto_itself_windows_like_the_original() {
+        let trace = crate::TraceGenerator::new(crate::EpochProfile::roadside())
+            .epochs(14)
+            .generate(&mut StdRng::seed_from_u64(1));
+        let day = |d: u64| secs(d * 86_400);
+        let spliced = trace.spliced(&trace, day(14));
+        assert_eq!(spliced.len(), 2 * trace.len());
+        // The copy starts at day 14, so days 1..10 are the original's.
+        assert_eq!(
+            spliced.window(day(1), day(10)),
+            trace.window(day(1), day(10))
+        );
+        // And the copy's first ten days are the original's first ten.
+        assert_eq!(
+            spliced.window(day(14), day(24)),
+            trace.window(day(0), day(10))
+        );
+    }
+
+    #[test]
     fn transforms_compose() {
         let mut rng = StdRng::seed_from_u64(2);
         let t = sample()

@@ -84,8 +84,7 @@ impl LengthDistribution {
     /// Panics if `mean` is zero.
     #[must_use]
     pub fn normal(mean: SimDuration, std_dev: SimDuration) -> Self {
-        assert!(!mean.is_zero(), "normal mean must be positive");
-        LengthDistribution::Normal { mean, std_dev }
+        LengthDistribution::Normal { mean, std_dev }.checked()
     }
 
     /// The paper's simulation convention: normal with σ = mean / 10.
@@ -105,8 +104,7 @@ impl LengthDistribution {
     /// Panics if `mean` is zero.
     #[must_use]
     pub fn exponential(mean: SimDuration) -> Self {
-        assert!(!mean.is_zero(), "exponential mean must be positive");
-        LengthDistribution::Exponential { mean }
+        LengthDistribution::Exponential { mean }.checked()
     }
 
     /// A uniform distribution on `[low, high]`.
@@ -116,8 +114,7 @@ impl LengthDistribution {
     /// Panics if `low > high`.
     #[must_use]
     pub fn uniform(low: SimDuration, high: SimDuration) -> Self {
-        assert!(low <= high, "uniform bounds reversed");
-        LengthDistribution::Uniform { low, high }
+        LengthDistribution::Uniform { low, high }.checked()
     }
 
     /// A log-normal distribution with the given mean and standard deviation.
@@ -127,8 +124,40 @@ impl LengthDistribution {
     /// Panics if `mean` is zero.
     #[must_use]
     pub fn log_normal(mean: SimDuration, std_dev: SimDuration) -> Self {
-        assert!(!mean.is_zero(), "log-normal mean must be positive");
-        LengthDistribution::LogNormal { mean, std_dev }
+        LengthDistribution::LogNormal { mean, std_dev }.checked()
+    }
+
+    /// The condition this distribution breaks, if any: exactly what the
+    /// constructors assert (a positive mean for the normal, exponential
+    /// and log-normal families, ordered uniform bounds). Decoders that
+    /// take a distribution from bytes run it, so a decoded value keeps the
+    /// invariants a constructed one has.
+    ///
+    /// # Errors
+    ///
+    /// The constructor's panic message for the broken condition.
+    pub fn check(&self) -> Result<(), &'static str> {
+        match *self {
+            LengthDistribution::Normal { mean, .. } if mean.is_zero() => {
+                Err("normal mean must be positive")
+            }
+            LengthDistribution::Exponential { mean } if mean.is_zero() => {
+                Err("exponential mean must be positive")
+            }
+            LengthDistribution::Uniform { low, high } if low > high => {
+                Err("uniform bounds reversed")
+            }
+            LengthDistribution::LogNormal { mean, .. } if mean.is_zero() => {
+                Err("log-normal mean must be positive")
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// `self`, after asserting [`LengthDistribution::check`].
+    fn checked(self) -> Self {
+        self.check().unwrap_or_else(|why| panic!("{why}"));
+        self
     }
 
     /// The distribution mean.

@@ -314,6 +314,35 @@ mod tests {
     }
 
     #[test]
+    fn normal_length_profile_builds_and_meets_its_target() {
+        // The profile the simulations plan on: Normal(2 s, 0.2 s) contact
+        // lengths in all 24 slots, so every breakpoint is a numeric
+        // integral rather than a closed form.
+        let profile = SlotProfile::roadside_with_lengths(
+            snip_model::LengthDistribution::paper_normal(snip_units::SimDuration::from_secs(2)),
+        );
+        let opt = TwoStepOptimizer::new(SnipModel::default(), profile);
+        assert_eq!(opt.allocator().curves().len(), 24);
+        let plan = opt.solve(864.0, 40.0);
+        assert!(plan.meets_target(), "{:?}", plan.outcome());
+        assert!((plan.zeta() - 40.0).abs() < 1e-9, "ζ = {}", plan.zeta());
+        assert!(plan.phi() <= 864.0);
+        // The plan the piecewise-linear curves promise is what the profile
+        // delivers, and it costs about what the fixed-length plan does.
+        let zeta = opt
+            .profile()
+            .probed_capacity_plan(opt.model(), plan.duty_cycles());
+        assert!((zeta - 40.0).abs() < 0.5, "evaluated ζ = {zeta}");
+        let fixed = optimizer().solve(864.0, 40.0);
+        assert!(
+            (plan.phi() - fixed.phi()).abs() / fixed.phi() < 0.05,
+            "Φ = {} vs fixed-length {}",
+            plan.phi(),
+            fixed.phi()
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "ζtarget must be positive")]
     fn zero_target_rejected() {
         let _ = optimizer().solve(86.4, 0.0);

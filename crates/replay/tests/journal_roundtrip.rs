@@ -201,7 +201,7 @@ fn mutate(event: &mut SimEvent) {
     }
 }
 
-/// The non-property core of the acceptance criterion, pinned exactly: the
+/// The non-property core of the round-trip requirement, pinned exactly: the
 /// roadside scenario records and replays byte-for-byte per-epoch ζ/Φ/ρ.
 #[test]
 fn roadside_acceptance_record_then_replay() {

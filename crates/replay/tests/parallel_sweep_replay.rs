@@ -1,10 +1,10 @@
-//! A journal recorded for a parallel-sweep point replays bit-for-bit, and
-//! the fast and the naive stepper write the same journal.
+//! A journal recorded for a sweep point replays bit-for-bit, and the fast
+//! and the naive stepper write the same journal.
 //!
-//! The parallel sweep engine and the record/replay pipeline must describe
-//! the *same* run: recording the scheduler/config/seed combination of a
-//! sweep point must reproduce that point's metrics exactly, and the journal
-//! must then verify cleanly against a live re-execution.
+//! The sweep and the record/replay pipeline must describe the *same* run:
+//! recording the scheduler/config/seed combination of a sweep point must
+//! reproduce that point's metrics exactly, and the journal must then verify
+//! cleanly against a live re-execution.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,7 @@ use snip_replay::event::{JournalHeader, SchedulerSpec};
 use snip_replay::journal::{JournalFormat, JournalReader, JournalWriter};
 use snip_replay::record::{record_run, Recorder};
 use snip_replay::replay::replay_run;
-use snip_sim::{Mechanism, RunMetrics, ScenarioRunner, SimConfig, Simulation};
+use snip_sim::{snip_rh_config, Mechanism, RunMetrics, ScenarioRunner, SimConfig, Simulation};
 use snip_units::{DutyCycle, SimDuration};
 
 const SEED: u64 = 2011;
@@ -23,21 +23,16 @@ const EPOCHS: u64 = 7;
 const PHI_MAX: f64 = 86.4;
 const TARGET: f64 = 16.0;
 
-/// The exact SNIP-RH spec `ScenarioRunner::mechanism_scheduler` builds for
-/// the roadside scenario.
+/// The SNIP-RH spec `Mechanism::scheduler` builds for the roadside
+/// scenario.
 fn rh_spec(profile: &EpochProfile, config: &SimConfig) -> SchedulerSpec {
     SchedulerSpec::Rh {
-        config: SnipRhConfig {
-            rush_marks: profile.rush_marks(),
-            epoch: config.epoch,
-            ton: config.ton,
-            phi_max: SimDuration::from_secs_f64(PHI_MAX),
-            ewma_weight: 0.1,
-            initial_contact_length: profile.mean_contact_length(),
-            length_estimation: snip_core::LengthEstimation::Exact,
-            min_duty_cycle: 1e-5,
-            duty_cycle_multiplier: 1.0,
-        },
+        config: snip_rh_config(
+            profile.rush_marks(),
+            config,
+            PHI_MAX,
+            profile.mean_contact_length(),
+        ),
     }
 }
 
@@ -47,8 +42,8 @@ fn parallel_sweep_point_records_and_replays_bit_for_bit() {
     let config = SimConfig::paper_defaults().with_epochs(EPOCHS);
     let runner = ScenarioRunner::new(profile.clone(), config.clone(), PHI_MAX).with_seed(SEED);
 
-    // The sweep point, computed by the parallel engine.
-    let points = runner.sweep_parallel(&[TARGET], 4);
+    // The SNIP-RH point of a one-target sweep.
+    let points = runner.sweep(&[TARGET]);
     let rh_point = points
         .iter()
         .find(|p| p.mechanism == Mechanism::SnipRh)
@@ -65,7 +60,7 @@ fn parallel_sweep_point_records_and_replays_bit_for_bit() {
         run_config,
         SEED.wrapping_add(1),
     )
-    .with_comment("parallel sweep point (SNIP-RH, zeta_target = 16)");
+    .with_comment("sweep point (SNIP-RH, zeta_target = 16)");
     let mut writer = JournalWriter::new(Vec::new(), JournalFormat::Cbor);
     let metrics = record_run(&mut writer, &header, &trace).expect("record");
 

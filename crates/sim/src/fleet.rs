@@ -139,8 +139,8 @@ impl Fleet {
     }
 
     /// Node `i`'s contact trace, derived from the fleet seed. The single
-    /// source of the per-node seed scheme — sequential and parallel runs
-    /// must agree on it bit for bit.
+    /// source of the per-node seed scheme — in-process runs and sharded
+    /// fleet runs must agree on it bit for bit.
     fn node_trace(&self, i: usize) -> ContactTrace {
         TraceGenerator::new(self.nodes[i].profile.clone())
             .epochs(self.config.epochs)
@@ -220,26 +220,6 @@ impl Fleet {
         F: FnMut(&FleetNode) -> S,
     {
         self.run_observed(make_scheduler, &mut crate::observe::NoopObserver)
-    }
-
-    /// [`Fleet::run`] sharded across up to `threads` workers, one node per
-    /// job.
-    ///
-    /// Nodes are independent by the §II reference model, and each derives
-    /// its trace and simulation RNG from the fleet seed exactly as the
-    /// sequential run does; outcomes are collected in fleet order, so the
-    /// report is bit-for-bit identical for every thread count.
-    pub fn run_parallel<S, F>(&self, make_scheduler: F, threads: usize) -> FleetReport
-    where
-        S: ProbeScheduler,
-        F: Fn(&FleetNode) -> S + Sync,
-    {
-        let outcomes = crate::parallel::parallel_map(self.nodes.len(), threads, |i| {
-            let node = &self.nodes[i];
-            let metrics = self.run_node(i, make_scheduler(node));
-            Self::node_outcome(node, &metrics)
-        });
-        FleetReport { nodes: outcomes }
     }
 
     /// [`Fleet::run`] with a recording hook: the observer sees one

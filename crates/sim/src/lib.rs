@@ -52,7 +52,6 @@ pub mod metrics;
 pub mod mip;
 pub mod node;
 pub mod observe;
-pub mod parallel;
 pub mod runner;
 
 pub use buffer::DataBuffer;
@@ -63,8 +62,7 @@ pub use metrics::{EpochMetrics, RunMetrics};
 pub use mip::MipSimulation;
 pub use node::Simulation;
 pub use observe::{CollectingObserver, NoopObserver, ObserverFlow, SimEvent, SimObserver};
-pub use parallel::{default_threads, parallel_map};
-pub use runner::{Mechanism, ScenarioRunner, SweepPoint};
+pub use runner::{snip_rh_config, Mechanism, ScenarioRunner, SweepPoint};
 /// The contact process [`FleetNode`] and [`ScenarioRunner`] take, so a
 /// caller can build one without depending on `snip-mobility` itself.
 pub use snip_mobility::EpochProfile;

@@ -23,7 +23,6 @@ use snip_units::SimDuration;
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
 use crate::node::Simulation;
-use crate::parallel::parallel_map;
 
 /// Per-sweep-point wall-time histogram and point counter, resolved once so
 /// the per-point overhead is a few relaxed atomic ops.
@@ -67,6 +66,66 @@ impl Mechanism {
             Mechanism::SnipRh => "SNIP-RH",
         }
     }
+
+    /// Builds this mechanism's scheduler for one node exactly as the paper
+    /// configures it ("calculated based on the simulated environment and
+    /// incorporated into the codes"): SNIP-AT and SNIP-OPT plan offline on
+    /// `profile` under the budget `phi_max_secs` for `zeta_target`, and
+    /// SNIP-RH learns online from the profile's rush-hour marks and mean
+    /// contact length. The one place the three are configured, so an
+    /// in-process sweep and a sharded fleet run the same schedulers.
+    // Inlined into its callers: out of line, the SNIP-AT and SNIP-OPT jobs
+    // of the benchmark's `plan-sweep` ran 3–6% slower.
+    #[must_use]
+    #[inline]
+    pub fn scheduler(
+        self,
+        profile: &EpochProfile,
+        config: &SimConfig,
+        phi_max_secs: f64,
+        zeta_target: f64,
+    ) -> MechanismScheduler {
+        let model = SnipModel::new(config.ton);
+        match self {
+            Mechanism::SnipAt => {
+                SnipAt::for_target(model, &profile.to_slot_profile(), phi_max_secs, zeta_target)
+                    .into()
+            }
+            Mechanism::SnipOpt => {
+                SnipOptScheduler::solve(model, profile.to_slot_profile(), phi_max_secs, zeta_target)
+                    .into()
+            }
+            Mechanism::SnipRh => SnipRh::new(snip_rh_config(
+                profile.rush_marks(),
+                config,
+                phi_max_secs,
+                profile.mean_contact_length(),
+            ))
+            .into(),
+        }
+    }
+}
+
+/// The paper's SNIP-RH configuration ([`SnipRhConfig::paper_defaults`])
+/// for one run: the run's epoch and Ton, the budget `phi_max_secs`, the
+/// rush-hour marks and the initial contact-length estimate.
+///
+/// # Panics
+///
+/// Panics if `rush_marks` is empty.
+#[must_use]
+pub fn snip_rh_config(
+    rush_marks: Vec<bool>,
+    config: &SimConfig,
+    phi_max_secs: f64,
+    initial_contact_length: SimDuration,
+) -> SnipRhConfig {
+    let mut rh = SnipRhConfig::paper_defaults(rush_marks)
+        .with_phi_max(SimDuration::from_secs_f64(phi_max_secs));
+    rh.epoch = config.epoch;
+    rh.ton = config.ton;
+    rh.initial_contact_length = initial_contact_length;
+    rh
 }
 
 /// One row of a Fig 7/8 sweep: a mechanism's metrics at one target.
@@ -93,7 +152,6 @@ pub struct SweepPoint {
 pub struct ScenarioRunner {
     profile: EpochProfile,
     config: SimConfig,
-    model: SnipModel,
     phi_max_secs: f64,
     seed: u64,
     /// Lazily generated trace for `seed`; reset whenever the seed changes.
@@ -112,7 +170,6 @@ impl ScenarioRunner {
         assert!(phi_max_secs > 0.0, "Φmax must be positive");
         ScenarioRunner {
             profile,
-            model: SnipModel::new(config.ton),
             config,
             phi_max_secs,
             seed: 0x5eed,
@@ -188,30 +245,7 @@ impl ScenarioRunner {
         mechanism: Mechanism,
         zeta_target: f64,
     ) -> MechanismScheduler {
-        let slot_profile = self.profile.to_slot_profile();
-        match mechanism {
-            Mechanism::SnipAt => {
-                SnipAt::for_target(self.model, &slot_profile, self.phi_max_secs, zeta_target).into()
-            }
-            Mechanism::SnipOpt => {
-                SnipOptScheduler::solve(self.model, slot_profile, self.phi_max_secs, zeta_target)
-                    .into()
-            }
-            Mechanism::SnipRh => {
-                let config = SnipRhConfig {
-                    rush_marks: self.profile.rush_marks(),
-                    epoch: self.config.epoch,
-                    ton: self.config.ton,
-                    phi_max: SimDuration::from_secs_f64(self.phi_max_secs),
-                    ewma_weight: 0.1,
-                    initial_contact_length: self.profile.mean_contact_length(),
-                    length_estimation: snip_core::LengthEstimation::Exact,
-                    min_duty_cycle: 1e-5,
-                    duty_cycle_multiplier: 1.0,
-                };
-                SnipRh::new(config).into()
-            }
-        }
+        mechanism.scheduler(&self.profile, &self.config, self.phi_max_secs, zeta_target)
     }
 
     /// Runs one mechanism at one target and returns the full metrics.
@@ -275,31 +309,11 @@ impl ScenarioRunner {
         zeta_target: f64,
         seeds: &[u64],
     ) -> (f64, f64, f64) {
-        self.run_seeds_parallel(mechanism, zeta_target, seeds, 1)
-    }
-
-    /// [`ScenarioRunner::run_seeds`] sharded across up to `threads` workers.
-    ///
-    /// Each seed's run is fully independent (own trace, own RNG), and the
-    /// per-seed metrics are reduced in seed order, so the result is
-    /// bit-for-bit identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    #[must_use]
-    pub fn run_seeds_parallel(
-        &self,
-        mechanism: Mechanism,
-        zeta_target: f64,
-        seeds: &[u64],
-        threads: usize,
-    ) -> (f64, f64, f64) {
         assert!(!seeds.is_empty(), "need at least one seed");
-        let runs: Vec<RunMetrics> = parallel_map(seeds.len(), threads, |i| {
-            let runner = self.clone().with_seed(seeds[i]);
-            runner.run_one(mechanism, zeta_target)
-        });
+        let runs: Vec<RunMetrics> = seeds
+            .iter()
+            .map(|&seed| self.clone().with_seed(seed).run_one(mechanism, zeta_target))
+            .collect();
         let zetas: Vec<f64> = runs.iter().map(RunMetrics::mean_zeta_per_epoch).collect();
         let mean_zeta = zetas.iter().sum::<f64>() / zetas.len() as f64;
         let sd = if zetas.len() > 1 {
@@ -313,10 +327,19 @@ impl ScenarioRunner {
         (mean_zeta, sd, mean_phi)
     }
 
-    /// Runs the full sweep: every mechanism at every target, sequentially.
+    /// Runs the full sweep: every mechanism at every target, in
+    /// [`ScenarioRunner::sweep_jobs`] order, all against the one shared
+    /// trace ([`ScenarioRunner::trace_arc`]). To spread a sweep over
+    /// processes or hosts, hand it to `snip fleet` as a sweep spec.
     #[must_use]
     pub fn sweep(&self, zeta_targets: &[f64]) -> Vec<SweepPoint> {
-        self.sweep_parallel(zeta_targets, 1)
+        Self::sweep_jobs(zeta_targets)
+            .into_iter()
+            .map(|(target, mechanism)| {
+                let metrics = self.run_one(mechanism, target);
+                Self::point_from_metrics(target, mechanism, &metrics)
+            })
+            .collect()
     }
 
     /// The sweep's job list — one `(ζtarget, mechanism)` pair per point, in
@@ -348,27 +371,6 @@ impl ScenarioRunner {
             phi: metrics.mean_phi_per_epoch(),
             rho: metrics.overall_rho(),
         }
-    }
-
-    /// [`ScenarioRunner::sweep`] sharded across up to `threads` workers.
-    ///
-    /// All points simulate against the one shared trace
-    /// ([`ScenarioRunner::trace_arc`]); each point seeds its own simulation
-    /// RNG exactly as the sequential sweep does, and results are collected
-    /// in sweep order — so the output is bit-for-bit identical for every
-    /// thread count, including 1.
-    #[must_use]
-    pub fn sweep_parallel(&self, zeta_targets: &[f64], threads: usize) -> Vec<SweepPoint> {
-        // Generate the shared trace up front so workers never race to
-        // initialize the cache (OnceLock would serialize them anyway; this
-        // keeps the first point's timing honest).
-        let _ = self.trace_arc();
-        let jobs = Self::sweep_jobs(zeta_targets);
-        parallel_map(jobs.len(), threads, |i| {
-            let (target, mechanism) = jobs[i];
-            let metrics = self.run_one(mechanism, target);
-            Self::point_from_metrics(target, mechanism, &metrics)
-        })
     }
 }
 

@@ -1,14 +1,14 @@
-//! Determinism proofs for the parallel sweep engine and the fast path.
+//! Determinism proofs for the sweep and the fast path.
 //!
-//! The contract: sharding a sweep across threads changes wall-clock time
-//! and nothing else. Every test here compares complete result sets
-//! bit-for-bit across thread counts, and the fast path against the naive
-//! reference stepper.
+//! The contract: instrumentation and the fast path change wall-clock time
+//! and nothing else. The tests here compare complete result sets
+//! bit-for-bit with observability on and off, and the fast path against
+//! the naive reference stepper. Sweeps and fleets sharded across worker
+//! processes are pinned to the in-process run by `snip-fleetd`'s
+//! `fleet_determinism` tests.
 
-use snip_core::{SnipRh, SnipRhConfig};
 use snip_mobility::EpochProfile;
-use snip_sim::{Fleet, FleetNode, Mechanism, ScenarioRunner, SimConfig, SweepPoint};
-use snip_units::SimDuration;
+use snip_sim::{Mechanism, ScenarioRunner, SimConfig, SweepPoint};
 
 const TARGETS: [f64; 3] = [16.0, 32.0, 48.0];
 
@@ -45,23 +45,13 @@ fn assert_points_identical(a: &[SweepPoint], b: &[SweepPoint], label: &str) {
 }
 
 #[test]
-fn sweep_parallel_is_bit_identical_across_thread_counts() {
-    let runner = paper_runner(7);
-    let sequential = runner.sweep(&TARGETS);
-    for threads in [1usize, 2, 8] {
-        let parallel = runner.sweep_parallel(&TARGETS, threads);
-        assert_points_identical(&sequential, &parallel, &format!("{threads} threads"));
-    }
-}
-
-#[test]
 fn sweep_is_bit_identical_with_full_observability_enabled() {
     // A quiet baseline sweep first, then the same sweep with SNIP_LOG=debug
     // and a chrome://tracing sink live: the instrumentation reads wall
     // clocks and process-global atomics only, so every point must match
     // bit-for-bit.
     let runner = paper_runner(5);
-    let quiet = runner.sweep_parallel(&TARGETS, 4);
+    let quiet = runner.sweep(&TARGETS);
 
     std::env::set_var("SNIP_LOG", "debug");
     snip_obs::log::set_level(snip_obs::log::Level::Debug);
@@ -73,7 +63,7 @@ fn sweep_is_bit_identical_with_full_observability_enabled() {
         snip_obs::trace::init_file(&trace_path),
         "first trace sink in this process"
     );
-    let loud = runner.sweep_parallel(&TARGETS, 4);
+    let loud = runner.sweep(&TARGETS);
     assert_points_identical(&quiet, &loud, "debug log + trace vs quiet");
 
     let trace = std::fs::read_to_string(&trace_path).expect("trace file exists");
@@ -113,45 +103,6 @@ fn fast_path_matches_the_naive_stepper() {
                 "{} ζt={target}: full ledgers must be identical",
                 mechanism.label()
             );
-        }
-    }
-}
-
-#[test]
-fn run_seeds_parallel_is_bit_identical_across_thread_counts() {
-    let runner = paper_runner(5);
-    let seeds: Vec<u64> = (1..=6).collect();
-    let sequential = runner.run_seeds(Mechanism::SnipRh, 16.0, &seeds);
-    for threads in [2usize, 8] {
-        let parallel = runner.run_seeds_parallel(Mechanism::SnipRh, 16.0, &seeds, threads);
-        assert_eq!(sequential, parallel, "{threads} threads");
-    }
-}
-
-#[test]
-fn fleet_run_parallel_matches_sequential_run() {
-    let nodes = vec![
-        FleetNode::new("a", EpochProfile::roadside(), 8.0),
-        FleetNode::new("b", EpochProfile::roadside(), 12.0),
-        FleetNode::new("c", EpochProfile::roadside(), 4.0),
-    ];
-    let fleet = Fleet::new(nodes, SimConfig::paper_defaults().with_epochs(5)).with_seed(77);
-    let rh = |node: &FleetNode| {
-        SnipRh::new(
-            SnipRhConfig::paper_defaults(node.profile.rush_marks())
-                .with_phi_max(SimDuration::from_secs_f64(86.4)),
-        )
-    };
-    let sequential = fleet.run(rh);
-    for threads in [1usize, 2, 8] {
-        let parallel = fleet.run_parallel(rh, threads);
-        assert_eq!(sequential.nodes.len(), parallel.nodes.len());
-        for (s, p) in sequential.nodes.iter().zip(&parallel.nodes) {
-            assert_eq!(s.name, p.name, "{threads} threads");
-            assert_eq!(s.zeta, p.zeta, "{threads} threads: ζ of {}", s.name);
-            assert_eq!(s.phi, p.phi, "{threads} threads: Φ of {}", s.name);
-            assert_eq!(s.uploaded, p.uploaded, "{threads} threads");
-            assert_eq!(s.target_met, p.target_met, "{threads} threads");
         }
     }
 }
