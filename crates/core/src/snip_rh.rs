@@ -128,27 +128,41 @@ impl SnipRhConfig {
         self
     }
 
-    /// Validates the configuration.
-    fn validate(&self) {
-        assert!(!self.rush_marks.is_empty(), "need at least one slot mark");
-        assert!(!self.epoch.is_zero(), "epoch must be positive");
-        assert!(!self.ton.is_zero(), "Ton must be positive");
-        assert!(
-            !self.initial_contact_length.is_zero(),
-            "initial contact length must be positive"
-        );
-        assert!(
-            self.ewma_weight > 0.0 && self.ewma_weight <= 1.0,
-            "EWMA weight must be in (0, 1]"
-        );
-        assert!(
-            self.min_duty_cycle >= 0.0 && self.min_duty_cycle <= 1.0,
-            "minimum duty-cycle must be a fraction"
-        );
-        assert!(
-            self.duty_cycle_multiplier.is_finite() && self.duty_cycle_multiplier > 0.0,
-            "duty-cycle multiplier must be positive"
-        );
+    /// Checks what [`SnipRh::new`] asserts: at least one slot mark, a
+    /// positive epoch, `Ton` and initial contact length, an EWMA weight in
+    /// `(0, 1]`, a minimum duty-cycle that is a fraction and a positive
+    /// duty-cycle multiplier. A configuration read from outside (a journal
+    /// header) is checked here before it is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns which requirement the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let fails = [
+            (self.rush_marks.is_empty(), "need at least one slot mark"),
+            (self.epoch.is_zero(), "epoch must be positive"),
+            (self.ton.is_zero(), "Ton must be positive"),
+            (
+                self.initial_contact_length.is_zero(),
+                "initial contact length must be positive",
+            ),
+            (
+                !(self.ewma_weight > 0.0 && self.ewma_weight <= 1.0),
+                "EWMA weight must be in (0, 1]",
+            ),
+            (
+                !(self.min_duty_cycle >= 0.0 && self.min_duty_cycle <= 1.0),
+                "minimum duty-cycle must be a fraction",
+            ),
+            (
+                !(self.duty_cycle_multiplier.is_finite() && self.duty_cycle_multiplier > 0.0),
+                "duty-cycle multiplier must be positive",
+            ),
+        ];
+        match fails.iter().find(|(failed, _)| *failed) {
+            Some((_, why)) => Err((*why).to_string()),
+            None => Ok(()),
+        }
     }
 }
 
@@ -171,11 +185,11 @@ impl SnipRh {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (empty marks, zero epoch or
-    /// `Ton`, out-of-range EWMA weight…).
+    /// Panics if [`SnipRhConfig::check`] refuses the configuration (empty
+    /// marks, zero epoch or `Ton`, out-of-range EWMA weight…).
     #[must_use]
     pub fn new(config: SnipRhConfig) -> Self {
-        config.validate();
+        config.check().unwrap_or_else(|why| panic!("{why}"));
         let slot_length = config.epoch / config.rush_marks.len() as u64;
         let contact_length = Ewma::seeded(
             config.ewma_weight,
@@ -567,6 +581,31 @@ mod tests {
     #[should_panic(expected = "slot count must not change")]
     fn set_rush_marks_rejects_resize() {
         rh().set_rush_marks(vec![true; 12]);
+    }
+
+    #[test]
+    fn check_names_each_broken_field() {
+        let ok = SnipRhConfig::paper_defaults(roadside_marks());
+        assert_eq!(ok.check(), Ok(()));
+        type Break = fn(&mut SnipRhConfig);
+        let broken: [(Break, &str); 7] = [
+            (|c| c.rush_marks.clear(), "slot mark"),
+            (|c| c.epoch = SimDuration::ZERO, "epoch"),
+            (|c| c.ton = SimDuration::ZERO, "Ton"),
+            (
+                |c| c.initial_contact_length = SimDuration::ZERO,
+                "initial contact length",
+            ),
+            (|c| c.ewma_weight = 7.5, "EWMA weight"),
+            (|c| c.min_duty_cycle = f64::NAN, "minimum duty-cycle"),
+            (|c| c.duty_cycle_multiplier = 0.0, "multiplier"),
+        ];
+        for (breaks, names) in broken {
+            let mut config = ok.clone();
+            breaks(&mut config);
+            let why = config.check().expect_err(names);
+            assert!(why.contains(names), "{why}");
+        }
     }
 
     #[test]

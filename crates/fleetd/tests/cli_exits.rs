@@ -1,7 +1,8 @@
 //! How `snip` ends when its input or its output goes wrong: quietly when
-//! the reader of its stdout has gone away, and with status 2, before any
+//! the reader of its stdout has gone away, with status 2, before any
 //! worker starts, when a spec carries a distribution no constructor would
-//! build.
+//! build, and with status 2 when a journal header carries a SNIP-RH
+//! configuration `SnipRh::new` would refuse.
 
 use std::process::{Command, Stdio};
 
@@ -57,4 +58,52 @@ fn hostile_arrivals_are_refused_before_any_shard_runs() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("unfinished"), "{stderr}");
+}
+
+#[test]
+fn hostile_snip_rh_headers_are_refused_before_replay() {
+    let dir = std::env::temp_dir().join(format!("snip-cli-rh-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("run.jsonl");
+    let record = Command::new(SNIP_BIN)
+        .args(["record", "--scenario", "roadside", "--mechanism", "rh"])
+        .args(["--epochs", "1", "--seed", "42", "--out"])
+        .arg(&journal)
+        .output()
+        .expect("spawn snip");
+    assert!(record.status.success(), "{record:?}");
+    let text = std::fs::read_to_string(&journal).expect("read journal");
+    let (header, rest) = text.split_once('\n').expect("a header line");
+
+    let marks_at = header.find(r#""rush_marks":["#).expect("marks in header");
+    let marks_end = marks_at + header[marks_at..].find(']').expect("end of marks");
+    let no_marks = format!(
+        r#"{}"rush_marks":[{}"#,
+        &header[..marks_at],
+        &header[marks_end..]
+    );
+    assert!(
+        header.contains(r#""ewma_weight":0.1,"#),
+        "header changed shape"
+    );
+    let bad_weight = header.replacen(r#""ewma_weight":0.1,"#, r#""ewma_weight":7.5,"#, 1);
+
+    for (case, bad_header, why) in [
+        ("no-marks", no_marks, "need at least one slot mark"),
+        ("weight", bad_weight, "EWMA weight must be in (0, 1]"),
+    ] {
+        let bad = dir.join(format!("{case}.jsonl"));
+        std::fs::write(&bad, format!("{bad_header}\n{rest}")).expect("write journal");
+        let out = Command::new(SNIP_BIN)
+            .arg("replay")
+            .arg(&bad)
+            .output()
+            .expect("spawn snip");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(stderr.contains("SnipRhConfig"), "{case}: {stderr}");
+        assert!(stderr.contains(why), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

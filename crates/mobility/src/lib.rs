@@ -7,7 +7,8 @@
 //! how long it stays.
 //!
 //! * [`sampler`] — random sampling from the model crate's
-//!   [`LengthDistribution`]s (Box–Muller normal, inverse-CDF exponential…).
+//!   [`LengthDistribution`]s (Box–Muller normal, inverse-CDF exponential…),
+//!   with the normals of a trace drawn ahead in blocks.
 //! * [`arrival`] — renewal/Poisson/periodic contact arrival processes.
 //! * [`profile`] — time-slotted rush-hour profiles of an epoch (the paper's
 //!   §VI-A slot marks) and conversion to the model crate's `SlotProfile`.

@@ -16,7 +16,7 @@ use snip_units::{SimDuration, SimTime};
 
 use crate::arrival::ArrivalProcess;
 use crate::profile::EpochProfile;
-use crate::sampler::Sampler;
+use crate::sampler::{NormalStream, Sampler};
 
 /// One contact: a mobile node within range of the sensor node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -308,13 +308,29 @@ impl TraceGenerator {
     /// no contact process is skipped to its end. Contacts that would overlap
     /// the previous one are pushed back to its end (the §II single-mobile
     /// assumption).
+    ///
+    /// When every sampler of the profile is Fixed, Normal or LogNormal, the
+    /// normals are drawn ahead in blocks (see [`crate::sampler`]); the
+    /// trace is bit-identical either way. The RNG ends in the same state
+    /// either way too, which the block draw reaches by restoring a clone:
+    /// hence `R: Clone`.
     #[must_use]
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> ContactTrace {
-        let mut trace = ContactTrace::new();
-        let horizon = SimTime::ZERO + self.profile.epoch() * self.epochs;
-        // Each slot's samplers, with their constants worked out once.
-        let samplers: Vec<(Option<Sampler>, Sampler)> = self
-            .profile
+    pub fn generate<R: Rng + Clone>(&self, rng: &mut R) -> ContactTrace {
+        let samplers = self.samplers();
+        if all_stream(&samplers) {
+            let mut stream = NormalStream::new(rng);
+            let trace = self.walk(&samplers, |s| stream.sample(s));
+            stream.finish();
+            trace
+        } else {
+            self.walk(&samplers, |s| s.sample(rng))
+        }
+    }
+
+    /// Each slot's arrival and contact-length samplers, with their
+    /// constants worked out once.
+    fn samplers(&self) -> Vec<(Option<Sampler>, Sampler)> {
+        self.profile
             .slots()
             .iter()
             .map(|s| {
@@ -327,7 +343,17 @@ impl TraceGenerator {
                 });
                 (arrivals, Sampler::new(&s.contact_length))
             })
-            .collect();
+            .collect()
+    }
+
+    /// The contact loop, taking each draw from `draw`.
+    fn walk(
+        &self,
+        samplers: &[(Option<Sampler>, Sampler)],
+        mut draw: impl FnMut(&Sampler) -> SimDuration,
+    ) -> ContactTrace {
+        let mut trace = ContactTrace::new();
+        let horizon = SimTime::ZERO + self.profile.epoch() * self.epochs;
         let floor = SimDuration::from_micros(1);
         let mut slot = SlotWalk::new(&self.profile);
         let mut cursor = SimTime::ZERO;
@@ -340,7 +366,7 @@ impl TraceGenerator {
                 cursor = slot.end;
                 continue;
             };
-            let mut start = cursor + arrivals.sample(rng).max(floor);
+            let mut start = cursor + draw(arrivals).max(floor);
             if start >= horizon {
                 break;
             }
@@ -354,12 +380,19 @@ impl TraceGenerator {
                 break;
             }
             slot.seek(start);
-            let length = samplers[slot.index].1.sample(rng).max(floor);
+            let length = draw(&samplers[slot.index].1).max(floor);
             trace.push(Contact::new(start, length));
             cursor = start;
         }
         trace
     }
+}
+
+/// `true` if a `NormalStream` can draw for every sampler.
+fn all_stream(samplers: &[(Option<Sampler>, Sampler)]) -> bool {
+    samplers
+        .iter()
+        .all(|(arrivals, length)| arrivals.is_none_or(|a| a.streams()) && length.streams())
 }
 
 /// The slot of an epoch profile that holds a forward-moving instant,
@@ -514,9 +547,10 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::EpochProfile;
+    use crate::profile::{EpochProfile, ProfileSlot, SlotKind};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -524,6 +558,148 @@ mod tests {
 
     fn dur(s: u64) -> SimDuration {
         SimDuration::from_secs(s)
+    }
+
+    impl TraceGenerator {
+        /// The trace with every draw taken directly, one at a time.
+        fn generate_direct<R: Rng>(&self, rng: &mut R) -> ContactTrace {
+            self.walk(&self.samplers(), |s| s.sample(rng))
+        }
+    }
+
+    /// Fails unless `profile` streams, and its streamed trace over
+    /// `epochs` and the RNG state after it equal the direct path's.
+    fn streams_as_direct(
+        profile: EpochProfile,
+        epochs: u64,
+        seed: u64,
+    ) -> Result<(), proptest::TestCaseError> {
+        let gen = TraceGenerator::new(profile).epochs(epochs);
+        prop_assert!(all_stream(&gen.samplers()), "profile does not stream");
+        let (mut streamed_rng, mut direct_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let streamed = gen.generate(&mut streamed_rng);
+        let direct = gen.generate_direct(&mut direct_rng);
+        prop_assert_eq!(streamed.len(), direct.len());
+        prop_assert!(
+            streamed == direct,
+            "traces differ (seed {seed}, {epochs} epochs)"
+        );
+        prop_assert_eq!(streamed_rng.next_u64(), direct_rng.next_u64());
+        Ok(())
+    }
+
+    fn between(rng: &mut StdRng, lo: f64, hi: f64) -> SimDuration {
+        SimDuration::from_secs_f64(lo + (hi - lo) * rng.gen::<f64>())
+    }
+
+    /// A roadside-shaped profile with its own intervals and contact
+    /// length, ±20% around 300 s / 1800 s / 2 s.
+    fn random_roadside(rng: &mut StdRng) -> EpochProfile {
+        EpochProfile::roadside_with(
+            between(rng, 240.0, 360.0),
+            between(rng, 1440.0, 2160.0),
+            LengthDistribution::paper_normal(between(rng, 1.6, 2.4)),
+        )
+    }
+
+    /// A Normal with mean 1 µs and sd 10 s: half its draws are rejected,
+    /// and every rejection goes through the libm fallback.
+    fn hostile() -> LengthDistribution {
+        LengthDistribution::normal(SimDuration::from_micros(1), dur(10))
+    }
+
+    /// Hourly slots mixing every streaming sampler: no arrivals, periodic,
+    /// Normal, LogNormal and hostile renewals; Fixed, Normal, LogNormal
+    /// and hostile lengths.
+    fn mixed(rng: &mut StdRng) -> EpochProfile {
+        let slots = (0..24)
+            .map(|_| {
+                let interval = between(rng, 60.0, 3600.0);
+                let arrivals = match rng.gen_range(0..6u32) {
+                    0 => None,
+                    1 => Some(ArrivalProcess::periodic(interval)),
+                    2 => Some(ArrivalProcess::renewal(LengthDistribution::log_normal(
+                        interval,
+                        interval / 3,
+                    ))),
+                    3 => Some(ArrivalProcess::renewal(hostile())),
+                    _ => Some(ArrivalProcess::paper_normal(interval)),
+                };
+                let length = between(rng, 0.5, 30.0);
+                let contact_length = match rng.gen_range(0..4u32) {
+                    0 => LengthDistribution::fixed(length),
+                    1 => LengthDistribution::log_normal(length, length / 2),
+                    2 => hostile(),
+                    _ => LengthDistribution::paper_normal(length),
+                };
+                ProfileSlot {
+                    kind: SlotKind::OffPeak,
+                    arrivals,
+                    contact_length,
+                }
+            })
+            .collect();
+        EpochProfile::new(SimDuration::from_hours(1), slots)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn paper_profiles_stream_as_direct(epochs in 1u64..=20, seed in any::<u64>()) {
+            streams_as_direct(EpochProfile::roadside(), epochs, seed)?;
+            streams_as_direct(EpochProfile::roadside_deterministic(), epochs, seed)?;
+        }
+
+        #[test]
+        fn random_roadside_streams_as_direct(epochs in 1u64..=20, seed in any::<u64>()) {
+            let profile = random_roadside(&mut StdRng::seed_from_u64(!seed));
+            streams_as_direct(profile, epochs, seed)?;
+        }
+
+        #[test]
+        fn mixed_and_hostile_slots_stream_as_direct(epochs in 1u64..=20, seed in any::<u64>()) {
+            let profile = mixed(&mut StdRng::seed_from_u64(!seed));
+            streams_as_direct(profile, epochs, seed)?;
+        }
+    }
+
+    #[test]
+    fn exponential_and_uniform_profiles_draw_directly() {
+        let slot = ProfileSlot {
+            kind: SlotKind::OffPeak,
+            arrivals: Some(ArrivalProcess::poisson(dur(600))),
+            contact_length: LengthDistribution::paper_normal(dur(2)),
+        };
+        let poisson = EpochProfile::new(SimDuration::from_hours(1), vec![slot; 24]);
+        let uniform_lengths = EpochProfile::roadside_with(
+            dur(300),
+            dur(1800),
+            LengthDistribution::uniform(dur(1), dur(3)),
+        );
+        for profile in [poisson, uniform_lengths] {
+            let gen = TraceGenerator::new(profile).epochs(3);
+            assert!(!all_stream(&gen.samplers()));
+            let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+            assert_eq!(gen.generate(&mut a), gen.generate_direct(&mut b));
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    /// The long-fleet shape at full size: 500 roadside-shaped profiles of
+    /// 140 epochs, about 5.9 M contacts. Run with
+    /// `cargo test --release -p snip-mobility -- --ignored`.
+    #[test]
+    #[ignore = "5.9 M contacts; run in release"]
+    fn long_fleet_shape_streams_as_direct() {
+        let mut profiles = StdRng::seed_from_u64(5150);
+        for node in 0..500 {
+            let profile = random_roadside(&mut profiles);
+            if let Err(e) = streams_as_direct(profile, 140, node) {
+                panic!("node {node}: {}", e.message);
+            }
+        }
     }
 
     #[test]

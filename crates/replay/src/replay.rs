@@ -195,9 +195,11 @@ enum HeaderVersion {
 /// # Errors
 ///
 /// Returns [`ReplayError::UnsupportedVersion`] for another version,
-/// [`ReplayError::MissingHeader`] for an empty journal, and
+/// [`ReplayError::MissingHeader`] for an empty journal,
 /// [`ReplayError::Malformed`] or [`ReplayError::Journal`] when the first
-/// record is not a header.
+/// record is not a header, and a [`JournalError::Codec`] naming
+/// `SnipRhConfig` when a SNIP-RH header fails
+/// [`SnipRhConfig::check`](snip_core::SnipRhConfig::check).
 pub fn read_header<R: BufRead>(
     reader: &mut JournalReader<R>,
 ) -> Result<JournalHeader, ReplayError> {
@@ -210,7 +212,14 @@ pub fn read_header<R: BufRead>(
         }
     }
     match JournalEvent::from_value(&record).map_err(JournalError::from)? {
-        JournalEvent::Header(h) => Ok(h),
+        JournalEvent::Header(h) => {
+            if let SchedulerSpec::Rh { config } = &h.scheduler {
+                config.check().map_err(|why| {
+                    JournalError::Codec(format!("header scheduler SnipRhConfig: {why}"))
+                })?;
+            }
+            Ok(h)
+        }
         other => Err(ReplayError::Malformed(format!(
             "expected Header as first event, got {}",
             other.kind()
