@@ -513,7 +513,6 @@ fn replay_summary(journal: &Path) -> Result<ExitCode, CliError> {
             JournalEvent::Sim(sim) => format!(
                 "Sim/{}",
                 match sim {
-                    snip_sim::SimEvent::NodeStart { .. } => "NodeStart",
                     snip_sim::SimEvent::Decision(_) => "Decision",
                     snip_sim::SimEvent::Probe { .. } => "Probe",
                     snip_sim::SimEvent::Upload { .. } => "Upload",

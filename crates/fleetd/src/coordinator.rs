@@ -50,7 +50,7 @@
 //! [`DriverError::Incomplete`] carries the completed shards next to the
 //! missing manifest so `--partial-ok` can salvage a wrecked run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -60,15 +60,14 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use snip_obs::metrics::{Counter, Gauge, Histogram};
-use snip_opt::OptPlan;
 use snip_replay::checkpoint::{
     load_checkpoint, CheckpointHeader, CheckpointWriter, CHECKPOINT_VERSION,
 };
 use snip_sim::RunMetrics;
 
 use crate::fault::{ChaosPlan, FaultTransport};
-use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
-use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, SessionEntry, Shard};
+use crate::proto::{CoordinatorMsg, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
+use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, Shard};
 use crate::spec::{FleetOutput, FleetSpec, JobRunner};
 use crate::transport::{
     recv_msg, send_msg, PipeTransport, PreEncoded, RecvError, TcpTransport, Transport,
@@ -145,11 +144,6 @@ pub struct DriverStats {
     pub peers_rejected: usize,
     /// Shards that had to be re-queued from a lost worker.
     pub shards_reassigned: u64,
-    /// SNIP-OPT plan entries shipped to workers (`Init` + `Shard`).
-    pub plans_shipped: u64,
-    /// Worker-side solves answered by coordinator-shipped plans — the
-    /// cross-worker cache hits the plan shipping exists for.
-    pub plan_seed_hits: u64,
     /// Dropped TCP workers that redialed and resumed their session.
     pub reconnects: u64,
     /// `ShardDone` results delivered on a resumed session (in-flight work
@@ -165,17 +159,14 @@ impl fmt::Display for DriverStats {
         write!(
             f,
             "{} job(s) in {} shard(s) on {} worker(s); {} worker(s) lost, \
-             {} peer(s) rejected, {} shard(s) reassigned, {} plan(s) shipped, \
-             {} cross-worker plan hit(s), {} reconnect(s), {} resumed shard(s), \
-             {} checkpointed shard(s) skipped",
+             {} peer(s) rejected, {} shard(s) reassigned, {} reconnect(s), \
+             {} resumed shard(s), {} checkpointed shard(s) skipped",
             self.jobs,
             self.shards,
             self.workers,
             self.workers_lost,
             self.peers_rejected,
             self.shards_reassigned,
-            self.plans_shipped,
-            self.plan_seed_hits,
             self.reconnects,
             self.resumed_shards,
             self.checkpoint_shards
@@ -195,8 +186,6 @@ struct FleetMetrics {
     workers_lost: &'static Counter,
     peers_rejected: &'static Counter,
     shards_reassigned: &'static Counter,
-    plans_shipped: &'static Counter,
-    plan_seed_hits: &'static Counter,
     reconnects: &'static Counter,
     resumed_shards: &'static Counter,
     /// Checkpoint journal append (encode + write + fsync), per shard.
@@ -220,8 +209,6 @@ fn fleet_metrics() -> &'static FleetMetrics {
         workers_lost: counter("snip_fleet_workers_lost_total"),
         peers_rejected: counter("snip_fleet_peers_rejected_total"),
         shards_reassigned: counter("snip_fleet_shards_reassigned_total"),
-        plans_shipped: counter("snip_fleet_plans_shipped_total"),
-        plan_seed_hits: counter("snip_fleet_plan_seed_hits_total"),
         reconnects: counter("snip_fleet_reconnects_total"),
         resumed_shards: counter("snip_fleet_resumed_shards_total"),
         checkpoint_write_us: histogram("snip_checkpoint_write_us"),
@@ -295,30 +282,6 @@ pub struct FleetDriver {
     /// truncating it.
     checkpoint_path: Option<PathBuf>,
     resume: bool,
-    /// SNIP-OPT plans accumulated from workers, persisted across `run`
-    /// calls on the same driver (repeated runs re-ship warm plans).
-    plans: Mutex<PlanStore>,
-}
-
-/// The coordinator's accumulated plan set plus a generation counter, so
-/// a peer that is already up to date skips the per-shard rescan.
-#[derive(Default)]
-struct PlanStore {
-    map: BTreeMap<String, OptPlan>,
-    /// Bumped whenever `map` gains an entry.
-    generation: u64,
-}
-
-/// The run's `Init`, encoded into its wire frame exactly once and shipped
-/// to every fresh peer verbatim ([`Transport::send_frame`]). The
-/// plan snapshot it carries is recorded so each admitted peer's shipping
-/// bookkeeping starts from the pre-encode state instead of re-scanning.
-struct InitFrame {
-    frame: PreEncoded,
-    /// Keys of the plans baked into the frame.
-    plan_keys: Vec<String>,
-    /// Plan-store generation at pre-encode time.
-    generation: u64,
 }
 
 /// One run's state behind its one lock: the core, and the checkpoint
@@ -381,12 +344,7 @@ impl Shared {
 
     /// Hands `peer`'s `ShardDone` to its [`PeerCore`]. Fresh results hit
     /// the checkpoint journal before they count as merged.
-    fn receive_done(
-        &self,
-        peer: &mut PeerCore,
-        results: Vec<ShardResult>,
-        seeded_hits: u64,
-    ) -> Reply {
+    fn receive_done(&self, peer: &mut PeerCore, results: Vec<ShardResult>) -> Reply {
         let outs = results.into_iter().map(|r| (r.id, r.metrics)).collect();
         let now = self.now();
         let mut guard = self.lock();
@@ -395,7 +353,6 @@ impl Shared {
             journal_shard(checkpoint, id, metrics);
         });
         if let Reply::Merged { .. } = reply {
-            core.stats.plan_seed_hits += seeded_hits;
             drop(guard);
             self.wakeup.notify_all();
         }
@@ -459,7 +416,6 @@ impl FleetDriver {
             chaos: None,
             checkpoint_path: None,
             resume: false,
-            plans: Mutex::new(PlanStore::default()),
         })
     }
 
@@ -645,8 +601,6 @@ impl FleetDriver {
         obs.workers_lost.add(stats.workers_lost as u64);
         obs.peers_rejected.add(stats.peers_rejected as u64);
         obs.shards_reassigned.add(stats.shards_reassigned);
-        obs.plans_shipped.add(stats.plans_shipped);
-        obs.plan_seed_hits.add(stats.plan_seed_hits);
         obs.reconnects.add(stats.reconnects);
         obs.resumed_shards.add(stats.resumed_shards);
 
@@ -684,34 +638,18 @@ impl FleetDriver {
 
     /// Pre-encodes the run's `Init` frame: protocol, spec, spec hash, the
     /// shared placeholder `session: 0` (real ids travel in the `Session`
-    /// frame), and every plan accumulated so far. One serialization per
-    /// run, not per peer — on a wide fleet the spec-bearing `Init` was
-    /// the single largest per-peer encode cost.
-    fn encode_init(&self) -> InitFrame {
-        let store = lock(&self.plans);
-        let generation = store.generation;
-        let plans: Vec<PlanEntry> = store
-            .map
-            .iter()
-            .map(|(key, plan)| PlanEntry {
-                key: key.clone(),
-                plan: plan.clone(),
-            })
-            .collect();
-        drop(store);
-        let plan_keys = plans.iter().map(|e| e.key.clone()).collect();
-        let msg = CoordinatorMsg::Init {
+    /// frame) and the reserved, empty `plans`. One serialization per run,
+    /// not per peer: every fresh peer gets the same bytes
+    /// ([`Transport::send_frame`]), and so does a version-skewed peer as
+    /// its typed rejection.
+    fn encode_init(&self) -> PreEncoded {
+        PreEncoded::new(&CoordinatorMsg::Init {
             protocol: PROTOCOL_VERSION,
             spec: self.spec.clone(),
             spec_hash: self.spec_hash,
             session: 0,
-            plans,
-        };
-        InitFrame {
-            frame: PreEncoded::new(&msg),
-            plan_keys,
-            generation,
-        }
+            plans: Vec::new(),
+        })
     }
 
     /// Arms the run's checkpoint journal. Fresh mode writes the header;
@@ -791,7 +729,7 @@ impl FleetDriver {
     }
 
     /// Pipe dispatch: spawn the workers, drive each over its stdio.
-    fn run_pipe(&self, shared: &Shared, init: &InitFrame) -> Result<(), DriverError> {
+    fn run_pipe(&self, shared: &Shared, init: &PreEncoded) -> Result<(), DriverError> {
         let (program, args) = self
             .command()
             .map_err(|error| DriverError::Spawn { worker: 0, error })?;
@@ -811,7 +749,7 @@ impl FleetDriver {
                         Ok(t) => t,
                         Err(error) => {
                             lock(spawn_failure).get_or_insert((worker_idx, error));
-                            peer.lost(&mut shared.lock().core, SessionEntry::default());
+                            peer.lost(&mut shared.lock().core);
                             return;
                         }
                     };
@@ -836,7 +774,7 @@ impl FleetDriver {
         &self,
         tcp: &TcpState,
         shared: &Shared,
-        init: &InitFrame,
+        init: &PreEncoded,
     ) -> Result<(), DriverError> {
         let mut children: Vec<Child> = Vec::new();
         if tcp.spawn_workers {
@@ -909,9 +847,7 @@ impl FleetDriver {
                                     let token = Some(tcp.token.as_str());
                                     self.drive_peer(peer, transport.as_mut(), shared, init, token);
                                 }
-                                Err(_) => {
-                                    peer.lost(&mut shared.lock().core, SessionEntry::default())
-                                }
+                                Err(_) => peer.lost(&mut shared.lock().core),
                             }
                             shared.lock().core.peer_left(shared.now());
                         });
@@ -1018,50 +954,6 @@ impl FleetDriver {
         }
     }
 
-    /// Plans the peer has not been sent yet; marks them shipped. The
-    /// store's generation counter makes the warm steady state — nothing
-    /// new since this peer's last assignment — an O(1) check instead of
-    /// a full rescan under the lock.
-    fn plans_for(&self, session: &mut SessionEntry, shared: &Shared) -> Vec<PlanEntry> {
-        let SessionEntry {
-            shipped,
-            seen_generation,
-        } = session;
-        let store = lock(&self.plans);
-        if store.generation == *seen_generation {
-            return Vec::new();
-        }
-        let delta: Vec<PlanEntry> = store
-            .map
-            .iter()
-            .filter(|(key, _)| !shipped.contains(*key))
-            .map(|(key, plan)| PlanEntry {
-                key: key.clone(),
-                plan: plan.clone(),
-            })
-            .collect();
-        *seen_generation = store.generation;
-        drop(store);
-        for entry in &delta {
-            shipped.insert(entry.key.clone());
-        }
-        shared.lock().core.stats.plans_shipped += delta.len() as u64;
-        delta
-    }
-
-    /// Folds a worker's newly solved plans into the global store (and
-    /// marks them shipped to that worker — it obviously has them).
-    fn absorb_plans(&self, plans: Vec<PlanEntry>, shipped: &mut BTreeSet<String>) {
-        let mut store = lock(&self.plans);
-        for entry in plans {
-            shipped.insert(entry.key.clone());
-            if let std::collections::btree_map::Entry::Vacant(slot) = store.map.entry(entry.key) {
-                slot.insert(entry.plan);
-                store.generation += 1;
-            }
-        }
-    }
-
     /// Speaks the protocol with one peer until the queue drains or the
     /// peer is lost: the whole worker lifecycle for pipes and TCP both, as
     /// a loop over the peer's [`PeerCore`]. A dialed-in peer (`token`)
@@ -1077,7 +969,7 @@ impl FleetDriver {
         mut peer: PeerCore,
         transport: &mut dyn Transport,
         shared: &Shared,
-        init: &InitFrame,
+        init: &PreEncoded,
         token: Option<&str>,
     ) {
         let worker_idx = peer.peer;
@@ -1107,14 +999,7 @@ impl FleetDriver {
                     token: presented,
                     ..
                 }) if protocol != PROTOCOL_VERSION && token_matches(&presented, token) => {
-                    let rejection = CoordinatorMsg::Init {
-                        protocol: PROTOCOL_VERSION,
-                        spec: self.spec.clone(),
-                        spec_hash: self.spec_hash,
-                        session: 0,
-                        plans: vec![],
-                    };
-                    let _ = send_msg(transport, &rejection);
+                    let _ = transport.send_frame(&init.bytes);
                     snip_obs::event!(
                         snip_obs::log::Level::Warn,
                         "peer {worker_idx} ({}) joined with protocol {protocol}, this \
@@ -1130,42 +1015,29 @@ impl FleetDriver {
         };
         let Ok(resume) = joined else {
             transport.sever();
-            peer.lost(&mut shared.lock().core, SessionEntry::default());
+            peer.lost(&mut shared.lock().core);
             return;
         };
         // snip-lint: allow(wall-clock): "handshake latency metric; observability only"
         let handshake_start = Instant::now();
         let obs = fleet_metrics();
         let admit = peer.join(&mut shared.lock().core, resume);
-        let (mut session, opened) = match admit.expect("a new connection joins once") {
+        let opened = match admit.expect("a new connection joins once") {
             // The worker was admitted on its first connection: resuming
             // re-counts nothing, only the reconnect itself. The worker
             // re-sends the `ShardDone` batch in flight when its socket
             // dropped, or reports `Ready` (nothing pending).
-            Admit::Resumed(sid, session) => {
+            Admit::Resumed(sid) => {
                 snip_obs::event!(
                     snip_obs::log::Level::Info,
                     "peer {worker_idx} ({}) resumed session {sid}",
                     transport.peer()
                 );
-                let resumed = send_msg(transport, &CoordinatorMsg::Resumed { session: sid });
-                (session, resumed)
+                send_msg(transport, &CoordinatorMsg::Resumed { session: sid })
             }
-            Admit::Fresh(sid) => {
-                shared.lock().core.stats.plans_shipped += init.plan_keys.len() as u64;
-                // The peer's plan bookkeeping starts from the pre-encode
-                // snapshot: the frame already carries those plans, so
-                // they count as shipped and the generation is the one
-                // the snapshot was taken at.
-                let session = SessionEntry {
-                    shipped: init.plan_keys.iter().cloned().collect(),
-                    seen_generation: init.generation,
-                };
-                let sent = transport
-                    .send_frame(&init.frame.bytes)
-                    .and_then(|()| send_msg(transport, &CoordinatorMsg::Session { session: sid }));
-                (session, sent)
-            }
+            Admit::Fresh(sid) => transport
+                .send_frame(&init.bytes)
+                .and_then(|()| send_msg(transport, &CoordinatorMsg::Session { session: sid })),
         };
 
         // Per-peer utilization: accumulated locally, flushed once when the
@@ -1200,7 +1072,7 @@ impl FleetDriver {
                                 end: s.end,
                             })
                             .collect(),
-                        plans: self.plans_for(&mut session, shared),
+                        plans: Vec::new(),
                     };
                     if send_msg(transport, &assignment).is_err() {
                         break false;
@@ -1209,29 +1081,27 @@ impl FleetDriver {
                 }
                 // A wrong reply, broken frame, EOF, or timeout loses the peer.
                 match self.recv_peer(transport, shared, self.shard_timeout) {
-                    Some(WorkerMsg::ShardDone {
-                        results,
-                        plans,
-                        seeded_hits,
-                    }) => match shared.receive_done(&mut peer, results, seeded_hits) {
-                        Reply::Merged { .. } => {
-                            self.absorb_plans(plans, &mut session.shipped);
-                            // A resumed session's re-sent batch was not dealt
-                            // on this connection: nothing to time.
-                            if let Some((shards, compute_start, _span)) = owed.take() {
-                                let round_trip = compute_start.elapsed();
-                                obs.compute_us.observe(round_trip);
-                                busy_us += snip_obs::metrics::duration_us(round_trip);
-                                done_here += shards;
+                    // The reserved plan fields are ignored.
+                    Some(WorkerMsg::ShardDone { results, .. }) => {
+                        match shared.receive_done(&mut peer, results) {
+                            Reply::Merged { .. } => {
+                                // A resumed session's re-sent batch was not dealt
+                                // on this connection: nothing to time.
+                                if let Some((shards, compute_start, _span)) = owed.take() {
+                                    let round_trip = compute_start.elapsed();
+                                    obs.compute_us.observe(round_trip);
+                                    busy_us += snip_obs::metrics::duration_us(round_trip);
+                                    done_here += shards;
+                                }
                             }
+                            // A re-delivery of an already-merged batch — a
+                            // chaos-injected repeat, or a re-send racing its own
+                            // acknowledgement — is dropped; the peer is still
+                            // healthy and still owes the current batch.
+                            Reply::Stale => {}
+                            Reply::Invalid => break false,
                         }
-                        // A re-delivery of an already-merged batch — a
-                        // chaos-injected repeat, or a re-send racing its own
-                        // acknowledgement — is dropped; the peer is still
-                        // healthy and still owes the current batch.
-                        Reply::Stale => {}
-                        Reply::Invalid => break false,
-                    },
+                    }
                     Some(WorkerMsg::Ready {
                         protocol,
                         spec_hash,
@@ -1259,7 +1129,7 @@ impl FleetDriver {
             // A lost peer's unmerged batch goes back on the queue, and its
             // session stays resumable: if the worker redials with this id,
             // it picks up where the socket dropped.
-            peer.lost(&mut shared.lock().core, session);
+            peer.lost(&mut shared.lock().core);
             shared.wakeup.notify_all();
             transport.sever();
         }

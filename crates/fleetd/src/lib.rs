@@ -25,10 +25,9 @@
 //!   sequential [`Fleet::run`]/[`ScenarioRunner::sweep`] for every
 //!   transport, worker count, steal order, and kill interleaving —
 //!   `assert_eq!`, not "approximately".
-//! * **Global plan cache** — workers ship their solved SNIP-OPT plans
-//!   back with each shard, the coordinator re-ships the accumulated set
-//!   to every peer, so a same-profile fleet solves each plan once
-//!   globally instead of once per process.
+//! * **Local plans** — each worker solves the SNIP-OPT plans its jobs
+//!   need through its own process cache ([`snip_opt::solve_cached`]);
+//!   no plan crosses the wire, and the coordinator keeps no plan state.
 //!
 //! The `snip` CLI (hosted here, at the top of the workspace) surfaces the
 //! driver as `snip fleet --spec <file> --workers <k>`,

@@ -10,17 +10,17 @@
 //! (TCP only)
 //! worker → coordinator   Join { protocol, token, pid, resume }
 //! (all transports)
-//! coordinator → worker   Init { protocol, spec, spec_hash, session: 0, plans }
+//! coordinator → worker   Init { protocol, spec, spec_hash, session: 0, plans: [] }
 //! coordinator → worker   Session { session }
 //! worker → coordinator   Ready { protocol, pid, spec_hash }
 //! repeat:
-//!   coordinator → worker   Shard { jobs, plans }
-//!   worker → coordinator   ShardDone { results, plans, seeded_hits }
+//!   coordinator → worker   Shard { jobs, plans: [] }
+//!   worker → coordinator   ShardDone { results, plans: [], seeded_hits: 0 }
 //! coordinator → worker   Shutdown
 //! ```
 //!
-//! **Pre-encoded `Init`.** The `Init` payload (spec + accumulated plans)
-//! is by far the largest frame, and it is identical for every fresh
+//! **Pre-encoded `Init`.** The `Init` payload (the spec) is by far the
+//! largest frame, and it is identical for every fresh
 //! peer — so the coordinator encodes it **once per run** and every
 //! transport ships the same pre-framed bytes. The per-peer session id
 //! therefore moved out of the hot frame: `Init` carries the placeholder
@@ -68,12 +68,15 @@
 //! created their stdio, there is nothing to authenticate — but the
 //! spec-hash exchange is identical.
 //!
-//! **Plan shipping.** `Init` and `Shard` carry the coordinator's
-//! accumulated set of solved SNIP-OPT plans (only entries the receiving
-//! worker has not been sent yet), and `ShardDone` returns plans the
-//! worker solved itself plus how many solves its seeded entries answered
-//! — so a same-profile fleet solves each plan once globally, and the
-//! cross-worker reuse is observable in `DriverStats::plan_seed_hits`.
+//! **Reserved plan fields.** Earlier builds shipped solved SNIP-OPT plans
+//! between processes in `Init.plans`, `Shard.plans`, `ShardDone.plans`
+//! and `ShardDone.seeded_hits`. Each worker now solves its own plans: a
+//! plan is a pure function of its inputs, one solve costs tens of
+//! microseconds, and the shipping saved at most one solve per worker and
+//! distinct plan. The fields stay in the message shapes, so the bytes and
+//! [`PROTOCOL_VERSION`] 5 do not change: this build always sends them
+//! empty (or zero), and decodes and ignores whatever a peer sends in
+//! them. The next protocol bump removes them, with `Init.session`.
 //!
 //! Results carry full exact-ledger [`RunMetrics`] (the journal codec's
 //! integer-µs shape), never floats-of-floats, so the coordinator's merge
@@ -112,10 +115,9 @@ pub mod explore;
 ///   that shape.
 pub const PROTOCOL_VERSION: u32 = 5;
 
-/// One solved SNIP-OPT plan under its exact cache key, as shipped between
-/// processes. The key is the solver's own bit-exact composite (model +
-/// profile JSON + raw scalar bits), opaque to the protocol; both sides
-/// compute keys with the same code version, which the handshake enforces.
+/// One solved SNIP-OPT plan under its exact cache key: the element type
+/// of the reserved `plans` fields (see the module docs). This build sends
+/// none and ignores any it receives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanEntry {
     /// The plan cache key ([`snip_opt::solve_cached`]'s exact-input key).
@@ -148,9 +150,9 @@ pub struct ShardResult {
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordinatorMsg {
-    /// The handshake: protocol version plus the complete job spec, its
-    /// digest, and every plan the coordinator has accumulated so far.
-    /// Encoded once per run and shipped to every fresh peer verbatim.
+    /// The handshake: protocol version plus the complete job spec and its
+    /// digest. Encoded once per run and shipped to every fresh peer
+    /// verbatim.
     Init {
         /// [`PROTOCOL_VERSION`] of the coordinator.
         protocol: u32,
@@ -165,7 +167,7 @@ pub enum CoordinatorMsg {
         /// the message shape, and with it [`PROTOCOL_VERSION`], stays
         /// unchanged.
         session: u64,
-        /// Warm SNIP-OPT plans to seed the worker's cache with.
+        /// Reserved: always empty, ignored on receipt.
         plans: Vec<PlanEntry>,
     },
     /// Assigns the per-peer session id right after `Init`. A worker whose
@@ -188,7 +190,7 @@ pub enum CoordinatorMsg {
     Shard {
         /// The assigned shards, at least one, at most `--shard-batch`.
         jobs: Vec<ShardJob>,
-        /// Plans accumulated since this worker was last sent any.
+        /// Reserved: always empty, ignored on receipt.
         plans: Vec<PlanEntry>,
     },
     /// No more work; the worker exits cleanly.
@@ -224,16 +226,14 @@ pub enum WorkerMsg {
         spec_hash: u64,
     },
     /// A completed batch: exactly one result per assigned shard (each
-    /// with one exact-ledger metrics entry per job, in job order), plus
-    /// the worker's newly solved plans.
+    /// with one exact-ledger metrics entry per job, in job order).
     ShardDone {
         /// One result per shard of the answered batch, in assignment
         /// order.
         results: Vec<ShardResult>,
-        /// Plans this worker solved that it has not reported before.
+        /// Reserved: always empty, ignored on receipt.
         plans: Vec<PlanEntry>,
-        /// Solves during this batch answered by coordinator-seeded plans
-        /// (cross-worker cache hits).
+        /// Reserved: always zero, ignored on receipt.
         seeded_hits: u64,
     },
 }

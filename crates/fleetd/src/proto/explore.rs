@@ -29,7 +29,7 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::coordinator::{DriverStats, MAX_PREAUTH_PEERS};
-use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, SessionEntry, Shard};
+use crate::run_core::{Admit, Deal, PeerCore, PeerPhase, Reply, RunCore, Shard};
 use crate::worker::{Heard, Phase, Step, WorkerCore, WorkerSummary};
 
 /// The fewest distinct states the default bounds must explore. It is the
@@ -439,7 +439,7 @@ fn deliver_to_peer(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> 
     let in_grammar = match msg {
         Msg::Join(resume) => match peer.join(core, resume) {
             Some(Admit::Fresh(sid)) => Some(Msg::Init(sid)),
-            Some(Admit::Resumed(sid, _)) => Some(Msg::Resumed(sid)),
+            Some(Admit::Resumed(sid)) => Some(Msg::Resumed(sid)),
             None => None,
         }
         .map(|reply| w.c2w.push_back(reply))
@@ -478,7 +478,7 @@ fn deliver_to_peer(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> 
 fn sever(next: &mut St, wi: usize) {
     let w = &mut next.workers[wi];
     if let Some(peer) = w.peer.take() {
-        peer.lost(&mut next.core, SessionEntry::default());
+        peer.lost(&mut next.core);
         next.core.peer_left(Duration::ZERO);
     }
     // The worker process survives a connection loss and finishes its

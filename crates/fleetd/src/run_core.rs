@@ -55,15 +55,6 @@ impl Shard {
     }
 }
 
-/// What the coordinator remembers about a dropped worker so a redial can
-/// resume the session: the plan-shipping bookkeeping, which would
-/// otherwise re-ship every plan the worker already holds.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub(crate) struct SessionEntry {
-    pub(crate) shipped: BTreeSet<String>,
-    pub(crate) seen_generation: u64,
-}
-
 /// The answer to a peer asking for work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Deal {
@@ -98,9 +89,9 @@ pub(crate) struct RunCore<T> {
     results: Vec<Option<Vec<T>>>,
     /// The batch each live peer is computing, keyed by peer ordinal.
     inflight: BTreeMap<usize, Vec<u64>>,
-    /// Dropped workers' resumable sessions. An entry is taken when its
-    /// worker redials; live peers have no entry.
-    sessions: BTreeMap<u64, SessionEntry>,
+    /// Dropped workers' resumable session ids. An id is taken when its
+    /// worker redials; live peers have none here.
+    sessions: BTreeSet<u64>,
     next_session: u64,
     aborted: bool,
     /// Accepted TCP connections not yet closed.
@@ -138,7 +129,7 @@ impl<T> RunCore<T> {
             results,
             stats,
             inflight: BTreeMap::new(),
-            sessions: BTreeMap::new(),
+            sessions: BTreeSet::new(),
             next_session: 1,
             aborted: false,
             active_peers: 0,
@@ -374,9 +365,8 @@ pub(crate) enum PeerPhase {
 pub(crate) enum Admit {
     /// A new session: send `Init` and `Session`.
     Fresh(u64),
-    /// A session this run still knows: send `Resumed`. Carries what the
-    /// coordinator remembered of it.
-    Resumed(u64, SessionEntry),
+    /// A session this run still knows: send `Resumed`.
+    Resumed(u64),
 }
 
 /// The coordinator's side of one connection, acting on the run's
@@ -419,12 +409,12 @@ impl PeerCore {
         if self.dialed {
             run.peer_authenticated();
         }
-        let known = resume.and_then(|sid| Some((sid, run.sessions.remove(&sid)?)));
+        let known = resume.filter(|sid| run.sessions.remove(sid));
         Some(match known {
-            Some((sid, entry)) => {
+            Some(sid) => {
                 run.stats.reconnects += 1;
                 self.phase = PeerPhase::AwaitResume(sid);
-                Admit::Resumed(sid, entry)
+                Admit::Resumed(sid)
             }
             None => {
                 let sid = run.next_session;
@@ -488,9 +478,9 @@ impl PeerCore {
     /// spawned pipe worker that fails to start or to shake hands was
     /// still one of ours — except a joiner still shaking hands when the
     /// run finished. A peer that had resumed or been admitted hands its
-    /// unmerged batch back ([`RunCore::sever`]) and keeps its session,
-    /// with `entry`, resumable.
-    pub(crate) fn lost<T>(self, run: &mut RunCore<T>, entry: SessionEntry) {
+    /// unmerged batch back ([`RunCore::sever`]) and keeps its session
+    /// resumable.
+    pub(crate) fn lost<T>(self, run: &mut RunCore<T>) {
         match self.phase {
             PeerPhase::AwaitJoin if self.dialed => {
                 run.stats.peers_rejected += 1;
@@ -502,7 +492,7 @@ impl PeerCore {
             PeerPhase::AwaitResume(sid) | PeerPhase::Dealing(sid) | PeerPhase::Serving(sid) => {
                 run.stats.workers_lost += 1;
                 run.sever(self.peer);
-                run.sessions.insert(sid, entry);
+                run.sessions.insert(sid);
             }
         }
     }
@@ -600,11 +590,11 @@ mod tests {
     fn join_resumes_a_known_session_and_admits_anything_else_fresh() {
         let mut core = core(2, &[]);
         let (peer, sid) = dealing(&mut core, 0);
-        peer.lost(&mut core, SessionEntry::default());
+        peer.lost(&mut core);
         for (resume, resumed) in [(None, false), (Some(99), false), (Some(sid), true)] {
             let mut peer = PeerCore::new(1, false);
             match peer.join(&mut core, resume) {
-                Some(Admit::Resumed(id, _)) => assert!(resumed && id == sid),
+                Some(Admit::Resumed(id)) => assert!(resumed && id == sid),
                 Some(Admit::Fresh(id)) => assert!(!resumed && id > sid, "a new id"),
                 None => panic!("a new peer joins"),
             }
@@ -629,7 +619,7 @@ mod tests {
         // A reply to a batch never dealt breaks protocol: the IO severs.
         let reply = peer.done(&mut core, done(&[2]), T, &mut |_, _| {});
         assert_eq!(reply, Reply::Invalid);
-        peer.lost(&mut core, SessionEntry::default());
+        peer.lost(&mut core);
         assert_eq!(core.queue, [2, 1], "the owed batch is requeued");
         assert!(!core.holds(0));
         assert_eq!(core.violation(1), None);
@@ -642,12 +632,12 @@ mod tests {
         assert_eq!(ids(peer.deal(&mut core, 2)), [0, 1]);
         // Shard 0 merges through another delivery meanwhile.
         core.shard_done(None, done(&[0]), T, &mut |_, _| {});
-        peer.lost(&mut core, SessionEntry::default());
+        peer.lost(&mut core);
         assert_eq!(core.queue, [2, 1], "only the unmerged remainder");
         assert_eq!(core.stats.workers_lost, 1);
         let mut again = PeerCore::new(1, false);
         let admit = again.join(&mut core, Some(sid));
-        assert!(matches!(admit, Some(Admit::Resumed(id, _)) if id == sid));
+        assert!(matches!(admit, Some(Admit::Resumed(id)) if id == sid));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! of a coordinator-spawned re-exec, or a TCP socket it dialed with
 //! `snip fleet-worker --connect ADDR --token-file F`. It receives the
 //! spec once (verifying the coordinator's spec hash against the spec it
-//! actually decoded), seeds its SNIP-OPT plan cache with whatever the
-//! coordinator has accumulated, then serves shard batches until
+//! actually decoded), then serves shard batches until
 //! `Shutdown` (or EOF — a vanished coordinator is a clean stop, not a
 //! crash: the coordinator owns failure handling, the worker just
 //! computes). All simulation happens through [`JobRunner::run_job`], the
@@ -29,7 +28,6 @@
 //! instead, and the worker starts over cleanly. Pipe workers never
 //! reconnect: their transport *is* their parent process.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
@@ -37,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use snip_replay::frame::FrameError;
 
-use crate::proto::{CoordinatorMsg, PlanEntry, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
+use crate::proto::{CoordinatorMsg, ShardJob, ShardResult, WorkerMsg, PROTOCOL_VERSION};
 use crate::spec::{FleetSpec, JobRunner};
 use crate::transport::{decode_msg, send_msg, RecvError, StreamTransport, TcpTransport, Transport};
 
@@ -315,30 +313,13 @@ fn fail(msg: String) -> Step {
 struct Job {
     runner: JobRunner,
     spec_hash: u64,
-    /// Plan keys already known to the coordinator — never reported back.
-    reported: BTreeSet<String>,
 }
 
 impl Job {
-    /// The job a checked `Init` carries, its plans seeded.
-    fn new(spec: &FleetSpec, spec_hash: u64, plans: &[PlanEntry]) -> Job {
-        seed_plans(plans);
-        Job {
-            runner: JobRunner::new(spec),
-            spec_hash,
-            // Plans already known to the coordinator (everything it
-            // seeded plus everything in this process before the run) are
-            // never reported back.
-            reported: snip_opt::cached_plans()
-                .into_iter()
-                .map(|(key, _)| key)
-                .collect(),
-        }
-    }
-
     /// Computes a dealt batch into its `ShardDone`; a batch this job
-    /// cannot hold is a protocol error.
-    fn compute(&mut self, jobs: &[ShardJob], plans: &[PlanEntry]) -> Result<WorkerMsg, String> {
+    /// cannot hold is a protocol error. The reserved plan fields go out
+    /// empty: the worker solves its own SNIP-OPT plans.
+    fn compute(&self, jobs: &[ShardJob]) -> Result<WorkerMsg, String> {
         let job_count = self.runner.job_count();
         if jobs.is_empty() {
             return Err("empty shard batch".into());
@@ -350,10 +331,6 @@ impl Job {
                 "shard {id} range {start}..{end} is invalid for {job_count} jobs"
             ));
         }
-        seed_plans(plans);
-        self.reported
-            .extend(plans.iter().map(|entry| entry.key.clone()));
-        let seeded_before = snip_opt::plan_cache_stats().seeded_hits;
         let mut results = Vec::with_capacity(jobs.len());
         for ShardJob { id, start, end } in jobs {
             // snip-lint: allow(wall-clock): "shard compute-latency metric; observability only"
@@ -366,18 +343,10 @@ impl Job {
                 .observe(compute_start.elapsed());
             results.push(ShardResult { id: *id, metrics });
         }
-        let seeded_hits = snip_opt::plan_cache_stats().seeded_hits - seeded_before;
-        let new_plans: Vec<PlanEntry> =
-            snip_opt::cached_plans_where(|key| !self.reported.contains(key))
-                .into_iter()
-                .map(|(key, plan)| PlanEntry { key, plan })
-                .collect();
-        self.reported
-            .extend(new_plans.iter().map(|entry| entry.key.clone()));
         Ok(WorkerMsg::ShardDone {
             results,
-            plans: new_plans,
-            seeded_hits,
+            plans: Vec::new(),
+            seeded_hits: 0,
         })
     }
 }
@@ -403,12 +372,6 @@ fn check_init(protocol: u32, spec: &FleetSpec, spec_hash: u64) -> Result<(), Str
         ));
     }
     Ok(())
-}
-
-fn seed_plans(plans: &[PlanEntry]) {
-    for entry in plans {
-        snip_opt::seed_plan(entry.key.clone(), entry.plan.clone());
-    }
 }
 
 /// The one field of an `Init` every protocol version shares; decoding
@@ -479,13 +442,18 @@ fn serve_link(
         let sent = match core.heard(heard) {
             Step::Recv => Ok(()),
             Step::Ready => {
+                // Plans an older protocol-5 coordinator may still send in
+                // the reserved `plans` fields are ignored: each worker
+                // solves its own.
                 match &msg {
                     CoordinatorMsg::Init {
-                        spec,
-                        spec_hash,
-                        plans,
-                        ..
-                    } => *job = Some(Job::new(spec, *spec_hash, plans)),
+                        spec, spec_hash, ..
+                    } => {
+                        *job = Some(Job {
+                            runner: JobRunner::new(spec),
+                            spec_hash: *spec_hash,
+                        })
+                    }
                     _ => snip_obs::event!(
                         snip_obs::log::Level::Info,
                         "session resumed; nothing was in flight"
@@ -509,11 +477,11 @@ fn serve_link(
                 send_msg(transport, core.pending().expect("a re-send has a result"))
             }
             Step::Compute => {
-                let CoordinatorMsg::Shard { jobs, plans } = &msg else {
+                let CoordinatorMsg::Shard { jobs, .. } = &msg else {
                     unreachable!("only a Shard frame is computed")
                 };
-                let job = job.as_mut().expect("a session implies its job");
-                let done = match job.compute(jobs, plans) {
+                let job = job.as_ref().expect("a session implies its job");
+                let done = match job.compute(jobs) {
                     Ok(done) => done,
                     Err(e) => return fail(e),
                 };
@@ -642,6 +610,7 @@ fn dial(opts: &ConnectOptions, backoff: &mut Backoff) -> Result<TcpTransport, Wo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::PlanEntry;
     use crate::spec::{example_spec, FleetSpec, JobRunner};
     use snip_replay::frame::{FrameReader, FrameWriter};
     use snip_sim::RunMetrics;
@@ -780,6 +749,68 @@ mod tests {
                 let merged: Vec<RunMetrics> = results.into_iter().flat_map(|r| r.metrics).collect();
                 let reference: Vec<RunMetrics> = (0..4).map(|i| runner.run_job(i)).collect();
                 assert_eq!(merged, reference);
+            }
+            other => panic!("expected ShardDone, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shipped_plans_from_an_older_coordinator_are_ignored() {
+        // A protocol-5 coordinator of an earlier build ships solved plans
+        // in `Init` and `Shard`. This worker serves both frames, solves its
+        // own plans, and answers with the reserved fields empty.
+        let mut spec = small_spec();
+        if let crate::spec::JobSpec::Fleet { mechanism, .. } = &mut spec.job {
+            *mechanism = snip_sim::Mechanism::SnipOpt;
+        }
+        let plan = snip_opt::TwoStepOptimizer::new(
+            snip_model::SnipModel::default(),
+            snip_model::SlotProfile::roadside(),
+        )
+        .solve(86.4, 16.0);
+        let shipped = vec![PlanEntry {
+            key: "a|key|from|another|worker".into(),
+            plan,
+        }];
+        let script = coordinator_script(&[
+            CoordinatorMsg::Init {
+                protocol: PROTOCOL_VERSION,
+                spec: spec.clone(),
+                spec_hash: spec.spec_hash(),
+                session: 0,
+                plans: shipped.clone(),
+            },
+            CoordinatorMsg::Session { session: 1 },
+            CoordinatorMsg::Shard {
+                jobs: vec![ShardJob {
+                    id: 0,
+                    start: 0,
+                    end: 4,
+                }],
+                plans: shipped,
+            },
+            CoordinatorMsg::Shutdown,
+        ]);
+        let (summary, out) = run_scripted(script, 7);
+        assert_eq!(summary.unwrap(), WorkerSummary { shards: 1, jobs: 4 });
+
+        let mut replies = FrameReader::new(std::io::Cursor::new(out));
+        assert!(matches!(
+            replies.recv::<WorkerMsg>().unwrap(),
+            Some(WorkerMsg::Ready { .. })
+        ));
+        let runner = JobRunner::new(&spec);
+        let reference: Vec<RunMetrics> = (0..4).map(|i| runner.run_job(i)).collect();
+        match replies.recv::<WorkerMsg>().unwrap() {
+            Some(WorkerMsg::ShardDone {
+                results,
+                plans,
+                seeded_hits,
+            }) => {
+                assert_eq!(results.len(), 1);
+                assert_eq!(results[0].metrics, reference);
+                assert_eq!(plans, [], "the reserved plans field goes out empty");
+                assert_eq!(seeded_hits, 0);
             }
             other => panic!("expected ShardDone, got {other:?}"),
         }

@@ -107,3 +107,80 @@ fn hostile_snip_rh_headers_are_refused_before_replay() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hostile_sim_config_headers_are_refused_before_replay() {
+    let dir = std::env::temp_dir().join(format!("snip-cli-sim-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("run.jsonl");
+    let record = Command::new(SNIP_BIN)
+        .args(["record", "--scenario", "roadside", "--mechanism", "rh"])
+        .args(["--epochs", "1", "--seed", "42", "--out"])
+        .arg(&journal)
+        .output()
+        .expect("spawn snip");
+    assert!(record.status.success(), "{record:?}");
+    let text = std::fs::read_to_string(&journal).expect("read journal");
+    let (header, rest) = text.split_once('\n').expect("a header line");
+    // The run's `SimConfig` follows the scheduler, whose SNIP-RH config
+    // has an `epoch` and a `ton` of its own: edit only the former.
+    let at = header
+        .find(r#"}}},"config":{"#)
+        .expect("SimConfig in header");
+    let (scheduler, config) = header.split_at(at);
+
+    for (case, field, hostile, why) in [
+        (
+            "ton",
+            r#""ton":20000,"#,
+            r#""ton":0,"#,
+            "Ton must be positive",
+        ),
+        (
+            "epoch",
+            r#""epoch":86400000000,"#,
+            r#""epoch":0,"#,
+            "epoch must be positive",
+        ),
+        (
+            "epochs",
+            r#""epochs":1,"#,
+            r#""epochs":0,"#,
+            "at least one epoch",
+        ),
+        (
+            "decision-interval",
+            r#""decision_interval":60000000,"#,
+            r#""decision_interval":0,"#,
+            "decision interval must be positive",
+        ),
+        (
+            "beacon-loss",
+            r#""beacon_loss":0.0"#,
+            r#""beacon_loss":2.0"#,
+            "loss probability must be in [0, 1]",
+        ),
+        (
+            "data-rate",
+            r#""data_rate":0.00018518518518518518,"#,
+            r#""data_rate":-1.0,"#,
+            "data rate must be finite and non-negative",
+        ),
+    ] {
+        assert!(config.contains(field), "{case}: header changed shape");
+        let bad_header = format!("{scheduler}{}", config.replacen(field, hostile, 1));
+        let bad = dir.join(format!("{case}.jsonl"));
+        std::fs::write(&bad, format!("{bad_header}\n{rest}")).expect("write journal");
+        let out = Command::new(SNIP_BIN)
+            .arg("replay")
+            .arg(&bad)
+            .output()
+            .expect("spawn snip");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(stderr.contains("SimConfig"), "{case}: {stderr}");
+        assert!(stderr.contains(why), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

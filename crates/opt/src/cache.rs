@@ -15,14 +15,10 @@
 //! [`solve_cached`] is observationally equal to a fresh
 //! [`TwoStepOptimizer::solve`].
 //!
-//! The cache can also be **seeded** from outside the process
-//! ([`seed_plan`]): the fleet protocol ships plans solved by one worker to
-//! every other worker, so a same-profile fleet solves each distinct key
-//! once *globally* rather than once per process. Seeded entries are plans
-//! some process solved with the same code version (the fleet handshake
-//! refuses version skew), so a seeded hit is exactly as bit-faithful as a
-//! local one; [`plan_cache_stats`] counts them separately
-//! (`seeded`/`seeded_hits`) so cross-worker reuse is observable.
+//! Each process solves its own plans: a fleet worker fills its cache
+//! from the nodes it simulates and shares nothing with other workers. A
+//! miss costs one build plus one solve (tens of microseconds), so a key
+//! repeated across workers costs at most one solve per worker.
 //!
 //! Hit/miss counters are process-wide ([`plan_cache_stats`]). Storage is
 //! bounded ([`MAX_CACHED_PLANS`]): past the cap, solves still happen and
@@ -37,19 +33,9 @@ use snip_model::{SlotProfile, SnipModel};
 
 use crate::two_step::{OptPlan, TwoStepOptimizer};
 
-/// One stored plan plus where it came from.
-struct Entry {
-    plan: OptPlan,
-    /// `true` when the entry arrived via [`seed_plan`] rather than a local
-    /// solve — a plan some *other* process computed.
-    seeded: bool,
-}
-
-static CACHE: OnceLock<Mutex<BTreeMap<String, Entry>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<BTreeMap<String, OptPlan>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static SEEDED: AtomicU64 = AtomicU64::new(0);
-static SEEDED_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Upper bound on stored plans. Sweeps and same-profile fleets reuse a
 /// handful of keys; a heterogeneous 10⁵-node fleet could otherwise grow
@@ -58,7 +44,7 @@ static SEEDED_HITS: AtomicU64 = AtomicU64::new(0);
 /// just aren't stored.
 pub const MAX_CACHED_PLANS: usize = 4_096;
 
-fn cache() -> &'static Mutex<BTreeMap<String, Entry>> {
+fn cache() -> &'static Mutex<BTreeMap<String, OptPlan>> {
     CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -67,7 +53,6 @@ fn cache() -> &'static Mutex<BTreeMap<String, Entry>> {
 struct CacheMetrics {
     hits: &'static snip_obs::metrics::Counter,
     misses: &'static snip_obs::metrics::Counter,
-    seeded_hits: &'static snip_obs::metrics::Counter,
     solve_us: &'static snip_obs::metrics::Histogram,
 }
 
@@ -76,7 +61,6 @@ fn cache_metrics() -> &'static CacheMetrics {
     METRICS.get_or_init(|| CacheMetrics {
         hits: snip_obs::metrics::counter("snip_opt_plan_hits_total"),
         misses: snip_obs::metrics::counter("snip_opt_plan_misses_total"),
-        seeded_hits: snip_obs::metrics::counter("snip_opt_plan_seeded_hits_total"),
         solve_us: snip_obs::metrics::histogram("snip_opt_solve_us"),
     })
 }
@@ -84,17 +68,12 @@ fn cache_metrics() -> &'static CacheMetrics {
 /// Cache-effectiveness counters, cumulative for the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Solves answered from the cache (including seeded entries).
+    /// Solves answered from the cache.
     pub hits: u64,
     /// Solves that had to run the optimizer.
     pub misses: u64,
     /// Distinct plans currently stored.
     pub entries: usize,
-    /// Plans injected from outside the process ([`seed_plan`]).
-    pub seeded: u64,
-    /// Hits answered by a seeded entry — solves this process skipped
-    /// because another process had already done them.
-    pub seeded_hits: u64,
 }
 
 /// The process-wide plan-cache counters.
@@ -104,8 +83,6 @@ pub fn plan_cache_stats() -> PlanCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         entries: cache().lock().expect("plan cache poisoned").len(),
-        seeded: SEEDED.load(Ordering::Relaxed),
-        seeded_hits: SEEDED_HITS.load(Ordering::Relaxed),
     }
 }
 
@@ -120,43 +97,6 @@ fn key(model: &SnipModel, profile: &SlotProfile, phi_max: f64, zeta_target: f64)
         phi_max.to_bits(),
         zeta_target.to_bits()
     )
-}
-
-/// Injects an externally solved plan under its exact key (the fleet
-/// protocol's cross-worker warm-up). A key already present — solved
-/// locally or seeded earlier — is left untouched, so seeding can never
-/// shadow a local solve; past [`MAX_CACHED_PLANS`] the plan is dropped.
-pub fn seed_plan(key: impl Into<String>, plan: OptPlan) {
-    let mut map = cache().lock().expect("plan cache poisoned");
-    if map.len() >= MAX_CACHED_PLANS {
-        return;
-    }
-    if let std::collections::btree_map::Entry::Vacant(slot) = map.entry(key.into()) {
-        slot.insert(Entry { plan, seeded: true });
-        SEEDED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Every plan currently stored, with its key — what a fleet worker ships
-/// back to the coordinator. Seeded entries are included (the caller
-/// deduplicates against what it has already seen); order is unspecified.
-#[must_use]
-pub fn cached_plans() -> Vec<(String, OptPlan)> {
-    cached_plans_where(|_| true)
-}
-
-/// The stored plans whose key satisfies `keep`, cloned under the lock —
-/// so a caller tracking what it has already reported pays only for the
-/// (usually empty) delta instead of cloning the whole cache.
-#[must_use]
-pub fn cached_plans_where(keep: impl Fn(&str) -> bool) -> Vec<(String, OptPlan)> {
-    cache()
-        .lock()
-        .expect("plan cache poisoned")
-        .iter()
-        .filter(|(k, _)| keep(k))
-        .map(|(k, e)| (k.clone(), e.plan.clone()))
-        .collect()
 }
 
 /// [`TwoStepOptimizer::solve`] through the process-wide plan cache.
@@ -179,14 +119,10 @@ pub fn solve_cached(
 ) -> OptPlan {
     let key = key(&model, profile, phi_max, zeta_target);
     let metrics = cache_metrics();
-    if let Some(entry) = cache().lock().expect("plan cache poisoned").get(&key) {
+    if let Some(plan) = cache().lock().expect("plan cache poisoned").get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         metrics.hits.inc();
-        if entry.seeded {
-            SEEDED_HITS.fetch_add(1, Ordering::Relaxed);
-            metrics.seeded_hits.inc();
-        }
-        return entry.plan.clone();
+        return plan.clone();
     }
     // snip-lint: allow(wall-clock): "solve-latency observability metric; never feeds plan content"
     let solve_start = std::time::Instant::now();
@@ -196,13 +132,7 @@ pub fn solve_cached(
     metrics.misses.inc();
     let mut map = cache().lock().expect("plan cache poisoned");
     if map.len() < MAX_CACHED_PLANS {
-        map.insert(
-            key,
-            Entry {
-                plan: plan.clone(),
-                seeded: false,
-            },
-        );
+        map.insert(key, plan.clone());
     }
     plan
 }
@@ -291,44 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_plans_answer_solves_and_count_separately() {
-        let model = SnipModel::default();
-        let profile = SlotProfile::roadside();
-        // A key nothing else in this test binary solves (distinct bits).
-        let (phi_max, target) = (86.4 + 3e-9, 16.0 + 3e-9);
-        // A plan no solve for this key returns: if solve_cached answers with
-        // it, no local solve happened.
-        let solved = TwoStepOptimizer::new(model, profile.clone()).solve(phi_max, target);
-        let seeded = TwoStepOptimizer::new(model, profile.clone()).solve(phi_max, target * 1.5);
-        assert_ne!(seeded, solved);
-
-        let before = plan_cache_stats();
-        seed_plan(key(&model, &profile, phi_max, target), seeded.clone());
-        let got = solve_cached(model, &profile, phi_max, target);
-        assert_eq!(got, seeded, "a seeded entry answers without a solve");
-        let after = plan_cache_stats();
-        assert!(after.seeded > before.seeded, "the seed is counted");
-        assert!(
-            after.seeded_hits > before.seeded_hits,
-            "the hit is attributed to the seed"
-        );
-    }
-
-    #[test]
-    fn seeding_never_shadows_an_existing_entry() {
-        let model = SnipModel::default();
-        let profile = SlotProfile::roadside();
-        let (phi_max, target) = (86.4 + 5e-9, 16.0 + 5e-9);
-        let solved = solve_cached(model, &profile, phi_max, target);
-
-        // Seeding a *different* plan under the same key must be a no-op.
-        let other = TwoStepOptimizer::new(model, profile.clone()).solve(phi_max, target * 1.5);
-        seed_plan(key(&model, &profile, phi_max, target), other);
-        let again = solve_cached(model, &profile, phi_max, target);
-        assert_eq!(again, solved, "the locally solved plan wins");
-    }
-
-    #[test]
     fn solve_time_and_counters_land_in_the_metrics_registry() {
         let model = SnipModel::default();
         let profile = SlotProfile::roadside();
@@ -341,17 +233,5 @@ mod tests {
         assert!(solves_after > solves_before, "the miss must time its solve");
         assert!(snip_obs::metrics::counter_value("snip_opt_plan_misses_total") >= 1);
         assert!(snip_obs::metrics::counter_value("snip_opt_plan_hits_total") >= 1);
-    }
-
-    #[test]
-    fn cached_plans_lists_stored_entries_with_their_keys() {
-        let model = SnipModel::default();
-        let profile = SlotProfile::roadside();
-        let (phi_max, target) = (86.4 + 7e-9, 16.0 + 7e-9);
-        let plan = solve_cached(model, &profile, phi_max, target);
-        let k = key(&model, &profile, phi_max, target);
-        let listed = cached_plans();
-        let found = listed.iter().find(|(lk, _)| *lk == k);
-        assert_eq!(found.map(|(_, p)| p), Some(&plan));
     }
 }

@@ -47,9 +47,7 @@ pub mod simplex;
 pub mod two_step;
 
 pub use allocate::{Allocation, GreedyAllocator};
-pub use cache::{
-    cached_plans, cached_plans_where, plan_cache_stats, seed_plan, solve_cached, PlanCacheStats,
-};
+pub use cache::{plan_cache_stats, solve_cached, PlanCacheStats};
 pub use curve::CapacityCurve;
 pub use simplex::{LinearProgram, SimplexError, SimplexSolution};
 pub use two_step::{OptPlan, TwoStepOptimizer};

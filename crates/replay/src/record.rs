@@ -184,7 +184,6 @@ mod tests {
                     }
                     SimEvent::Upload { .. } => kinds[2] += 1,
                     SimEvent::EpochEnd { .. } => kinds[3] += 1,
-                    SimEvent::NodeStart { .. } => panic!("single-node run"),
                 }
             }
         }

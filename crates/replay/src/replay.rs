@@ -198,7 +198,9 @@ enum HeaderVersion {
 /// [`ReplayError::MissingHeader`] for an empty journal,
 /// [`ReplayError::Malformed`] or [`ReplayError::Journal`] when the first
 /// record is not a header, and a [`JournalError::Codec`] naming
-/// `SnipRhConfig` when a SNIP-RH header fails
+/// `SimConfig` when the run configuration fails
+/// [`SimConfig::check`](snip_sim::SimConfig::check), or `SnipRhConfig`
+/// when a SNIP-RH header fails
 /// [`SnipRhConfig::check`](snip_core::SnipRhConfig::check).
 pub fn read_header<R: BufRead>(
     reader: &mut JournalReader<R>,
@@ -213,6 +215,9 @@ pub fn read_header<R: BufRead>(
     }
     match JournalEvent::from_value(&record).map_err(JournalError::from)? {
         JournalEvent::Header(h) => {
+            h.config
+                .check()
+                .map_err(|why| JournalError::Codec(format!("header SimConfig: {why}")))?;
             if let SchedulerSpec::Rh { config } = &h.scheduler {
                 config.check().map_err(|why| {
                     JournalError::Codec(format!("header scheduler SnipRhConfig: {why}"))

@@ -188,7 +188,6 @@ proptest! {
 /// Flips something observable in any sim event variant.
 fn mutate(event: &mut SimEvent) {
     match event {
-        SimEvent::NodeStart { name } => name.push('!'),
         SimEvent::Decision(d) => {
             d.duty_cycle = match d.duty_cycle {
                 None => Some(DutyCycle::new(0.5).unwrap()),

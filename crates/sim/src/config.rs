@@ -59,9 +59,8 @@ impl SimConfig {
     /// Panics if `epochs` is zero.
     #[must_use]
     pub fn with_epochs(mut self, epochs: u64) -> Self {
-        assert!(epochs > 0, "must simulate at least one epoch");
         self.epochs = epochs;
-        self
+        self.checked()
     }
 
     /// Sets the data generation rate from a per-epoch capacity target in
@@ -69,12 +68,13 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `zeta_target` is negative.
+    /// Panics if `zeta_target` is negative, or if the rate it sets is not
+    /// finite.
     #[must_use]
     pub fn with_zeta_target_secs(mut self, zeta_target: f64) -> Self {
         assert!(zeta_target >= 0.0, "ζtarget must be non-negative");
         self.data_rate = zeta_target / self.epoch.as_secs_f64();
-        self
+        self.checked()
     }
 
     /// Sets the beacon-loss probability.
@@ -84,12 +84,8 @@ impl SimConfig {
     /// Panics if `p` is not in `[0, 1]`.
     #[must_use]
     pub fn with_beacon_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability must be in [0, 1]"
-        );
         self.beacon_loss = p;
-        self
+        self.checked()
     }
 
     /// Sets the idle decision interval.
@@ -99,9 +95,8 @@ impl SimConfig {
     /// Panics if `interval` is zero.
     #[must_use]
     pub fn with_decision_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "decision interval must be positive");
         self.decision_interval = interval;
-        self
+        self.checked()
     }
 
     /// Sets the beacon window `Ton`.
@@ -111,8 +106,45 @@ impl SimConfig {
     /// Panics if `ton` is zero.
     #[must_use]
     pub fn with_ton(mut self, ton: SimDuration) -> Self {
-        assert!(!ton.is_zero(), "Ton must be positive");
         self.ton = ton;
+        self.checked()
+    }
+
+    /// Checks what the builders assert: a positive `Ton`, epoch length and
+    /// decision interval, at least one epoch, a beacon-loss probability in
+    /// `[0, 1]` and a finite, non-negative data rate. A configuration read
+    /// from outside (a journal header) is checked here before it is run.
+    ///
+    /// # Errors
+    ///
+    /// Returns which requirement the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let fails = [
+            (self.ton.is_zero(), "Ton must be positive"),
+            (self.epoch.is_zero(), "epoch must be positive"),
+            (
+                self.decision_interval.is_zero(),
+                "decision interval must be positive",
+            ),
+            (self.epochs == 0, "must simulate at least one epoch"),
+            (
+                !(0.0..=1.0).contains(&self.beacon_loss),
+                "loss probability must be in [0, 1]",
+            ),
+            (
+                !(self.data_rate.is_finite() && self.data_rate >= 0.0),
+                "data rate must be finite and non-negative",
+            ),
+        ];
+        match fails.iter().find(|(failed, _)| *failed) {
+            Some((_, why)) => Err((*why).to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// `self`, panicking with [`SimConfig::check`]'s complaint if any.
+    fn checked(self) -> Self {
+        self.check().unwrap_or_else(|why| panic!("{why}"));
         self
     }
 
@@ -162,6 +194,31 @@ mod tests {
             .with_decision_interval(SimDuration::from_secs(30));
         assert_eq!(c.beacon_loss, 0.25);
         assert_eq!(c.ton, SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn check_names_each_broken_field() {
+        let ok = SimConfig::paper_defaults();
+        assert_eq!(ok.check(), Ok(()));
+        type Break = fn(&mut SimConfig);
+        let broken: [(Break, &str); 7] = [
+            (|c| c.ton = SimDuration::ZERO, "Ton"),
+            (|c| c.epoch = SimDuration::ZERO, "epoch must"),
+            (
+                |c| c.decision_interval = SimDuration::ZERO,
+                "decision interval",
+            ),
+            (|c| c.epochs = 0, "at least one epoch"),
+            (|c| c.beacon_loss = f64::NAN, "loss probability"),
+            (|c| c.data_rate = -1.0, "data rate"),
+            (|c| c.data_rate = f64::INFINITY, "data rate"),
+        ];
+        for (breaks, names) in broken {
+            let mut config = ok.clone();
+            breaks(&mut config);
+            let why = config.check().expect_err(names);
+            assert!(why.contains(names), "{why}");
+        }
     }
 
     #[test]

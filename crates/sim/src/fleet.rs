@@ -165,10 +165,10 @@ impl Fleet {
     }
 
     /// Runs node `i` alone and returns its full exact-ledger metrics —
-    /// the shard unit of a distributed fleet run. Uses the identical
-    /// per-node trace/seed derivation as [`Fleet::run`], so the metrics
-    /// are bit-for-bit the ones the sequential run would have produced,
-    /// no matter which process or host executes the node.
+    /// the shard unit of a distributed fleet run. [`Fleet::run`] runs
+    /// every node through it, so the metrics are bit-for-bit the ones the
+    /// sequential run produces, no matter which process or host executes
+    /// the node.
     ///
     /// # Panics
     ///
@@ -214,76 +214,17 @@ impl Fleet {
 
     /// Runs the fleet, building one scheduler per node via `make_scheduler`
     /// (which receives the node so it can read its profile and target).
-    pub fn run<S, F>(&self, make_scheduler: F) -> FleetReport
+    pub fn run<S, F>(&self, mut make_scheduler: F) -> FleetReport
     where
         S: ProbeScheduler,
         F: FnMut(&FleetNode) -> S,
     {
-        self.run_observed(make_scheduler, &mut crate::observe::NoopObserver)
-    }
-
-    /// [`Fleet::run`] with a recording hook: the observer sees one
-    /// [`SimEvent::NodeStart`] per node followed by that node's full event
-    /// stream, in fleet order — a whole deployment in one journal.
-    ///
-    /// If the observer returns [`ObserverFlow::Stop`] anywhere — at a
-    /// `NodeStart` or mid-node — the fleet aborts: the interrupted node's
-    /// partial metrics are *not* reported as an outcome, and no further
-    /// nodes run.
-    ///
-    /// [`ObserverFlow::Stop`]: crate::observe::ObserverFlow::Stop
-    pub fn run_observed<S, F, O>(&self, mut make_scheduler: F, observer: &mut O) -> FleetReport
-    where
-        S: ProbeScheduler,
-        F: FnMut(&FleetNode) -> S,
-        O: crate::observe::SimObserver + ?Sized,
-    {
-        use crate::observe::{ObserverFlow, SimEvent, SimObserver};
-
-        /// Passes events through while remembering whether the inner
-        /// observer asked to stop (a mid-node `Stop` makes the node's
-        /// simulation return early with partial metrics, which must not be
-        /// mistaken for a completed run).
-        struct StopTracking<'a, O: ?Sized> {
-            inner: &'a mut O,
-            stopped: bool,
+        let nodes = self.nodes.iter().enumerate();
+        FleetReport {
+            nodes: nodes
+                .map(|(i, node)| Self::node_outcome(node, &self.run_node(i, make_scheduler(node))))
+                .collect(),
         }
-
-        impl<O: SimObserver + ?Sized> SimObserver for StopTracking<'_, O> {
-            fn observe(&mut self, event: &SimEvent) -> ObserverFlow {
-                let flow = self.inner.observe(event);
-                if flow == ObserverFlow::Stop {
-                    self.stopped = true;
-                }
-                flow
-            }
-        }
-
-        let traces = self.traces();
-        let mut tracker = StopTracking {
-            inner: observer,
-            stopped: false,
-        };
-        let mut outcomes = Vec::with_capacity(self.nodes.len());
-        for (i, (node, trace)) in self.nodes.iter().zip(&traces).enumerate() {
-            tracker.observe(&SimEvent::NodeStart {
-                name: node.name.clone(),
-            });
-            if tracker.stopped {
-                break;
-            }
-            let config = self.config.clone().with_zeta_target_secs(node.zeta_target);
-            let mut sim = Simulation::new(config, trace, make_scheduler(node));
-            let metrics: RunMetrics = sim.run_observed(
-                &mut StdRng::seed_from_u64(self.node_sim_seed(i)),
-                &mut tracker,
-            );
-            if tracker.stopped {
-                break;
-            }
-            outcomes.push(Self::node_outcome(node, &metrics));
-        }
-        FleetReport { nodes: outcomes }
     }
 }
 
@@ -386,60 +327,5 @@ mod tests {
     #[should_panic(expected = "one metrics entry per fleet node")]
     fn short_metrics_list_rejected() {
         let _ = make_fleet().report_from_metrics(&[RunMetrics::with_epochs(7)]);
-    }
-
-    #[test]
-    fn mid_node_stop_aborts_the_fleet_without_a_partial_outcome() {
-        use crate::observe::{ObserverFlow, SimEvent, SimObserver};
-
-        /// Stops partway through the first node's event stream.
-        struct StopAfter {
-            remaining: u32,
-        }
-
-        impl SimObserver for StopAfter {
-            fn observe(&mut self, _event: &SimEvent) -> ObserverFlow {
-                if self.remaining == 0 {
-                    return ObserverFlow::Stop;
-                }
-                self.remaining -= 1;
-                ObserverFlow::Continue
-            }
-        }
-
-        // Stop after 100 events: inside node 0's run, well past NodeStart.
-        let report = make_fleet().run_observed(rh_for, &mut StopAfter { remaining: 100 });
-        assert!(
-            report.nodes.is_empty(),
-            "interrupted node must not report a truncated outcome: {:?}",
-            report.nodes
-        );
-
-        // Stopping exactly at the second NodeStart keeps node 0's full
-        // outcome and never runs node 1.
-        struct StopAtSecondNode {
-            node_starts: u32,
-        }
-
-        impl SimObserver for StopAtSecondNode {
-            fn observe(&mut self, event: &SimEvent) -> ObserverFlow {
-                if matches!(event, SimEvent::NodeStart { .. }) {
-                    self.node_starts += 1;
-                    if self.node_starts == 2 {
-                        return ObserverFlow::Stop;
-                    }
-                }
-                ObserverFlow::Continue
-            }
-        }
-
-        let report = make_fleet().run_observed(rh_for, &mut StopAtSecondNode { node_starts: 0 });
-        assert_eq!(report.nodes.len(), 1);
-        assert_eq!(report.nodes[0].name, "busy");
-        let full = make_fleet().run(rh_for);
-        assert_eq!(
-            report.nodes[0].zeta, full.nodes[0].zeta,
-            "the completed node's outcome must be the full-run outcome"
-        );
     }
 }

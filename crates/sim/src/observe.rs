@@ -30,11 +30,6 @@ use crate::metrics::EpochMetrics;
 /// its Φ.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SimEvent {
-    /// A fleet run switched to the named node (single-node runs emit none).
-    NodeStart {
-        /// The node's site name.
-        name: String,
-    },
     /// The scheduler's effective decision changed (an off duty-cycle counts
     /// as `None`). The first consultation of a run is always reported.
     Decision(DecisionRecord),
@@ -113,9 +108,10 @@ mod tests {
 
     #[test]
     fn noop_continues_and_collector_collects() {
-        let event = SimEvent::NodeStart {
-            name: "site".into(),
-        };
+        let event = SimEvent::Decision(DecisionRecord {
+            now: SimTime::from_secs(60),
+            duty_cycle: None,
+        });
         assert_eq!(NoopObserver.observe(&event), ObserverFlow::Continue);
         let mut c = CollectingObserver::default();
         assert_eq!(c.observe(&event), ObserverFlow::Continue);

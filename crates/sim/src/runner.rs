@@ -251,17 +251,6 @@ impl ScenarioRunner {
     /// Runs one mechanism at one target and returns the full metrics.
     #[must_use]
     pub fn run_one(&self, mechanism: Mechanism, zeta_target: f64) -> RunMetrics {
-        self.run_one_observed(mechanism, zeta_target, &mut crate::observe::NoopObserver)
-    }
-
-    /// [`ScenarioRunner::run_one`] with a recording hook (see
-    /// [`Simulation::run_observed`]).
-    pub fn run_one_observed<O: crate::observe::SimObserver + ?Sized>(
-        &self,
-        mechanism: Mechanism,
-        zeta_target: f64,
-        observer: &mut O,
-    ) -> RunMetrics {
         // Wall-clock only: the span and histogram never feed back into the
         // simulation, so instrumented runs stay bit-identical.
         let _span = snip_obs::span!("sweep-point {} ζt={zeta_target}", mechanism.label());
@@ -271,10 +260,7 @@ impl ScenarioRunner {
         let config = self.config.clone().with_zeta_target_secs(zeta_target);
         let scheduler = self.mechanism_scheduler(mechanism, zeta_target);
         let mut sim = Simulation::new(config, &trace, scheduler);
-        let metrics = sim.run_observed(
-            &mut StdRng::seed_from_u64(self.seed.wrapping_add(1)),
-            observer,
-        );
+        let metrics = sim.run(&mut StdRng::seed_from_u64(self.seed.wrapping_add(1)));
         point_metrics().0.observe(point_start.elapsed());
         point_metrics().1.inc();
         metrics
