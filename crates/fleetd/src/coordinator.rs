@@ -10,12 +10,12 @@
 //! queue for a healthy worker.
 //!
 //! **Shipped state machines.** Every decision of the run is made by the
-//! sans-IO [`RunCore`](crate::run_core::RunCore), and every decision about
-//! one connection by its [`PeerCore`](crate::run_core::PeerCore) acting on
-//! it; `snip check-proto` explores the same two types exhaustively. This
-//! module is their IO: one thread per peer receives a frame, hands it to
-//! its `PeerCore` under the one `Mutex<RunCore>`, and sends what comes
-//! back, waiting on one condvar when there is nothing to deal.
+//! sans-IO `RunCore`, and every decision about one connection by its
+//! `PeerCore` acting on it; `snip check-proto` explores the same two types
+//! exhaustively. This module is their IO: one thread per peer receives a
+//! frame, hands it to its `PeerCore` under the one `Mutex<RunCore>`, and
+//! sends what comes back, waiting on one condvar when there is nothing to
+//! deal.
 //!
 //! Two dispatch modes share every line of the drive loop:
 //!
@@ -45,8 +45,8 @@
 //! drops redials and resumes its session: each result of its in-flight
 //! `ShardDone` batch is accepted exactly once — the merge is idempotent
 //! by shard ordinal, duplicates are logged and dropped. A scriptable
-//! [`ChaosPlan`](crate::fault::ChaosPlan) can injure any peer's
-//! transport at exact frame ordinals to drill all of the above, and
+//! [`ChaosPlan`] can injure any peer's transport at exact frame ordinals
+//! to drill all of the above, and
 //! [`DriverError::Incomplete`] carries the completed shards next to the
 //! missing manifest so `--partial-ok` can salvage a wrecked run.
 

@@ -7,18 +7,18 @@
 //! journaled shard. This module enumerates the *entire* reachable state
 //! space of a small run within a fault budget and checks every state.
 //!
-//! Nothing here models the protocol. Each worker is the [`WorkerCore`]
+//! Nothing here models the protocol. Each worker is the `WorkerCore`
 //! its `snip fleet-worker` loop steps; each coordinator connection is the
-//! [`PeerCore`] `FleetDriver`'s peer threads step; all of them act on the
-//! run's one [`RunCore`] (deal, `ShardDone` validation and merge, requeue,
+//! `PeerCore` `FleetDriver`'s peer threads step; all of them act on the
+//! run's one `RunCore` (deal, `ShardDone` validation and merge, requeue,
 //! sessions, restart from the checkpointed set, idle give-up). Only the
-//! environment is modelled: the frames, abstracted to [`Msg`], two
+//! environment is modelled: the frames, abstracted to `Msg`, two
 //! bounded channels per worker, and faults — a sever seen by both ends
 //! at once (the chaos layer's `Sever`, `Truncate` and reorder-fatal
 //! outcomes), a duplicated `ShardDone`, a coordinator restart that keeps
 //! only the checkpoint journal, and a budget of dials per worker.
 //!
-//! Invariants hold in **every reachable state** ([`RunCore::violation`],
+//! Invariants hold in **every reachable state** (`RunCore::violation`,
 //! exactly-once journaling, batch ownership), no worker ever hears a
 //! frame out of grammar, and terminal reachability is checked by reverse
 //! closure over the explored graph, so a livelock is reported, not just
@@ -71,7 +71,7 @@ pub(super) struct WorkerSt {
     severs_left: u8,
 }
 
-/// The global state: the coordinator's [`RunCore`] plus its environment.
+/// The global state: the coordinator's `RunCore` plus its environment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(super) struct St {
     pub(super) core: RunCore<()>,
@@ -418,7 +418,7 @@ fn deliver_to_worker(w: &mut WorkerSt, msg: Msg) -> Result<(), Step> {
 }
 
 /// The coordinator thread for worker `wi` receives `msg` through its
-/// [`PeerCore`]. `None` when that thread is not reading (waiting in the
+/// `PeerCore`. `None` when that thread is not reading (waiting in the
 /// deal, or no connection).
 fn deliver_to_peer(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> Option<St> {
     let mut next = st.clone();
@@ -474,7 +474,7 @@ fn deliver_to_peer(st: &St, wi: usize, msg: Msg, report: &mut ExploreReport) -> 
 }
 
 /// Connection loss seen by both ends: the coordinator's thread ends
-/// through its [`PeerCore`], the worker's link through its core.
+/// through its `PeerCore`, the worker's link through its core.
 fn sever(next: &mut St, wi: usize) {
     let w = &mut next.workers[wi];
     if let Some(peer) = w.peer.take() {

@@ -464,6 +464,26 @@ mod tests {
     }
 
     #[test]
+    fn job_runner_nodes_share_their_spec_profiles_slots() {
+        let decoded = FleetSpec::from_json(&serde::json::to_string(&example_spec())).unwrap();
+        for spec in [example_spec(), decoded] {
+            let runner = JobRunner::new(&spec);
+            let (JobSpec::Fleet { nodes, .. }, Inner::Fleet { fleet }) = (&spec.job, &runner.inner)
+            else {
+                panic!("a fleet spec builds a fleet runner");
+            };
+            let JobSpec::Fleet { nodes: kept, .. } = &runner.spec().job else {
+                panic!("the runner keeps its fleet spec");
+            };
+            for ((node, kept), built) in nodes.iter().zip(kept).zip(fleet.nodes()) {
+                let slots = node.profile.slots().as_ptr();
+                assert!(std::ptr::eq(slots, kept.profile.slots().as_ptr()));
+                assert!(std::ptr::eq(slots, built.profile.slots().as_ptr()));
+            }
+        }
+    }
+
+    #[test]
     fn sweep_jobs_merge_to_the_sequential_sweep() {
         let spec = FleetSpec {
             name: "sweep-demo".into(),

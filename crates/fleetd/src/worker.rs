@@ -79,7 +79,7 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Seeded jittered exponential backoff for coordinator dials. Delays
-/// double from [`BACKOFF_BASE`] toward [`BACKOFF_CAP`], each drawn
+/// double from `BACKOFF_BASE` toward `BACKOFF_CAP`, each drawn
 /// uniformly from `[d/2, d]` by a private xorshift64 stream — so a fleet
 /// of workers restarting together fans out instead of thundering back in
 /// lockstep, while any single worker's schedule is reproducible from its

@@ -1,8 +1,8 @@
 //! How `snip` ends when its input or its output goes wrong: quietly when
 //! the reader of its stdout has gone away, with status 2, before any
 //! worker starts, when a spec carries a distribution no constructor would
-//! build, and with status 2 when a journal header carries a SNIP-RH
-//! configuration `SnipRh::new` would refuse.
+//! build, and with status 2 when a journal header carries a run or
+//! scheduler configuration its constructor would refuse.
 
 use std::process::{Command, Stdio};
 
@@ -104,6 +104,77 @@ fn hostile_snip_rh_headers_are_refused_before_replay() {
         assert!(stderr.contains("SnipRhConfig"), "{case}: {stderr}");
         assert!(stderr.contains(why), "{case}: {stderr}");
         assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_snip_at_and_snip_opt_headers_are_refused_before_replay() {
+    let dir = std::env::temp_dir().join(format!("snip-cli-at-opt-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (mechanism, field, cases) in [
+        (
+            "at",
+            r#""duty_cycle":0.001"#,
+            [
+                (
+                    r#""duty_cycle":2.0"#,
+                    "DutyCycle",
+                    "finite fraction in [0, 1]",
+                ),
+                (
+                    r#""duty_cycle":-0.5"#,
+                    "DutyCycle",
+                    "finite fraction in [0, 1]",
+                ),
+            ],
+        ),
+        (
+            "opt",
+            r#""phi_max_secs":86.4,"zeta_target":16.0"#,
+            [
+                (
+                    r#""phi_max_secs":-1.0,"zeta_target":16.0"#,
+                    "SchedulerSpec::Opt",
+                    "Φmax must be positive",
+                ),
+                (
+                    r#""phi_max_secs":86.4,"zeta_target":-3.0"#,
+                    "SchedulerSpec::Opt",
+                    "ζtarget must be positive",
+                ),
+            ],
+        ),
+    ] {
+        let journal = dir.join(format!("{mechanism}.jsonl"));
+        let record = Command::new(SNIP_BIN)
+            .args(["record", "--scenario", "roadside", "--mechanism", mechanism])
+            .args(["--epochs", "1", "--seed", "42", "--out"])
+            .arg(&journal)
+            .output()
+            .expect("spawn snip");
+        assert!(record.status.success(), "{record:?}");
+        let text = std::fs::read_to_string(&journal).expect("read journal");
+        let (header, rest) = text.split_once('\n').expect("a header line");
+        assert!(header.contains(field), "{mechanism}: header changed shape");
+
+        for (k, (hostile, ty, why)) in cases.into_iter().enumerate() {
+            let case = format!("{mechanism}-{k}");
+            let bad = dir.join(format!("{case}.jsonl"));
+            let bad_header = header.replacen(field, hostile, 1);
+            std::fs::write(&bad, format!("{bad_header}\n{rest}")).expect("write journal");
+            let out = Command::new(SNIP_BIN)
+                .arg("replay")
+                .arg(&bad)
+                .output()
+                .expect("spawn snip");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+            assert!(stderr.contains("codec error"), "{case}: {stderr}");
+            assert!(stderr.contains(ty), "{case}: {stderr}");
+            assert!(stderr.contains(why), "{case}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,8 @@
 //! generation and be projected down to the model crate's
 //! [`snip_model::SlotProfile`] for closed-form analysis.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use serde::{Decoder, Deserialize, Encoder, Serialize};
 use snip_model::{LengthDistribution, SlotProfile, SlotSpec};
@@ -63,10 +65,15 @@ pub struct ProfileSlot {
 /// slots in first-use order, and one position in `distinct` per slot. A
 /// roadside profile's 24 slots are two distinct ones, so it travels as two
 /// slot processes and 24 small integers.
+///
+/// In memory a profile holds its slots as one shared array, built once by
+/// [`EpochProfile::new`] or by decoding and never changed after. A clone
+/// shares that array: it costs a reference-count bump, not a copy of the
+/// slots, so a fleet spec and every copy of it hold each profile once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochProfile {
     slot_length: SimDuration,
-    slots: Vec<ProfileSlot>,
+    slots: Arc<[ProfileSlot]>,
 }
 
 impl EpochProfile {
@@ -79,7 +86,10 @@ impl EpochProfile {
     pub fn new(slot_length: SimDuration, slots: Vec<ProfileSlot>) -> Self {
         assert!(!slots.is_empty(), "a profile needs at least one slot");
         assert!(!slot_length.is_zero(), "slot length must be positive");
-        EpochProfile { slot_length, slots }
+        EpochProfile {
+            slot_length,
+            slots: slots.into(),
+        }
     }
 
     /// The paper's §VII roadside scenario with the simulation's randomness:
@@ -278,7 +288,7 @@ impl EpochProfile {
     pub fn mean_contact_length(&self) -> SimDuration {
         let mut weight = 0.0;
         let mut total = 0.0;
-        for s in &self.slots {
+        for s in self.slots.iter() {
             if let Some(a) = &s.arrivals {
                 let f = a.frequency();
                 weight += f;
@@ -297,7 +307,7 @@ impl Serialize for EpochProfile {
     fn encode<E: Encoder>(&self, e: &mut E) {
         let mut distinct: Vec<&ProfileSlot> = Vec::new();
         let mut index = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             let at = distinct.iter().position(|&d| d == slot).unwrap_or_else(|| {
                 distinct.push(slot);
                 distinct.len() - 1
@@ -538,6 +548,11 @@ mod tests {
             assert_eq!(from_bytes, p);
             assert_eq!(serde::cbor::to_vec(&from_bytes), bytes);
 
+            // A decoded copy encodes as the built profile does in either
+            // format, whichever format it was decoded from.
+            assert_eq!(serde::cbor::to_vec(&from_text), bytes);
+            assert_eq!(serde::json::to_string(&from_bytes), text);
+
             let tree = p.to_value();
             let from_tree = EpochProfile::from_value(&tree).unwrap();
             assert_eq!(from_tree, p);
@@ -569,6 +584,20 @@ mod tests {
                 r#""index":[0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,1,1,0,0,0,0,0]}"#,
             )
         );
+    }
+
+    #[test]
+    fn a_clone_shares_the_slots_it_was_cloned_from() {
+        let shares = |a: &EpochProfile, b: &EpochProfile| {
+            std::ptr::eq(a.slots().as_ptr(), b.slots().as_ptr())
+        };
+        for built in every_constructor() {
+            let clone = built.clone();
+            assert!(shares(&built, &clone));
+            let decoded: EpochProfile = serde::cbor::decode(&serde::cbor::to_vec(&built)).unwrap();
+            assert!(!shares(&built, &decoded), "decoding builds its own slots");
+            assert!(shares(&decoded, &decoded.clone()));
+        }
     }
 
     /// Wire text of one-hour slots: `distinct` lists `OFF` and `RUSH`

@@ -83,6 +83,38 @@ impl SchedulerSpec {
         }
     }
 
+    /// The first field no constructor of the scheduler would accept, named
+    /// with its type, if any: a SNIP-RH configuration [`SnipRh::new`]
+    /// refuses, or a SNIP-OPT budget or target that is not finite and
+    /// positive. A SNIP-AT duty-cycle is checked when it is decoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns the type and the complaint, as `"Type: why"`.
+    pub fn check(&self) -> Result<(), String> {
+        match self {
+            SchedulerSpec::At { .. } => Ok(()),
+            SchedulerSpec::Rh { config } => {
+                config.check().map_err(|why| format!("SnipRhConfig: {why}"))
+            }
+            SchedulerSpec::Opt {
+                phi_max_secs,
+                zeta_target,
+                ..
+            } => {
+                for (value, why) in [
+                    (phi_max_secs, "Φmax must be positive"),
+                    (zeta_target, "ζtarget must be positive"),
+                ] {
+                    if !(value.is_finite() && *value > 0.0) {
+                        return Err(format!("SchedulerSpec::Opt: {why}, got {value}"));
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Reconstructs the scheduler exactly as recorded.
     #[must_use]
     pub fn build(&self, config: &SimConfig) -> Box<dyn ProbeScheduler> {
@@ -202,6 +234,43 @@ mod tests {
         for spec in specs {
             let scheduler = spec.build(&config);
             assert_eq!(scheduler.name(), spec.label());
+        }
+    }
+
+    #[test]
+    fn check_names_the_scheduler_type_and_the_field() {
+        let opt = |phi_max_secs, zeta_target| SchedulerSpec::Opt {
+            profile: EpochProfile::roadside(),
+            phi_max_secs,
+            zeta_target,
+        };
+        assert_eq!(opt(864.0, 16.0).check(), Ok(()));
+        for (spec, why) in [
+            (opt(-1.0, 16.0), "SchedulerSpec::Opt: Φmax must be positive"),
+            (
+                opt(f64::NAN, 16.0),
+                "SchedulerSpec::Opt: Φmax must be positive",
+            ),
+            (
+                opt(864.0, 0.0),
+                "SchedulerSpec::Opt: ζtarget must be positive",
+            ),
+            (
+                opt(864.0, f64::INFINITY),
+                "SchedulerSpec::Opt: ζtarget must be positive",
+            ),
+            (
+                SchedulerSpec::Rh {
+                    config: SnipRhConfig {
+                        ewma_weight: 7.5,
+                        ..SnipRhConfig::paper_defaults(vec![true; 24])
+                    },
+                },
+                "SnipRhConfig: EWMA weight",
+            ),
+        ] {
+            let err = spec.check().expect_err(why);
+            assert!(err.starts_with(why), "{err}");
         }
     }
 

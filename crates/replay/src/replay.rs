@@ -199,9 +199,8 @@ enum HeaderVersion {
 /// [`ReplayError::Malformed`] or [`ReplayError::Journal`] when the first
 /// record is not a header, and a [`JournalError::Codec`] naming
 /// `SimConfig` when the run configuration fails
-/// [`SimConfig::check`](snip_sim::SimConfig::check), or `SnipRhConfig`
-/// when a SNIP-RH header fails
-/// [`SnipRhConfig::check`](snip_core::SnipRhConfig::check).
+/// [`SimConfig::check`](snip_sim::SimConfig::check), or the scheduler's
+/// type when it fails [`SchedulerSpec::check`].
 pub fn read_header<R: BufRead>(
     reader: &mut JournalReader<R>,
 ) -> Result<JournalHeader, ReplayError> {
@@ -218,11 +217,9 @@ pub fn read_header<R: BufRead>(
             h.config
                 .check()
                 .map_err(|why| JournalError::Codec(format!("header SimConfig: {why}")))?;
-            if let SchedulerSpec::Rh { config } = &h.scheduler {
-                config.check().map_err(|why| {
-                    JournalError::Codec(format!("header scheduler SnipRhConfig: {why}"))
-                })?;
-            }
+            h.scheduler
+                .check()
+                .map_err(|why| JournalError::Codec(format!("header scheduler {why}")))?;
             Ok(h)
         }
         other => Err(ReplayError::Malformed(format!(

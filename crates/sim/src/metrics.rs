@@ -230,7 +230,7 @@ impl RunMetrics {
     }
 
     /// Charges that named a slot index out of range (see
-    /// [`RunMetrics::charge_slot_phi`]); always zero for a correct driver.
+    /// `RunMetrics::charge_slot_phi`); always zero for a correct driver.
     #[must_use]
     pub fn out_of_range_slot_charges(&self) -> u64 {
         self.out_of_range_slot_charges

@@ -10,7 +10,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::{Div, Mul};
 
-use serde::{Deserialize, Serialize};
+use serde::{Decoder, Deserialize, Serialize};
 
 use crate::SimDuration;
 
@@ -55,9 +55,18 @@ impl Error for DutyCycleError {}
 /// assert!((d.as_fraction() - 0.01).abs() < 1e-12);
 /// assert_eq!(d.cycle_for_on(SimDuration::from_millis(20)), SimDuration::from_secs(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+///
+/// It travels as the bare fraction, and decodes through [`DutyCycle::new`]:
+/// a fraction outside `[0, 1]` is a decode error naming `DutyCycle`.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 #[serde(transparent)]
 pub struct DutyCycle(f64);
+
+impl Deserialize for DutyCycle {
+    fn decode<'de, D: Decoder<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        DutyCycle::new(f64::decode(d)?).map_err(|e| serde::Error::custom(format!("DutyCycle: {e}")))
+    }
+}
 
 impl DutyCycle {
     /// The radio is never on.
@@ -212,6 +221,22 @@ mod tests {
                 assert_eq!(err.value(), bad);
             }
             assert!(err.to_string().contains("duty-cycle"));
+        }
+    }
+
+    #[test]
+    fn decode_refuses_what_new_refuses() {
+        let back: DutyCycle =
+            serde::json::decode(&serde::json::to_string(&DutyCycle::ALWAYS_ON)).expect("in range");
+        assert_eq!(back, DutyCycle::ALWAYS_ON);
+        for bad in ["2.0", "-0.5", "1.0000001"] {
+            let err = serde::json::decode::<DutyCycle>(bad)
+                .expect_err(bad)
+                .to_string();
+            assert!(
+                err.contains("DutyCycle") && err.contains("[0, 1]"),
+                "{bad}: {err}"
+            );
         }
     }
 
