@@ -27,6 +27,7 @@ use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Serialize;
 
 use snip_core::SnipAt;
 use snip_fleetd::{example_spec, FleetDriver, FleetOutput, FleetSpec};
@@ -820,38 +821,39 @@ fn fleet_output_json(output: &FleetOutput) -> String {
     text
 }
 
-/// Renders the explicit partial-run manifest written by `--partial-ok`:
-/// what finished, what is missing, and how many workers were lost —
+/// The explicit partial-run manifest written by `--partial-ok`: what
+/// finished, what is missing, and how many workers were lost —
 /// everything an operator needs to decide between `--resume` and a rerun.
+#[derive(Serialize)]
+struct PartialManifest {
+    incomplete: bool,
+    missing_shards: Vec<u64>,
+    workers_lost: u64,
+    completed_shards: Vec<CompletedShard>,
+}
+
+/// One finished shard of a [`PartialManifest`].
+#[derive(Serialize)]
+struct CompletedShard {
+    shard: u64,
+    metrics: Vec<RunMetrics>,
+}
+
+/// Renders the [`PartialManifest`] of an incomplete run as JSON.
 fn partial_manifest_json(
-    missing: &[u64],
+    missing: Vec<u64>,
     workers_lost: usize,
-    completed: &[(u64, Vec<snip_sim::RunMetrics>)],
+    completed: Vec<(u64, Vec<RunMetrics>)>,
 ) -> String {
-    use serde::{Serialize as _, Value};
-    let completed_val = Value::Seq(
-        completed
-            .iter()
-            .map(|(shard, metrics)| {
-                Value::Map(vec![
-                    ("shard".into(), Value::U64(*shard)),
-                    (
-                        "metrics".into(),
-                        Value::Seq(metrics.iter().map(|m| m.to_value()).collect()),
-                    ),
-                ])
-            })
+    let manifest = PartialManifest {
+        incomplete: true,
+        missing_shards: missing,
+        workers_lost: workers_lost as u64,
+        completed_shards: completed
+            .into_iter()
+            .map(|(shard, metrics)| CompletedShard { shard, metrics })
             .collect(),
-    );
-    let manifest = Value::Map(vec![
-        ("incomplete".into(), Value::Bool(true)),
-        (
-            "missing_shards".into(),
-            Value::Seq(missing.iter().map(|id| Value::U64(*id)).collect()),
-        ),
-        ("workers_lost".into(), Value::U64(workers_lost as u64)),
-        ("completed_shards".into(), completed_val),
-    ]);
+    };
     let mut text = serde::json::to_string(&manifest);
     text.push('\n');
     text
@@ -888,11 +890,8 @@ fn run_fleet_driver(
                     .join(",")
             );
             if let Some(out) = &opts.out {
-                std::fs::write(
-                    out,
-                    partial_manifest_json(&missing, workers_lost, &completed),
-                )
-                .map_err(fatal)?;
+                std::fs::write(out, partial_manifest_json(missing, workers_lost, completed))
+                    .map_err(fatal)?;
                 outln!("wrote partial manifest to {}", out.display());
             }
             return Ok(ExitCode::FAILURE);
@@ -1577,4 +1576,39 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
     } else {
         ExitCode::from(1)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partial_manifest_json_is_pinned() {
+        let completed = vec![
+            (0, vec![RunMetrics::with_epochs_and_slots(1, 2)]),
+            (
+                2,
+                vec![
+                    RunMetrics::with_epochs_and_slots(0, 1),
+                    RunMetrics::with_epochs_and_slots(0, 0),
+                ],
+            ),
+        ];
+        let epoch = concat!(
+            r#"{"zeta_us":0,"phi_us":0,"uploaded_us":0,"upload_on_time_us":0,"#,
+            r#""contacts_total":0,"contacts_probed":0,"beacons":0}"#
+        );
+        let expected = [
+            r#"{"incomplete":true,"missing_shards":[1],"workers_lost":1,"completed_shards":["#,
+            r#"{"shard":0,"metrics":[{"epochs":["#,
+            epoch,
+            r#"],"slot_phi_us":[0,0],"slot_zeta_us":[0,0],"out_of_range_slot_charges":0}]},"#,
+            r#"{"shard":2,"metrics":["#,
+            r#"{"epochs":[],"slot_phi_us":[0],"slot_zeta_us":[0],"out_of_range_slot_charges":0},"#,
+            r#"{"epochs":[],"slot_phi_us":[],"slot_zeta_us":[],"out_of_range_slot_charges":0}]}]}"#,
+            "\n",
+        ]
+        .concat();
+        assert_eq!(partial_manifest_json(vec![1], 1, completed), expected);
+    }
 }

@@ -338,7 +338,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut w = FrameWriter::new(&mut buf);
         for v in values {
-            w.send_value(v).unwrap();
+            w.send(v).unwrap();
         }
         buf
     }

@@ -557,9 +557,7 @@ mod tests {
     #[test]
     fn stream_transport_round_trips_values_with_deadlines() {
         let mut script = Vec::new();
-        FrameWriter::new(&mut script)
-            .send_value(&Value::U64(7))
-            .unwrap();
+        FrameWriter::new(&mut script).send(&Value::U64(7)).unwrap();
         let mut out = Vec::new();
         {
             let mut t = StreamTransport::new(io::Cursor::new(script), &mut out, "test");

@@ -877,7 +877,7 @@ mod tests {
         assert!(serde::json::decode::<CoordinatorMsg>(&text).is_err());
         let mut script = Vec::new();
         FrameWriter::new(&mut script)
-            .send_value(&serde::json::from_str(&text).unwrap())
+            .send(&serde::json::from_str(&text).unwrap())
             .unwrap();
         script
     }

@@ -32,7 +32,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use snip_sim::RunMetrics;
 
-use crate::journal::{JournalError, JournalFormat};
+use crate::journal::{JournalError, JournalFormat, JournalReader};
 
 /// Checkpoint journal format version. Bump on any event-shape change;
 /// the loader refuses versions it does not speak.
@@ -191,22 +191,6 @@ pub struct CheckpointLoad {
     pub valid_bytes: u64,
 }
 
-/// A [`Read`] passthrough that counts the bytes handed out, so the
-/// loader can recover the exact file offset of the last intact record
-/// (counted bytes minus whatever still sits in the [`BufReader`]).
-struct CountingReader<R> {
-    inner: R,
-    read: u64,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.read += n as u64;
-        Ok(n)
-    }
-}
-
 /// Reads a checkpoint journal file back, tolerating a torn final record.
 /// The format is chosen by extension as for event journals; see
 /// [`load_checkpoint_from`] for what is accepted.
@@ -234,19 +218,8 @@ pub fn load_checkpoint_from<R: Read>(
     reader: R,
     format: JournalFormat,
 ) -> Result<CheckpointLoad, JournalError> {
-    let mut input = BufReader::new(CountingReader {
-        inner: reader,
-        read: 0,
-    });
-
-    // The stream offset the loader has fully consumed: bytes pulled from
-    // the stream minus what still sits unparsed in the BufReader.
-    fn consumed<R>(input: &BufReader<CountingReader<R>>) -> u64 {
-        input.get_ref().read - input.buffer().len() as u64
-    }
-
-    let mut line_buf = String::new();
-    let header = match format.read_record(&mut input, &mut line_buf)? {
+    let mut journal = JournalReader::new(BufReader::new(reader), format);
+    let header = match journal.next_record()? {
         Some(CheckpointEvent::Header(h)) => h,
         Some(other) => {
             return Err(JournalError::Codec(format!(
@@ -268,9 +241,9 @@ pub fn load_checkpoint_from<R: Read>(
 
     let mut shards = BTreeMap::new();
     let mut truncated = false;
-    let mut valid_bytes = consumed(&input);
+    let mut valid_bytes = journal.bytes_read();
     loop {
-        match format.read_record(&mut input, &mut line_buf) {
+        match journal.next_record() {
             Ok(None) => break,
             Ok(Some(CheckpointEvent::ShardDone { shard, metrics })) => {
                 if shard >= header.total_shards {
@@ -280,7 +253,7 @@ pub fn load_checkpoint_from<R: Read>(
                     )));
                 }
                 shards.entry(shard).or_insert(metrics);
-                valid_bytes = consumed(&input);
+                valid_bytes = journal.bytes_read();
             }
             Ok(Some(CheckpointEvent::Header(_))) => {
                 return Err(JournalError::Codec(
@@ -386,6 +359,47 @@ mod tests {
                 "{name}: the intact prefix survives"
             );
             std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_a_cbor_checkpoint_loads_exactly_its_whole_records() {
+        let format = JournalFormat::Cbor;
+        let shards = [(0, shard_metrics(0)), (2, shard_metrics(2))];
+        let mut records = vec![format.record(&CheckpointEvent::Header(header(3)))];
+        for (shard, metrics) in &shards {
+            records.push(format.record(&CheckpointEvent::ShardDone {
+                shard: *shard,
+                metrics: metrics.clone(),
+            }));
+        }
+        let bytes = records.concat();
+        let ends: Vec<usize> = records
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        for cut in 0..=bytes.len() {
+            let load = load_checkpoint_from(&bytes[..cut], format);
+            if cut < ends[0] {
+                assert!(
+                    matches!(load, Err(JournalError::Codec(_))),
+                    "cut {cut}: a torn or missing header is an error, got {load:?}"
+                );
+                continue;
+            }
+            let load = load.unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
+            assert_eq!(load.header, header(3), "cut {cut}");
+            assert_eq!(
+                load.shards,
+                shards[..whole].iter().cloned().collect::<BTreeMap<_, _>>(),
+                "cut {cut}"
+            );
+            assert_eq!(load.truncated, !ends.contains(&cut), "cut {cut}");
+            assert_eq!(load.valid_bytes, ends[whole] as u64, "cut {cut}");
         }
     }
 

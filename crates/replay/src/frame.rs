@@ -25,34 +25,29 @@
 //! any payload allocation.
 //!
 //! ```
-//! use serde::Value;
 //! use snip_replay::frame::{FrameReader, FrameWriter};
 //!
 //! let mut buf = Vec::new();
-//! FrameWriter::new(&mut buf).send_value(&Value::U64(7)).unwrap();
+//! FrameWriter::new(&mut buf).send(&(7u64, "seven")).unwrap();
 //! let mut reader = FrameReader::new(std::io::Cursor::new(buf));
-//! assert_eq!(reader.recv_value().unwrap(), Some(Value::U64(7)));
-//! assert_eq!(reader.recv_value().unwrap(), None);
+//! let got: Option<(u64, String)> = reader.recv().unwrap();
+//! assert_eq!(got, Some((7, "seven".to_string())));
+//! assert_eq!(reader.recv::<(u64, String)>().unwrap(), None);
 //! ```
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use serde::{cbor, Deserialize, Serialize, Value};
-use snip_obs::metrics::{Counter, Histogram};
+use serde::{cbor, Deserialize, Serialize};
+use snip_obs::metrics::Counter;
 
 /// Pre-resolved registry handles for one direction of one transport, so
 /// the per-frame cost is a few relaxed atomic ops (the registry mutex is
 /// hit once, at wiring time). Byte counts include the 5-byte frame
-/// header — the actual wire footprint. Codec time is recorded where the
-/// codec runs: by [`FrameWriter::send`] and [`FrameReader::recv`], not
-/// by the raw-frame paths.
+/// header — the actual wire footprint.
 struct FrameMetrics {
-    /// CBOR encode or decode time per frame.
-    codec_us: &'static Histogram,
     /// Total framed bytes moved.
     bytes: &'static Counter,
     /// Total frames moved.
@@ -61,15 +56,7 @@ struct FrameMetrics {
 
 impl FrameMetrics {
     fn new(direction: &str, transport: &str) -> FrameMetrics {
-        let codec = if direction == "tx" {
-            "encode"
-        } else {
-            "decode"
-        };
         FrameMetrics {
-            codec_us: snip_obs::metrics::histogram(&format!(
-                "snip_frame_{codec}_us{{transport=\"{transport}\"}}"
-            )),
             bytes: snip_obs::metrics::counter(&format!(
                 "snip_frame_{direction}_bytes_total{{transport=\"{transport}\"}}"
             )),
@@ -95,18 +82,17 @@ pub const BINARY_FRAME_MAGIC: u8 = 0xC5;
 pub const BINARY_HEADER_BYTES: usize = 5;
 
 /// Encodes one complete frame (header + canonical CBOR payload) for a
-/// [`Value`] tree into a fresh buffer.
+/// [`serde::Value`] tree into a fresh buffer.
 #[must_use]
-pub fn encode_binary_frame(value: &Value) -> Vec<u8> {
+// snip-lint: allow(value-tree): "kept for snipbench until ROADMAP item 1"
+pub fn encode_binary_frame(value: &serde::Value) -> Vec<u8> {
     encode_frame(value)
 }
 
 /// Encodes one complete frame (header + canonical CBOR payload) for any
-/// message into a fresh buffer, streaming derived types straight into it
-/// (no [`Value`] tree). The bytes equal [`encode_binary_frame`] of the
-/// message's `to_value()`. This is also the pre-encode path: the
-/// coordinator frames `Init` once per run and every transport ships the
-/// same bytes.
+/// message into a fresh buffer, streaming derived types straight into
+/// it. This is also the pre-encode path: the coordinator frames `Init`
+/// once per run and every transport ships the same bytes.
 #[must_use]
 pub fn encode_frame<T: Serialize + ?Sized>(msg: &T) -> Vec<u8> {
     let mut frame = Vec::with_capacity(BINARY_HEADER_BYTES + 128);
@@ -191,9 +177,8 @@ impl<W: Write> FrameWriter<W> {
         }
     }
 
-    /// Records per-frame encode time, byte, and frame counts under the
-    /// given transport label (e.g. `"pipe"`, `"tcp"`) in the process
-    /// metrics registry.
+    /// Records per-frame byte and frame counts under the given transport
+    /// label (e.g. `"pipe"`, `"tcp"`) in the process metrics registry.
     #[must_use]
     pub fn with_metrics(mut self, transport: &str) -> Self {
         self.metrics = Some(FrameMetrics::new("tx", transport));
@@ -204,15 +189,6 @@ impl<W: Write> FrameWriter<W> {
     #[must_use]
     pub fn frames_written(&self) -> u64 {
         self.frames
-    }
-
-    /// Sends one value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError::Io`] on write or flush failure.
-    pub fn send_value(&mut self, value: &Value) -> Result<(), FrameError> {
-        self.send(value)
     }
 
     /// Sends one complete frame (header and payload already encoded by
@@ -239,13 +215,8 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// Returns [`FrameError::Io`] on write or flush failure.
     pub fn send<T: Serialize + ?Sized>(&mut self, msg: &T) -> Result<(), FrameError> {
-        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
-        let encode_start = self.metrics.as_ref().map(|_| Instant::now());
         self.scratch.clear();
         encode_frame_into(&mut self.scratch, msg);
-        if let (Some(m), Some(t0)) = (&self.metrics, encode_start) {
-            m.codec_us.observe(t0.elapsed());
-        }
         let frame = std::mem::take(&mut self.scratch);
         let sent = self.send_raw(&frame);
         self.scratch = frame;
@@ -283,9 +254,8 @@ impl<R: BufRead> FrameReader<R> {
         }
     }
 
-    /// Records per-frame decode time, byte, and frame counts under the
-    /// given transport label (e.g. `"pipe"`, `"tcp"`) in the process
-    /// metrics registry.
+    /// Records per-frame byte and frame counts under the given transport
+    /// label (e.g. `"pipe"`, `"tcp"`) in the process metrics registry.
     #[must_use]
     pub fn with_metrics(mut self, transport: &str) -> Self {
         self.metrics = Some(FrameMetrics::new("rx", transport));
@@ -357,13 +327,13 @@ impl<R: BufRead> FrameReader<R> {
     /// Returns [`FrameError`] as [`FrameReader::recv_frame`], plus
     /// [`FrameError::Codec`] on a payload that is not one well-formed CBOR
     /// item.
-    pub fn recv_value(&mut self) -> Result<Option<Value>, FrameError> {
+    // snip-lint: allow(value-tree): "kept for snipbench until ROADMAP item 1"
+    pub fn recv_value(&mut self) -> Result<Option<serde::Value>, FrameError> {
         self.recv()
     }
 
-    /// Reads the next frame and decodes it straight into a `T` (no
-    /// [`Value`] tree for derived types); `Ok(None)` on a clean end of
-    /// stream.
+    /// Reads the next frame and decodes it straight into a `T`;
+    /// `Ok(None)` on a clean end of stream.
     ///
     /// # Errors
     ///
@@ -373,19 +343,14 @@ impl<R: BufRead> FrameReader<R> {
         let Some(payload) = self.recv_frame()? else {
             return Ok(None);
         };
-        // snip-lint: allow(wall-clock): "codec timing metric, only taken when a metrics registry is attached"
-        let decode_start = self.metrics.as_ref().map(|_| Instant::now());
-        let msg = cbor::decode(&payload)?;
-        if let (Some(m), Some(t0)) = (&self.metrics, decode_start) {
-            m.codec_us.observe(t0.elapsed());
-        }
-        Ok(Some(msg))
+        Ok(Some(cbor::decode(&payload)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use std::io::Cursor;
 
     #[test]
@@ -399,7 +364,7 @@ mod tests {
         {
             let mut w = FrameWriter::new(&mut buf);
             for v in &values {
-                w.send_value(v).unwrap();
+                w.send(v).unwrap();
             }
             assert_eq!(w.frames_written(), 3);
         }
@@ -434,7 +399,7 @@ mod tests {
     fn truncated_frame_is_an_error() {
         let mut buf = Vec::new();
         FrameWriter::new(&mut buf)
-            .send_value(&Value::Str("payload".into()))
+            .send(&Value::Str("payload".into()))
             .unwrap();
         // Mid-payload cut...
         let mut cut = buf.clone();
@@ -481,7 +446,7 @@ mod tests {
         {
             let mut w = FrameWriter::new(&mut buf);
             for v in &values {
-                w.send_value(v).unwrap();
+                w.send(v).unwrap();
             }
         }
         // Capacity 1 forces the BufRead layer itself to refill per byte.
@@ -511,7 +476,7 @@ mod tests {
     fn expired_read_deadline_is_timed_out_not_truncated() {
         let mut buf = Vec::new();
         FrameWriter::new(&mut buf)
-            .send_value(&Value::Str("deadline".into()))
+            .send(&Value::Str("deadline".into()))
             .unwrap();
         buf.truncate(buf.len() - 4); // deadline expires mid-payload
         let mut r = FrameReader::new(io::BufReader::new(TimesOutAfter {
@@ -525,8 +490,8 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = FrameWriter::new(&mut buf);
-            w.send_value(&Value::Str("x".repeat(100))).unwrap();
-            w.send_value(&Value::Str("small".into())).unwrap();
+            w.send(&Value::Str("x".repeat(100))).unwrap();
+            w.send(&Value::Str("small".into())).unwrap();
         }
         // Tight budget refuses the large frame before allocating it...
         let limit = Arc::new(AtomicU64::new(10));
@@ -553,7 +518,7 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = FrameWriter::new(&mut buf).with_metrics("frame-unit-test");
-            w.send_value(&Value::Str("metered".into())).unwrap();
+            w.send(&Value::Str("metered".into())).unwrap();
         }
         let wire = buf.len() as u64;
         assert_eq!(
@@ -570,8 +535,6 @@ mod tests {
             wire,
             "rx bytes must equal the framed wire footprint"
         );
-        let (count, _sum) = metrics::sum_histograms("snip_frame_encode_us");
-        assert!(count >= 1, "encode timing histogram must record");
     }
 
     #[test]
@@ -590,7 +553,7 @@ mod tests {
         let value = Value::Seq(vec![Value::U64(7), Value::Str("shared".into())]);
         let pre = encode_binary_frame(&value);
         let mut buf = Vec::new();
-        FrameWriter::new(&mut buf).send_value(&value).unwrap();
+        FrameWriter::new(&mut buf).send(&value).unwrap();
         assert_eq!(pre, buf, "pre-encoded and streaming encodes must agree");
 
         // send_raw ships the pre-encoded bytes verbatim and counts them.

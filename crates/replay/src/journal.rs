@@ -60,29 +60,16 @@ impl JournalFormat {
         }
     }
 
-    /// Reads the next record in this format; `Ok(None)` at a clean end.
-    /// Blank JSONL lines are skipped.
-    pub(crate) fn read_record<T: Deserialize>(
-        self,
-        input: &mut impl BufRead,
-        line_buf: &mut String,
-    ) -> Result<Option<T>, JournalError> {
-        match self {
-            JournalFormat::Jsonl => loop {
-                line_buf.clear();
-                if input.read_line(line_buf)? == 0 {
-                    return Ok(None);
-                }
-                let line = line_buf.trim();
-                if !line.is_empty() {
-                    return Ok(Some(json::decode(line)?));
-                }
-            },
-            JournalFormat::Cbor => match cbor::read_value(input)? {
-                Some(v) => Ok(Some(T::from_value(&v)?)),
-                None => Ok(None),
-            },
-        }
+    /// Decodes one record's bytes, as [`JournalReader::next_bytes`] yields
+    /// them, into a `T`.
+    pub(crate) fn decode<T: Deserialize>(self, record: &[u8]) -> Result<T, JournalError> {
+        Ok(match self {
+            JournalFormat::Jsonl => json::decode(
+                std::str::from_utf8(record)
+                    .map_err(|_| JournalError::Codec("invalid UTF-8 in a JSONL line".into()))?,
+            )?,
+            JournalFormat::Cbor => cbor::decode(record)?,
+        })
     }
 }
 
@@ -201,7 +188,10 @@ pub struct JournalReader<R: BufRead> {
     format: JournalFormat,
     input: R,
     events: u64,
-    line_buf: String,
+    /// Bytes of the journal consumed so far.
+    bytes: u64,
+    /// The last record read: one JSONL line or one CBOR item.
+    record: Vec<u8>,
 }
 
 impl JournalReader<BufReader<File>> {
@@ -224,7 +214,8 @@ impl<R: BufRead> JournalReader<R> {
             format,
             input,
             events: 0,
-            line_buf: String::new(),
+            bytes: 0,
+            record: Vec::new(),
         }
     }
 
@@ -249,22 +240,57 @@ impl<R: BufRead> JournalReader<R> {
         self.next_record()
     }
 
-    /// Reads the next record as any `T`, such as a [`serde::Value`] to
-    /// inspect before it is decoded as an event; `Ok(None)` on a clean
-    /// end of journal.
+    /// Bytes of the journal consumed so far: right after
+    /// [`JournalReader::next_bytes`] yields a record, exactly up to its
+    /// end.
+    pub(crate) fn bytes_read(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Reads the next record as any `T`; `Ok(None)` on a clean end of
+    /// journal.
     ///
     /// # Errors
     ///
     /// Returns [`JournalError`] on I/O failure or a record that does not
     /// decode as `T`.
     pub fn next_record<T: Deserialize>(&mut self) -> Result<Option<T>, JournalError> {
-        let record = self
-            .format
-            .read_record(&mut self.input, &mut self.line_buf)?;
-        if record.is_some() {
-            self.events += 1;
-        }
-        Ok(record)
+        let format = self.format;
+        self.next_bytes()?
+            .map(|record| format.decode(record))
+            .transpose()
+    }
+
+    /// Reads the next record's bytes: one JSON line with its surrounding
+    /// whitespace trimmed (blank lines are skipped), or one CBOR item.
+    /// `Ok(None)` on a clean end of journal.
+    pub(crate) fn next_bytes(&mut self) -> Result<Option<&[u8]>, JournalError> {
+        let record = match self.format {
+            JournalFormat::Jsonl => loop {
+                self.record.clear();
+                let n = self.input.read_until(b'\n', &mut self.record)?;
+                if n == 0 {
+                    return Ok(None);
+                }
+                self.bytes += n as u64;
+                let line = std::str::from_utf8(&self.record)
+                    .map_err(|_| JournalError::Codec("invalid UTF-8 in a JSONL line".into()))?;
+                let trimmed = line.trim();
+                if !trimmed.is_empty() {
+                    let start = line.len() - line.trim_start().len();
+                    break start..start + trimmed.len();
+                }
+            },
+            JournalFormat::Cbor => {
+                if !cbor::read_item(&mut self.input, &mut self.record)? {
+                    return Ok(None);
+                }
+                self.bytes += self.record.len() as u64;
+                0..self.record.len()
+            }
+        };
+        self.events += 1;
+        Ok(Some(&self.record[record]))
     }
 }
 

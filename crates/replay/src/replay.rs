@@ -26,7 +26,7 @@ use std::io::BufRead;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Value};
+use serde::Deserialize;
 use snip_mobility::{Contact, ContactTrace};
 use snip_sim::{ObserverFlow, RunMetrics, SimEvent, SimObserver, Simulation};
 
@@ -204,15 +204,16 @@ enum HeaderVersion {
 pub fn read_header<R: BufRead>(
     reader: &mut JournalReader<R>,
 ) -> Result<JournalHeader, ReplayError> {
-    let Some(record) = reader.next_record::<Value>()? else {
+    let format = reader.format();
+    let Some(record) = reader.next_bytes()? else {
         return Err(ReplayError::MissingHeader);
     };
-    if let Ok(HeaderVersion::Header { version }) = HeaderVersion::from_value(&record) {
+    if let Ok(HeaderVersion::Header { version }) = format.decode(record) {
         if version != JOURNAL_VERSION {
             return Err(ReplayError::UnsupportedVersion { found: version });
         }
     }
-    match JournalEvent::from_value(&record).map_err(JournalError::from)? {
+    match format.decode(record)? {
         JournalEvent::Header(h) => {
             h.config
                 .check()

@@ -15,7 +15,7 @@
 //! the reporting getters ([`EpochMetrics::zeta`], [`RunMetrics::
 //! mean_zeta_per_epoch`], …), which convert the settled integer totals once.
 
-use serde::{Decoder, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use snip_units::{DataSize, SimDuration};
 
 /// Metrics of one simulated epoch.
@@ -170,7 +170,7 @@ impl std::iter::Sum for EpochMetrics {
 
 /// Metrics of a whole run, per epoch plus convenience aggregates. The
 /// field names are the keys it is serialized under.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RunMetrics {
     epochs: Vec<EpochMetrics>,
     /// Probing on-time per slot-of-epoch across the whole run, integer µs.
@@ -382,40 +382,6 @@ impl RunMetrics {
     }
 }
 
-impl Deserialize for RunMetrics {
-    /// Reads the map the derived `encode` writes, under the derive's rules
-    /// (keys in any order, the first occurrence wins, unknown keys
-    /// skipped), except that a missing `out_of_range_slot_charges` reads as
-    /// zero.
-    fn decode<'de, D: Decoder<'de>>(d: &mut D) -> Result<Self, serde::Error> {
-        use serde::{__decode_field as field, __require as require};
-        const TY: &str = "RunMetrics";
-        let mut items = serde::__open_map(d, "RunMetrics map")?;
-        let (mut epochs, mut slot_phi, mut slot_zeta, mut charges) = (None, None, None, None);
-        while let Some(key) = d.next_key(&mut items)? {
-            match &*key {
-                "epochs" if epochs.is_none() => epochs = Some(field(d, "epochs", TY)?),
-                "slot_phi_us" if slot_phi.is_none() => {
-                    slot_phi = Some(field(d, "slot_phi_us", TY)?)
-                }
-                "slot_zeta_us" if slot_zeta.is_none() => {
-                    slot_zeta = Some(field(d, "slot_zeta_us", TY)?);
-                }
-                "out_of_range_slot_charges" if charges.is_none() => {
-                    charges = Some(field(d, "out_of_range_slot_charges", TY)?);
-                }
-                _ => d.skip()?,
-            }
-        }
-        Ok(RunMetrics {
-            epochs: require(epochs, "epochs", TY)?,
-            slot_phi_us: require(slot_phi, "slot_phi_us", TY)?,
-            slot_zeta_us: require(slot_zeta, "slot_zeta_us", TY)?,
-            out_of_range_slot_charges: charges.unwrap_or(0),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,14 +575,16 @@ mod tests {
         edit_epochs(&mut unknown, |e| e.push(("rho".into(), Value::F64(0.5))));
         assert_eq!(decode_all(&unknown), Ok(m.clone()));
 
-        // A missing out-of-range count reads as zero.
+        // A missing out-of-range count is an error that names it.
         let mut no_count = value.clone();
         edit_map(&mut no_count, |m| {
             m.pop();
         });
-        let mut zero = m.clone();
-        zero.out_of_range_slot_charges = 0;
-        assert_eq!(decode_all(&no_count), Ok(zero));
+        let err = decode_all(&no_count).unwrap_err();
+        assert!(
+            err.to_string().contains("out_of_range_slot_charges"),
+            "{err}"
+        );
 
         // A missing ledger is an error that names it.
         let mut no_zeta = value;

@@ -357,7 +357,7 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
                 .map(|v| {
                     let mut buf = Vec::new();
                     FrameWriter::new(&mut buf)
-                        .send_value(v)
+                        .send(v)
                         .expect("in-memory frame write");
                     buf
                 })
@@ -617,7 +617,7 @@ fn decode(target: Target, input: &[u8]) -> Outcome {
 /// this crate, so its types are out of reach): the same derive shapes —
 /// an externally tagged enum with struct, tuple, newtype and unit
 /// variants, nested structs, `Option`s, sequences, arrays, floats — with
-/// a hand-written `Value`-route type ([`snip_sim::RunMetrics`]) inside.
+/// the fleet's result type ([`snip_sim::RunMetrics`]) inside.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum ProbeMsg {
     Join {
@@ -1038,7 +1038,7 @@ mod tests {
         // The respawned worker handles the next input normally.
         let mut frame = Vec::new();
         FrameWriter::new(&mut frame)
-            .send_value(&serde::Value::Str("ok".to_string()))
+            .send(&serde::Value::Str("ok".to_string()))
             .expect("frame write");
         let outcome = ex.run(Target::Frame, &frame);
         assert!(matches!(outcome, Outcome::Ok(1)), "{outcome:?}");

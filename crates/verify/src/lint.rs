@@ -21,11 +21,15 @@
 //! | `ambient-rng` | every crate | `thread_rng`, `from_entropy`, `OsRng`, `rand::random` |
 //! | `float-ledger` | the integer-µs ledger modules | `f32`, `sum::<f64>` |
 //! | `unsafe-code` | every crate | the `unsafe` keyword; crate roots missing `#![forbid/deny(unsafe_code)]` |
+//! | `value-tree` | all crates except `verify` | `Value`, `to_value`, `from_value` |
 //! | `lint-directive` | every crate | malformed or unused `snip-lint` allows |
 //!
 //! `crates/obs` and `crates/bench` are exempt from `wall-clock` because
 //! measuring wall time is their job; `crates/verify` is exempt because
-//! the fuzzer's hang watchdog is *defined* by wall time. Test code —
+//! the fuzzer's hang watchdog is *defined* by wall time. `value-tree`
+//! keeps records decoding straight from their bytes, with no
+//! `serde::Value` tree in between; `crates/verify` is exempt because its
+//! fuzzer checks the slice reader against the tree walker. Test code —
 //! `tests/` trees and `#[cfg(test)]` modules — is skipped everywhere:
 //! tests may time things and build scratch maps freely.
 //!
@@ -47,8 +51,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Every rule the lint knows, with a one-line description (shown by
-/// `snip lint --rules` and the README table).
+/// Every rule the lint knows, with a one-line description (the README's
+/// lint table lists the same rules).
 pub const RULES: &[(&str, &str)] = &[
     (
         "wall-clock",
@@ -69,6 +73,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "unsafe-code",
         "the unsafe keyword, or a crate root missing #![forbid(unsafe_code)]/#![deny(unsafe_code)]",
+    ),
+    (
+        "value-tree",
+        "Value/to_value/from_value outside crates/verify; decode straight from bytes",
     ),
     (
         "lint-directive",
@@ -299,6 +307,10 @@ fn deterministic_scope(rel: &str) -> bool {
     DETERMINISTIC.iter().any(|p| rel.starts_with(p))
 }
 
+fn value_tree_scope(rel: &str) -> bool {
+    rel.starts_with("crates/") && !rel.starts_with("crates/verify/")
+}
+
 fn ledger_scope(rel: &str) -> bool {
     matches!(
         rel,
@@ -362,6 +374,15 @@ fn scan_rules(rel: &str, tokens: &[Tok]) -> Vec<(usize, &'static str, String)> {
                     line,
                     "float-ledger",
                     "float accumulation (`sum::<f64>`) inside an integer-µs ledger module".into(),
+                ));
+            }
+            "Value" | "to_value" | "from_value" if value_tree_scope(rel) => {
+                hits.push((
+                    line,
+                    "value-tree",
+                    format!(
+                        "`{name}` goes through a serde::Value tree; decode straight from bytes"
+                    ),
                 ));
             }
             "unsafe" => {
@@ -793,6 +814,21 @@ mod tests {
             lint_str("crates/fleetd/src/x.rs", sys)[0].rule,
             "wall-clock"
         );
+    }
+
+    #[test]
+    fn value_tree_flagged_outside_verify_and_tests() {
+        let src = "use serde::Value;\nfn f(m: &M) { let v = m.to_value(); M::from_value(&v); }\n";
+        let v = lint_str("crates/replay/src/x.rs", src);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "value-tree"));
+        assert_eq!((v[0].line, v[2].line), (1, 2));
+        assert!(lint_str("crates/verify/src/x.rs", src).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_str("crates/replay/src/x.rs", &in_test).is_empty());
+        // Other identifiers that merely contain the word are fine.
+        let other = "fn f() { let value = Values::new(); serde::value::x(); }\n";
+        assert!(lint_str("crates/replay/src/x.rs", other).is_empty());
     }
 
     #[test]
