@@ -23,7 +23,7 @@
 //!   Taylor polynomials and a quarter select made of bit operations (a
 //!   branch on the random quarter mispredicts half the time).
 //! * A Normal draw from the stream is rounded to µs only when
-//!   `round_if_clear` shows that libm's draw rounds to the same µs and is
+//!   [`round_if_clear`] shows that libm's draw rounds to the same µs and is
 //!   positive. Otherwise it is recomputed with libm from the stored pair,
 //!   so every draw equals the direct one bit for bit. LogNormal draws always
 //!   take libm's normal from the stored pair.
@@ -59,7 +59,7 @@ use std::f64::consts::{PI, TAU};
 
 use rand::Rng;
 use snip_model::LengthDistribution;
-use snip_units::{SimDuration, TICKS_PER_SECOND};
+use snip_units::{round_if_clear, SimDuration, TICKS_PER_SECOND};
 
 /// Draws one duration from a distribution.
 ///
@@ -275,22 +275,6 @@ pub(crate) fn cos_2pi(u: f64) -> f64 {
     f64::from_bits(bits ^ negate)
 }
 
-/// `ticks` rounded to whole µs as `SimDuration::from_secs_f64` rounds,
-/// if every value within `err` of it rounds the same and is positive;
-/// `None` when the caller must decide with the exact value.
-pub(crate) fn round_if_clear(ticks: f64, err: f64) -> Option<u64> {
-    // Below 2^52, adding 2^52 rounds `ticks` to the nearest whole number,
-    // which the sum's low bits hold, and `ticks − nearest` is exact.
-    // Rounding changes only at x.5, and the x.5 nearest to `ticks` is
-    // `0.5 − |ticks − nearest|` away. One branch, on all three tests;
-    // NaN fails them.
-    const TWO_52: f64 = (1u64 << 52) as f64;
-    let shifted = ticks + TWO_52;
-    let nearest = shifted - TWO_52;
-    let clear = (ticks > err) & (ticks < TWO_52) & (0.5 - (ticks - nearest).abs() > err);
-    clear.then(|| shifted.to_bits() - TWO_52.to_bits())
-}
-
 /// The guard's tolerance on a Normal draw's µs, as `base + per_radius ·
 /// radius`: `10^6 · (sd·radius · (COS_2PI_ERROR + ROUNDING_ERROR) +
 /// |mean| · ROUNDING_ERROR)` (derived in the module docs).
@@ -470,46 +454,6 @@ mod tests {
                 assert!((fast - libm).abs() <= err / 8.0, "{mean} {sd} {u1} {u2}");
             }
         }
-    }
-
-    #[test]
-    fn round_if_clear_rounds_as_from_secs_f64() {
-        let mut rng = StdRng::seed_from_u64(27);
-        for _ in 0..100_000 {
-            let secs = 4000.0 * rng.gen::<f64>();
-            if let Some(us) = round_if_clear(secs * TICKS_PER_SECOND as f64, 0.0) {
-                assert_eq!(us, SimDuration::from_secs_f64(secs).as_micros(), "{secs}");
-            }
-        }
-    }
-
-    #[test]
-    fn round_if_clear_defers_at_half_microsecond_edges() {
-        let edge = 1_234_567.5;
-        let ulp = 2f64.powi(-32); // ulp(edge)
-        assert_eq!(round_if_clear(edge, 0.0), None);
-        assert_eq!(round_if_clear(edge, 1e-6), None);
-        assert_eq!(round_if_clear(edge + 4.0 * ulp, ulp), Some(1_234_568));
-        assert_eq!(round_if_clear(edge - 4.0 * ulp, ulp), Some(1_234_567));
-        assert_eq!(round_if_clear(edge + 4.0 * ulp, 8.0 * ulp), None);
-        assert_eq!(round_if_clear(edge - 4.0 * ulp, 8.0 * ulp), None);
-        // Whole microseconds are far from an edge.
-        assert_eq!(round_if_clear(1_234_567.0, 0.25), Some(1_234_567));
-        // No tolerance of half a microsecond or more is ever clear.
-        assert_eq!(round_if_clear(1_234_567.0, 0.5), None);
-    }
-
-    #[test]
-    fn round_if_clear_defers_at_or_near_zero_and_out_of_range() {
-        assert_eq!(round_if_clear(0.0, 0.0), None);
-        assert_eq!(round_if_clear(-3.0, 1e-9), None);
-        assert_eq!(round_if_clear(1e-6, 1e-6), None);
-        assert_eq!(round_if_clear(1e-6, 2e-6), None);
-        // Positive beyond the tolerance: libm's draw is positive too, even
-        // where it rounds to zero.
-        assert_eq!(round_if_clear(0.25, 0.125), Some(0));
-        assert_eq!(round_if_clear(f64::NAN, 0.0), None);
-        assert_eq!(round_if_clear(2f64.powi(52), 0.0), None);
     }
 
     /// Draws `n` values for each sampler in turn, streamed and direct, and

@@ -311,6 +311,7 @@ pub const PAPER_PHI_MAX_LOOSE: f64 = 864.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot::SlotSpec;
     use crate::LengthDistribution;
     use snip_units::SimDuration;
 
@@ -464,6 +465,140 @@ mod tests {
         assert!(
             capped > 0 && unreachable > 0,
             "{capped} capped, {unreachable} unreachable"
+        );
+    }
+
+    #[test]
+    fn a_bisection_onto_a_microsecond_edge_takes_the_loops_sums_there() {
+        let a = sweep_analysis();
+        let zeta = |d| a.profile().probed_capacity_uniform(a.model(), d);
+        for target in [5.0, 16.0, 47.3] {
+            let mut memo = ProbedTimeMemo::new(a.model);
+            let d = a.bisect_for_target(&mut memo, target).expect("reachable");
+            assert_eq!(Some(d), reference_bisection(&a, target), "ζ = {target}");
+            // The answer sits on a µs edge of E[Tprobed]: the next duty-cycle
+            // down misses the target.
+            let below = DutyCycle::clamped(d.as_fraction().next_down());
+            assert!(zeta(d) >= target && zeta(below) < target, "ζ = {target}");
+            // The bisection's last steps came to the loop's own sums, and
+            // each side of the edge does afresh.
+            assert!(memo.loop_sums() > 0, "ζ = {target}");
+            for side in [d, below] {
+                let mut fresh = ProbedTimeMemo::new(a.model);
+                let _ = fresh.probed_capacity_uniform(a.profile(), side);
+                assert_eq!(fresh.loop_sums(), 1, "ζ = {target}, d = {side:?}");
+            }
+        }
+    }
+
+    /// `E[Tprobed]` in seconds by the Simpson loop over a fresh density
+    /// grid, as `SnipModel::expected_probed_dist` defines it for a length
+    /// with a density.
+    fn loop_probed_secs(model: &SnipModel, d: DutyCycle, dist: &LengthDistribution) -> f64 {
+        if d.is_off() {
+            return 0.0;
+        }
+        let cycle = model.ton().as_secs_f64() / d.as_fraction();
+        let probed = dist.expect(|l| crate::snip::probed_time(cycle, l));
+        SimDuration::from_secs_f64(probed.max(0.0)).as_secs_f64()
+    }
+
+    /// SNIP-AT's plan (`snip_at_duty_cycle`) with every capacity from
+    /// [`loop_probed_secs`]. All slots share one distribution.
+    fn loop_snip_at(a: &ScenarioAnalysis, target: f64) -> DutyCycle {
+        let dist = a.profile().slots()[0].contact_length;
+        let zeta = |d| {
+            let secs = loop_probed_secs(a.model(), d, &dist);
+            a.profile()
+                .slots()
+                .iter()
+                .map(|s| s.expected_contacts() * secs)
+                .sum::<f64>()
+        };
+        let budget_d = DutyCycle::clamped(a.phi_max() / a.profile().epoch().as_secs_f64());
+        if zeta(budget_d) < target || zeta(DutyCycle::ALWAYS_ON) < target {
+            return budget_d;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if zeta(DutyCycle::clamped(mid)) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let d = DutyCycle::clamped(hi);
+        if d.as_fraction() <= budget_d.as_fraction() {
+            d
+        } else {
+            budget_d
+        }
+    }
+
+    /// The duty-cycles at which SNIP-OPT's capacity curve for `slot`
+    /// evaluates `ζ` (`snip_opt::CapacityCurve`): the knee, its doublings
+    /// below 1, and 1.
+    fn curve_breakpoints(model: &SnipModel, slot: &SlotSpec) -> Vec<DutyCycle> {
+        let knee = slot.knee_duty_cycle(model).as_fraction();
+        let mut points = vec![knee.min(1.0)];
+        points.extend(
+            [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+                .iter()
+                .map(|m| knee * m)
+                .take_while(|&d| d < 1.0),
+        );
+        if *points.last().expect("non-empty") < 1.0 {
+            points.push(1.0);
+        }
+        points.into_iter().map(DutyCycle::clamped).collect()
+    }
+
+    /// Every SNIP-AT plan, and every capacity a SNIP-OPT plan is built
+    /// from, for 2,000 jittered targets on roadside profiles with 1.6–2.4 s
+    /// lengths: the guarded route against a fresh Simpson loop.
+    #[test]
+    #[ignore = "at-scale identity check; run with --release -- --ignored"]
+    fn every_plan_matches_the_simpson_loop_at_scale() {
+        // SplitMix64, so the cases need no RNG crate.
+        let mut state = 0x5eed_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let model = SnipModel::default();
+        let (mut evaluations, mut loop_sums) = (0, 0);
+        for case in 0..2_000 {
+            let mean = SimDuration::from_secs_f64(1.6 + 0.8 * unit());
+            let profile =
+                SlotProfile::roadside_with_lengths(LengthDistribution::paper_normal(mean));
+            let phi_max = if case % 10 == 0 { 86.4 } else { 864.0 };
+            let target = 0.5 + 190.0 * unit();
+            let a = ScenarioAnalysis::new(model, profile, phi_max);
+            assert_eq!(
+                a.snip_at_duty_cycle(target),
+                loop_snip_at(&a, target),
+                "case {case}: {mean:?}, Φmax {phi_max}, ζ {target}"
+            );
+            let mut memo = ProbedTimeMemo::new(model);
+            for slot in a.profile().slots() {
+                for d in curve_breakpoints(&model, slot) {
+                    let want = slot.expected_contacts()
+                        * loop_probed_secs(&model, d, &slot.contact_length);
+                    let got = memo.probed_capacity(slot, d);
+                    assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {d:?}");
+                }
+            }
+            let mut memo = ProbedTimeMemo::new(model);
+            let _ = a.bisect_for_target(&mut memo, target);
+            evaluations += memo.integrals();
+            loop_sums += memo.loop_sums();
+        }
+        eprintln!(
+            "SNIP-AT bisections: {evaluations} evaluations, {loop_sums} from the loop's sums"
         );
     }
 

@@ -15,12 +15,71 @@
 //! The nodes depend only on `[a, b]` and the level, never on the integrand,
 //! which lets a density-weighted expectation take its node densities from a
 //! cache shared across integrands (`length::DensityGrid`).
+//!
+//! # The loop's answer without the loop
+//!
+//! The loop's answer is a function of its level sums alone: it stops at the
+//! first level `k ≥ 1` whose sum `S_k` passes
+//! `|S_k − S_{k−1}| ≤ tol·max(|S_k|, 1)` and returns `S_k` (or `S_8`). A
+//! caller that can estimate each level sum more cheaply, within a known
+//! bound, can replay those tests on its estimates (`settle`). Where every
+//! test is farther from its threshold than the estimates' bounds allow, the
+//! loop's own sums take the same path, and the estimate of the last level
+//! is within its bound of the loop's answer.
+//!
+//! Each test compares `D = fl(|S_k − S_{k−1}|)` with
+//! `T = fl(tol·max(|S_k|, 1))`. With estimates `x_{k−1}`, `x_k` within `e_{k−1}`,
+//! `e_k` of the loop's sums, the replay's `D̃` and `T̃` (the same
+//! expressions on the estimates) are within `e_{k−1} + e_k` and `tol·e_k`
+//! of the exact values of `D` and `T`, and each of the four sides is one
+//! rounding (at most `2^-53` relative) from its exact value. So
+//! `|D − D̃| + |T − T̃| ≤ (1 + tol)·(e_{k−1} + e_k) + 2^-52·(D̃ + T̃)` to
+//! first order; `settle` uses twice that, `2·(e_{k−1} + e_k) +
+//! 2^-51·(D̃ + T̃)`, and takes a test as decided only when `D̃` and `T̃` are
+//! farther apart than that.
 
 /// Panel count of [`integrate`]'s first level.
 const FIRST_PANELS: usize = 64;
 
 /// Panel count of [`integrate`]'s last level.
 const MAX_PANELS: usize = 1 << 14;
+
+/// Refinement levels of [`integrate`]: levels `0..LEVELS`, from
+/// [`FIRST_PANELS`] to [`MAX_PANELS`] panels.
+const LEVELS: usize = (MAX_PANELS / FIRST_PANELS).trailing_zeros() as usize + 1;
+
+/// Panel count at refinement `level`.
+pub(crate) fn panels(level: usize) -> usize {
+    FIRST_PANELS << level
+}
+
+/// Number of nodes first visited at refinement `level`: the interior nodes
+/// of the first level, the odd nodes of later ones.
+pub(crate) fn new_nodes(level: usize) -> usize {
+    if level == 0 {
+        FIRST_PANELS - 1
+    } else {
+        panels(level) / 2
+    }
+}
+
+/// Index `i`, in the `panels(level)`-panel grid, of the `j`-th node first
+/// visited at refinement `level` (see [`integrate_nodes`]).
+pub(crate) fn node_index(level: usize, j: usize) -> usize {
+    if level == 0 {
+        j + 1
+    } else {
+        2 * j + 1
+    }
+}
+
+/// Scratch vectors of [`integrate_nodes`], kept by a caller that integrates
+/// often so that each call reuses their allocations.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buffers {
+    pub(crate) inner: Vec<f64>,
+    finer: Vec<f64>,
+}
 
 /// Composite Simpson's rule over `[a, b]` with `n` panels (`n` is rounded up
 /// to the next even number).
@@ -55,7 +114,14 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
 /// Panics if `b < a` or `tol` is not positive.
 #[must_use]
 pub fn integrate<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
-    integrate_nodes(a, b, tol, || (f(a), f(b)), |_, _, x| f(x))
+    integrate_nodes(
+        a,
+        b,
+        tol,
+        &mut Buffers::default(),
+        || (f(a), f(b)),
+        |_, _, x| f(x),
+    )
 }
 
 /// The loop behind [`integrate`], over node values supplied by the caller.
@@ -65,10 +131,12 @@ pub fn integrate<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
 /// level 0 the interior node `i = j + 1` of the 64-panel grid, at level
 /// `k ≥ 1` the odd node `i = 2j + 1` of the `64·2^k`-panel grid. Each level's
 /// nodes are visited once, in increasing `j`, and levels in increasing order.
+/// The node values are held in `buffers`, whose allocations outlive the call.
 pub(crate) fn integrate_nodes(
     a: f64,
     b: f64,
     tol: f64,
+    buffers: &mut Buffers,
     ends: impl FnOnce() -> (f64, f64),
     mut node: impl FnMut(usize, usize, f64) -> f64,
 ) -> f64 {
@@ -78,12 +146,13 @@ pub(crate) fn integrate_nodes(
         return 0.0;
     }
     let ends = ends();
+    let Buffers { inner, finer } = buffers;
     let mut n = FIRST_PANELS;
     let mut h = (b - a) / n as f64;
     // Values at the interior nodes `1..n` of the current level.
-    let mut inner: Vec<f64> = (1..n).map(|i| node(0, i - 1, a + h * i as f64)).collect();
-    let mut finer = Vec::with_capacity(2 * n);
-    let mut prev = simpson_sum(ends, &inner, h);
+    inner.clear();
+    inner.extend((1..n).map(|i| node(0, i - 1, a + h * i as f64)));
+    let mut prev = simpson_sum(ends, inner, h);
     let mut level = 0;
     while n < MAX_PANELS {
         n *= 2;
@@ -96,8 +165,8 @@ pub(crate) fn integrate_nodes(
         }
         let last = inner.len();
         finer.push(node(level, last, a + h * (2 * last + 1) as f64));
-        std::mem::swap(&mut inner, &mut finer);
-        let next = simpson_sum(ends, &inner, h);
+        std::mem::swap(inner, finer);
+        let next = simpson_sum(ends, inner, h);
         let scale = next.abs().max(1.0);
         if (next - prev).abs() <= tol * scale {
             return next;
@@ -107,10 +176,65 @@ pub(crate) fn integrate_nodes(
     prev
 }
 
+/// Where [`integrate_nodes`] stops, replayed by [`settle`]: the level and
+/// the estimate of its sum, within `bound` of the loop's sum there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Settled {
+    /// The refinement level whose sum the loop returns.
+    pub(crate) level: usize,
+    /// The estimate of that level's sum.
+    pub(crate) estimate: f64,
+    /// A bound on the distance between the estimate and the loop's sum.
+    pub(crate) bound: f64,
+}
+
+/// Where [`integrate_nodes`] stops, replayed from estimates of its level
+/// sums (see the module docs).
+///
+/// `level(k)` yields an estimate of the loop's sum at refinement level `k`
+/// and a bound on their distance, or `None` where it has none. Returns the
+/// level where the loop stops, with its estimate, when every stopping test
+/// on the way is decided beyond the bounds; `None` when a test is in doubt
+/// or a needed level has no estimate. The interval must not be empty
+/// (`a < b`).
+pub(crate) fn settle(
+    tol: f64,
+    mut level: impl FnMut(usize) -> Option<(f64, f64)>,
+) -> Option<Settled> {
+    /// Twice the relative rounding of the test's two sides.
+    const TEST_ROUNDING: f64 = 1.0 / (1u64 << 51) as f64;
+    let (estimate, bound) = level(0)?;
+    let mut prev = Settled {
+        level: 0,
+        estimate,
+        bound,
+    };
+    for k in 1..LEVELS {
+        let (estimate, bound) = level(k)?;
+        let next = Settled {
+            level: k,
+            estimate,
+            bound,
+        };
+        let diff = (estimate - prev.estimate).abs();
+        let limit = tol * estimate.abs().max(1.0);
+        let slack = 2.0 * (prev.bound + bound) + TEST_ROUNDING * (diff + limit);
+        if diff + slack < limit {
+            return Some(next);
+        } else if diff - slack > limit {
+            prev = next;
+        } else {
+            // In doubt, or NaN, which fails both comparisons.
+            return None;
+        }
+    }
+    Some(prev)
+}
+
 /// [`simpson`]'s weighted sum over node values already computed: the ends,
 /// then interior node `i` (stored at `i − 1`) times 4 when `i` is odd and 2
-/// when even, added in node order.
-fn simpson_sum((fa, fb): (f64, f64), inner: &[f64], h: f64) -> f64 {
+/// when even, added in node order. [`integrate_nodes`] returns one of these.
+pub(crate) fn simpson_sum((fa, fb): (f64, f64), inner: &[f64], h: f64) -> f64 {
     let mut sum = fa + fb;
     for (k, &v) in inner.iter().enumerate() {
         sum += v * if k % 2 == 0 { 4.0 } else { 2.0 };
@@ -208,6 +332,7 @@ mod tests {
             0.0,
             1.0,
             1e-300,
+            &mut Buffers::default(),
             || (0.0, 0.0),
             |level, j, x| {
                 seen.push((level, j, x));

@@ -9,11 +9,44 @@
 //!
 //! Sampling lives in `snip-mobility`; this type is pure mathematics so the
 //! model crate stays free of RNG dependencies.
+//!
+//! # Density grids and moment tables
+//!
+//! Expectations over a distribution with a density integrate `f(l)·ρ(l)`
+//! with adaptive Simpson over the distribution's effective support, and a
+//! `DensityGrid` keeps the node densities so that a sweep of integrands
+//! over one distribution computes each density once. For each refinement
+//! level up to 1,024 panels the grid can also build a moment table
+//! (`Moments`) over the level's `n + 1` nodes `l_0 < … < l_n`: for each
+//! split point `i`, the sum `P2(i)` of `w·ρ·l²` over the nodes before `i`,
+//! and the sums `T0(i)`, `T1(i)` of `w·ρ` and `w·ρ·l` over node `i` and
+//! those after it, with `w` the Simpson weight. The level sum of an
+//! integrand that is a polynomial on each side of one split point is then a
+//! few table reads: `E[Tprobed]`'s at cycle `c` is `(h/3)·[P2(m)/(2c) +
+//! T1(m) − (c/2)·T0(m)]`, where `m` counts the nodes at `l ≤ c` (the `snip`
+//! module uses this). A table is built on first use, from the densities
+//! the grid keeps (computing any the Simpson loop has not reached yet, the
+//! same values at the same nodes), and lives as long as the grid.
+//!
+//! ## Error bounds
+//!
+//! What a table rounds, with `u = 2^-53` and `γ_k = k·u/(1 − k·u)`: each
+//! term is `w·ρ` (exact, as `w` is 1, 2 or 4) times `l` once or twice, so
+//! it carries at most 2 roundings, and each running sum one more per term
+//! added. A table is refused where a density is negative, so every term is
+//! ≥ 0, and each sum over `j` nodes is within `γ_{j+2}` of its exact value,
+//! relative to that value. The below-`c` sums run up from `l_0` and the
+//! above-`c` sums down from `l_n`, so neither is a difference of two long
+//! sums that cancel. How `E[Tprobed]` combines them with the Simpson loop's
+//! own rounding, and the margin it adds, is in the `snip` module's docs.
 
 use serde::{Deserialize, Serialize};
 use snip_units::SimDuration;
 
-use crate::integrate::{integrate, integrate_nodes};
+use crate::integrate::{
+    integrate, integrate_nodes, new_nodes, node_index, panels, settle, simpson_sum, Buffers,
+    Settled,
+};
 
 /// A distribution over contact lengths (or inter-contact intervals).
 ///
@@ -368,6 +401,11 @@ impl Density {
 /// Integration tolerance of every length expectation.
 const EXPECT_TOL: f64 = 1e-9;
 
+/// Refinement levels that get a [`Moments`] table: levels `0..TABLE_LEVELS`,
+/// up to 1,024 panels. The planning integrands stop by level 3; a deeper
+/// level runs the Simpson loop rather than hold five values per node.
+const TABLE_LEVELS: usize = 5;
+
 /// One distribution's densities at the Simpson nodes of its effective
 /// support, each computed on first use and kept for later expectations.
 ///
@@ -376,13 +414,18 @@ const EXPECT_TOL: f64 = 1e-9;
 /// functions over one distribution (a duty-cycle sweep of `E[Tprobed]`)
 /// need each node's density once. The grid holds the two endpoint
 /// densities and one vector per refinement level; a level is filled the
-/// first time an integral reaches it. Every node value is the product
-/// `f(l) * density(l)` of the same two factors, in the same order, as a
-/// fresh integral's, so results are bit-identical to uncached ones.
+/// first time an integral or a [`Moments`] table reaches it. Every node
+/// value is the product `f(l) * density(l)` of the same two factors, in the
+/// same order, as a fresh integral's, so results are bit-identical to
+/// uncached ones.
 #[derive(Debug, Clone)]
 pub(crate) struct DensityGrid {
     dist: LengthDistribution,
     weights: Weights,
+    /// Expectations this grid took from the Simpson loop's own sums: the
+    /// whole loop, or its last level.
+    #[cfg(test)]
+    pub(crate) loop_sums: usize,
 }
 
 /// How a [`DensityGrid`] weights its integrand.
@@ -392,17 +435,193 @@ enum Weights {
     Point(f64),
     /// Uniform on `[a, b]`: the integrand is `f(l) / (b − a)`.
     Flat { a: f64, b: f64 },
-    /// A density over the effective support `[a, b]`.
-    Density {
-        a: f64,
-        b: f64,
-        density: Density,
-        /// The densities at `a` and `b`, once an expectation needed them.
-        ends: Option<(f64, f64)>,
-        /// `levels[k][j]`: the density at node `j` of refinement level `k`
-        /// (see [`integrate_nodes`]).
-        levels: Vec<Vec<f64>>,
-    },
+    /// A density over the effective support.
+    Density(NodeDensities),
+}
+
+/// A density's values at the Simpson nodes of its effective support
+/// `[a, b]`, and what is built from them.
+#[derive(Debug, Clone)]
+struct NodeDensities {
+    a: f64,
+    b: f64,
+    density: Density,
+    /// The densities at `a` and `b`, once an expectation needed them.
+    ends: Option<(f64, f64)>,
+    /// `levels[k][j]`: the density at node `j` of refinement level `k`
+    /// (see [`integrate_nodes`]).
+    levels: Vec<Vec<f64>>,
+    /// `tables[k]`: level `k`'s moment table once built, `None` inside when
+    /// a density there is negative or not finite.
+    tables: Vec<Option<Moments>>,
+    /// The Simpson loop's scratch vectors.
+    buffers: Buffers,
+}
+
+/// The Simpson-weighted moments of one refinement level's densities, in
+/// node order (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct Moments {
+    /// The panel width `h`.
+    h: f64,
+    /// `h/3`, the factor of a Simpson sum.
+    third: f64,
+    /// `1/h`, to find the node nearest a length.
+    per_h: f64,
+    /// The node positions: `a`, the interior nodes, `b`.
+    nodes: Vec<f64>,
+    /// The densities at `nodes`.
+    rho: Vec<f64>,
+    /// `sums[i]`: `Σ w·ρ·l²` over the nodes before `i`, and `Σ w·ρ` and
+    /// `Σ w·ρ·l` over node `i` and those after it, with `w` the Simpson
+    /// weight (1, 4, 2, …, 4, 1) and `ρ` the density at `l`.
+    sums: Vec<[f64; 3]>,
+}
+
+impl Moments {
+    /// The support `[a, b]`: the first and last node.
+    #[cfg(test)]
+    pub(crate) fn support(&self) -> (f64, f64) {
+        (self.nodes[0], self.nodes[self.nodes.len() - 1])
+    }
+
+    /// `h/3`, the factor of a Simpson sum.
+    pub(crate) fn third(&self) -> f64 {
+        self.third
+    }
+
+    /// The panel count `n`.
+    pub(crate) fn panels(&self) -> usize {
+        self.nodes.len() - 1
+    }
+
+    /// `[Σ w·ρ·l²]` over the nodes at lengths `l ≤ c`, and `[Σ w·ρ, Σ
+    /// w·ρ·l]` over those above `c`.
+    pub(crate) fn split(&self, c: f64) -> [f64; 3] {
+        let nodes = &self.nodes;
+        let n = nodes.len();
+        // Node `i` is about `(c − a)/h` panels in: start the count there,
+        // clamped to the grid (the cast truncates, and takes a negative or
+        // NaN guess to 0), and step to the exact count, a node or so away.
+        let guess = (c - nodes[0]) * self.per_h + 1.0;
+        let mut m = (guess as usize).min(n);
+        while m > 0 && nodes[m - 1] > c {
+            m -= 1;
+        }
+        while m < n && nodes[m] <= c {
+            m += 1;
+        }
+        self.sums[m]
+    }
+}
+
+impl NodeDensities {
+    /// The densities at `a` and `b`.
+    fn ends(&mut self) -> (f64, f64) {
+        let (a, b, density) = (self.a, self.b, self.density);
+        *self
+            .ends
+            .get_or_insert_with(|| (density.at(a), density.at(b)))
+    }
+
+    /// Fills the densities of levels `0..=level`, at the positions and in
+    /// the order the Simpson loop visits them.
+    fn fill(&mut self, level: usize) {
+        for k in 0..=level {
+            if k == self.levels.len() {
+                self.levels.push(Vec::with_capacity(new_nodes(k)));
+            }
+            let h = (self.b - self.a) / panels(k) as f64;
+            let row = &mut self.levels[k];
+            for j in row.len()..new_nodes(k) {
+                row.push(self.density.at(self.a + h * node_index(k, j) as f64));
+            }
+        }
+    }
+
+    /// Level `level`'s moment table, built on first use; `None` beyond
+    /// [`TABLE_LEVELS`] or where a density is negative or not finite.
+    fn moments(&mut self, level: usize) -> Option<&Moments> {
+        if level >= TABLE_LEVELS {
+            return None;
+        }
+        while self.tables.len() <= level {
+            let table = self.build(self.tables.len());
+            self.tables.push(table);
+        }
+        self.tables[level].as_ref()
+    }
+
+    /// Builds level `level`'s table from its densities, which are the
+    /// previous level's in node order interleaved with the level's own.
+    /// Interior node `i` sits at `a + h·i`, where the loop's visit computes
+    /// it (module docs of [`crate::integrate`]).
+    fn build(&mut self, level: usize) -> Option<Moments> {
+        self.fill(level);
+        let (da, db) = self.ends();
+        let n = panels(level);
+        let h = (self.b - self.a) / n as f64;
+        let own = &self.levels[level];
+        let mut rho = Vec::with_capacity(n + 1);
+        if level == 0 {
+            rho.push(da);
+            rho.extend_from_slice(own);
+            rho.push(db);
+        } else {
+            let coarse = &self.tables[level - 1].as_ref()?.rho;
+            for (&kept, &new) in coarse.iter().zip(own) {
+                rho.push(kept);
+                rho.push(new);
+            }
+            rho.push(db);
+        }
+        // Densities are never negative; NaN or infinity shows in the sums.
+        if rho.iter().fold(0.0f64, |low, &r| low.min(r)) < 0.0 {
+            return None;
+        }
+        let (a, b) = (self.a, self.b);
+        let mut nodes = Vec::with_capacity(n + 1);
+        nodes.push(a);
+        nodes.extend((1..n).map(|i| a + h * i as f64));
+        nodes.push(b);
+        // `w·ρ` per node, exact: the Simpson weights are 1, 4, 2, …, 4, 1.
+        let w_rho: Vec<f64> = rho
+            .iter()
+            .enumerate()
+            .map(|(i, &density)| match i {
+                0 => density,
+                _ if i == n => density,
+                _ if i % 2 == 1 => 4.0 * density,
+                _ => 2.0 * density,
+            })
+            .collect();
+        // The sum below a split runs up from `l_0`, those above it down
+        // from `l_n`.
+        let mut sums = vec![[0.0f64; 3]; n + 2];
+        let mut below = 0.0f64;
+        for ((sum, &w_rho), &l) in sums[1..].iter_mut().zip(&w_rho).zip(&nodes) {
+            below += w_rho * l * l;
+            sum[0] = below;
+        }
+        let (mut tail0, mut tail1) = (0.0f64, 0.0f64);
+        for ((sum, &w_rho), &l) in sums.iter_mut().zip(&w_rho).zip(&nodes).rev() {
+            tail0 += w_rho;
+            tail1 += w_rho * l;
+            sum[1] = tail0;
+            sum[2] = tail1;
+        }
+        if !(below.is_finite() && tail0.is_finite() && tail1.is_finite()) {
+            return None;
+        }
+        Some(Moments {
+            h,
+            third: h / 3.0,
+            per_h: 1.0 / h,
+            nodes,
+            rho,
+            sums,
+        })
+    }
 }
 
 impl DensityGrid {
@@ -417,18 +636,21 @@ impl DensityGrid {
             }
         } else {
             let (a, b) = dist.effective_support();
-            let density = dist.density();
-            Weights::Density {
+            Weights::Density(NodeDensities {
                 a,
                 b,
-                density,
+                density: dist.density(),
                 ends: None,
                 levels: Vec::new(),
-            }
+                tables: Vec::new(),
+                buffers: Buffers::default(),
+            })
         };
         DensityGrid {
             dist: *dist,
             weights,
+            #[cfg(test)]
+            loop_sums: 0,
         }
     }
 
@@ -439,24 +661,24 @@ impl DensityGrid {
 
     /// [`LengthDistribution::expect`], with node densities from the grid.
     pub(crate) fn expect<F: Fn(f64) -> f64>(&mut self, f: F) -> f64 {
+        #[cfg(test)]
+        if !matches!(self.weights, Weights::Point(_)) {
+            self.loop_sums += 1;
+        }
         match &mut self.weights {
             Weights::Point(l) => f(*l),
             &mut Weights::Flat { a, b } => integrate(|l| f(l) / (b - a), a, b, EXPECT_TOL),
-            Weights::Density {
-                a,
-                b,
-                density,
-                ends,
-                levels,
-            } => integrate_nodes(
-                *a,
-                *b,
-                EXPECT_TOL,
-                || {
-                    let (da, db) = *ends.get_or_insert_with(|| (density.at(*a), density.at(*b)));
-                    (f(*a) * da, f(*b) * db)
-                },
-                |level, j, l| {
+            Weights::Density(nodes) => {
+                let (a, b) = (nodes.a, nodes.b);
+                let (da, db) = nodes.ends();
+                let ends = || (f(a) * da, f(b) * db);
+                let NodeDensities {
+                    density,
+                    levels,
+                    buffers,
+                    ..
+                } = nodes;
+                integrate_nodes(a, b, EXPECT_TOL, buffers, ends, |level, j, l| {
                     if level == levels.len() {
                         levels.push(Vec::new());
                     }
@@ -465,9 +687,60 @@ impl DensityGrid {
                         row.push(density.at(l));
                     }
                     f(l) * row[j]
-                },
-            ),
+                })
+            }
         }
+    }
+
+    /// Level `level`'s moment table, built on first use.
+    #[cfg(test)]
+    pub(crate) fn moments(&mut self, level: usize) -> Option<&Moments> {
+        match &mut self.weights {
+            Weights::Density(nodes) => nodes.moments(level),
+            _ => None,
+        }
+    }
+
+    /// Where the Simpson loop of an expectation stops, replayed by
+    /// [`settle`] from level sums taken off the moment tables:
+    /// `estimate(table)` yields a level's sum and a bound on its distance
+    /// from the loop's. `None` where the loop must decide: no density to
+    /// tabulate, a level without a table, or a stopping test in doubt.
+    pub(crate) fn settle(&mut self, estimate: impl Fn(&Moments) -> (f64, f64)) -> Option<Settled> {
+        let Weights::Density(nodes) = &mut self.weights else {
+            return None;
+        };
+        // An empty (or NaN) support: the loop's own early return decides.
+        if nodes.a.partial_cmp(&nodes.b) != Some(std::cmp::Ordering::Less) {
+            return None;
+        }
+        settle(EXPECT_TOL, |level| nodes.moments(level).map(&estimate))
+    }
+
+    /// The Simpson loop's sum of `f` at a level [`DensityGrid::settle`]
+    /// tabulated, bit for bit: the node values `f(l)·ρ` in node order,
+    /// summed by the loop's own [`simpson_sum`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` has no table.
+    pub(crate) fn level_sum(&mut self, level: usize, f: impl Fn(f64) -> f64) -> f64 {
+        #[cfg(test)]
+        {
+            self.loop_sums += 1;
+        }
+        let Weights::Density(nodes) = &mut self.weights else {
+            panic!("only a density has moment tables");
+        };
+        let table = nodes.tables[level]
+            .as_ref()
+            .expect("the level was tabulated");
+        let (l, rho) = (&table.nodes, &table.rho);
+        let n = l.len() - 1;
+        let inner = &mut nodes.buffers.inner;
+        inner.clear();
+        inner.extend((1..n).map(|i| f(l[i]) * rho[i]));
+        simpson_sum((f(l[0]) * rho[0], f(l[n]) * rho[n]), inner, table.h)
     }
 }
 

@@ -141,8 +141,9 @@ impl SlotSpec {
 /// once instead of once per slot. The memo also keeps each distribution's
 /// node densities, which do not depend on the duty-cycle, so a caller that
 /// sweeps duty-cycles (a bisection, a curve's breakpoints) should keep one
-/// memo for the whole sweep: each later integral then evaluates only its
-/// integrand. Entries are exactly the values of
+/// memo for the whole sweep: later expectations then reuse the densities,
+/// and the moment tables built from them that answer most of them without
+/// a Simpson pass (see [`crate::snip`]). Entries are exactly the values of
 /// [`SnipModel::expected_probed_dist`], so every result is bit-identical to
 /// evaluating the slots one by one.
 ///
@@ -178,9 +179,6 @@ struct DistMemo {
     grid: DensityGrid,
     /// `E[Tprobed]` in seconds, keyed by the duty-cycle's bits.
     probed: BTreeMap<u64, f64>,
-    /// The most recent entry of `probed`: a profile evaluation asks for the
-    /// same duty-cycle once per slot in a row.
-    last: Option<(u64, f64)>,
 }
 
 impl ProbedTimeMemo {
@@ -197,7 +195,39 @@ impl ProbedTimeMemo {
     /// first request for this `(d, slot.contact_length)` pair and looked up
     /// afterwards.
     pub fn probed_capacity(&mut self, slot: &SlotSpec, d: DutyCycle) -> f64 {
-        let dist = &slot.contact_length;
+        slot.expected_contacts() * self.probed_secs(&slot.contact_length, d)
+    }
+
+    /// [`SlotProfile::probed_capacity_uniform`] through this memo. Each run
+    /// of slots sharing a distribution looks its expectation up once, and
+    /// each run of equal slots computes its term once; the terms are added
+    /// in slot order.
+    pub fn probed_capacity_uniform(&mut self, profile: &SlotProfile, d: DutyCycle) -> f64 {
+        // The previous slot, its expectation and its term.
+        let mut prev: Option<(&SlotSpec, f64, f64)> = None;
+        profile
+            .slots()
+            .iter()
+            .map(|s| {
+                let (secs, term) = match prev {
+                    Some((p, secs, term)) if p == s => (secs, term),
+                    Some((p, secs, _)) if p.contact_length == s.contact_length => {
+                        (secs, s.expected_contacts() * secs)
+                    }
+                    _ => {
+                        let secs = self.probed_secs(&s.contact_length, d);
+                        (secs, s.expected_contacts() * secs)
+                    }
+                };
+                prev = Some((s, secs, term));
+                term
+            })
+            .sum()
+    }
+
+    /// `E[Tprobed](d, dist)` in seconds, computed on the first request and
+    /// looked up afterwards.
+    fn probed_secs(&mut self, dist: &LengthDistribution, d: DutyCycle) -> f64 {
         let at = match self
             .dists
             .iter()
@@ -208,41 +238,29 @@ impl ProbedTimeMemo {
                 self.dists.push(DistMemo {
                     grid: DensityGrid::new(dist),
                     probed: BTreeMap::new(),
-                    last: None,
                 });
                 self.dists.len() - 1
             }
         };
-        let DistMemo { grid, probed, last } = &mut self.dists[at];
-        let key = d.as_fraction().to_bits();
-        let secs = match *last {
-            Some((seen, secs)) if seen == key => secs,
-            _ => {
-                let model = &self.model;
-                let secs = *probed
-                    .entry(key)
-                    .or_insert_with(|| model.expected_probed_on(d, grid).as_secs_f64());
-                *last = Some((key, secs));
-                secs
-            }
-        };
-        slot.expected_contacts() * secs
-    }
-
-    /// [`SlotProfile::probed_capacity_uniform`] through this memo.
-    pub fn probed_capacity_uniform(&mut self, profile: &SlotProfile, d: DutyCycle) -> f64 {
-        profile
-            .slots()
-            .iter()
-            .map(|s| self.probed_capacity(s, d))
-            .sum()
+        let DistMemo { grid, probed } = &mut self.dists[at];
+        let model = &self.model;
+        *probed
+            .entry(d.as_fraction().to_bits())
+            .or_insert_with(|| model.expected_probed_on(d, grid).as_secs_f64())
     }
 
     /// Number of distinct pairs computed so far: the expectations actually
     /// evaluated.
     #[cfg(test)]
-    fn integrals(&self) -> usize {
+    pub(crate) fn integrals(&self) -> usize {
         self.dists.iter().map(|m| m.probed.len()).sum()
+    }
+
+    /// Number of expectations taken from the Simpson loop's own sums (the
+    /// whole loop, or its last level) rather than the moment tables.
+    #[cfg(test)]
+    pub(crate) fn loop_sums(&self) -> usize {
+        self.dists.iter().map(|m| m.grid.loop_sums).sum()
     }
 }
 

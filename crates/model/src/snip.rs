@@ -18,11 +18,68 @@
 //! `Υ = 1/2`. Below the knee the energy cost per probed second (`ρ`) is
 //! constant; above it the returns diminish — which is why SNIP-RH sets its
 //! rush-hour duty-cycle exactly at the knee (§VI-C).
+//!
+//! # `E[Tprobed]` from moment sums
+//!
+//! For a normal, log-normal or uniform contact length, `E[Tprobed]` at
+//! cycle `c` is defined as the adaptive Simpson loop's value (see
+//! [`crate::integrate`]) of `f(l)·ρ(l)`, with `f(l) = l²/(2c)` for `l ≤ c`
+//! and `l − c/2` above, rounded to µs by `SimDuration::from_secs_f64`.
+//! SNIP-AT's bisection and
+//! SNIP-OPT's curves ask for it at many cycles over one distribution, so
+//! [`SnipModel::expected_probed_dist`] reaches that value three ways, each
+//! equal to it:
+//!
+//! * From the density grid's moment tables (see [`crate::length`]), a few
+//!   reads per refinement level, when bounds prove that the loop stops at
+//!   the same level (its stopping tests replayed on the estimates) and that
+//!   its value rounds to the same µs ([`snip_units::round_if_clear`]).
+//! * From the loop's last level alone, when the level the loop stops at is
+//!   proven but the rounding is not: the loop returns that level's Simpson
+//!   sum, formed here from the same node values in the same order by the
+//!   loop's own summation. Most doubts are of this kind: a bisection homes
+//!   in on the µs edge where `ζ` crosses its target.
+//! * From the loop itself, when a stopping test is in doubt, a level has no
+//!   table (beyond 1,024 panels), the cycle is not finite, or the
+//!   distribution is uniform.
+//!
+//! ## Error bounds
+//!
+//! With `u = 2^-53`, take a level of `n` panels whose `n + 1` nodes have
+//! `m` at `l ≤ c` and `k` above. Over exact arithmetic on the stored nodes
+//! and densities, let `B = P2(m)/(2c)`, `T1 = T1(m)`, `C = (c/2)·T0(m)`,
+//! and `R = (h/3)·Σ w·ρ·f(l) = (h/3)·(B + T1 − C)`, the level sum both
+//! routes round. All terms are ≥ 0, and `R ≤ (h/3)·(B + T1)`.
+//!
+//! * The loop rounds each node value at most 3 times (`f` twice, the
+//!   product once), adds its `n + 1` values with `n` roundings, then
+//!   multiplies by `h` and divides by 3: its sum is within `γ_{n+5}·R` of
+//!   `R`.
+//! * The moment route: `B` carries its sum's `γ_{m+2}` and the division's
+//!   rounding; `T1` its sum's `γ_{k+2}`; `C` its sum's `γ_{k+1}` and the
+//!   product's rounding (`c/2` is exact); `T1 − C` and `B + (T1 − C)` round
+//!   once each, relative to at most `B + T1 + C`, and the product with
+//!   `fl(h/3)` twice. In all, within `u·(h/3)·(max(m, k) + 7)·(B + T1 + C)`
+//!   to first order.
+//!
+//! Together the routes are within `u·(h/3)·(2n + 13)·(B + T1 + C)`, as
+//! `m, k ≤ n + 1`. The bound used is `2u·(h/3)·(2n + 16)·(B + T1 + C)`,
+//! more than twice that, which also covers computing it from the table's
+//! rounded sums.
+//!
+//! The stopping tests take these bounds as derived in [`crate::integrate`].
+//! For the rounding, `from_secs_f64` rounds `fl(S·10^6)` of the loop's value
+//! `S`. The estimate's `fl(Ŝ·10^6)` is within `10^6·bound` of it plus the
+//! two products' roundings, `2u` relative; the guard allows
+//! `10^6·bound + 2^-50·ticks`, a 4× margin on the latter. A clear
+//! `round_if_clear` also proves `S > 0`, so the loop's `max(0)` changes
+//! nothing.
 
 use serde::{Deserialize, Serialize};
-use snip_units::{DutyCycle, SimDuration};
+use snip_units::{round_if_clear, DutyCycle, SimDuration, TICKS_PER_SECOND};
 
-use crate::length::{DensityGrid, LengthDistribution};
+use crate::integrate::Settled;
+use crate::length::{DensityGrid, LengthDistribution, Moments};
 
 /// The closed-form SNIP probing model, parameterized by the beacon window.
 ///
@@ -187,7 +244,8 @@ impl SnipModel {
     /// Uses the exact closed form for lengths without spread (as
     /// [`LengthDistribution::Fixed`]) and for
     /// [`LengthDistribution::Exponential`], and adaptive Simpson integration
-    /// otherwise.
+    /// otherwise, whose µs value is taken from moment sums where bounds
+    /// prove it (see the module docs).
     ///
     /// For an exponential length with mean `m` and cycle `T = Ton/d`, the
     /// expectation telescopes to the clean closed form
@@ -218,16 +276,7 @@ impl SnipModel {
             }
             _ => {
                 let cycle = self.ton.as_secs_f64() / d.as_fraction();
-                let probed = |l: f64| -> f64 {
-                    if l <= 0.0 {
-                        0.0
-                    } else if cycle >= l {
-                        l * l / (2.0 * cycle)
-                    } else {
-                        l - cycle / 2.0
-                    }
-                };
-                SimDuration::from_secs_f64(grid.expect(probed).max(0.0))
+                probed_on_grid(grid, cycle)
             }
         }
     }
@@ -242,6 +291,71 @@ impl SnipModel {
         }
         self.expected_probed_dist(d, dist).as_secs_f64() / mean
     }
+}
+
+/// The expected probed time of a contact `l` seconds long under SNIP
+/// cycles of `cycle` seconds: `E[Tprobed]`'s integrand.
+pub(crate) fn probed_time(cycle: f64, l: f64) -> f64 {
+    if l <= 0.0 {
+        0.0
+    } else if cycle >= l {
+        l * l / (2.0 * cycle)
+    } else {
+        l - cycle / 2.0
+    }
+}
+
+/// `2·2^-53`: twice the unit roundoff, the factor of a level sum's bound
+/// (see the module docs).
+const LEVEL_ROUNDING: f64 = 1.0 / (1u64 << 52) as f64;
+
+/// What the µs conversion's two products can round apart, relative to the
+/// tick count: `2^-50`, a 4× margin on their `2·2^-53` (see the module
+/// docs).
+const TICK_ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// `E[Tprobed]`'s Simpson sum at one refinement level, from the level's
+/// moment table, and a bound on its distance from the Simpson loop's sum
+/// at that level (see the module docs).
+fn probed_level_sum(table: &Moments, cycle: f64) -> (f64, f64) {
+    let [below2, tail0, tail1] = table.split(cycle);
+    let below = below2 / (2.0 * cycle);
+    let tail0 = cycle / 2.0 * tail0;
+    let third = table.third();
+    let sum = (below + (tail1 - tail0)) * third;
+    let roundings = 2.0 * table.panels() as f64 + 16.0;
+    let bound = LEVEL_ROUNDING * roundings * (below + tail1 + tail0) * third;
+    (sum, bound)
+}
+
+/// `E[Tprobed]` for cycles of `cycle` seconds, as the Simpson loop over
+/// `grid` rounds it to µs (see the module docs): from the moment tables
+/// where the bounds prove the loop's value rounds the same, from the loop's
+/// last level where only the rounding is in doubt, and from the loop
+/// itself otherwise.
+fn probed_on_grid(grid: &mut DensityGrid, cycle: f64) -> SimDuration {
+    let probed = |l: f64| probed_time(cycle, l);
+    let settled = if (2.0 * cycle).is_finite() {
+        grid.settle(|table| probed_level_sum(table, cycle))
+    } else {
+        None
+    };
+    let secs = match settled {
+        Some(Settled {
+            level,
+            estimate,
+            bound,
+        }) => {
+            let scale = TICKS_PER_SECOND as f64;
+            let ticks = estimate * scale;
+            if let Some(us) = round_if_clear(ticks, scale * bound + TICK_ROUNDING * ticks) {
+                return SimDuration::from_micros(us);
+            }
+            grid.level_sum(level, probed)
+        }
+        None => grid.expect(probed),
+    };
+    SimDuration::from_secs_f64(secs.max(0.0))
 }
 
 impl Default for SnipModel {
@@ -463,6 +577,135 @@ mod tests {
     #[should_panic(expected = "Ton must be positive")]
     fn zero_ton_rejected() {
         let _ = SnipModel::new(SimDuration::ZERO);
+    }
+
+    /// `E[Tprobed]` as defined: the Simpson loop over a fresh grid,
+    /// rounded to µs as `expected_probed_on` rounds it.
+    fn loop_probed(dist: &LengthDistribution, cycle: f64) -> SimDuration {
+        SimDuration::from_secs_f64(dist.expect(|l| probed_time(cycle, l)).max(0.0))
+    }
+
+    /// Normal, log-normal, uniform, exponential and point-mass lengths
+    /// around `mean` seconds, with relative spread `cv < 1`.
+    fn families(mean: f64, cv: f64) -> [LengthDistribution; 5] {
+        let (m, s) = (
+            SimDuration::from_secs_f64(mean),
+            SimDuration::from_secs_f64(mean * cv),
+        );
+        [
+            LengthDistribution::normal(m, s),
+            LengthDistribution::log_normal(m, s),
+            LengthDistribution::uniform(m - s, m + s),
+            LengthDistribution::exponential(m),
+            LengthDistribution::fixed(m),
+        ]
+    }
+
+    #[test]
+    fn moment_route_declines_without_a_density_or_a_finite_cycle() {
+        let two = SimDuration::from_secs(2);
+        for dist in [
+            LengthDistribution::uniform(two / 2, two),
+            LengthDistribution::fixed(two),
+        ] {
+            let mut grid = DensityGrid::new(&dist);
+            assert!(grid.settle(|table| probed_level_sum(table, 1.0)).is_none());
+            assert_eq!(probed_on_grid(&mut grid, 1.0), loop_probed(&dist, 1.0));
+        }
+        let dist = LengthDistribution::paper_normal(two);
+        let mut grid = DensityGrid::new(&dist);
+        // A cycle of 2^1023 s: finite, but not twice over.
+        let huge = f64::MAX / 1.5;
+        assert_eq!(probed_on_grid(&mut grid, huge), loop_probed(&dist, huge));
+        assert_eq!(grid.loop_sums, 1, "the loop decides");
+        assert_eq!(probed_on_grid(&mut grid, 30.0), loop_probed(&dist, 30.0));
+        assert_eq!(grid.loop_sums, 1, "far from a µs edge, the tables do");
+    }
+
+    #[test]
+    fn level_bound_covers_the_loop_sixteen_times_over() {
+        // The bound against the loop's own level sums (Simpson afresh at
+        // each level), over every tabled level, cycles on both sides of
+        // the kink and beyond the support, and the four density families.
+        let mut worst = 0.0f64;
+        for (mean, cv) in [(2.0, 0.1), (1.0, 0.45), (0.3, 0.05), (40.0, 0.3)] {
+            for dist in &families(mean, cv)[..4] {
+                if matches!(dist, LengthDistribution::Uniform { .. }) {
+                    continue;
+                }
+                let mut grid = DensityGrid::new(dist);
+                for k in 0..40 {
+                    let cycle = mean * 10f64.powf(-1.5 + 3.0 * f64::from(k) / 39.0);
+                    let f = |l: f64| probed_time(cycle, l) * dist.pdf(l);
+                    let mut level = 0;
+                    while let Some(table) = grid.moments(level) {
+                        let (a, b) = table.support();
+                        let want = crate::integrate::simpson(f, a, b, table.panels());
+                        let (got, bound) = probed_level_sum(table, cycle);
+                        let err = (got - want).abs();
+                        assert!(
+                            err <= bound / 16.0,
+                            "{dist:?} c = {cycle} level {level}: off by {err:e}, bound {bound:e}"
+                        );
+                        worst = worst.max(err / bound);
+                        level += 1;
+                    }
+                    assert_eq!(level, 5, "levels up to 1,024 panels have tables");
+                }
+            }
+        }
+        assert!(worst > 0.0, "some level sum should round differently");
+    }
+
+    #[test]
+    fn last_level_sum_is_the_loops_bit_for_bit() {
+        for dist in &families(2.0, 0.2)[..4] {
+            if matches!(dist, LengthDistribution::Uniform { .. }) {
+                continue;
+            }
+            let mut grid = DensityGrid::new(dist);
+            for cycle in [0.02, 1.7, 2.0, 2.3, 40.0] {
+                let f = |l: f64| probed_time(cycle, l);
+                for level in 0..5 {
+                    let (a, b) = grid.moments(level).expect("tabled").support();
+                    let n = grid.moments(level).expect("tabled").panels();
+                    let want = crate::integrate::simpson(|l| f(l) * dist.pdf(l), a, b, n);
+                    let got = grid.level_sum(level, f);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{dist:?} c {cycle} {level}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_every_route_rounds_as_the_loop(
+            mean in 0.05f64..8.0,
+            cv in 0.01f64..0.6,
+            exponents in proptest::collection::vec(-5.0f64..0.0, 1..8),
+            kinks in proptest::collection::vec(0.05f64..4.0, 1..8),
+        ) {
+            // Cycles of random duty-cycles, and cycles on both sides of
+            // the integrand's kink `l = c` inside the support.
+            let cycles: Vec<f64> = exponents
+                .iter()
+                .map(|e| 0.02 / 10f64.powf(*e))
+                .chain(kinks.iter().map(|k| mean * k))
+                .collect();
+            for dist in families(mean, cv) {
+                // One grid for the whole sweep, as a plan keeps one.
+                let mut grid = DensityGrid::new(&dist);
+                for &cycle in &cycles {
+                    prop_assert_eq!(
+                        probed_on_grid(&mut grid, cycle),
+                        loop_probed(&dist, cycle),
+                        "{:?} at cycle {}", dist, cycle
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

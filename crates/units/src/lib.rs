@@ -54,7 +54,7 @@ mod time;
 pub use data::DataSize;
 pub use duty::{DutyCycle, DutyCycleError};
 pub use energy::{Energy, Power, RadioEnergyModel};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_if_clear, SimDuration, SimTime};
 
 /// Number of microsecond ticks per second (the crate-wide clock resolution).
 pub const TICKS_PER_SECOND: u64 = 1_000_000;

@@ -44,6 +44,39 @@ fn round_ticks(ticks: f64) -> u64 {
     }
 }
 
+/// `ticks` rounded to whole µs as [`SimDuration::from_secs_f64`] rounds
+/// them, if every value within `err` of `ticks` rounds the same and is
+/// positive; `None` when the caller must decide with the exact value.
+///
+/// This is the rounding test of a guarded fast route: a caller that has a
+/// cheap approximation of an exact tick count, and a bound `err` on how far
+/// the two can be apart, uses the cheap value only when this returns
+/// `Some`, and falls back to the exact value otherwise. The answer is then
+/// the exact value's rounding either way.
+///
+/// # Examples
+///
+/// ```
+/// use snip_units::round_if_clear;
+///
+/// assert_eq!(round_if_clear(1_234_567.25, 0.125), Some(1_234_567));
+/// // Within the bound of the edge at 1_234_567.5: the exact value decides.
+/// assert_eq!(round_if_clear(1_234_567.4, 0.125), None);
+/// ```
+#[must_use]
+pub fn round_if_clear(ticks: f64, err: f64) -> Option<u64> {
+    // Below 2^52, adding 2^52 rounds `ticks` to the nearest whole number,
+    // which the sum's low bits hold, and `ticks − nearest` is exact.
+    // Rounding changes only at x.5, and the x.5 nearest to `ticks` is
+    // `0.5 − |ticks − nearest|` away. One branch, on all three tests;
+    // NaN fails them.
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let shifted = ticks + TWO_52;
+    let nearest = shifted - TWO_52;
+    let clear = (ticks > err) & (ticks < TWO_52) & (0.5 - (ticks - nearest).abs() > err);
+    clear.then(|| shifted.to_bits() - TWO_52.to_bits())
+}
+
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -476,6 +509,49 @@ mod tests {
             SimDuration::from_micros(3)
         );
     }
+
+    #[test]
+    fn round_if_clear_rounds_as_from_secs_f64() {
+        // A fixed walk over [0, 4000) s that lands on every fraction of a
+        // microsecond.
+        let mut secs = 0.0f64;
+        for _ in 0..100_000 {
+            secs = (secs + 0.039_999_731_1) % 4000.0;
+            if let Some(us) = round_if_clear(secs * TICKS_PER_SECOND as f64, 0.0) {
+                assert_eq!(us, SimDuration::from_secs_f64(secs).as_micros(), "{secs}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_if_clear_defers_at_half_microsecond_edges() {
+        let edge = 1_234_567.5;
+        let ulp = 2f64.powi(-32); // ulp(edge)
+        assert_eq!(round_if_clear(edge, 0.0), None);
+        assert_eq!(round_if_clear(edge, 1e-6), None);
+        assert_eq!(round_if_clear(edge + 4.0 * ulp, ulp), Some(1_234_568));
+        assert_eq!(round_if_clear(edge - 4.0 * ulp, ulp), Some(1_234_567));
+        assert_eq!(round_if_clear(edge + 4.0 * ulp, 8.0 * ulp), None);
+        assert_eq!(round_if_clear(edge - 4.0 * ulp, 8.0 * ulp), None);
+        // Whole microseconds are far from an edge.
+        assert_eq!(round_if_clear(1_234_567.0, 0.25), Some(1_234_567));
+        // No tolerance of half a microsecond or more is ever clear.
+        assert_eq!(round_if_clear(1_234_567.0, 0.5), None);
+    }
+
+    #[test]
+    fn round_if_clear_defers_at_or_near_zero_and_out_of_range() {
+        assert_eq!(round_if_clear(0.0, 0.0), None);
+        assert_eq!(round_if_clear(-3.0, 1e-9), None);
+        assert_eq!(round_if_clear(1e-6, 1e-6), None);
+        assert_eq!(round_if_clear(1e-6, 2e-6), None);
+        // Positive beyond the tolerance: the exact value is positive too,
+        // even where it rounds to zero.
+        assert_eq!(round_if_clear(0.25, 0.125), Some(0));
+        assert_eq!(round_if_clear(f64::NAN, 0.0), None);
+        assert_eq!(round_if_clear(2f64.powi(52), 0.0), None);
+    }
+
     use proptest::prelude::*;
 
     #[test]

@@ -9,7 +9,7 @@
 //! against the `Value` format's walker), the journal decoder
 //! (`snip replay FILE` on a file somebody handed you, JSONL or CBOR),
 //! and the checkpoint loader (`--resume-from` on a journal that may be
-//! torn, truncated, or hostile). Each must *reject* bad input with an
+//! torn, truncated, or hostile, JSONL or CBOR). Each must *reject* bad input with an
 //! error — never panic, never hang, never abort.
 //!
 //! This fuzzer is deliberately not coverage-guided (that needs compiler
@@ -72,17 +72,22 @@ pub enum Target {
     JournalJsonl,
     /// The CBOR journal decoder.
     JournalCbor,
-    /// The checkpoint loader (header validation + shard scan).
+    /// The checkpoint loader (header validation + shard scan) on a JSONL
+    /// journal.
     Checkpoint,
+    /// The checkpoint loader on a CBOR journal, the format of any
+    /// `--checkpoint` path not ending in `.json` or `.jsonl`.
+    CheckpointCbor,
 }
 
 impl Target {
     /// Every target, in the order they are fuzzed.
-    pub const ALL: [Target; 4] = [
+    pub const ALL: [Target; 5] = [
         Target::Frame,
         Target::JournalJsonl,
         Target::JournalCbor,
         Target::Checkpoint,
+        Target::CheckpointCbor,
     ];
 
     /// Stable name used in artifact filenames and reports.
@@ -93,6 +98,7 @@ impl Target {
             Target::JournalJsonl => "journal-jsonl",
             Target::JournalCbor => "journal-cbor",
             Target::Checkpoint => "checkpoint",
+            Target::CheckpointCbor => "checkpoint-cbor",
         }
     }
 
@@ -375,7 +381,8 @@ fn seed_corpus(target: Target) -> Vec<Vec<u8>> {
             };
             vec![journal_seed(format)]
         }
-        Target::Checkpoint => vec![checkpoint_seed()],
+        Target::Checkpoint => vec![checkpoint_seed(JournalFormat::Jsonl)],
+        Target::CheckpointCbor => vec![checkpoint_seed(JournalFormat::Cbor)],
     }
 }
 
@@ -413,8 +420,8 @@ fn journal_seed(format: JournalFormat) -> Vec<u8> {
     writer.into_inner()
 }
 
-/// A JSONL checkpoint journal: the header plus one shard record.
-fn checkpoint_seed() -> Vec<u8> {
+/// A checkpoint journal in `format`: the header plus one shard record.
+fn checkpoint_seed(format: JournalFormat) -> Vec<u8> {
     let events = [
         CheckpointEvent::Header(CheckpointHeader {
             version: snip_replay::CHECKPOINT_VERSION,
@@ -429,8 +436,13 @@ fn checkpoint_seed() -> Vec<u8> {
     ];
     let mut bytes = Vec::new();
     for event in &events {
-        bytes.extend_from_slice(serde::json::to_string(event).as_bytes());
-        bytes.push(b'\n');
+        match format {
+            JournalFormat::Jsonl => {
+                bytes.extend_from_slice(serde::json::to_string(event).as_bytes());
+                bytes.push(b'\n');
+            }
+            JournalFormat::Cbor => bytes.extend_from_slice(&serde::cbor::to_vec(event)),
+        }
     }
     bytes
 }
@@ -606,10 +618,17 @@ fn decode(target: Target, input: &[u8]) -> Outcome {
                 }
             }
         }
-        Target::Checkpoint => match load_checkpoint_from(input, JournalFormat::Jsonl) {
-            Ok(load) => Outcome::Ok(load.shards.len() as u32),
-            Err(_) => Outcome::Rejected,
-        },
+        Target::Checkpoint | Target::CheckpointCbor => {
+            let format = if target == Target::Checkpoint {
+                JournalFormat::Jsonl
+            } else {
+                JournalFormat::Cbor
+            };
+            match load_checkpoint_from(input, format) {
+                Ok(load) => Outcome::Ok(load.shards.len() as u32),
+                Err(_) => Outcome::Rejected,
+            }
+        }
     }
 }
 
