@@ -51,6 +51,7 @@ pub mod budget;
 pub mod dispatch;
 pub mod estimator;
 pub mod hybrid;
+pub mod planner;
 pub mod scheduler;
 pub mod snip_at;
 pub mod snip_opt;
@@ -61,6 +62,7 @@ pub use budget::EnergyLedger;
 pub use dispatch::MechanismScheduler;
 pub use estimator::Ewma;
 pub use hybrid::SnipRhPlusAt;
+pub use planner::Planner;
 pub use scheduler::{
     DecisionRecord, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
 };

@@ -8,10 +8,11 @@
 //! paper's SNIP-AT implicitly respects the budget by construction
 //! (`d0 ≤ Φmax/Tepoch`), and the gate makes that robust to mis-estimation.
 
-use snip_model::{ScenarioAnalysis, SlotProfile, SnipModel};
+use snip_model::{SlotProfile, SnipModel};
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
 use crate::budget::EnergyLedger;
+use crate::planner::Planner;
 use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
 /// The SNIP-AT scheduler: a fixed duty-cycle, all the time.
@@ -72,7 +73,8 @@ impl SnipAt {
 
     /// The paper's offline selection: the smallest duty-cycle whose probed
     /// capacity reaches `zeta_target` seconds per epoch under `profile`,
-    /// capped at the budget-bound duty-cycle `Φmax/Tepoch`.
+    /// capped at the budget-bound duty-cycle `Φmax/Tepoch`. A one-shot
+    /// [`Planner`]: a run planning many targets keeps one instead.
     ///
     /// # Panics
     ///
@@ -84,8 +86,7 @@ impl SnipAt {
         phi_max: f64,
         zeta_target: f64,
     ) -> Self {
-        let analysis = ScenarioAnalysis::new(model, profile.clone(), phi_max);
-        SnipAt::new(analysis.snip_at_duty_cycle(zeta_target))
+        Planner::default().snip_at(model, profile, phi_max, zeta_target)
     }
 
     /// The configured duty-cycle.

@@ -11,6 +11,7 @@ use snip_model::{SlotProfile, SnipModel};
 use snip_opt::OptPlan;
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
+use crate::planner::Planner;
 use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
 /// The SNIP-OPT playback scheduler.
@@ -69,21 +70,16 @@ impl SnipOptScheduler {
 
     /// Solves the two-step optimization and wraps the resulting plan.
     ///
-    /// Solves go through the process-wide plan cache
-    /// ([`snip_opt::solve_cached`]): a sweep revisiting the same
-    /// `(profile, Φmax, ζtarget)` point — or a fleet of same-profile nodes
-    /// — reuses the first solve's plan instead of re-solving (~50 µs each
-    /// on a profile with normal contact lengths).
-    /// Cache keys are the exact inputs, so the plan is bit-identical to an
-    /// uncached solve.
+    /// A one-shot [`Planner`]: it builds the profile's capacity curves for
+    /// this one solve. A run planning many targets keeps one planner, which
+    /// builds them once.
     ///
     /// # Panics
     ///
     /// Panics if `phi_max` or `zeta_target` is not positive.
     #[must_use]
     pub fn solve(model: SnipModel, profile: SlotProfile, phi_max: f64, zeta_target: f64) -> Self {
-        let plan = snip_opt::solve_cached(model, &profile, phi_max, zeta_target);
-        Self::new(plan, &profile)
+        Planner::default().snip_opt(model, &profile, phi_max, zeta_target)
     }
 
     /// The underlying plan.

@@ -25,9 +25,10 @@
 //!   sequential [`Fleet::run`]/[`ScenarioRunner::sweep`] for every
 //!   transport, worker count, steal order, and kill interleaving —
 //!   `assert_eq!`, not "approximately".
-//! * **Local plans** — each worker solves the SNIP-OPT plans its jobs
-//!   need through its own process cache ([`snip_opt::solve_cached`]);
-//!   no plan crosses the wire, and the coordinator keeps no plan state.
+//! * **Local plans** — each worker plans the SNIP-AT and SNIP-OPT
+//!   schedulers its jobs need through its own [`JobRunner`]'s planner
+//!   ([`snip_core::Planner`]); no plan crosses the wire, and the
+//!   coordinator keeps no plan state.
 //!
 //! The `snip` CLI (hosted here, at the top of the workspace) surfaces the
 //! driver as `snip fleet --spec <file> --workers <k>`,

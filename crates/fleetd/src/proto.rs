@@ -115,12 +115,13 @@ pub mod explore;
 ///   that shape.
 pub const PROTOCOL_VERSION: u32 = 5;
 
-/// One solved SNIP-OPT plan under its exact cache key: the element type
-/// of the reserved `plans` fields (see the module docs). This build sends
-/// none and ignores any it receives.
+/// One solved SNIP-OPT plan under a key: the element type of the reserved
+/// `plans` fields (see the module docs). This build sends none and ignores
+/// any it receives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanEntry {
-    /// The plan cache key ([`snip_opt::solve_cached`]'s exact-input key).
+    /// The key the plan was shipped under: once the exact inputs of a
+    /// process-wide plan cache, which no longer exists. Never read.
     pub key: String,
     /// The solved plan.
     pub plan: OptPlan,
@@ -393,12 +394,11 @@ mod tests {
         }
         let plan = PlanEntry {
             key: "k|1".into(),
-            plan: snip_opt::solve_cached(
+            plan: snip_opt::TwoStepOptimizer::new(
                 snip_model::SnipModel::default(),
-                &snip_model::SlotProfile::roadside(),
-                86.4,
-                16.0,
-            ),
+                snip_model::SlotProfile::roadside(),
+            )
+            .solve(86.4, 16.0),
         };
         let jobs = vec![
             ShardJob {
@@ -481,12 +481,11 @@ mod tests {
         };
         assert_eq!(WorkerMsg::from_value(&rejoin.to_value()).unwrap(), rejoin);
 
-        let plan = snip_opt::solve_cached(
+        let plan = snip_opt::TwoStepOptimizer::new(
             snip_model::SnipModel::default(),
-            &snip_model::SlotProfile::roadside(),
-            86.4,
-            16.0,
-        );
+            snip_model::SlotProfile::roadside(),
+        )
+        .solve(86.4, 16.0);
         let msg = CoordinatorMsg::Shard {
             jobs: vec![ShardJob {
                 id: 0,

@@ -10,7 +10,7 @@
 //! metrics for it.
 
 use serde::{Deserialize, Serialize};
-use snip_core::MechanismScheduler;
+use snip_core::{MechanismScheduler, Planner};
 use snip_mobility::EpochProfile;
 use snip_sim::{
     Fleet, FleetNode, FleetReport, Mechanism, RunMetrics, ScenarioRunner, SimConfig, SweepPoint,
@@ -174,6 +174,9 @@ pub enum FleetOutput {
 pub struct JobRunner {
     spec: FleetSpec,
     inner: Inner,
+    /// Plans the fleet nodes' SNIP-AT and SNIP-OPT schedulers, filled on
+    /// first use (a sweep plans through its [`ScenarioRunner`]'s own).
+    planner: Planner,
 }
 
 enum Inner {
@@ -217,6 +220,7 @@ impl JobRunner {
         JobRunner {
             spec: spec.clone(),
             inner,
+            planner: Planner::default(),
         }
     }
 
@@ -234,7 +238,8 @@ impl JobRunner {
 
     /// The scheduler a fleet node runs: [`Mechanism::scheduler`], the
     /// constructor [`ScenarioRunner`] builds its sweep's schedulers with,
-    /// against the node's own profile and target.
+    /// against the node's own profile and target, planned through this
+    /// runner's one [`Planner`].
     #[must_use]
     pub fn node_scheduler(&self, mechanism: Mechanism, node: &FleetNode) -> MechanismScheduler {
         mechanism.scheduler(
@@ -242,6 +247,7 @@ impl JobRunner {
             &self.spec.sim_config(),
             self.spec.phi_max_secs,
             node.zeta_target,
+            &self.planner,
         )
     }
 

@@ -87,10 +87,6 @@ fn the_canonical_sweep_stays_within_its_wire_budget_over_pipe_and_tcp() {
         spec.job_count(),
         "every in-process sweep point is timed"
     );
-    assert!(
-        sum_histograms("snip_opt_solve_us").0 > 0,
-        "the SNIP-OPT points time their solves"
-    );
     let driver = || {
         FleetDriver::new(spec.clone(), 2)
             .expect("valid spec")

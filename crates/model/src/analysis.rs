@@ -190,13 +190,25 @@ impl ScenarioAnalysis {
     /// bisection share one [`ProbedTimeMemo`].
     #[must_use]
     pub fn snip_at_duty_cycle(&self, zeta_target: f64) -> DutyCycle {
+        self.snip_at_duty_cycle_with(&mut ProbedTimeMemo::new(self.model), zeta_target)
+    }
+
+    /// [`ScenarioAnalysis::snip_at_duty_cycle`] through `memo`, which a
+    /// caller planning many targets keeps for all of them (its entries are
+    /// exact, so the duty-cycle is that of a fresh memo).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memo` is for another SNIP model.
+    #[must_use]
+    pub fn snip_at_duty_cycle_with(&self, memo: &mut ProbedTimeMemo, target: f64) -> DutyCycle {
+        assert_eq!(memo.model(), &self.model, "memo is for another SNIP model");
         let epoch = self.profile.epoch().as_secs_f64();
         let budget_d = DutyCycle::clamped(self.phi_max / epoch);
-        let mut memo = ProbedTimeMemo::new(self.model);
-        if memo.probed_capacity_uniform(&self.profile, budget_d) < zeta_target {
+        if memo.probed_capacity_uniform(&self.profile, budget_d) < target {
             return budget_d;
         }
-        match self.bisect_for_target(&mut memo, zeta_target) {
+        match self.bisect_for_target(memo, target) {
             Some(d) if d.as_fraction() <= budget_d.as_fraction() => d,
             _ => budget_d,
         }

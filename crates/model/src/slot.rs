@@ -191,6 +191,12 @@ impl ProbedTimeMemo {
         }
     }
 
+    /// The SNIP model this memo evaluates.
+    #[must_use]
+    pub fn model(&self) -> &SnipModel {
+        &self.model
+    }
+
     /// [`SlotSpec::probed_capacity`], with the expectation computed on the
     /// first request for this `(d, slot.contact_length)` pair and looked up
     /// afterwards.

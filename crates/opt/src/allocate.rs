@@ -52,6 +52,10 @@ impl Allocation {
 #[derive(Debug, Clone)]
 pub struct GreedyAllocator {
     curves: Vec<CapacityCurve>,
+    /// Every segment with positive efficiency, by decreasing efficiency
+    /// (ties broken by slot index for determinism). Sorted once here, and
+    /// walked by both steps of every solve.
+    segments: Vec<TaggedSegment>,
 }
 
 /// A segment tagged with its owning slot, flattened for global sorting.
@@ -71,20 +75,7 @@ impl GreedyAllocator {
     #[must_use]
     pub fn new(curves: Vec<CapacityCurve>) -> Self {
         assert!(!curves.is_empty(), "need at least one slot curve");
-        GreedyAllocator { curves }
-    }
-
-    /// The slot curves.
-    #[must_use]
-    pub fn curves(&self) -> &[CapacityCurve] {
-        &self.curves
-    }
-
-    /// All segments sorted by decreasing efficiency (ties broken by slot
-    /// index for determinism).
-    fn sorted_segments(&self) -> Vec<TaggedSegment> {
-        let mut segs: Vec<TaggedSegment> = self
-            .curves
+        let mut segments: Vec<TaggedSegment> = curves
             .iter()
             .enumerate()
             .flat_map(|(slot, curve)| {
@@ -96,13 +87,19 @@ impl GreedyAllocator {
             })
             .filter(|s| s.efficiency > 0.0)
             .collect();
-        segs.sort_by(|a, b| {
+        segments.sort_by(|a, b| {
             b.efficiency
                 .partial_cmp(&a.efficiency)
                 .expect("efficiencies are finite")
                 .then(a.slot.cmp(&b.slot))
         });
-        segs
+        GreedyAllocator { curves, segments }
+    }
+
+    /// The slot curves.
+    #[must_use]
+    pub fn curves(&self) -> &[CapacityCurve] {
+        &self.curves
     }
 
     /// **Step 1**: maximize probed capacity under an energy budget.
@@ -116,7 +113,7 @@ impl GreedyAllocator {
         let mut per_slot = vec![0.0; self.curves.len()];
         let mut zeta = 0.0;
         let mut remaining = phi_max;
-        for seg in self.sorted_segments() {
+        for seg in &self.segments {
             if remaining <= 0.0 {
                 break;
             }
@@ -155,7 +152,7 @@ impl GreedyAllocator {
                 phi,
             });
         }
-        for seg in self.sorted_segments() {
+        for seg in &self.segments {
             let seg_capacity = seg.energy * seg.efficiency;
             if zeta + seg_capacity >= zeta_target {
                 // Partial fill of the marginal segment.

@@ -61,14 +61,20 @@ impl CapacityCurve {
     /// The breakpoints depend only on the contact-length distribution, so
     /// slots sharing a distribution share their expectations: each distinct
     /// distribution is integrated once per breakpoint, not once per slot.
+    /// A slot equal to the one before it takes a clone of that slot's curve.
     #[must_use]
     pub fn for_profile(model: &SnipModel, profile: &SlotProfile) -> Vec<Self> {
         let mut memo = ProbedTimeMemo::new(*model);
-        profile
-            .slots()
-            .iter()
-            .map(|slot| Self::build(model, &mut memo, slot))
-            .collect()
+        let slots = profile.slots();
+        let mut curves: Vec<Self> = Vec::with_capacity(slots.len());
+        for (i, slot) in slots.iter().enumerate() {
+            let curve = match curves.last() {
+                Some(prev) if slots[i - 1] == *slot => prev.clone(),
+                _ => Self::build(model, &mut memo, slot),
+            };
+            curves.push(curve);
+        }
+        curves
     }
 
     fn build(model: &SnipModel, memo: &mut ProbedTimeMemo, slot: &SlotSpec) -> Self {
@@ -273,6 +279,24 @@ mod tests {
             .map(|s| CapacityCurve::for_slot(&model, s))
             .collect();
         assert_eq!(CapacityCurve::for_profile(&model, &profile), by_slot);
+    }
+
+    #[test]
+    fn equal_slots_share_curves_equal_to_their_own_builds() {
+        let model = SnipModel::default();
+        let (rush, off) = (rush_slot(), offpeak_slot());
+        let empty = SlotSpec::empty(SimDuration::from_hours(1));
+        // Roadside: 24 slots in 5 runs of equal slots. The other profile
+        // repeats slots only apart from each other, then in one run.
+        let apart = SlotProfile::new(vec![rush, off, rush, empty, off, rush, rush, empty]);
+        for profile in [SlotProfile::roadside(), apart] {
+            let by_slot: Vec<CapacityCurve> = profile
+                .slots()
+                .iter()
+                .map(|s| CapacityCurve::for_slot(&model, s))
+                .collect();
+            assert_eq!(CapacityCurve::for_profile(&model, &profile), by_slot);
+        }
     }
 
     #[test]

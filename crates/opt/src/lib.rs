@@ -20,9 +20,8 @@
 //!   the allocator in tests and available for ad-hoc LPs.
 //! * [`two_step`] — the full SNIP-OPT procedure returning a per-slot
 //!   duty-cycle plan.
-//! * [`cache`] — process-wide memoization of solved plans keyed on the
-//!   exact `(model, profile, Φmax, ζtarget)` inputs, so repeated sweep
-//!   points skip the re-solve.
+//! * [`cache`] — the counters of the deleted plan cache, kept as zeros
+//!   while the repository benchmark still reads them.
 //!
 //! # Example
 //!
@@ -47,7 +46,7 @@ pub mod simplex;
 pub mod two_step;
 
 pub use allocate::{Allocation, GreedyAllocator};
-pub use cache::{plan_cache_stats, solve_cached, PlanCacheStats};
+pub use cache::{plan_cache_stats, PlanCacheStats};
 pub use curve::CapacityCurve;
 pub use simplex::{LinearProgram, SimplexError, SimplexSolution};
 pub use two_step::{OptPlan, TwoStepOptimizer};

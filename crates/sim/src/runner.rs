@@ -13,9 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use snip_core::{
-    MechanismScheduler, ProbeScheduler, SnipAt, SnipOptScheduler, SnipRh, SnipRhConfig,
-};
+use snip_core::{MechanismScheduler, Planner, ProbeScheduler, SnipRh, SnipRhConfig};
 use snip_mobility::{ContactTrace, EpochProfile, TraceGenerator};
 use snip_model::SnipModel;
 use snip_units::SimDuration;
@@ -70,10 +68,11 @@ impl Mechanism {
     /// Builds this mechanism's scheduler for one node exactly as the paper
     /// configures it ("calculated based on the simulated environment and
     /// incorporated into the codes"): SNIP-AT and SNIP-OPT plan offline on
-    /// `profile` under the budget `phi_max_secs` for `zeta_target`, and
-    /// SNIP-RH learns online from the profile's rush-hour marks and mean
-    /// contact length. The one place the three are configured, so an
-    /// in-process sweep and a sharded fleet run the same schedulers.
+    /// `profile` under the budget `phi_max_secs` for `zeta_target`, through
+    /// the run's `planner`, and SNIP-RH learns online from the profile's
+    /// rush-hour marks and mean contact length. The one place the three are
+    /// configured, so an in-process sweep and a sharded fleet run the same
+    /// schedulers.
     // Inlined into its callers: out of line, the SNIP-AT and SNIP-OPT jobs
     // of the benchmark's `plan-sweep` ran 3–6% slower.
     #[must_use]
@@ -84,17 +83,16 @@ impl Mechanism {
         config: &SimConfig,
         phi_max_secs: f64,
         zeta_target: f64,
+        planner: &Planner,
     ) -> MechanismScheduler {
         let model = SnipModel::new(config.ton);
         match self {
-            Mechanism::SnipAt => {
-                SnipAt::for_target(model, &profile.to_slot_profile(), phi_max_secs, zeta_target)
-                    .into()
-            }
-            Mechanism::SnipOpt => {
-                SnipOptScheduler::solve(model, profile.to_slot_profile(), phi_max_secs, zeta_target)
-                    .into()
-            }
+            Mechanism::SnipAt => planner
+                .snip_at(model, &profile.to_slot_profile(), phi_max_secs, zeta_target)
+                .into(),
+            Mechanism::SnipOpt => planner
+                .snip_opt(model, &profile.to_slot_profile(), phi_max_secs, zeta_target)
+                .into(),
             Mechanism::SnipRh => SnipRh::new(snip_rh_config(
                 profile.rush_marks(),
                 config,
@@ -147,7 +145,8 @@ pub struct SweepPoint {
 ///
 /// The contact trace for the runner's seed is generated once, lazily, and
 /// shared (`Arc`) across every run — a sweep re-executes the simulation per
-/// `(mechanism, ζtarget)` point, not the trace generation.
+/// `(mechanism, ζtarget)` point, not the trace generation. Likewise its
+/// SNIP-AT and SNIP-OPT plans share one [`Planner`], filled on first use.
 #[derive(Debug, Clone)]
 pub struct ScenarioRunner {
     profile: EpochProfile,
@@ -156,6 +155,7 @@ pub struct ScenarioRunner {
     seed: u64,
     /// Lazily generated trace for `seed`; reset whenever the seed changes.
     trace_cache: OnceLock<Arc<ContactTrace>>,
+    planner: Planner,
 }
 
 impl ScenarioRunner {
@@ -174,6 +174,7 @@ impl ScenarioRunner {
             phi_max_secs,
             seed: 0x5eed,
             trace_cache: OnceLock::new(),
+            planner: Planner::default(),
         }
     }
 
@@ -245,7 +246,13 @@ impl ScenarioRunner {
         mechanism: Mechanism,
         zeta_target: f64,
     ) -> MechanismScheduler {
-        mechanism.scheduler(&self.profile, &self.config, self.phi_max_secs, zeta_target)
+        mechanism.scheduler(
+            &self.profile,
+            &self.config,
+            self.phi_max_secs,
+            zeta_target,
+            &self.planner,
+        )
     }
 
     /// Runs one mechanism at one target and returns the full metrics.
