@@ -6,6 +6,8 @@
 //! * the exact integer-µs `RunMetrics` of the Fig 7 (Φmax 86.4 s) and
 //!   Fig 8 (Φmax 864 s) sweeps at paper defaults, every ζtarget, all three
 //!   mechanisms;
+//! * the same Fig 8 runs at one ζtarget with 30% beacon loss, which pin
+//!   the fast path's own loss draws;
 //! * every node of a 20-node fleet with mixed profiles and targets;
 //! * the bytes of one recorded CBOR journal;
 //! * the `Init` frame the coordinator ships for the same fleet spec, and
@@ -128,6 +130,23 @@ fn compute() -> Vec<(String, u64)> {
                 ));
             }
         }
+    }
+
+    // Fig 8 with lost beacons: pins the fast path's loss draws (one per
+    // beacon that lands inside a contact, in order), which the naive
+    // stepper does not share.
+    let lossy = ScenarioRunner::new(
+        EpochProfile::roadside(),
+        SimConfig::paper_defaults().with_beacon_loss(0.3),
+        PAPER_PHI_MAX_LOOSE,
+    )
+    .with_seed(2012);
+    for mechanism in Mechanism::ALL {
+        let metrics = lossy.run_one(mechanism, 32.0);
+        out.push((
+            format!("fig8-loss30/{}/zeta32", mechanism.label()),
+            digest(&metrics),
+        ));
     }
 
     let spec = mixed_fleet_spec();
