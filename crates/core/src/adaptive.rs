@@ -349,6 +349,7 @@ impl ProbeScheduler for AdaptiveSnipRh {
             AdaptivePhase::Learning => Some(SteadySpan {
                 until: slots::next_epoch_start(ctx.now, cfg.epoch),
                 phi_budget: Some(cfg.phi_max),
+                across_probes: false,
             }),
             AdaptivePhase::RushHour => {
                 if self.inner.in_rush_hour(ctx.now) {
@@ -373,6 +374,7 @@ impl ProbeScheduler for AdaptiveSnipRh {
                             cfg.rush_marks.len(),
                         ),
                         phi_budget: Some(cfg.phi_max),
+                        across_probes: false,
                     })
                 } else {
                     None

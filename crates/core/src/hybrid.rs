@@ -156,6 +156,7 @@ impl ProbeScheduler for SnipRhPlusAt {
                 cfg.rush_marks.len(),
             ),
             phi_budget: Some(cfg.phi_max),
+            across_probes: false,
         })
     }
 }

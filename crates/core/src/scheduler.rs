@@ -64,6 +64,14 @@ pub struct SteadySpan {
     /// batch beacons while the *resulting* spend stays `<=` this bound.
     /// `None` when the decision does not depend on the spend at all.
     pub phi_budget: Option<SimDuration>,
+    /// …and, when set, also across probed contacts: neither
+    /// [`record_probed_contact`](ProbeScheduler::record_probed_contact) nor
+    /// the upload that drains the buffer can change the decision before
+    /// `until`. A scheduler that learns from feedback (SNIP-RH's knee, its
+    /// data gate) must leave it clear, and so must a wrapper whose own
+    /// feedback can change [`decide`](ProbeScheduler::decide), even when
+    /// the span it wraps sets it.
+    pub across_probes: bool,
 }
 
 /// A guarantee for an *off* decision, used by fast-path drivers to skip
@@ -145,7 +153,10 @@ pub trait ProbeScheduler {
     /// whose `phi_spent_epoch` leaves room for a whole beacon window inside
     /// `span.phi_budget` (when set), with no intervening
     /// [`record_probed_contact`](ProbeScheduler::record_probed_contact).
-    /// The default is `None` (no guarantee), which is always correct.
+    /// With `span.across_probes` set it must hold whatever the buffer and
+    /// whatever feedback arrives in between, so the driver may step on
+    /// through probed contacts without asking again. The default is `None`
+    /// (no guarantee), which is always correct.
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
         let _ = ctx;
         None

@@ -144,6 +144,8 @@ impl ProbeScheduler for SnipAt {
         Some(SteadySpan {
             until: SimTime::MAX,
             phi_budget: self.ledger.as_ref().map(EnergyLedger::budget),
+            // Feedback is ignored and the buffer never read.
+            across_probes: true,
         })
     }
 }

@@ -139,6 +139,8 @@ impl ProbeScheduler for SnipOptScheduler {
                 self.plan.duty_cycles().len(),
             ),
             phi_budget: None,
+            // The plan is offline: feedback and buffer never move it.
+            across_probes: true,
         })
     }
 }

@@ -178,6 +178,11 @@ pub struct SnipRh {
     /// Mean data uploaded per probed contact, in seconds of airtime (EWMA,
     /// condition 2 of §VI-B).
     upload_per_contact: Ewma,
+    /// The knee duty-cycle and condition 2's threshold, derived from the
+    /// two EWMAs by [`SnipRh::derive`] whenever they move, so that every
+    /// consultation reads them instead of recomputing them.
+    rush_duty_cycle: DutyCycle,
+    upload_threshold: SimDuration,
 }
 
 impl SnipRh {
@@ -197,12 +202,42 @@ impl SnipRh {
         )
         .expect("weight validated");
         let upload_per_contact = Ewma::new(config.ewma_weight).expect("weight validated");
+        let (rush_duty_cycle, upload_threshold) =
+            Self::derive(&config, &contact_length, &upload_per_contact);
         SnipRh {
             config,
             slot_length,
             contact_length,
             upload_per_contact,
+            rush_duty_cycle,
+            upload_threshold,
         }
+    }
+
+    /// `T̄contact` from its EWMA, falling back to the initial guess.
+    fn mean_length(config: &SnipRhConfig, contact_length: &Ewma) -> SimDuration {
+        SimDuration::from_secs_f64(
+            contact_length
+                .value_or(config.initial_contact_length.as_secs_f64())
+                .max(1e-6),
+        )
+    }
+
+    /// The knee duty-cycle `d_rh = Ton / T̄contact` (§VI-C), scaled by the
+    /// multiplier and clamped to `[min_duty_cycle, 1]`, and the expected
+    /// upload of the next probed contact (condition 2's threshold, zero
+    /// before the first probed contact so that probing bootstraps).
+    fn derive(
+        config: &SnipRhConfig,
+        contact_length: &Ewma,
+        upload_per_contact: &Ewma,
+    ) -> (DutyCycle, SimDuration) {
+        let d = config.duty_cycle_multiplier * config.ton.as_secs_f64()
+            / Self::mean_length(config, contact_length).as_secs_f64();
+        (
+            DutyCycle::clamped(d.max(config.min_duty_cycle)),
+            SimDuration::from_secs_f64(upload_per_contact.value_or(0.0).max(0.0)),
+        )
     }
 
     /// The configuration.
@@ -214,20 +249,14 @@ impl SnipRh {
     /// The current contact-length estimate `T̄contact`.
     #[must_use]
     pub fn mean_contact_length(&self) -> SimDuration {
-        SimDuration::from_secs_f64(
-            self.contact_length
-                .value_or(self.config.initial_contact_length.as_secs_f64())
-                .max(1e-6),
-        )
+        Self::mean_length(&self.config, &self.contact_length)
     }
 
     /// The current rush-hour duty-cycle `d_rh = Ton / T̄contact` (§VI-C),
     /// clamped to `[min_duty_cycle, 1]`.
     #[must_use]
     pub fn rush_duty_cycle(&self) -> DutyCycle {
-        let d = self.config.duty_cycle_multiplier * self.config.ton.as_secs_f64()
-            / self.mean_contact_length().as_secs_f64();
-        DutyCycle::clamped(d.max(self.config.min_duty_cycle))
+        self.rush_duty_cycle
     }
 
     /// The expected upload in the next probed contact (condition 2's
@@ -235,7 +264,7 @@ impl SnipRh {
     /// bootstraps.
     #[must_use]
     pub fn upload_threshold(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.upload_per_contact.value_or(0.0).max(0.0))
+        self.upload_threshold
     }
 
     /// Condition 2 as an [`IdleSpan::data_below`] bound: the upload
@@ -318,6 +347,8 @@ impl ProbeScheduler for SnipRh {
         }
         self.upload_per_contact
             .observe(info.uploaded.as_airtime_secs_f64());
+        (self.rush_duty_cycle, self.upload_threshold) =
+            Self::derive(&self.config, &self.contact_length, &self.upload_per_contact);
     }
 
     fn name(&self) -> &str {
@@ -364,6 +395,9 @@ impl ProbeScheduler for SnipRh {
                 self.config.rush_marks.len(),
             ),
             phi_budget: Some(self.config.phi_max),
+            // Feedback moves the knee, and an upload empties the buffer
+            // that condition 2 reads.
+            across_probes: false,
         })
     }
 }

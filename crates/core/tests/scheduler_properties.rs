@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use snip_core::{ProbeContext, ProbeScheduler, ProbedContactInfo, SnipAt, SnipRh, SnipRhConfig};
+use snip_core::{
+    Ewma, LengthEstimation, ProbeContext, ProbeScheduler, ProbedContactInfo, SnipAt, SnipRh,
+    SnipRhConfig,
+};
 use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
 
 fn ctx(now_s: u64, buffered_ms: u64, phi_spent_ms: u64) -> ProbeContext {
@@ -103,6 +106,58 @@ proptest! {
         // DataSize quantizes uploads to whole microseconds (round to
         // nearest), so the threshold can exceed the raw float max by 0.5 µs.
         prop_assert!(thr >= 0.0 && thr <= max + 1e-6, "threshold {thr} vs max {max}");
+    }
+
+    /// SNIP-RH keeps its knee duty-cycle and upload threshold between
+    /// probes: after every feedback both must equal their definitions
+    /// recomputed from scratch — `d_rh = multiplier · Ton / T̄contact`
+    /// clamped to `[min_duty_cycle, 1]`, and the EWMA of per-contact
+    /// uploads — in either length-estimation mode.
+    #[test]
+    fn rh_stored_knee_and_threshold_equal_their_definitions(
+        double_probed in any::<bool>(),
+        multiplier in 0.25f64..4.0,
+        min_duty_cycle in 0.0f64..0.05,
+        weight in 0.01f64..=1.0,
+        contacts in proptest::collection::vec(
+            (0.0f64..20.0, 0.0f64..30.0, any::<bool>(), 0.0f64..40.0),
+            0..60,
+        ),
+    ) {
+        let mode = if double_probed {
+            LengthEstimation::DoubleProbed
+        } else {
+            LengthEstimation::Exact
+        };
+        let mut config = SnipRhConfig::paper_defaults(vec![true; 24])
+            .with_length_estimation(mode)
+            .with_duty_cycle_multiplier(multiplier)
+            .with_ewma_weight(weight);
+        config.min_duty_cycle = min_duty_cycle;
+        let mut rh = SnipRh::new(config.clone());
+        let mut uploads = Ewma::new(weight).unwrap();
+        let knee = |rh: &SnipRh| {
+            let d = config.duty_cycle_multiplier * config.ton.as_secs_f64()
+                / rh.mean_contact_length().as_secs_f64();
+            DutyCycle::clamped(d.max(config.min_duty_cycle))
+        };
+        prop_assert_eq!(rh.rush_duty_cycle(), knee(&rh));
+        prop_assert_eq!(rh.upload_threshold(), SimDuration::ZERO);
+        for (i, &(probed, uploaded, reported, length)) in contacts.iter().enumerate() {
+            let info = ProbedContactInfo {
+                probe_time: SimTime::from_secs(8 * 3_600 + i as u64),
+                probed_duration: SimDuration::from_secs_f64(probed),
+                uploaded: DataSize::from_airtime(SimDuration::from_secs_f64(uploaded)),
+                contact_length: reported.then(|| SimDuration::from_secs_f64(length)),
+            };
+            rh.record_probed_contact(&info);
+            uploads.observe(info.uploaded.as_airtime_secs_f64());
+            prop_assert_eq!(rh.rush_duty_cycle(), knee(&rh));
+            prop_assert_eq!(
+                rh.upload_threshold(),
+                SimDuration::from_secs_f64(uploads.value_or(0.0).max(0.0))
+            );
+        }
     }
 
     /// SNIP-AT is time-invariant: the same decision at any instant.

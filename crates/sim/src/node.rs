@@ -37,6 +37,17 @@
 //!   contact list (not the clock) drives the loop: the simulator computes
 //!   the first beacon that can land inside a contact and accounts all the
 //!   empty cycles before it in one step (`count × Ton` of Φ).
+//! * **Stepping through a span** — the simulator asks the scheduler again
+//!   only where the span's guarantee may end: at its `until`, the epoch's
+//!   end or the horizon, or when the Φ budget has no room for one more
+//!   window. At each hourly ledger slot it charges the slot its own empty
+//!   beacons and scans on, and after a lost beacon it scans on. After a
+//!   heard probe it scans on from the contact's end only for a span marked
+//!   [`across_probes`](snip_core::SteadySpan::across_probes) (SNIP-AT,
+//!   SNIP-OPT): feedback moves SNIP-RH's knee, and the upload drains the
+//!   buffer its data gate reads. Going back to the scheduler at any of
+//!   these points would return the same decision and cycle, so the beacons
+//!   sent are the same.
 //!
 //! With injected beacon loss the batched empty beacons do not consume RNG
 //! draws (the naive stepper draws one per beacon), so fast and naive runs
@@ -217,128 +228,152 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                 continue;
             };
 
-            // One probing cycle: radio on for Ton, beacon at window start.
-            // The 24-slot split here is the metrics ledger's own convention
-            // (RunMetrics defaults to 24 slots per epoch), independent of
-            // however many slots the scheduler divides its epoch into.
+            // Probing cycles: radio on for Ton, beacon at window start, on
+            // the grid `now + j·cycle`. The 24-slot split here is the
+            // metrics ledger's own convention (RunMetrics defaults to 24
+            // slots per epoch), independent of however many slots the
+            // scheduler divides its epoch into.
             let cycle = duty_cycle.cycle_for_on(ton).max(ton);
-            let slot_idx = ((now.time_in_epoch(epoch) / slot_len) as usize).min(23);
-            while cursor < contacts.len() && contacts[cursor].end() <= now {
-                cursor += 1;
-            }
-
+            let cycle_us = cycle.as_micros();
             let steady = if self.naive {
                 None
             } else {
                 self.scheduler.steady_span(&ctx)
             };
-            let mut at = now;
-            if let Some(span) = steady {
-                // Fast path: the decision holds across a span, so the
-                // contact list drives the loop. Bound the batch to the
-                // current slot (per-slot and per-epoch ledgers stay exact),
-                // the scheduler's window, its spend bound, and the horizon.
-                let epoch_start = now - now.time_in_epoch(epoch);
-                let slot_end = if slot_idx >= 23 {
-                    epoch_start + epoch
-                } else {
-                    epoch_start + slot_len * (slot_idx as u64 + 1)
-                };
-                let span_end = span.until.min(slot_end).min(horizon);
-                let cycle_us = cycle.as_micros();
-                let gap = span_end.as_micros() - now.as_micros();
-                let mut k_max = gap.div_ceil(cycle_us).max(1);
-                if let Some(phi_budget) = span.phi_budget {
-                    // Whole beacons that fit inside the remaining budget —
-                    // floor, so the batched spend never exceeds it. decide()
-                    // already approved the first beacon (it checked the room
-                    // for one Ton), so at least one is always sent.
-                    let room = phi_budget
-                        .as_micros()
-                        .saturating_sub(phi_in_epoch.as_micros());
-                    k_max = k_max.min((room / ton.as_micros()).max(1));
+            let epoch_end = now - now.time_in_epoch(epoch) + epoch;
+            let span_end = steady.map_or(now, |s| s.until.min(epoch_end).min(horizon));
+            // Whether the fast path may send the next beacon at `now`
+            // without asking again: the span, the epoch and the run go on,
+            // and the budget has room for one more window.
+            let holds = |now: SimTime, metrics: &RunMetrics| {
+                steady.is_some_and(|s| {
+                    let spent = metrics.epochs()[epoch_idx as usize].phi_exact();
+                    now < span_end && s.phi_budget.is_none_or(|b| spent + ton <= b)
+                })
+            };
+            // The reference stepper sends one beacon per consultation; the
+            // fast path stays in this loop while `holds`.
+            loop {
+                let slot_idx = ((now.time_in_epoch(epoch) / slot_len) as usize).min(23);
+                while cursor < contacts.len() && contacts[cursor].end() <= now {
+                    cursor += 1;
                 }
-
-                // The first beacon `now + j·cycle`, `j < k_max`, landing
-                // inside a contact — the naive stepper's hit, computed
-                // directly. Every contact before it ends by that beacon.
-                let mut hit = None;
-                let mut ci = cursor;
-                while let Some(c) = contacts.get(ci) {
-                    let j = if c.start <= now {
-                        0
+                let mut at = now;
+                if let Some(span) = steady {
+                    // Fast path: the contact list drives the loop. Bound the
+                    // batch to the current ledger slot as well, so per-slot
+                    // ledgers stay exact.
+                    let slot_end = if slot_idx >= 23 {
+                        epoch_end
                     } else {
-                        (c.start.as_micros() - now.as_micros()).div_ceil(cycle_us)
+                        epoch_end - epoch + slot_len * (slot_idx as u64 + 1)
                     };
-                    if j >= k_max {
-                        break;
+                    let gap = span_end.min(slot_end).as_micros() - now.as_micros();
+                    let mut k_max = gap.div_ceil(cycle_us).max(1);
+                    if let Some(phi_budget) = span.phi_budget {
+                        // Whole beacons that fit inside the remaining budget —
+                        // floor, so the batched spend never exceeds it. The
+                        // first always fits: decide() or `holds` checked the
+                        // room for one Ton.
+                        let spent = metrics.epochs()[epoch_idx as usize].phi_exact();
+                        let room = phi_budget.as_micros().saturating_sub(spent.as_micros());
+                        k_max = k_max.min((room / ton.as_micros()).max(1));
                     }
-                    if now.as_micros() + j * cycle_us < c.end().as_micros() {
-                        hit = Some((j, ci));
-                        break;
+
+                    // The first beacon `now + j·cycle`, `j < k_max`, landing
+                    // inside a contact — the naive stepper's hit, computed
+                    // directly. Every contact before it ends by that beacon.
+                    let mut hit = None;
+                    let mut ci = cursor;
+                    while let Some(c) = contacts.get(ci) {
+                        let j = if c.start <= now {
+                            0
+                        } else {
+                            (c.start.as_micros() - now.as_micros()).div_ceil(cycle_us)
+                        };
+                        if j >= k_max {
+                            break;
+                        }
+                        if now.as_micros() + j * cycle_us < c.end().as_micros() {
+                            hit = Some((j, ci));
+                            break;
+                        }
+                        ci += 1;
                     }
-                    ci += 1;
+
+                    let misses = hit.map_or(k_max, |(j, _)| j);
+                    if misses > 0 {
+                        // `Ton × misses` in exact integer µs: bit-identical to
+                        // the naive stepper's `misses` one-at-a-time charges.
+                        let em = metrics.epoch_mut(epoch_idx as usize);
+                        em.charge_phi(ton * misses);
+                        em.beacons += misses;
+                        metrics.charge_slot_phi(slot_idx, ton * misses);
+                    }
+                    let Some((j, ci)) = hit else {
+                        // No hit before the batch's end: scan on from the
+                        // next slot's first beacon.
+                        now += SimDuration::from_micros(k_max * cycle_us);
+                        if holds(now, &metrics) {
+                            continue;
+                        }
+                        break;
+                    };
+                    at = now + SimDuration::from_micros(j * cycle_us);
+                    cursor = ci;
                 }
 
-                let misses = hit.map_or(k_max, |(j, _)| j);
-                if misses > 0 {
-                    // `Ton × misses` in exact integer µs: bit-identical to
-                    // the naive stepper's `misses` one-at-a-time charges.
-                    let em = metrics.epoch_mut(epoch_idx as usize);
-                    em.charge_phi(ton * misses);
-                    em.beacons += misses;
-                    metrics.charge_slot_phi(slot_idx, ton * misses);
-                }
-                let Some((j, ci)) = hit else {
-                    now += SimDuration::from_micros(k_max * cycle_us);
-                    continue;
-                };
-                at = now + SimDuration::from_micros(j * cycle_us);
-                cursor = ci;
-            }
-
-            // One beacon at `at`: every beacon of the reference stepper,
-            // the hit of the fast path.
-            let em = metrics.epoch_mut(epoch_idx as usize);
-            em.charge_phi(ton);
-            em.beacons += 1;
-            metrics.charge_slot_phi(slot_idx, ton);
-            let beacon_heard =
-                self.config.beacon_loss == 0.0 || rng.gen::<f64>() >= self.config.beacon_loss;
-            if let Some(&contact) = contacts.get(cursor).filter(|c| c.contains(at)) {
-                emit!(SimEvent::Probe {
-                    at,
-                    beacon_heard,
-                    contact,
-                });
-                if beacon_heard {
-                    // Probed: the radio serves the upload until the mobile
-                    // node leaves; probing resumes with a fresh cycle after.
-                    let probed_duration = contact.end() - at;
-                    let uploaded = buffer.upload(at, probed_duration);
-                    if !uploaded.is_zero() {
-                        emit!(SimEvent::Upload {
-                            at,
-                            airtime: uploaded,
-                        });
-                    }
-                    let em = metrics.epoch_mut(epoch_idx as usize);
-                    em.charge_zeta(probed_duration);
-                    em.charge_uploaded(uploaded);
-                    em.charge_upload_on_time(probed_duration);
-                    em.contacts_probed += 1;
-                    metrics.charge_slot_zeta(slot_idx, probed_duration);
-                    self.scheduler.record_probed_contact(&ProbedContactInfo {
-                        probe_time: at,
-                        probed_duration,
-                        uploaded,
-                        contact_length: Some(contact.length),
+                // One beacon at `at`: every beacon of the reference stepper,
+                // the hit of the fast path.
+                let em = metrics.epoch_mut(epoch_idx as usize);
+                em.charge_phi(ton);
+                em.beacons += 1;
+                metrics.charge_slot_phi(slot_idx, ton);
+                let beacon_heard =
+                    self.config.beacon_loss == 0.0 || rng.gen::<f64>() >= self.config.beacon_loss;
+                if let Some(&contact) = contacts.get(cursor).filter(|c| c.contains(at)) {
+                    emit!(SimEvent::Probe {
+                        at,
+                        beacon_heard,
+                        contact,
                     });
-                    now = contact.end();
-                    continue;
+                    if beacon_heard {
+                        // Probed: the radio serves the upload until the
+                        // mobile node leaves; probing resumes with a fresh
+                        // cycle after — within the span when the feedback
+                        // cannot change the decision.
+                        let probed_duration = contact.end() - at;
+                        let uploaded = buffer.upload(at, probed_duration);
+                        if !uploaded.is_zero() {
+                            emit!(SimEvent::Upload {
+                                at,
+                                airtime: uploaded,
+                            });
+                        }
+                        let em = metrics.epoch_mut(epoch_idx as usize);
+                        em.charge_zeta(probed_duration);
+                        em.charge_uploaded(uploaded);
+                        em.charge_upload_on_time(probed_duration);
+                        em.contacts_probed += 1;
+                        metrics.charge_slot_zeta(slot_idx, probed_duration);
+                        self.scheduler.record_probed_contact(&ProbedContactInfo {
+                            probe_time: at,
+                            probed_duration,
+                            uploaded,
+                            contact_length: Some(contact.length),
+                        });
+                        now = contact.end();
+                        if steady.is_some_and(|s| s.across_probes) && holds(now, &metrics) {
+                            continue;
+                        }
+                        break;
+                    }
+                }
+                now = at + cycle;
+                if !holds(now, &metrics) {
+                    break;
                 }
             }
-            now = at + cycle;
         }
         // Epochs never entered (or the final one) are final now.
         for e in current_epoch..self.config.epochs {

@@ -13,11 +13,12 @@ use rand::SeedableRng;
 
 use snip_rh_repro::snip_core::{
     AdaptiveConfig, AdaptiveSnipRh, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo,
-    SnipRh, SnipRhConfig, SnipRhPlusAt, SteadySpan,
+    SnipAt, SnipOptScheduler, SnipRh, SnipRhConfig, SnipRhPlusAt, SteadySpan,
 };
 use snip_rh_repro::snip_mobility::{ContactTrace, EpochProfile, TraceGenerator};
+use snip_rh_repro::snip_model::SnipModel;
 use snip_rh_repro::snip_sim::{RunMetrics, SimConfig, Simulation};
-use snip_rh_repro::snip_units::{DutyCycle, SimDuration};
+use snip_rh_repro::snip_units::{DutyCycle, SimDuration, SimTime};
 
 fn roadside_trace(epochs: u64, seed: u64) -> ContactTrace {
     TraceGenerator::new(EpochProfile::roadside())
@@ -234,4 +235,97 @@ fn data_gated_wake_ups_are_skipped_not_consulted() {
     let mut naive =
         Simulation::new(config, &trace, SnipRh::new(rh_config(86.4))).with_naive_stepping();
     assert_eq!(fast, naive.run(&mut StdRng::seed_from_u64(1)));
+}
+
+/// Runs `scheduler` on the fast path, counting its consultations, and
+/// asserts the ledgers equal a naive run of `reference`.
+fn consultations<S: ProbeScheduler>(
+    trace: &ContactTrace,
+    config: &SimConfig,
+    scheduler: S,
+    reference: S,
+) -> u64 {
+    let mut sim = Simulation::new(config.clone(), trace, Consultations(scheduler, 0));
+    let fast = sim.run(&mut StdRng::seed_from_u64(1));
+    let mut naive = Simulation::new(config.clone(), trace, reference).with_naive_stepping();
+    assert_eq!(fast, naive.run(&mut StdRng::seed_from_u64(1)));
+    sim.scheduler().1
+}
+
+#[test]
+fn steady_spans_are_stepped_through_not_consulted() {
+    // At Φmax 864 s SNIP-AT's span lasts to the end of the epoch and
+    // outlasts its probes, so the stepper asks it once per epoch: 14 times
+    // over 14 epochs at every target here, where asking again after every
+    // probe and every hourly ledger slot took 434–1,067. SNIP-OPT's spans
+    // end with the plan's slots: 29–85 consultations, against 125–686.
+    let trace = roadside_trace(14, 11);
+    let model = SnipModel::default();
+    let profile = EpochProfile::roadside().to_slot_profile();
+    for target in [8.0, 24.0, 40.0, 56.0] {
+        let config = SimConfig::paper_defaults()
+            .with_epochs(14)
+            .with_zeta_target_secs(target);
+        let at = SnipAt::for_target(model, &profile, 864.0, target);
+        let asked = consultations(&trace, &config, at.clone(), at);
+        assert_eq!(asked, 14, "SNIP-AT ζt={target}");
+        let opt = SnipOptScheduler::solve(model, profile.clone(), 864.0, target);
+        let asked = consultations(&trace, &config, opt.clone(), opt);
+        assert!(asked <= 100, "SNIP-OPT ζt={target}: asked {asked} times");
+    }
+}
+
+/// Probes at one of two duty-cycles, switching on every probed contact —
+/// a decision that feedback changes. `across_probes` says whether its span
+/// claims otherwise.
+#[derive(Debug, Clone)]
+struct Fickle {
+    probes: u64,
+    across_probes: bool,
+}
+
+impl ProbeScheduler for Fickle {
+    fn decide(&mut self, _ctx: &ProbeContext) -> Option<DutyCycle> {
+        let fraction = if self.probes.is_multiple_of(2) {
+            0.01
+        } else {
+            0.003
+        };
+        Some(DutyCycle::new(fraction).unwrap())
+    }
+
+    fn record_probed_contact(&mut self, _info: &ProbedContactInfo) {
+        self.probes += 1;
+    }
+
+    fn name(&self) -> &str {
+        "fickle"
+    }
+
+    fn steady_span(&self, _ctx: &ProbeContext) -> Option<SteadySpan> {
+        Some(SteadySpan {
+            until: SimTime::MAX,
+            phi_budget: None,
+            across_probes: self.across_probes,
+        })
+    }
+}
+
+#[test]
+fn a_false_across_probes_flag_is_caught_by_the_identity_check() {
+    // The identity tests have teeth: a span that claims to outlast probes
+    // while feedback moves the duty-cycle makes the fast path keep the old
+    // cycle after a probe, and the ledgers part from the naive stepper's.
+    let trace = roadside_trace(3, 12);
+    let config = SimConfig::paper_defaults().with_epochs(3);
+    let (fast, naive) = run_both(&trace, &config, || Fickle {
+        probes: 0,
+        across_probes: false,
+    });
+    assert_eq!(fast, naive, "an honest span");
+    let (fast, naive) = run_both(&trace, &config, || Fickle {
+        probes: 0,
+        across_probes: true,
+    });
+    assert_ne!(fast, naive, "a false across_probes went unnoticed");
 }
