@@ -8,6 +8,10 @@
 //!   mechanisms;
 //! * the same Fig 8 runs at one ζtarget with 30% beacon loss, which pin
 //!   the fast path's own loss draws;
+//! * the schedulers outside the paper's three, at Φmax 86.4 s over the 14
+//!   roadside epochs of the Fig 7 trace, clean and with 30% beacon loss:
+//!   the SNIP-RH+AT hybrid, the adaptive scheduler with and without
+//!   seasonal tracking, and SNIP-AT under a budget that binds mid-epoch;
 //! * every node of a 20-node fleet with mixed profiles and targets;
 //! * the bytes of one recorded CBOR journal;
 //! * the `Init` frame the coordinator ships for the same fleet spec, and
@@ -26,16 +30,20 @@ use serde::Serialize;
 use snip_replay::event::{JournalHeader, SchedulerSpec};
 use snip_replay::journal::{JournalFormat, JournalWriter};
 use snip_replay::record::record_run;
+use snip_rh_repro::snip_core::{
+    AdaptiveConfig, AdaptiveSnipRh, ProbeScheduler, SnipAt, SnipRhPlusAt,
+};
 use snip_rh_repro::snip_fleetd::transport::PreEncoded;
 use snip_rh_repro::snip_fleetd::{
     CoordinatorMsg, FleetSpec, JobRunner, JobSpec, NodeSpec, PROTOCOL_VERSION,
 };
+use snip_rh_repro::snip_mobility::ContactTrace;
 use snip_rh_repro::snip_mobility::{ArrivalProcess, EpochProfile, TraceGenerator};
 use snip_rh_repro::snip_model::analysis::{
     PAPER_PHI_MAX_LOOSE, PAPER_PHI_MAX_TIGHT, PAPER_ZETA_TARGETS,
 };
 use snip_rh_repro::snip_model::LengthDistribution;
-use snip_rh_repro::snip_sim::{Mechanism, ScenarioRunner, SimConfig};
+use snip_rh_repro::snip_sim::{snip_rh_config, Mechanism, ScenarioRunner, SimConfig, Simulation};
 use snip_rh_repro::snip_units::{DutyCycle, SimDuration};
 
 const GOLDEN: &str = include_str!("golden_digests.txt");
@@ -114,6 +122,13 @@ fn mixed_fleet_spec() -> FleetSpec {
     }
 }
 
+/// The digest of one run of `scheduler` over `trace`, beacon losses drawn
+/// from seed 2012.
+fn run_digest<S: ProbeScheduler>(config: &SimConfig, trace: &ContactTrace, scheduler: S) -> u64 {
+    let mut sim = Simulation::new(config.clone(), trace, scheduler);
+    digest(&sim.run(&mut StdRng::seed_from_u64(2012)))
+}
+
 fn compute() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (figure, phi_max, seed) in [
@@ -147,6 +162,52 @@ fn compute() -> Vec<(String, u64)> {
             format!("fig8-loss30/{}/zeta32", mechanism.label()),
             digest(&metrics),
         ));
+    }
+
+    // The budgeted schedulers no paper figure runs. SNIP-AT at 1% would
+    // spend 864 s a day, so its 288.01 s budget (not a whole number of
+    // beacon windows) binds around 08:00 every epoch.
+    let trace = ScenarioRunner::paper(PAPER_PHI_MAX_TIGHT)
+        .with_seed(2011)
+        .trace_arc();
+    let profile = EpochProfile::roadside();
+    let adaptive = |tracking| {
+        let mut config = AdaptiveConfig::paper_sketch(24, 4);
+        config.tracking_duty_cycle = tracking;
+        AdaptiveSnipRh::new(config)
+    };
+    for (set, loss) in [("budgeted", 0.0), ("budgeted-loss30", 0.3)] {
+        let config = SimConfig::paper_defaults()
+            .with_zeta_target_secs(32.0)
+            .with_beacon_loss(loss);
+        let rh = snip_rh_config(
+            profile.rush_marks(),
+            &config,
+            PAPER_PHI_MAX_TIGHT,
+            profile.mean_contact_length(),
+        );
+        let at = SnipAt::new(DutyCycle::new(0.01).expect("valid duty cycle")).with_budget(
+            config.epoch,
+            SimDuration::from_micros(288_010_000),
+            config.ton,
+        );
+        for (name, d) in [
+            (
+                "SNIP-RH+AT-bg0.002",
+                run_digest(&config, &trace, SnipRhPlusAt::new(rh, 0.002)),
+            ),
+            (
+                "Adaptive-track0.0005",
+                run_digest(&config, &trace, adaptive(0.000_5)),
+            ),
+            (
+                "Adaptive-track0",
+                run_digest(&config, &trace, adaptive(0.0)),
+            ),
+            ("SNIP-AT-budget288.01", run_digest(&config, &trace, at)),
+        ] {
+            out.push((format!("{set}/{name}/zeta32"), d));
+        }
     }
 
     let spec = mixed_fleet_spec();
