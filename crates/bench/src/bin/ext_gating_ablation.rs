@@ -39,6 +39,10 @@ impl ProbeScheduler for UngatedRh {
     fn name(&self) -> &str {
         "SNIP-RH-ungated"
     }
+
+    fn phi_budget(&self) -> Option<SimDuration> {
+        self.inner.phi_budget()
+    }
 }
 
 fn main() {

@@ -15,7 +15,7 @@
 //!    the marks are re-derived at every epoch boundary.
 
 use serde::{Deserialize, Serialize};
-use snip_units::{DutyCycle, SimTime};
+use snip_units::{DutyCycle, SimDuration, SimTime};
 
 use crate::scheduler::{
     slots, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
@@ -251,28 +251,19 @@ impl ProbeScheduler for AdaptiveSnipRh {
     fn decide(&mut self, ctx: &ProbeContext) -> Option<DutyCycle> {
         self.roll_epoch(ctx.now);
         match self.phase {
-            AdaptivePhase::Learning => {
-                // Probe everywhere, budget-gated, ignoring data gating so the
-                // statistics reflect the environment rather than the buffer.
-                // Exact gate: a whole beacon window must still fit.
-                if ctx.phi_spent_epoch + self.config.rh.ton > self.config.rh.phi_max {
-                    return None;
-                }
-                Some(DutyCycle::clamped(self.config.learning_duty_cycle))
-            }
+            // Probe everywhere, ignoring data gating so the statistics
+            // reflect the environment rather than the buffer. Every branch
+            // is held to the budget by the driver.
+            AdaptivePhase::Learning => Some(DutyCycle::clamped(self.config.learning_duty_cycle)),
             AdaptivePhase::RushHour => {
                 if let Some(d) = self.inner.decide(ctx) {
                     return Some(d);
                 }
-                // Seasonal-tracking trickle outside rush hours (still
-                // budget-gated; data gating intentionally skipped so shifted
-                // rush hours are detected even with an empty buffer).
-                if self.config.tracking_duty_cycle > 0.0
-                    && ctx.phi_spent_epoch + self.config.rh.ton <= self.config.rh.phi_max
-                {
-                    return Some(DutyCycle::clamped(self.config.tracking_duty_cycle));
-                }
-                None
+                // Seasonal-tracking trickle outside rush hours (data gating
+                // intentionally skipped so shifted rush hours are detected
+                // even with an empty buffer).
+                (self.config.tracking_duty_cycle > 0.0)
+                    .then(|| DutyCycle::clamped(self.config.tracking_duty_cycle))
             }
         }
     }
@@ -309,46 +300,31 @@ impl ProbeScheduler for AdaptiveSnipRh {
         "Adaptive-SNIP-RH"
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        Some(self.config.rh.phi_max)
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
-        let cfg = &self.config.rh;
-        let budget_gated = ctx.phi_spent_epoch + cfg.ton > cfg.phi_max;
-        let to_next_epoch = IdleSpan::timed(slots::next_epoch_start(ctx.now, cfg.epoch));
         match self.phase {
-            // Learning probes everywhere: the only off state is budget
-            // exhaustion, and the spend resets at the next epoch boundary —
-            // which is also exactly where the phase may switch, so the
-            // bound never skips over a behavioural change.
-            AdaptivePhase::Learning => budget_gated.then_some(to_next_epoch),
-            AdaptivePhase::RushHour => {
-                if budget_gated {
-                    // The knee and the tracking trickle share the exact
-                    // budget gate; both stay off until the next epoch
-                    // (where the marks may also relearn — the bound stops
-                    // exactly there).
-                    return Some(to_next_epoch);
-                }
-                if self.config.tracking_duty_cycle > 0.0 {
-                    // Budget OK ⇒ the trickle keeps the radio on somewhere:
-                    // there is no provably-idle stretch to skip.
-                    return None;
-                }
-                // Tracking disabled: the marks never relearn after the
-                // switch, so the inner SNIP-RH's bounds are exact — its
-                // data bound included, since nothing but the inner
-                // decision can turn the radio on.
-                self.inner.idle_until(ctx)
-            }
+            // Learning probes everywhere, and with tracking on the trickle
+            // keeps the radio on somewhere: no provably idle stretch.
+            AdaptivePhase::Learning => None,
+            AdaptivePhase::RushHour if self.config.tracking_duty_cycle > 0.0 => None,
+            // Tracking disabled: the marks never relearn after the switch,
+            // so the inner SNIP-RH's bounds are exact — its data bound
+            // included, since nothing but the inner decision can turn the
+            // radio on.
+            AdaptivePhase::RushHour => self.inner.idle_until(ctx),
         }
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
         let cfg = &self.config.rh;
         match self.phase {
-            // One flat learning duty-cycle, budget-gated only; the phase
-            // can switch no earlier than the next epoch boundary.
+            // One flat learning duty-cycle; the phase can switch no earlier
+            // than the next epoch boundary.
             AdaptivePhase::Learning => Some(SteadySpan {
                 until: slots::next_epoch_start(ctx.now, cfg.epoch),
-                phi_budget: Some(cfg.phi_max),
                 across_probes: false,
             }),
             AdaptivePhase::RushHour => {
@@ -359,9 +335,9 @@ impl ProbeScheduler for AdaptiveSnipRh {
                         // no constant-duty-cycle guarantee exists.
                         return None;
                     }
-                    // Knee probing: the inner span (to the slot end, under
-                    // the shared budget) is exact; marks relearn at epoch
-                    // boundaries, never inside a slot.
+                    // Knee probing: the inner span (to the slot end) is
+                    // exact; marks relearn at epoch boundaries, never
+                    // inside a slot.
                     self.inner.steady_span(ctx)
                 } else if self.config.tracking_duty_cycle > 0.0 {
                     // The trickle is flat and ungated by data; the mark of
@@ -373,7 +349,6 @@ impl ProbeScheduler for AdaptiveSnipRh {
                             self.inner.slot_length(),
                             cfg.rush_marks.len(),
                         ),
-                        phi_budget: Some(cfg.phi_max),
                         across_probes: false,
                     })
                 } else {
@@ -387,13 +362,12 @@ impl ProbeScheduler for AdaptiveSnipRh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_units::{DataSize, SimDuration};
+    use snip_units::DataSize;
 
-    fn ctx(now_s: u64, buffered_s: u64, phi_spent_ms: u64) -> ProbeContext {
+    fn ctx(now_s: u64, buffered_s: u64) -> ProbeContext {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::from_airtime_secs(buffered_s),
-            phi_spent_epoch: SimDuration::from_millis(phi_spent_ms),
         }
     }
 
@@ -422,10 +396,10 @@ mod tests {
         let mut a = AdaptiveSnipRh::new(AdaptiveConfig::paper_sketch(24, 4));
         assert_eq!(a.phase(), AdaptivePhase::Learning);
         // Probes at 3 AM during learning.
-        let d = a.decide(&ctx(3 * 3_600, 0, 0)).unwrap();
+        let d = a.decide(&ctx(3 * 3_600, 0)).unwrap();
         assert!((d.as_fraction() - 0.001).abs() < 1e-12);
-        // …but still respects the budget.
-        assert!(a.decide(&ctx(3 * 3_600, 0, 90_000)).is_none());
+        // …under the budget the driver enforces.
+        assert_eq!(a.phi_budget(), Some(a.inner().config().phi_max));
     }
 
     #[test]
@@ -437,7 +411,7 @@ mod tests {
             feed_epoch(&mut a, epoch, &[2, 12, 21], 2);
         }
         // First decision in epoch 3 triggers the phase switch.
-        let _ = a.decide(&ctx(3 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(3 * 86_400 + 60, 5));
         assert_eq!(a.phase(), AdaptivePhase::RushHour);
         let marks = a.rush_marks();
         for h in [7usize, 8, 17, 18] {
@@ -453,7 +427,7 @@ mod tests {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
         let day3 = 3 * 86_400;
-        let d = a.decide(&ctx(day3 + 8 * 3_600, 10, 0)).unwrap();
+        let d = a.decide(&ctx(day3 + 8 * 3_600, 10)).unwrap();
         // T̄contact = 2 s ⇒ knee = 0.01.
         assert!((d.as_fraction() - 0.01).abs() < 1e-6, "{d}");
     }
@@ -465,10 +439,8 @@ mod tests {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
         let day3 = 3 * 86_400;
-        let d = a.decide(&ctx(day3 + 12 * 3_600, 10, 0)).unwrap();
+        let d = a.decide(&ctx(day3 + 12 * 3_600, 10)).unwrap();
         assert!((d.as_fraction() - 0.000_5).abs() < 1e-12, "trickle at noon");
-        // Budget gate applies to the trickle too.
-        assert!(a.decide(&ctx(day3 + 12 * 3_600, 10, 90_000)).is_none());
     }
 
     #[test]
@@ -479,7 +451,7 @@ mod tests {
         for epoch in 0..3 {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
-        assert!(a.decide(&ctx(3 * 86_400 + 12 * 3_600, 10, 0)).is_none());
+        assert!(a.decide(&ctx(3 * 86_400 + 12 * 3_600, 10)).is_none());
     }
 
     #[test]
@@ -491,13 +463,13 @@ mod tests {
         for epoch in 0..3 {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
-        let _ = a.decide(&ctx(3 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(3 * 86_400 + 60, 5));
         assert!(a.rush_marks()[7]);
         // The environment shifts: rush hours now 9, 10, 19, 20.
         for epoch in 3..10 {
             feed_epoch(&mut a, epoch, &[9, 10, 19, 20], 12);
         }
-        let _ = a.decide(&ctx(10 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(10 * 86_400 + 60, 5));
         let marks = a.rush_marks();
         for h in [9usize, 10, 19, 20] {
             assert!(marks[h], "shifted slot {h} should be marked");
@@ -515,7 +487,7 @@ mod tests {
         for epoch in 0..3 {
             feed_epoch(&mut a, epoch, &[7, 17], 12);
         }
-        let _ = a.decide(&ctx(3 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(3 * 86_400 + 60, 5));
         assert_eq!(a.rush_marks().iter().filter(|&&m| m).count(), 2);
     }
 
@@ -525,7 +497,7 @@ mod tests {
         feed_epoch(&mut a, 0, &[7], 3);
         // Observations sit in the epoch accumulator until the epoch rolls;
         // a decision in epoch 1 folds them into the estimates.
-        let _ = a.decide(&ctx(86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(86_400 + 60, 5));
         // Learning at d = 0.001 probes 2 s contacts with P = 2·0.001/0.02 =
         // 0.1, so each observation is worth 2/0.1 = 20 s: three make 60 s.
         assert!(
@@ -545,7 +517,7 @@ mod tests {
         for epoch in 0..3 {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
-        let _ = a.decide(&ctx(3 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(3 * 86_400 + 60, 5));
         assert_eq!(a.phase(), AdaptivePhase::RushHour);
         let slot7_before = a.slot_capacity()[7];
         // Marked slot 7: knee duty-cycle (P = 1) → 12 contacts count 2 s each.
@@ -556,7 +528,7 @@ mod tests {
         // in for 20 contacts.
         a.record_probed_contact(&probed_at(3 * 86_400 + 12 * 3_600 + 60, 2.0));
         // Roll one epoch to fold the observations (EWMA with weight 0.1).
-        let _ = a.decide(&ctx(4 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(4 * 86_400 + 60, 5));
         let retention = 0.9;
         let marked_delta = a.slot_capacity()[7] - retention * slot7_before;
         let unmarked_delta = a.slot_capacity()[12];
@@ -594,7 +566,7 @@ mod tests {
         for epoch in 0..3 {
             feed_epoch(&mut a, epoch, &[7, 8, 17, 18], 12);
         }
-        let _ = a.decide(&ctx(3 * 86_400 + 60, 5, 0));
+        let _ = a.decide(&ctx(3 * 86_400 + 60, 5));
         assert_eq!(a.phase(), AdaptivePhase::RushHour);
         a
     }
@@ -603,42 +575,31 @@ mod tests {
     fn learning_hints_span_the_epoch_under_the_budget() {
         let a = AdaptiveSnipRh::new(AdaptiveConfig::paper_sketch(24, 4));
         // Active at 3 AM: a flat learning duty-cycle to the epoch end.
-        let active = ctx(3 * 3_600, 0, 0);
+        let active = ctx(3 * 3_600, 0);
         let span = a.steady_span(&active).unwrap();
         assert_eq!(span.until, SimTime::from_secs(86_400));
-        assert_eq!(span.phi_budget, Some(a.inner().config().phi_max));
         assert_eq!(a.idle_until(&active), None);
-        // Budget spent: idle exactly to the epoch boundary.
-        let gated = ctx(3 * 3_600, 0, 90_000);
-        assert_eq!(
-            a.idle_until(&gated).map(|s| s.until),
-            Some(SimTime::from_secs(86_400))
-        );
+        // The span is held to this budget by the driver, which idles to the
+        // epoch boundary once it is spent.
+        assert_eq!(a.phi_budget(), Some(a.inner().config().phi_max));
     }
 
     #[test]
     fn tracking_phase_never_goes_idle_while_budget_remains() {
         let mut a = learned(0.000_5);
         // Off-peak noon: the trickle is active, steady to the slot end.
-        let noon = ctx(3 * 86_400 + 12 * 3_600, 10, 0);
+        let noon = ctx(3 * 86_400 + 12 * 3_600, 10);
         assert!(a.decide(&noon).is_some());
         assert_eq!(a.idle_until(&noon), None);
         let span = a.steady_span(&noon).unwrap();
         assert_eq!(span.until, SimTime::from_secs(3 * 86_400 + 13 * 3_600));
-        // Budget spent: idle to the next epoch (marks may relearn there).
-        let gated = ctx(3 * 86_400 + 12 * 3_600, 10, 90_000);
-        assert!(a.decide(&gated).is_none());
-        assert_eq!(
-            a.idle_until(&gated).map(|s| s.until),
-            Some(SimTime::from_secs(4 * 86_400))
-        );
     }
 
     #[test]
     fn tracking_disabled_delegates_idle_bounds_to_the_inner_rh() {
         let mut a = learned(0.0);
         // Off-peak with tracking off: idle until the next learned mark.
-        let noon = ctx(3 * 86_400 + 12 * 3_600, 10, 0);
+        let noon = ctx(3 * 86_400 + 12 * 3_600, 10);
         assert!(a.decide(&noon).is_none());
         assert_eq!(
             a.idle_until(&noon),
@@ -650,7 +611,7 @@ mod tests {
         for k in 0..20 {
             a.record_probed_contact(&probed_at(3 * 86_400 + 7 * 3_600 + 60 * (k + 1), 2.0));
         }
-        let starved = ctx(3 * 86_400 + 8 * 3_600, 0, 0);
+        let starved = ctx(3 * 86_400 + 8 * 3_600, 0);
         assert!(a.decide(&starved).is_none());
         assert_eq!(
             a.idle_until(&starved),
@@ -668,13 +629,13 @@ mod tests {
         for k in 0..20 {
             a.record_probed_contact(&probed_at(3 * 86_400 + 7 * 3_600 + 60 * (k + 1), 2.0));
         }
-        let rush_starved = ctx(3 * 86_400 + 8 * 3_600, 0, 0);
+        let rush_starved = ctx(3 * 86_400 + 8 * 3_600, 0);
         // Starved in a rush slot the trickle still probes, but the decision
         // would jump to the knee as soon as data arrives: no steady span.
         assert!(a.decide(&rush_starved).is_some());
         assert_eq!(a.steady_span(&rush_starved), None);
         // With data in hand the knee is steady to the slot end.
-        let rush_fed = ctx(3 * 86_400 + 8 * 3_600, 10, 0);
+        let rush_fed = ctx(3 * 86_400 + 8 * 3_600, 10);
         let span = a.steady_span(&rush_fed).unwrap();
         assert_eq!(span.until, SimTime::from_secs(3 * 86_400 + 9 * 3_600));
     }

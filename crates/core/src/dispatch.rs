@@ -8,7 +8,7 @@
 //! [`ProbeScheduler`] trait remains the extension point for everything else
 //! (adaptive, hybrid, ablation schedulers).
 
-use snip_units::DutyCycle;
+use snip_units::{DutyCycle, SimDuration};
 
 use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
 use crate::snip_at::SnipAt;
@@ -63,6 +63,14 @@ impl ProbeScheduler for MechanismScheduler {
         }
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        match self {
+            MechanismScheduler::At(s) => s.phi_budget(),
+            MechanismScheduler::Opt(s) => s.phi_budget(),
+            MechanismScheduler::Rh(s) => s.phi_budget(),
+        }
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         match self {
             MechanismScheduler::At(s) => s.idle_until(ctx),
@@ -102,13 +110,12 @@ impl From<SnipRh> for MechanismScheduler {
 mod tests {
     use super::*;
     use crate::SnipRhConfig;
-    use snip_units::{DataSize, SimDuration, SimTime};
+    use snip_units::{DataSize, SimTime};
 
     fn ctx(now_s: u64) -> ProbeContext {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::from_airtime_secs(10),
-            phi_spent_epoch: SimDuration::ZERO,
         }
     }
 
@@ -119,6 +126,7 @@ mod tests {
         let rh = SnipRh::new(SnipRhConfig::paper_defaults(marks));
         let mut m: MechanismScheduler = rh.into();
         assert_eq!(m.name(), "SNIP-RH");
+        assert_eq!(m.phi_budget(), Some(m.as_rh().unwrap().config().phi_max));
         assert!(m.as_rh().is_some());
         // 08:00 is marked: active, with a steady span to the slot end.
         let rush = ctx(8 * 3_600);
@@ -163,7 +171,7 @@ mod tests {
         assert!(at.as_rh().is_none());
         let span = at.steady_span(&ctx(0)).expect("AT is always steady");
         assert_eq!(span.until, SimTime::MAX);
-        assert_eq!(span.phi_budget, None);
+        assert_eq!(at.phi_budget(), None);
 
         let opt: MechanismScheduler = SnipOptScheduler::solve(
             snip_model::SnipModel::default(),
@@ -173,6 +181,7 @@ mod tests {
         )
         .into();
         assert_eq!(opt.name(), "SNIP-OPT");
+        assert_eq!(opt.phi_budget(), None);
         // Noon is unfunded under the tight budget: an idle bound exists.
         assert!(opt.idle_until(&ctx(12 * 3_600)).is_some());
     }

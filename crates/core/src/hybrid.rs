@@ -28,7 +28,7 @@ use crate::snip_rh::{SnipRh, SnipRhConfig};
 ///
 /// ```
 /// use snip_core::{ProbeContext, ProbeScheduler, SnipRhPlusAt, SnipRhConfig};
-/// use snip_units::{DataSize, SimDuration, SimTime};
+/// use snip_units::{DataSize, SimTime};
 ///
 /// let mut marks = vec![false; 24];
 /// for h in [7, 8, 17, 18] { marks[h] = true; }
@@ -41,7 +41,6 @@ use crate::snip_rh::{SnipRh, SnipRhConfig};
 /// let ctx = ProbeContext {
 ///     now: SimTime::from_secs(12 * 3600),
 ///     buffered_data: DataSize::from_airtime_secs(5),
-///     phi_spent_epoch: SimDuration::ZERO,
 /// };
 /// let d = hybrid.decide(&ctx).expect("background probing active");
 /// assert!((d.as_fraction() - 0.0002).abs() < 1e-12);
@@ -94,7 +93,8 @@ impl SnipRhPlusAt {
 
 impl ProbeScheduler for SnipRhPlusAt {
     fn decide(&mut self, ctx: &ProbeContext) -> Option<DutyCycle> {
-        // Rush hours: full SNIP-RH semantics (conditions 1–3).
+        // Rush hours: full SNIP-RH semantics (conditions 1 and 2; the
+        // driver holds both branches to the shared budget).
         if let Some(d) = self.inner.decide(ctx) {
             // The background never lowers the rush-hour duty-cycle.
             return Some(if d.as_fraction() >= self.background.as_fraction() {
@@ -104,14 +104,9 @@ impl ProbeScheduler for SnipRhPlusAt {
             });
         }
         // Outside rush hours (or data-gated): background SNIP-AT, still
-        // honouring conditions 2 and 3 — the background exists to *upload*,
-        // so it inherits the data gate, unlike adaptive tracking.
+        // honouring condition 2 — the background exists to *upload*, so it
+        // inherits the data gate, unlike adaptive tracking.
         if ctx.buffered_data.as_airtime() < self.inner.upload_threshold() {
-            return None;
-        }
-        // Same exact budget gate as SNIP-RH: a whole beacon window must
-        // still fit, so Φ ≤ Φmax holds with no one-Ton overshoot.
-        if ctx.phi_spent_epoch + self.inner.config().ton > self.inner.config().phi_max {
             return None;
         }
         Some(self.background)
@@ -125,28 +120,26 @@ impl ProbeScheduler for SnipRhPlusAt {
         "SNIP-RH+AT"
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        self.inner.phi_budget()
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
-        let cfg = self.inner.config();
-        // Rush knee and background SNIP-AT share the exact budget gate: once
-        // less than one Ton of Φmax remains, the node is silent everywhere
-        // until the spend resets at the next epoch.
-        let until = if ctx.phi_spent_epoch + cfg.ton > cfg.phi_max {
-            slots::next_epoch_start(ctx.now, cfg.epoch)
-        } else {
-            ctx.now
-        };
-        // Both branches also share the data gate.
-        let data_below = self.inner.data_below(ctx);
-        (until > ctx.now || data_below.is_some()).then_some(IdleSpan { until, data_below })
+        // Rush knee and background share the data gate, the only reason
+        // the hybrid is ever off.
+        let data_below = self.inner.data_below(ctx)?;
+        Some(IdleSpan {
+            until: ctx.now,
+            data_below: Some(data_below),
+        })
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
         // The active decision is `max(knee, background)` inside a rush slot
         // and `background` outside — constant within one slot: the mark
         // cannot change mid-slot, the knee and the upload threshold only
-        // move on probed-contact feedback, condition 2 stays satisfied
-        // while the buffer grows, and condition 3 is delegated via
-        // `phi_budget`.
+        // move on probed-contact feedback, and condition 2 stays satisfied
+        // while the buffer grows.
         let cfg = self.inner.config();
         Some(SteadySpan {
             until: slots::slot_end(
@@ -155,7 +148,6 @@ impl ProbeScheduler for SnipRhPlusAt {
                 self.inner.slot_length(),
                 cfg.rush_marks.len(),
             ),
-            phi_budget: Some(cfg.phi_max),
             across_probes: false,
         })
     }
@@ -178,33 +170,33 @@ mod tests {
         SnipRhPlusAt::new(SnipRhConfig::paper_defaults(marks()), 0.0002)
     }
 
-    fn ctx(now_s: u64, buffered_s: u64, phi_spent_s: u64) -> ProbeContext {
+    fn ctx(now_s: u64, buffered_s: u64) -> ProbeContext {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::from_airtime_secs(buffered_s),
-            phi_spent_epoch: SimDuration::from_secs(phi_spent_s),
         }
     }
 
     #[test]
     fn rush_hours_use_the_knee() {
         let mut h = hybrid();
-        let d = h.decide(&ctx(8 * 3_600, 10, 0)).unwrap();
+        let d = h.decide(&ctx(8 * 3_600, 10)).unwrap();
         assert!((d.as_fraction() - 0.01).abs() < 1e-9);
     }
 
     #[test]
     fn off_peak_uses_the_background() {
         let mut h = hybrid();
-        let d = h.decide(&ctx(12 * 3_600, 10, 0)).unwrap();
+        let d = h.decide(&ctx(12 * 3_600, 10)).unwrap();
         assert!((d.as_fraction() - 0.0002).abs() < 1e-12);
     }
 
     #[test]
     fn background_respects_budget_and_data_gates() {
+        // The driver gates both branches on the budget the hybrid declares;
+        // the data gate is the hybrid's own.
         let mut h = hybrid();
-        // Budget exhausted: silent everywhere.
-        assert!(h.decide(&ctx(12 * 3_600, 10, 87)).is_none());
+        assert_eq!(h.phi_budget(), Some(h.inner().config().phi_max));
         // Learn an upload threshold, then starve the buffer.
         for _ in 0..20 {
             h.record_probed_contact(&ProbedContactInfo {
@@ -214,15 +206,15 @@ mod tests {
                 contact_length: Some(SimDuration::from_secs(2)),
             });
         }
-        assert!(h.decide(&ctx(12 * 3_600, 0, 0)).is_none(), "data gate");
-        assert!(h.decide(&ctx(12 * 3_600, 5, 0)).is_some());
+        assert!(h.decide(&ctx(12 * 3_600, 0)).is_none(), "data gate");
+        assert!(h.decide(&ctx(12 * 3_600, 5)).is_some());
     }
 
     #[test]
     fn background_never_lowers_rush_duty_cycle() {
         // Pathological: background larger than the knee.
         let mut h = SnipRhPlusAt::new(SnipRhConfig::paper_defaults(marks()), 0.05);
-        let d = h.decide(&ctx(8 * 3_600, 10, 0)).unwrap();
+        let d = h.decide(&ctx(8 * 3_600, 10)).unwrap();
         assert!((d.as_fraction() - 0.05).abs() < 1e-12);
     }
 
@@ -245,20 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_until_bounds_budget_exhaustion_to_the_epoch() {
-        let h = hybrid();
-        // Budget spent at noon of day 2: silent until day 3 begins.
-        let gated = ctx(2 * 86_400 + 12 * 3_600, 10, 87);
-        assert_eq!(
-            h.idle_until(&gated),
-            Some(IdleSpan::timed(SimTime::from_secs(3 * 86_400))),
-            "budget gate holds for the rest of the epoch"
-        );
-        // Budget in hand: the background can probe — no idle bound.
-        assert_eq!(h.idle_until(&ctx(12 * 3_600, 10, 0)), None);
-    }
-
-    #[test]
     fn idle_until_bounds_the_shared_data_gate() {
         let mut h = hybrid();
         for _ in 0..20 {
@@ -273,7 +251,7 @@ mod tests {
         // Starved, in a rush slot or off-peak: off until the buffer holds
         // the threshold, with no time bound of its own.
         for now_s in [8 * 3_600, 12 * 3_600] {
-            let starved = ctx(now_s, 0, 0);
+            let starved = ctx(now_s, 0);
             assert!(h.decide(&starved).is_none());
             assert_eq!(
                 h.idle_until(&starved),
@@ -283,21 +261,18 @@ mod tests {
                 })
             );
         }
-        // Starved and out of budget: both bounds hold.
-        let span = h.idle_until(&ctx(12 * 3_600, 0, 87)).unwrap();
-        assert_eq!(span.until, SimTime::from_secs(86_400));
-        assert_eq!(span.data_below, Some(threshold));
+        // Fed: the decision is on, so there is nothing to bound.
+        assert_eq!(h.idle_until(&ctx(12 * 3_600, 10)), None);
     }
 
     #[test]
     fn steady_span_covers_one_slot_under_the_budget() {
         let h = hybrid();
         // Off-peak: the background duty-cycle is steady to the slot end.
-        let span = h.steady_span(&ctx(12 * 3_600 + 600, 10, 0)).unwrap();
+        let span = h.steady_span(&ctx(12 * 3_600 + 600, 10)).unwrap();
         assert_eq!(span.until, SimTime::from_secs(13 * 3_600));
-        assert_eq!(span.phi_budget, Some(h.inner().config().phi_max));
         // Rush hour: same shape (the max(knee, background) is constant).
-        let span = h.steady_span(&ctx(8 * 3_600, 10, 0)).unwrap();
+        let span = h.steady_span(&ctx(8 * 3_600, 10)).unwrap();
         assert_eq!(span.until, SimTime::from_secs(9 * 3_600));
     }
 }

@@ -17,26 +17,31 @@
 //!   keep tracking slow (seasonal) shifts in the background.
 //!
 //! Schedulers are pure decision logic behind the [`ProbeScheduler`] trait;
-//! driving a radio against a contact trace is `snip-sim`'s job.
+//! driving a radio against a contact trace is `snip-sim`'s job. That
+//! includes condition 3, the energy budget: a scheduler declares its `Φmax`
+//! through [`ProbeScheduler::phi_budget`], and the driver, which keeps the
+//! exact per-epoch Φ ledger, acts on an active decision only while one more
+//! beacon window fits inside it.
 //!
 //! # Example
 //!
 //! ```
 //! use snip_core::{ProbeContext, ProbeScheduler, SnipRh, SnipRhConfig};
-//! use snip_units::{DataSize, SimDuration, SimTime};
+//! use snip_units::{DataSize, SimTime};
 //!
 //! let mut marks = vec![false; 24];
 //! for h in [7, 8, 17, 18] { marks[h] = true; }
 //! let mut rh = SnipRh::new(SnipRhConfig::paper_defaults(marks));
 //!
-//! // 08:00, plenty of buffered data, nothing spent yet: probe at the knee.
+//! // 08:00 with plenty of buffered data: probe at the knee…
 //! let ctx = ProbeContext {
 //!     now: SimTime::from_secs(8 * 3600),
 //!     buffered_data: DataSize::from_airtime_secs(5),
-//!     phi_spent_epoch: SimDuration::ZERO,
 //! };
-//! let d = rh.decide(&ctx).expect("rush hour, data, budget: SNIP active");
+//! let d = rh.decide(&ctx).expect("rush hour, data: SNIP active");
 //! assert!((d.as_fraction() - 0.01).abs() < 1e-9); // Ton/T̄contact = 20ms/2s
+//! // …for as long as the driver finds room in the declared budget.
+//! assert_eq!(rh.phi_budget(), Some(rh.config().phi_max));
 //!
 //! // 12:00 is off-peak: radio stays off.
 //! let noon = ProbeContext { now: SimTime::from_secs(12 * 3600), ..ctx };
@@ -47,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod budget;
 pub mod dispatch;
 pub mod estimator;
 pub mod hybrid;
@@ -58,7 +62,6 @@ pub mod snip_opt;
 pub mod snip_rh;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePhase, AdaptiveSnipRh};
-pub use budget::EnergyLedger;
 pub use dispatch::MechanismScheduler;
 pub use estimator::Ewma;
 pub use hybrid::SnipRhPlusAt;

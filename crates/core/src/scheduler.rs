@@ -5,6 +5,11 @@
 //! captures exactly that decision — plus the feedback path through which a
 //! mechanism learns from probed contacts (SNIP-RH's EWMAs, adaptive rush-hour
 //! learning).
+//!
+//! Condition 3 of §VI-B, the per-epoch energy budget, is not part of the
+//! decision: a scheduler declares its `Φmax` through
+//! [`ProbeScheduler::phi_budget`], and the driver, which keeps the exact
+//! per-epoch Φ ledger, enforces it.
 
 use serde::{Deserialize, Serialize};
 use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
@@ -16,9 +21,6 @@ pub struct ProbeContext {
     pub now: SimTime,
     /// Sensed data currently buffered and awaiting upload.
     pub buffered_data: DataSize,
-    /// Radio-on time already charged to probing in the current epoch
-    /// (maintained by the driver; schedulers may also keep their own ledger).
-    pub phi_spent_epoch: SimDuration,
 }
 
 /// Feedback after a successfully probed contact.
@@ -59,11 +61,6 @@ pub struct SteadySpan {
     /// The decision is guaranteed unchanged for any wake-up strictly before
     /// this instant…
     pub until: SimTime,
-    /// …as long as the epoch's probing spend (`ctx.phi_spent_epoch`) plus
-    /// one beacon window still fits inside this budget — i.e. the driver may
-    /// batch beacons while the *resulting* spend stays `<=` this bound.
-    /// `None` when the decision does not depend on the spend at all.
-    pub phi_budget: Option<SimDuration>,
     /// …and, when set, also across probed contacts: neither
     /// [`record_probed_contact`](ProbeScheduler::record_probed_contact) nor
     /// the upload that drains the buffer can change the decision before
@@ -121,6 +118,18 @@ pub trait ProbeScheduler {
     /// A short human-readable mechanism name ("SNIP-AT", "SNIP-RH", …).
     fn name(&self) -> &str;
 
+    /// The per-epoch probing budget `Φmax` (condition 3 of §VI-B), or
+    /// `None` when the scheduler probes without one.
+    ///
+    /// The driver enforces it against its exact per-epoch Φ ledger: it
+    /// still consults [`decide`](ProbeScheduler::decide), but acts on an
+    /// active decision only while one more beacon window fits inside the
+    /// budget, so the epoch's spend never exceeds `Φmax`; otherwise the
+    /// radio stays off until the ledger resets at the next epoch. Required,
+    /// with no default, so that a wrapper cannot silently drop the budget
+    /// of the scheduler it wraps.
+    fn phi_budget(&self) -> Option<SimDuration>;
+
     /// Fast-path hint while the radio is **off**: the wake-ups at which the
     /// scheduler *guarantees* [`decide`](ProbeScheduler::decide) would keep
     /// returning off/`None`, letting the driver skip them instead of
@@ -128,11 +137,10 @@ pub trait ProbeScheduler {
     ///
     /// The decision must stay off at every wake-up before `span.until`: for
     /// every context with `now` in `[ctx.now, span.until)` whose
-    /// `buffered_data` and `phi_spent_epoch` are at least `ctx`'s (both are
-    /// non-decreasing while the radio is off). It must also stay off at
-    /// every later wake-up whose `buffered_data` is below `span.data_below`
-    /// (when set), whatever its `now` and `phi_spent_epoch`. Both
-    /// guarantees assume no intervening
+    /// `buffered_data` is at least `ctx`'s (it does not decrease while the
+    /// radio is off). It must also stay off at every later wake-up whose
+    /// `buffered_data` is below `span.data_below` (when set), whatever its
+    /// `now`. Both guarantees assume no intervening
     /// [`record_probed_contact`](ProbeScheduler::record_probed_contact).
     /// The driver owns the buffer, so it finds the first wake-up at which
     /// the data bound can be met. Return `None` when no bound is known —
@@ -149,10 +157,12 @@ pub trait ProbeScheduler {
     /// probing cycles per consultation.
     ///
     /// The guarantee must hold for every context with `now` in
-    /// `[ctx.now, span.until)` whose `buffered_data` is at least `ctx`'s and
-    /// whose `phi_spent_epoch` leaves room for a whole beacon window inside
-    /// `span.phi_budget` (when set), with no intervening
+    /// `[ctx.now, span.until)` whose `buffered_data` is at least `ctx`'s,
+    /// with no intervening
     /// [`record_probed_contact`](ProbeScheduler::record_probed_contact).
+    /// The budget is not the span's concern: the driver stops the span
+    /// itself once [`phi_budget`](ProbeScheduler::phi_budget) has no room
+    /// for another window.
     /// With `span.across_probes` set it must hold whatever the buffer and
     /// whatever feedback arrives in between, so the driver may step on
     /// through probed contacts without asking again. The default is `None`
@@ -241,6 +251,10 @@ impl<S: ProbeScheduler + ?Sized> ProbeScheduler for Box<S> {
         (**self).name()
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        (**self).phi_budget()
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         (**self).idle_until(ctx)
     }
@@ -265,13 +279,16 @@ mod tests {
         fn name(&self) -> &str {
             "always-on"
         }
+
+        fn phi_budget(&self) -> Option<SimDuration> {
+            None
+        }
     }
 
     fn ctx() -> ProbeContext {
         ProbeContext {
             now: SimTime::ZERO,
             buffered_data: DataSize::ZERO,
-            phi_spent_epoch: SimDuration::ZERO,
         }
     }
 
@@ -280,6 +297,7 @@ mod tests {
         let mut s: Box<dyn ProbeScheduler> = Box::new(AlwaysOn);
         assert_eq!(s.decide(&ctx()), Some(DutyCycle::ALWAYS_ON));
         assert_eq!(s.name(), "always-on");
+        assert_eq!(s.phi_budget(), None);
         // Default feedback hook is a no-op.
         s.record_probed_contact(&ProbedContactInfo {
             probe_time: SimTime::ZERO,

@@ -3,15 +3,15 @@
 //! The strawman the paper improves upon. The duty-cycle is "well selected so
 //! that the probed contact capacity is just enough to upload its sensed data"
 //! — an offline choice, computed here from the closed-form analysis when a
-//! slot profile is available. An optional budget gate (the same condition 3
-//! as SNIP-RH) stops probing once the epoch's energy budget is spent; the
-//! paper's SNIP-AT implicitly respects the budget by construction
-//! (`d0 ≤ Φmax/Tepoch`), and the gate makes that robust to mis-estimation.
+//! slot profile is available. An optional budget (the same condition 3 as
+//! SNIP-RH, enforced by the driver) stops probing once the epoch's energy
+//! budget is spent; the paper's SNIP-AT implicitly respects the budget by
+//! construction (`d0 ≤ Φmax/Tepoch`), and the budget makes that robust to
+//! mis-estimation.
 
 use snip_model::{SlotProfile, SnipModel};
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
-use crate::budget::EnergyLedger;
 use crate::planner::Planner;
 use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
@@ -21,53 +21,38 @@ use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 ///
 /// ```
 /// use snip_core::{ProbeContext, ProbeScheduler, SnipAt};
-/// use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
+/// use snip_units::{DataSize, DutyCycle, SimTime};
 ///
 /// let mut at = SnipAt::new(DutyCycle::new(0.001).unwrap());
 /// let ctx = ProbeContext {
 ///     now: SimTime::from_secs(3 * 3600), // 3 AM — SNIP-AT doesn't care
 ///     buffered_data: DataSize::ZERO,
-///     phi_spent_epoch: SimDuration::ZERO,
 /// };
 /// assert_eq!(at.decide(&ctx), Some(DutyCycle::new(0.001).unwrap()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnipAt {
     duty_cycle: DutyCycle,
-    ledger: Option<EnergyLedger>,
-    /// Beacon window `Ton` of the gated deployment; the budget gate admits
-    /// a probing cycle only when a whole window still fits (same exact
-    /// `Φ ≤ Φmax` contract as SNIP-RH's condition 3).
-    ton: SimDuration,
+    /// The per-epoch budget `Φmax`, when one is set.
+    budget: Option<SimDuration>,
 }
 
 impl SnipAt {
-    /// Creates SNIP-AT at a fixed duty-cycle with no budget gate.
+    /// Creates SNIP-AT at a fixed duty-cycle with no budget.
     #[must_use]
     pub fn new(duty_cycle: DutyCycle) -> Self {
         SnipAt {
             duty_cycle,
-            ledger: None,
-            ton: SimDuration::ZERO,
+            budget: None,
         }
     }
 
-    /// Adds the per-epoch budget gate: probing stops for the rest of an
-    /// epoch once less than one beacon window (`ton`) of `phi_max` is
-    /// left, so the spend never exceeds the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` is zero.
+    /// Adds a per-epoch budget, which the driver enforces: probing stops
+    /// for the rest of an epoch once less than one beacon window of
+    /// `phi_max` is left, so the spend never exceeds the budget.
     #[must_use]
-    pub fn with_budget(
-        mut self,
-        epoch: SimDuration,
-        phi_max: SimDuration,
-        ton: SimDuration,
-    ) -> Self {
-        self.ledger = Some(EnergyLedger::new(epoch, phi_max));
-        self.ton = ton;
+    pub fn with_budget(mut self, phi_max: SimDuration) -> Self {
+        self.budget = Some(phi_max);
         self
     }
 
@@ -98,42 +83,23 @@ impl SnipAt {
 
 impl ProbeScheduler for SnipAt {
     fn decide(&mut self, ctx: &ProbeContext) -> Option<DutyCycle> {
-        if self.duty_cycle.is_off() {
-            return None;
-        }
-        if let Some(ledger) = &mut self.ledger {
-            // Trust the driver's ledger when provided; keep our own in sync.
-            ledger.charge(ctx.now, SimDuration::ZERO);
-            // Same exact gate as SNIP-RH: a whole beacon window must still
-            // fit inside the budget, or the cycle does not start.
-            if ctx.phi_spent_epoch + self.ton > ledger.budget() || !ledger.under_budget(ctx.now) {
-                return None;
-            }
-        }
-        Some(self.duty_cycle)
+        let _ = ctx;
+        (!self.duty_cycle.is_off()).then_some(self.duty_cycle)
     }
 
     fn name(&self) -> &str {
         "SNIP-AT"
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        self.budget
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
-        if self.duty_cycle.is_off() {
-            return Some(IdleSpan::timed(SimTime::MAX));
-        }
-        let ledger = self.ledger.as_ref()?;
-        if ledger.budget().is_zero() {
-            return Some(IdleSpan::timed(SimTime::MAX));
-        }
-        // The driver's ledger is authoritative (ours is only charged zeros);
-        // its spend resets at the next epoch boundary.
-        if ctx.phi_spent_epoch + self.ton > ledger.budget() {
-            return Some(IdleSpan::timed(crate::scheduler::slots::next_epoch_start(
-                ctx.now,
-                ledger.epoch(),
-            )));
-        }
-        None
+        let _ = ctx;
+        self.duty_cycle
+            .is_off()
+            .then_some(IdleSpan::timed(SimTime::MAX))
     }
 
     fn steady_span(&self, ctx: &ProbeContext) -> Option<SteadySpan> {
@@ -143,7 +109,6 @@ impl ProbeScheduler for SnipAt {
         }
         Some(SteadySpan {
             until: SimTime::MAX,
-            phi_budget: self.ledger.as_ref().map(EnergyLedger::budget),
             // Feedback is ignored and the buffer never read.
             across_probes: true,
         })
@@ -154,13 +119,12 @@ impl ProbeScheduler for SnipAt {
 mod tests {
     use super::*;
     use snip_model::LengthDistribution;
-    use snip_units::{DataSize, SimTime};
+    use snip_units::DataSize;
 
-    fn ctx(now_s: u64, phi_spent_s: u64) -> ProbeContext {
+    fn ctx(now_s: u64) -> ProbeContext {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::ZERO,
-            phi_spent_epoch: SimDuration::from_secs(phi_spent_s),
         }
     }
 
@@ -168,47 +132,14 @@ mod tests {
     fn probes_at_all_hours() {
         let mut at = SnipAt::new(DutyCycle::new(0.001).unwrap());
         for hour in 0..24 {
-            assert!(at.decide(&ctx(hour * 3_600, 0)).is_some(), "hour {hour}");
+            assert!(at.decide(&ctx(hour * 3_600)).is_some(), "hour {hour}");
         }
     }
 
     #[test]
     fn zero_duty_cycle_never_probes() {
         let mut at = SnipAt::new(DutyCycle::OFF);
-        assert!(at.decide(&ctx(0, 0)).is_none());
-    }
-
-    #[test]
-    fn budget_gate_stops_probing() {
-        let ton = SimDuration::from_millis(20);
-        let mut at = SnipAt::new(DutyCycle::new(0.01).unwrap()).with_budget(
-            SimDuration::from_hours(24),
-            SimDuration::from_secs(86),
-            ton,
-        );
-        assert!(at.decide(&ctx(100, 0)).is_some());
-        // Driver reports the budget fully spent.
-        assert!(at.decide(&ctx(200, 86)).is_none());
-        assert!(at.decide(&ctx(300, 90)).is_none());
-        // The gate is exact to one beacon window, like SNIP-RH's (the
-        // ledger clock only moves forward, so these stay in epoch 0).
-        let exact = ProbeContext {
-            now: SimTime::from_secs(400),
-            buffered_data: DataSize::ZERO,
-            phi_spent_epoch: SimDuration::from_secs(86) - ton,
-        };
-        assert!(at.decide(&exact).is_some(), "exactly one Ton of room");
-        let over = ProbeContext {
-            now: SimTime::from_secs(500),
-            phi_spent_epoch: SimDuration::from_secs(86) - ton + SimDuration::from_micros(1),
-            ..exact
-        };
-        assert!(
-            at.decide(&over).is_none(),
-            "a partial window must not start"
-        );
-        // Next epoch: the driver's counter resets.
-        assert!(at.decide(&ctx(86_400 + 100, 0)).is_some());
+        assert!(at.decide(&ctx(0)).is_none());
     }
 
     #[test]

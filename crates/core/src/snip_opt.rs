@@ -12,7 +12,7 @@ use snip_opt::OptPlan;
 use snip_units::{DutyCycle, SimDuration, SimTime};
 
 use crate::planner::Planner;
-use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
+use crate::scheduler::{slots, IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 
 /// The SNIP-OPT playback scheduler.
 ///
@@ -21,7 +21,7 @@ use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 /// ```
 /// use snip_core::{ProbeContext, ProbeScheduler, SnipOptScheduler};
 /// use snip_model::{SlotProfile, SnipModel};
-/// use snip_units::{DataSize, SimDuration, SimTime};
+/// use snip_units::{DataSize, SimTime};
 ///
 /// let mut opt = SnipOptScheduler::solve(
 ///     SnipModel::default(),
@@ -33,7 +33,6 @@ use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, SteadySpan};
 /// let noon = ProbeContext {
 ///     now: SimTime::from_secs(12 * 3600),
 ///     buffered_data: DataSize::ZERO,
-///     phi_spent_epoch: SimDuration::ZERO,
 /// };
 /// assert!(opt.decide(&noon).is_none());
 /// let rush = ProbeContext { now: SimTime::from_secs(7 * 3600 + 60), ..noon };
@@ -91,9 +90,8 @@ impl SnipOptScheduler {
     /// The duty-cycle assigned to the slot containing `now`.
     #[must_use]
     pub fn duty_cycle_at(&self, now: SimTime) -> DutyCycle {
-        let idx = ((now.time_in_epoch(self.epoch) / self.slot_length) as usize)
-            .min(self.plan.duty_cycles().len() - 1);
-        self.plan.duty_cycles()[idx]
+        let duties = self.plan.duty_cycles();
+        duties[slots::slot_index(now, self.epoch, self.slot_length, duties.len())]
     }
 }
 
@@ -111,6 +109,11 @@ impl ProbeScheduler for SnipOptScheduler {
         "SNIP-OPT"
     }
 
+    /// `None`: the plan spends within `Φmax` by construction.
+    fn phi_budget(&self) -> Option<SimDuration> {
+        None
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         // The plan is a pure function of the slot-of-epoch: an unfunded slot
         // stays unfunded until the next funded one begins.
@@ -118,7 +121,7 @@ impl ProbeScheduler for SnipOptScheduler {
             return None;
         }
         let duties = self.plan.duty_cycles();
-        Some(IdleSpan::timed(crate::scheduler::slots::next_marked_start(
+        Some(IdleSpan::timed(slots::next_marked_start(
             ctx.now,
             self.epoch,
             self.slot_length,
@@ -132,13 +135,12 @@ impl ProbeScheduler for SnipOptScheduler {
             return None;
         }
         Some(SteadySpan {
-            until: crate::scheduler::slots::slot_end(
+            until: slots::slot_end(
                 ctx.now,
                 self.epoch,
                 self.slot_length,
                 self.plan.duty_cycles().len(),
             ),
-            phi_budget: None,
             // The plan is offline: feedback and buffer never move it.
             across_probes: true,
         })
@@ -163,7 +165,6 @@ mod tests {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::ZERO,
-            phi_spent_epoch: SimDuration::ZERO,
         }
     }
 

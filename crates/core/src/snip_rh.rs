@@ -8,6 +8,10 @@
 //!    probed capacity is wasted);
 //! 3. the probing energy spent in the current epoch is below the budget.
 //!
+//! The scheduler decides conditions 1 and 2 and declares `Φmax` through
+//! [`ProbeScheduler::phi_budget`]; the driver enforces condition 3 against
+//! its exact per-epoch Φ ledger.
+//!
 //! When active, the duty-cycle is the knee `d_rh = Ton / T̄contact`, where
 //! `T̄contact` is an EWMA of contact lengths learned from probed contacts
 //! (§VI-C): below the knee the energy cost per probed second is minimal and
@@ -18,7 +22,9 @@ use serde::{Deserialize, Serialize};
 use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
 
 use crate::estimator::Ewma;
-use crate::scheduler::{IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan};
+use crate::scheduler::{
+    slots, IdleSpan, ProbeContext, ProbeScheduler, ProbedContactInfo, SteadySpan,
+};
 
 /// How SNIP-RH estimates the contact length from probed contacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,8 +134,9 @@ impl SnipRhConfig {
         self
     }
 
-    /// Checks what [`SnipRh::new`] asserts: at least one slot mark, a
-    /// positive epoch, `Ton` and initial contact length, an EWMA weight in
+    /// Checks what [`SnipRh::new`] asserts: at least one slot mark, an
+    /// epoch of at least one microsecond per mark (so that no slot is
+    /// empty), a positive `Ton` and initial contact length, an EWMA weight in
     /// `(0, 1]`, a minimum duty-cycle that is a fraction and a positive
     /// duty-cycle multiplier. A configuration read from outside (a journal
     /// header) is checked here before it is built.
@@ -141,6 +148,10 @@ impl SnipRhConfig {
         let fails = [
             (self.rush_marks.is_empty(), "need at least one slot mark"),
             (self.epoch.is_zero(), "epoch must be positive"),
+            (
+                self.epoch.as_micros() < self.rush_marks.len() as u64,
+                "epoch must be at least one µs per slot mark",
+            ),
             (self.ton.is_zero(), "Ton must be positive"),
             (
                 self.initial_contact_length.is_zero(),
@@ -269,8 +280,8 @@ impl SnipRh {
 
     /// Condition 2 as an [`IdleSpan::data_below`] bound: the upload
     /// threshold when `ctx` holds less data than it, `None` when the
-    /// condition is met. Exact at any later time and spend, because the
-    /// threshold only moves on probed-contact feedback.
+    /// condition is met. Exact at any later time, because the threshold
+    /// only moves on probed-contact feedback.
     #[must_use]
     pub(crate) fn data_below(&self, ctx: &ProbeContext) -> Option<DataSize> {
         let threshold = self.upload_threshold();
@@ -288,8 +299,12 @@ impl SnipRh {
     /// The slot index containing `now`.
     #[must_use]
     pub fn slot_index_at(&self, now: SimTime) -> usize {
-        ((now.time_in_epoch(self.config.epoch) / self.slot_length) as usize)
-            .min(self.config.rush_marks.len() - 1)
+        slots::slot_index(
+            now,
+            self.config.epoch,
+            self.slot_length,
+            self.config.rush_marks.len(),
+        )
     }
 
     /// Condition 1: is `now` inside a rush-hour slot?
@@ -324,13 +339,7 @@ impl ProbeScheduler for SnipRh {
         if ctx.buffered_data.as_airtime() < self.upload_threshold() {
             return None;
         }
-        // Condition 3: a whole probing window must still fit inside the
-        // epoch's budget. Checking the remaining room *before* starting the
-        // cycle (rather than whether the budget is already exhausted) makes
-        // `Φ ≤ Φmax` hold exactly — no one-`Ton` overshoot.
-        if ctx.phi_spent_epoch + self.config.ton > self.config.phi_max {
-            return None;
-        }
+        // Condition 3 is the driver's, against `phi_budget`.
         Some(self.rush_duty_cycle())
     }
 
@@ -355,23 +364,23 @@ impl ProbeScheduler for SnipRh {
         "SNIP-RH"
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        Some(self.config.phi_max)
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
-        let n = self.config.rush_marks.len();
         // Condition 1 failing is a pure function of time: off until the next
-        // marked slot begins, no matter what the buffer or ledger do.
-        // Condition 3: the epoch's spend only resets at the next epoch.
-        let until = if !self.in_rush_hour(ctx.now) {
-            crate::scheduler::slots::next_marked_start(
+        // marked slot begins, no matter what the buffer does.
+        let until = if self.in_rush_hour(ctx.now) {
+            ctx.now
+        } else {
+            slots::next_marked_start(
                 ctx.now,
                 self.config.epoch,
                 self.slot_length,
-                n,
+                self.config.rush_marks.len(),
                 |s| self.config.rush_marks[s],
             )
-        } else if ctx.phi_spent_epoch + self.config.ton > self.config.phi_max {
-            crate::scheduler::slots::next_epoch_start(ctx.now, self.config.epoch)
-        } else {
-            ctx.now
         };
         // Condition 2: the driver, which owns the buffer, finds the wake-up
         // at which it is met.
@@ -383,18 +392,17 @@ impl ProbeScheduler for SnipRh {
         // Within the current rush slot the mark cannot change, the knee
         // duty-cycle and the upload threshold only move on probed-contact
         // feedback, and condition 2 stays satisfied while the buffer only
-        // grows; condition 3 is delegated to the caller via `phi_budget`.
+        // grows.
         if !self.in_rush_hour(ctx.now) {
             return None;
         }
         Some(SteadySpan {
-            until: crate::scheduler::slots::slot_end(
+            until: slots::slot_end(
                 ctx.now,
                 self.config.epoch,
                 self.slot_length,
                 self.config.rush_marks.len(),
             ),
-            phi_budget: Some(self.config.phi_max),
             // Feedback moves the knee, and an upload empties the buffer
             // that condition 2 reads.
             across_probes: false,
@@ -418,11 +426,10 @@ mod tests {
         SnipRh::new(SnipRhConfig::paper_defaults(roadside_marks()))
     }
 
-    fn ctx(now_s: u64, buffered_s: u64, phi_spent_s: u64) -> ProbeContext {
+    fn ctx(now_s: u64, buffered_s: u64) -> ProbeContext {
         ProbeContext {
             now: SimTime::from_secs(now_s),
             buffered_data: DataSize::from_airtime_secs(buffered_s),
-            phi_spent_epoch: SimDuration::from_secs(phi_spent_s),
         }
     }
 
@@ -438,11 +445,11 @@ mod tests {
     #[test]
     fn condition_one_rush_hour_only() {
         let mut rh = rh();
-        assert!(rh.decide(&ctx(8 * 3_600, 10, 0)).is_some(), "08:00 probes");
-        assert!(rh.decide(&ctx(17 * 3_600 + 1, 10, 0)).is_some());
+        assert!(rh.decide(&ctx(8 * 3_600, 10)).is_some(), "08:00 probes");
+        assert!(rh.decide(&ctx(17 * 3_600 + 1, 10)).is_some());
         for off_hour in [0, 6, 9, 12, 16, 19, 23] {
             assert!(
-                rh.decide(&ctx(off_hour * 3_600 + 60, 10, 0)).is_none(),
+                rh.decide(&ctx(off_hour * 3_600 + 60, 10)).is_none(),
                 "{off_hour}:00 must not probe"
             );
         }
@@ -452,29 +459,29 @@ mod tests {
     fn condition_two_data_gating() {
         let mut rh = rh();
         // No threshold yet: probing bootstraps even with an empty buffer.
-        assert!(rh.decide(&ctx(8 * 3_600, 0, 0)).is_some());
+        assert!(rh.decide(&ctx(8 * 3_600, 0)).is_some());
         // Learn that contacts upload ~1 s of airtime.
         for _ in 0..20 {
             rh.record_probed_contact(&probed(1.0, 1.0, Some(2.0)));
         }
         assert!(rh.upload_threshold() > SimDuration::from_millis(900));
         // Empty buffer now fails condition 2…
-        assert!(rh.decide(&ctx(8 * 3_600, 0, 0)).is_none());
+        assert!(rh.decide(&ctx(8 * 3_600, 0)).is_none());
         // …but a full one passes.
-        assert!(rh.decide(&ctx(8 * 3_600, 2, 0)).is_some());
+        assert!(rh.decide(&ctx(8 * 3_600, 2)).is_some());
     }
 
     #[test]
     fn idle_until_bounds_the_data_gate_by_the_threshold() {
         let mut rh = rh();
-        // No threshold yet: a rush slot with budget in hand has no bound.
-        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 0, 0)), None);
+        // No threshold yet: a rush slot has no bound.
+        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 0)), None);
         for _ in 0..20 {
             rh.record_probed_contact(&probed(1.0, 1.0, Some(2.0)));
         }
         let threshold = DataSize::from_airtime(rh.upload_threshold());
         // Starved in a rush slot: off until the buffer holds the threshold.
-        let starved = ctx(8 * 3_600, 0, 0);
+        let starved = ctx(8 * 3_600, 0);
         assert!(rh.decide(&starved).is_none());
         assert_eq!(
             rh.idle_until(&starved),
@@ -484,54 +491,16 @@ mod tests {
             })
         );
         // Fed: the decision is on, so there is nothing to bound.
-        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 2, 0)), None);
+        assert_eq!(rh.idle_until(&ctx(8 * 3_600, 2)), None);
         // Off-peak and starved: the next marked slot and the data bound.
-        let span = rh.idle_until(&ctx(12 * 3_600, 0, 0)).unwrap();
+        let span = rh.idle_until(&ctx(12 * 3_600, 0)).unwrap();
         assert_eq!(span.until, SimTime::from_secs(17 * 3_600));
         assert_eq!(span.data_below, Some(threshold));
         // Off-peak and fed: the time bound alone.
         assert_eq!(
-            rh.idle_until(&ctx(12 * 3_600, 2, 0)),
+            rh.idle_until(&ctx(12 * 3_600, 2)),
             Some(IdleSpan::timed(SimTime::from_secs(17 * 3_600)))
         );
-        // Starved and out of budget in a rush slot: the next epoch, and the
-        // data bound after it.
-        let span = rh.idle_until(&ctx(8 * 3_600, 0, 87)).unwrap();
-        assert_eq!(span.until, SimTime::from_secs(86_400));
-        assert_eq!(span.data_below, Some(threshold));
-    }
-
-    #[test]
-    fn condition_three_budget_gating() {
-        let mut rh = rh();
-        let phi_max_s = 86; // paper_defaults: 86.4 s
-        assert!(rh.decide(&ctx(8 * 3_600, 10, 0)).is_some());
-        assert!(rh.decide(&ctx(8 * 3_600, 10, phi_max_s + 1)).is_none());
-    }
-
-    #[test]
-    fn budget_gate_is_exact_to_one_beacon_window() {
-        // The gate admits a cycle only if a whole Ton still fits: the last
-        // admissible spend is Φmax − Ton, one microsecond more is refused.
-        let mut rh = rh();
-        let phi_max = rh.config().phi_max;
-        let ton = rh.config().ton;
-        let at_knee = ProbeContext {
-            now: SimTime::from_secs(8 * 3_600),
-            buffered_data: DataSize::from_airtime_secs(10),
-            phi_spent_epoch: phi_max - ton,
-        };
-        assert!(rh.decide(&at_knee).is_some(), "exactly one Ton of room");
-        let over = ProbeContext {
-            phi_spent_epoch: phi_max - ton + SimDuration::from_micros(1),
-            ..at_knee
-        };
-        assert!(
-            rh.decide(&over).is_none(),
-            "a partial window must not start"
-        );
-        // idle_until agrees: with less than a Ton of room, off to next epoch.
-        assert!(rh.idle_until(&over).is_some());
     }
 
     #[test]
@@ -607,8 +576,8 @@ mod tests {
         let mut marks = vec![false; 24];
         marks[12] = true;
         rh.set_rush_marks(marks);
-        assert!(rh.decide(&ctx(12 * 3_600, 10, 0)).is_some());
-        assert!(rh.decide(&ctx(8 * 3_600, 10, 0)).is_none());
+        assert!(rh.decide(&ctx(12 * 3_600, 10)).is_some());
+        assert!(rh.decide(&ctx(8 * 3_600, 10)).is_none());
     }
 
     #[test]
@@ -622,9 +591,13 @@ mod tests {
         let ok = SnipRhConfig::paper_defaults(roadside_marks());
         assert_eq!(ok.check(), Ok(()));
         type Break = fn(&mut SnipRhConfig);
-        let broken: [(Break, &str); 7] = [
+        let broken: [(Break, &str); 8] = [
             (|c| c.rush_marks.clear(), "slot mark"),
             (|c| c.epoch = SimDuration::ZERO, "epoch"),
+            (
+                |c| c.epoch = SimDuration::from_micros(23),
+                "one µs per slot mark",
+            ),
             (|c| c.ton = SimDuration::ZERO, "Ton"),
             (
                 |c| c.initial_contact_length = SimDuration::ZERO,

@@ -1,5 +1,6 @@
 //! Property tests of the scheduling mechanisms: the §VI-B conditions must
 //! hold for *arbitrary* configurations and contexts, not just the paper's.
+//! Condition 3 is the driver's; `snip-sim` tests it where it is enforced.
 
 use proptest::prelude::*;
 
@@ -9,11 +10,10 @@ use snip_core::{
 };
 use snip_units::{DataSize, DutyCycle, SimDuration, SimTime};
 
-fn ctx(now_s: u64, buffered_ms: u64, phi_spent_ms: u64) -> ProbeContext {
+fn ctx(now_s: u64, buffered_ms: u64) -> ProbeContext {
     ProbeContext {
         now: SimTime::from_secs(now_s),
         buffered_data: DataSize::from_airtime(SimDuration::from_millis(buffered_ms)),
-        phi_spent_epoch: SimDuration::from_millis(phi_spent_ms),
     }
 }
 
@@ -28,7 +28,7 @@ proptest! {
     ) {
         let slot_count = marks.len();
         let mut rh = SnipRh::new(SnipRhConfig::paper_defaults(marks.clone()));
-        let c = ctx(now_s, buffered_ms, 0);
+        let c = ctx(now_s, buffered_ms);
         let decision = rh.decide(&c);
         let epoch_s = 86_400u64;
         let slot_len = epoch_s / slot_count as u64;
@@ -38,27 +38,6 @@ proptest! {
         }
         if !marks[idx] {
             prop_assert!(decision.is_none());
-        }
-    }
-
-    /// Condition 3: SNIP-RH never activates once the reported spend reaches
-    /// the budget, for any budget.
-    #[test]
-    fn rh_respects_any_budget(
-        phi_max_ms in 1u64..1_000_000,
-        phi_spent_ms in 0u64..2_000_000,
-        now_s in 0u64..86_400,
-    ) {
-        let marks = vec![true; 24]; // make condition 1 moot
-        let mut rh = SnipRh::new(
-            SnipRhConfig::paper_defaults(marks)
-                .with_phi_max(SimDuration::from_millis(phi_max_ms)),
-        );
-        let decision = rh.decide(&ctx(now_s, 10_000, phi_spent_ms));
-        if phi_spent_ms >= phi_max_ms {
-            prop_assert!(decision.is_none(), "probed over budget");
-        } else {
-            prop_assert!(decision.is_some(), "refused under budget");
         }
     }
 
@@ -169,7 +148,7 @@ proptest! {
     ) {
         let d = DutyCycle::new(frac).unwrap();
         let mut at = SnipAt::new(d);
-        prop_assert_eq!(at.decide(&ctx(t1, 0, 0)), at.decide(&ctx(t2, 0, 0)));
+        prop_assert_eq!(at.decide(&ctx(t1, 0)), at.decide(&ctx(t2, 0)));
     }
 }
 

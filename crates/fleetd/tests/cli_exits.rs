@@ -87,10 +87,22 @@ fn hostile_snip_rh_headers_are_refused_before_replay() {
         "header changed shape"
     );
     let bad_weight = header.replacen(r#""ewma_weight":0.1,"#, r#""ewma_weight":7.5,"#, 1);
+    // The SNIP-RH config comes before the run's `SimConfig`, so the first
+    // `epoch` is its own: 10 µs over 24 marks leaves every slot empty.
+    assert!(
+        header.contains(r#""epoch":86400000000,"#),
+        "header changed shape"
+    );
+    let short_epoch = header.replacen(r#""epoch":86400000000,"#, r#""epoch":10,"#, 1);
 
     for (case, bad_header, why) in [
         ("no-marks", no_marks, "need at least one slot mark"),
         ("weight", bad_weight, "EWMA weight must be in (0, 1]"),
+        (
+            "short-epoch",
+            short_epoch,
+            "epoch must be at least one µs per slot mark",
+        ),
     ] {
         let bad = dir.join(format!("{case}.jsonl"));
         std::fs::write(&bad, format!("{bad_header}\n{rest}")).expect("write journal");
@@ -112,40 +124,55 @@ fn hostile_snip_rh_headers_are_refused_before_replay() {
 fn hostile_snip_at_and_snip_opt_headers_are_refused_before_replay() {
     let dir = std::env::temp_dir().join(format!("snip-cli-at-opt-header-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (mechanism, field, cases) in [
+    let duty_cycle = r#""duty_cycle":0.001"#;
+    let opt_plan = r#""phi_max_secs":86.4,"zeta_target":16.0"#;
+    // (field, its hostile value, the type the error names, why)
+    type Case<'a> = (&'a str, &'a str, &'a str, &'a str);
+    let cases: [(&str, &[Case]); 2] = [
         (
             "at",
-            r#""duty_cycle":0.001"#,
-            [
+            &[
                 (
+                    duty_cycle,
                     r#""duty_cycle":2.0"#,
                     "DutyCycle",
                     "finite fraction in [0, 1]",
                 ),
                 (
+                    duty_cycle,
                     r#""duty_cycle":-0.5"#,
                     "DutyCycle",
                     "finite fraction in [0, 1]",
+                ),
+                // SNIP-AT has no epoch of its own: this is the `SimConfig`'s,
+                // too short to split into 24 ledger slots.
+                (
+                    r#""epoch":86400000000,"#,
+                    r#""epoch":10,"#,
+                    "SimConfig",
+                    "epoch must be at least 24 µs",
                 ),
             ],
         ),
         (
             "opt",
-            r#""phi_max_secs":86.4,"zeta_target":16.0"#,
-            [
+            &[
                 (
+                    opt_plan,
                     r#""phi_max_secs":-1.0,"zeta_target":16.0"#,
                     "SchedulerSpec::Opt",
                     "Φmax must be positive",
                 ),
                 (
+                    opt_plan,
                     r#""phi_max_secs":86.4,"zeta_target":-3.0"#,
                     "SchedulerSpec::Opt",
                     "ζtarget must be positive",
                 ),
             ],
         ),
-    ] {
+    ];
+    for (mechanism, cases) in cases {
         let journal = dir.join(format!("{mechanism}.jsonl"));
         let record = Command::new(SNIP_BIN)
             .args(["record", "--scenario", "roadside", "--mechanism", mechanism])
@@ -156,10 +183,10 @@ fn hostile_snip_at_and_snip_opt_headers_are_refused_before_replay() {
         assert!(record.status.success(), "{record:?}");
         let text = std::fs::read_to_string(&journal).expect("read journal");
         let (header, rest) = text.split_once('\n').expect("a header line");
-        assert!(header.contains(field), "{mechanism}: header changed shape");
 
-        for (k, (hostile, ty, why)) in cases.into_iter().enumerate() {
+        for (k, &(field, hostile, ty, why)) in cases.iter().enumerate() {
             let case = format!("{mechanism}-{k}");
+            assert!(header.contains(field), "{case}: header changed shape");
             let bad = dir.join(format!("{case}.jsonl"));
             let bad_header = header.replacen(field, hostile, 1);
             std::fs::write(&bad, format!("{bad_header}\n{rest}")).expect("write journal");
@@ -212,6 +239,12 @@ fn hostile_sim_config_headers_are_refused_before_replay() {
             r#""epoch":86400000000,"#,
             r#""epoch":0,"#,
             "epoch must be positive",
+        ),
+        (
+            "short-epoch",
+            r#""epoch":86400000000,"#,
+            r#""epoch":10,"#,
+            "epoch must be at least 24 µs",
         ),
         (
             "epochs",

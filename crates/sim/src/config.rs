@@ -110,8 +110,10 @@ impl SimConfig {
         self.checked()
     }
 
-    /// Checks what the builders assert: a positive `Ton`, epoch length and
-    /// decision interval, at least one epoch, a beacon-loss probability in
+    /// Checks what the builders assert: a positive `Ton`, an epoch of at
+    /// least 24 µs (the metrics ledger splits it into 24 slots of whole
+    /// microseconds), a positive decision interval, at least one epoch, a
+    /// beacon-loss probability in
     /// `[0, 1]` and a finite, non-negative data rate. A configuration read
     /// from outside (a journal header) is checked here before it is run.
     ///
@@ -122,6 +124,10 @@ impl SimConfig {
         let fails = [
             (self.ton.is_zero(), "Ton must be positive"),
             (self.epoch.is_zero(), "epoch must be positive"),
+            (
+                self.epoch < SimDuration::from_micros(24),
+                "epoch must be at least 24 µs, one per ledger slot",
+            ),
             (
                 self.decision_interval.is_zero(),
                 "decision interval must be positive",
@@ -201,9 +207,10 @@ mod tests {
         let ok = SimConfig::paper_defaults();
         assert_eq!(ok.check(), Ok(()));
         type Break = fn(&mut SimConfig);
-        let broken: [(Break, &str); 7] = [
+        let broken: [(Break, &str); 8] = [
             (|c| c.ton = SimDuration::ZERO, "Ton"),
             (|c| c.epoch = SimDuration::ZERO, "epoch must"),
+            (|c| c.epoch = SimDuration::from_micros(23), "at least 24 µs"),
             (
                 |c| c.decision_interval = SimDuration::ZERO,
                 "decision interval",

@@ -12,6 +12,16 @@
 //! active, `decision_interval` hops while it is idle, and a jump to the
 //! contact end after a successful probe.
 //!
+//! # The energy budget
+//!
+//! The simulator enforces condition 3 of §VI-B for every scheduler, against
+//! the `Φmax` it declares ([`ProbeScheduler::phi_budget`]): a probing window
+//! starts only while one more `Ton` fits inside the budget on the epoch's
+//! exact Φ ledger, so `Φ ≤ Φmax` holds to the microsecond. The scheduler is
+//! still consulted at every wake-up, but an active decision with no room
+//! left counts as off, and the radio stays off until the first wake-up at
+//! or after the next epoch's start, where the ledger resets.
+//!
 //! # Fast path
 //!
 //! The scheduler hints ([`ProbeScheduler::idle_until`] and
@@ -32,7 +42,8 @@
 //!   buffer, jumps to the first wake-up on the same grid that holds it
 //!   ([`DataBuffer::first_wake_holding`], which evaluates the buffer
 //!   exactly rather than trusting a float crossing time). Combined with a
-//!   time bound, the later of the two wins.
+//!   time bound (the scheduler's, or the next epoch's start when the budget
+//!   is spent), the latest wins.
 //! * **Beacon batching** — while the decision is guaranteed steady, the
 //!   contact list (not the clock) drives the loop: the simulator computes
 //!   the first beacon that can land inside a contact and accounts all the
@@ -141,6 +152,9 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
         let epoch = self.config.epoch;
         let slot_len = epoch / 24;
         let ton = self.config.ton;
+        // Condition 3: room for one more window on the epoch's Φ ledger.
+        let budget = self.scheduler.phi_budget();
+        let has_room = |spent: SimDuration| budget.is_none_or(|b| spent + ton <= b);
         let mut metrics = RunMetrics::with_epochs(self.config.epochs as usize);
         let mut buffer = DataBuffer::new(self.config.data_rate);
         let mut current_epoch = 0u64;
@@ -186,16 +200,17 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                 current_epoch = epoch_idx;
             }
 
-            // The scheduler sees the current epoch's exact Φ ledger — the
-            // single source of the per-epoch spend (it resets at rollover
-            // because each epoch has its own ledger entry).
-            let phi_in_epoch = metrics.epochs()[epoch_idx as usize].phi_exact();
             let ctx = ProbeContext {
                 now,
                 buffered_data: buffer.available(now),
-                phi_spent_epoch: phi_in_epoch,
             };
-            let active = self.scheduler.decide(&ctx).filter(|d| !d.is_off());
+            // The scheduler is asked even when the budget is spent (it may
+            // keep state per epoch), but its answer stands only while the
+            // epoch's exact Φ ledger has room for one more window.
+            let decided = self.scheduler.decide(&ctx).filter(|d| !d.is_off());
+            let room = has_room(metrics.epochs()[epoch_idx as usize].phi_exact());
+            let active = decided.filter(|_| room);
+            let epoch_end = now - now.time_in_epoch(epoch) + epoch;
             if reported != Some(active) {
                 reported = Some(active);
                 emit!(SimEvent::Decision(DecisionRecord {
@@ -205,23 +220,30 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
             }
             let Some(duty_cycle) = active else {
                 // Idle: wake again one decision interval later — or, when
-                // the scheduler bounds its own silence, at the first
-                // wake-up on that same grid at which the decision could
-                // change: at or after its time bound, and holding the data
-                // its bound asks for. Skipped wake-ups are provably off, so
+                // the silence is bounded, at the first wake-up on that same
+                // grid at which the decision could change: at or after the
+                // next epoch's start while the budget is spent, at or after
+                // the scheduler's time bound, and holding the data its
+                // bound asks for. Skipped wake-ups are provably off, so
                 // nothing observable is lost.
                 let di = self.config.decision_interval;
                 let mut next = now + di;
                 if !self.naive {
-                    if let Some(span) = self.scheduler.idle_until(&ctx) {
-                        let mut until = span.until.min(horizon);
+                    let mut until = if room { now } else { epoch_end.min(horizon) };
+                    let span = if decided.is_none() {
+                        self.scheduler.idle_until(&ctx)
+                    } else {
+                        None
+                    };
+                    if let Some(span) = span {
+                        until = until.max(span.until.min(horizon));
                         if let Some(need) = span.data_below {
                             until = until.max(buffer.first_wake_holding(now, di, need, horizon));
                         }
-                        if until > next {
-                            let steps = (until - now).as_micros().div_ceil(di.as_micros());
-                            next = now + di * steps;
-                        }
+                    }
+                    if until > next {
+                        let steps = (until - now).as_micros().div_ceil(di.as_micros());
+                        next = now + di * steps;
                     }
                 }
                 now = next;
@@ -240,16 +262,14 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
             } else {
                 self.scheduler.steady_span(&ctx)
             };
-            let epoch_end = now - now.time_in_epoch(epoch) + epoch;
             let span_end = steady.map_or(now, |s| s.until.min(epoch_end).min(horizon));
             // Whether the fast path may send the next beacon at `now`
             // without asking again: the span, the epoch and the run go on,
             // and the budget has room for one more window.
             let holds = |now: SimTime, metrics: &RunMetrics| {
-                steady.is_some_and(|s| {
-                    let spent = metrics.epochs()[epoch_idx as usize].phi_exact();
-                    now < span_end && s.phi_budget.is_none_or(|b| spent + ton <= b)
-                })
+                steady.is_some()
+                    && now < span_end
+                    && has_room(metrics.epochs()[epoch_idx as usize].phi_exact())
             };
             // The reference stepper sends one beacon per consultation; the
             // fast path stays in this loop while `holds`.
@@ -259,7 +279,7 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                     cursor += 1;
                 }
                 let mut at = now;
-                if let Some(span) = steady {
+                if steady.is_some() {
                     // Fast path: the contact list drives the loop. Bound the
                     // batch to the current ledger slot as well, so per-slot
                     // ledgers stay exact.
@@ -270,14 +290,14 @@ impl<'a, S: ProbeScheduler> Simulation<'a, S> {
                     };
                     let gap = span_end.min(slot_end).as_micros() - now.as_micros();
                     let mut k_max = gap.div_ceil(cycle_us).max(1);
-                    if let Some(phi_budget) = span.phi_budget {
+                    if let Some(budget) = budget {
                         // Whole beacons that fit inside the remaining budget —
                         // floor, so the batched spend never exceeds it. The
-                        // first always fits: decide() or `holds` checked the
+                        // first always fits: the gate or `holds` checked the
                         // room for one Ton.
                         let spent = metrics.epochs()[epoch_idx as usize].phi_exact();
-                        let room = phi_budget.as_micros().saturating_sub(spent.as_micros());
-                        k_max = k_max.min((room / ton.as_micros()).max(1));
+                        let left = budget.as_micros().saturating_sub(spent.as_micros());
+                        k_max = k_max.min((left / ton.as_micros()).max(1));
                     }
 
                     // The first beacon `now + j·cycle`, `j < k_max`, landing

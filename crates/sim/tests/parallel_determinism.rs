@@ -176,11 +176,8 @@ fn a_budget_that_binds_mid_epoch_stops_both_steppers_at_the_same_beacon() {
     // whole number of beacon windows) runs out around 08:00 every epoch.
     let config = SimConfig::paper_defaults().with_epochs(7);
     let trace = paper_runner(7).trace();
-    let at = SnipAt::new(DutyCycle::new(0.01).unwrap()).with_budget(
-        config.epoch,
-        SimDuration::from_micros(288_010_000),
-        config.ton,
-    );
+    let at = SnipAt::new(DutyCycle::new(0.01).unwrap())
+        .with_budget(SimDuration::from_micros(288_010_000));
     let metrics = assert_steppers_agree(&config, &trace, at, "SNIP-AT, budget 288.01 s");
     for em in metrics.epochs() {
         assert_eq!(em.phi_exact(), SimDuration::from_secs(288), "{em:?}");

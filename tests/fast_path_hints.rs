@@ -206,6 +206,10 @@ impl<S: ProbeScheduler> ProbeScheduler for Consultations<S> {
         self.0.name()
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        self.0.phi_budget()
+    }
+
     fn idle_until(&self, ctx: &ProbeContext) -> Option<IdleSpan> {
         self.0.idle_until(ctx)
     }
@@ -302,10 +306,13 @@ impl ProbeScheduler for Fickle {
         "fickle"
     }
 
+    fn phi_budget(&self) -> Option<SimDuration> {
+        None
+    }
+
     fn steady_span(&self, _ctx: &ProbeContext) -> Option<SteadySpan> {
         Some(SteadySpan {
             until: SimTime::MAX,
-            phi_budget: None,
             across_probes: self.across_probes,
         })
     }

@@ -186,11 +186,8 @@ fn compute() -> Vec<(String, u64)> {
             PAPER_PHI_MAX_TIGHT,
             profile.mean_contact_length(),
         );
-        let at = SnipAt::new(DutyCycle::new(0.01).expect("valid duty cycle")).with_budget(
-            config.epoch,
-            SimDuration::from_micros(288_010_000),
-            config.ton,
-        );
+        let at = SnipAt::new(DutyCycle::new(0.01).expect("valid duty cycle"))
+            .with_budget(SimDuration::from_micros(288_010_000));
         for (name, d) in [
             (
                 "SNIP-RH+AT-bg0.002",

@@ -29,6 +29,10 @@ impl ProbeScheduler for Recorder {
     fn name(&self) -> &str {
         "recorder"
     }
+
+    fn phi_budget(&self) -> Option<SimDuration> {
+        None
+    }
 }
 
 /// A dense, decorrelated contact stream: one 2 s contact at a random offset
